@@ -45,6 +45,7 @@ from .envcore import (
     sample,
     uniform_measure,
     validate,
+    walk_states,
 )
 from .errors import InconclusiveConfigurationError, SemilabError, SpecError
 from .intervals import (
@@ -333,9 +334,16 @@ def _mixture_from(spec: dict, mode: str = RAW, k=None) -> tuple[MixtureEnv, EnvC
     return MixtureEnv(env_class, weights, mode, k=k), env_class, weights
 
 
+def _class_index(value, env_class: EnvClass, path: str) -> int:
+    i = int(value)
+    if not 1 <= i <= len(env_class):
+        raise SpecError(f"{path}: index {i} outside 1..{len(env_class)}")
+    return i
+
+
 def _mu_from(spec: dict, env_class: EnvClass) -> Environment:
     if "mu_index" in spec:
-        return env_class.env(int(spec["mu_index"]))
+        return env_class.env(_class_index(spec["mu_index"], env_class, "$.mu_index"))
     if "mu" in spec:
         env = parse_environment(spec["mu"], "$.mu")
         _cross_check(env, "$.mu")
@@ -443,20 +451,13 @@ def run_quasimeasure(spec, depth, bits, seed, workers) -> RunResult:
         cutoffs[str(i)] = w_mix.component(i).cutoff_depth()
     result.documents["report"] = {"cutoff_depths": cutoffs}
     equal_from = int(spec.get("equal_from", 2))
-    mismatch = None
-
-    def rec(symbols):
-        nonlocal mismatch
-        if mismatch is not None:
-            return
-        if len(symbols) >= equal_from and w_mix._mass(symbols) != d_mix._mass(symbols):
-            mismatch = "".join(map(str, symbols))
-            return
-        if len(symbols) < depth:
-            for a in env_class.alphabet.symbols:
-                rec(symbols + (a,))
-
-    rec(())
+    # tuple order is depth-first order and a state's representative is its
+    # smallest string: the least mismatching one is the first a depth-first
+    # walk would meet
+    mismatch = min((symbols for symbols, (w, d), _, _ in walk_states([w_mix, d_mix], depth)
+                    if len(symbols) >= equal_from and w.mass != d.mass), default=None)
+    if mismatch is not None:
+        mismatch = "".join(map(str, mismatch))
     result.add_outcome("w-equals-d", _exact_outcome(mismatch is None),
                        {"equal_from": equal_from, "depth": depth,
                         "first_mismatch": mismatch})
@@ -566,14 +567,15 @@ def run_e2i(spec, depth, bits, seed, workers) -> RunResult:
 
 def run_prop8(spec, depth, bits, seed, workers) -> RunResult:
     env_class, weights = parse_class(spec)
-    k0s = [int(k) for k in spec.get("k0", [1])]
+    k0s = [_class_index(k, env_class, "$.k0") for k in spec.get("k0", [1])]
     result = RunResult()
     for k0 in k0s:
         v = prop8_expected_bound(env_class, weights, k0, depth, bits, workers)
         result.add_verdict(f"expected-bound-k0-{k0}", v)
     ratio_depth = int(spec.get("ratio_depth", min(depth, 8)))
     for k in spec.get("ratio_k", list(range(2, len(env_class) + 1))):
-        v = delta_hat_ratio_check(env_class, weights, int(k), ratio_depth)
+        v = delta_hat_ratio_check(env_class, weights,
+                                  _class_index(k, env_class, "$.ratio_k"), ratio_depth)
         result.add_verdict(f"ratio-bound-k-{k}", v)
     return result
 
@@ -633,6 +635,8 @@ def run_experiment(subcommand: str, spec: dict, depth: Optional[int],
         raise SpecError(f"unknown subcommand {subcommand!r}")
     if depth is None:
         depth = int(spec.get("depth", DEFAULT_DEPTHS[subcommand]))
+    if depth < 0:
+        raise SpecError(f"depth must be >= 0, got {depth}")
     return RUNNERS[subcommand](spec, depth, precision_bits, seed, workers)
 
 

@@ -26,7 +26,7 @@ from .intervals import (
     pow_nonneg,
     precision,
 )
-from .envcore import Environment, FiniteString, ZERO, ONE
+from .envcore import Environment, FiniteString, ZERO, ONE, walk_states
 from .errors import NotAMeasureRowError, NotDominatedError, UndefinedPosteriorError
 
 HALF = Fraction(1, 2)
@@ -300,14 +300,8 @@ def expected_exp_half_sum(nu: Environment, mu: Environment, n: int,
 
 def verify_dominance(nu: Environment, mu: Environment, w: Fraction, depth: int) -> bool:
     """Exact check nu(x) >= w mu(x) on every string to the given depth."""
-    def rec(symbols):
-        if nu._mass(symbols) < w * mu._mass(symbols):
-            return False
-        if len(symbols) == depth:
-            return True
-        return all(rec(symbols + (a,)) for a in mu.alphabet.symbols)
-
-    return rec(())
+    return all(nu_cur.mass >= w * mu_cur.mass
+               for _, (nu_cur, mu_cur), _, _ in walk_states([nu, mu], depth))
 
 
 @dataclass

@@ -136,8 +136,14 @@ class Environment:
 class EnvCursor:
     """Stateful walker exposing one posterior row at a time.
 
-    The generic implementation re-evaluates masses; product-form environments
-    override for O(1) steps.
+    The contract every cursor keeps: ``mass`` equals ``_mass`` of the string
+    walked so far, ``row()`` equals ``posterior`` there (where the mass is
+    positive), ``step(a)`` appends one symbol, ``clone()`` returns an
+    independent copy, and ``state_key()`` is a hashable sufficient statistic:
+    two strings of equal length with equal keys have equal masses on every
+    common extension.  The generic implementation re-evaluates masses and
+    keys by the whole string, so it never merges; product-form environments
+    override for O(1) steps and keys that merge.
     """
 
     def __init__(self, env: Environment):
@@ -166,11 +172,18 @@ class EnvCursor:
         new.__dict__.update(self.__dict__)
         return new
 
+    def state_key(self):
+        return self._symbols
+
 
 class _IIDCursor(EnvCursor):
+    """Keyed by the symbol counts; every dead string shares the key None."""
+
     def __init__(self, env: Environment, row: tuple[Fraction, ...]):
-        super().__init__(env)
+        self._env = env
         self._row = row
+        self._mass = ONE
+        self._counts = (0,) * len(row)
 
     def row(self) -> tuple[Fraction, ...]:
         if self._mass == 0:
@@ -178,8 +191,12 @@ class _IIDCursor(EnvCursor):
         return self._row
 
     def step(self, a: int) -> None:
-        self._symbols = self._symbols + (a,)
         self._mass = self._mass * self._row[a]
+        counts = self._counts
+        self._counts = counts[:a] + (counts[a] + 1,) + counts[a + 1:]
+
+    def state_key(self):
+        return self._counts if self._mass != 0 else None
 
 
 class CategoricalIIDEnv(Environment):
@@ -268,6 +285,9 @@ class MarkovEnv(Environment):
                 return ZERO
         return m
 
+    def cursor(self) -> EnvCursor:
+        return _MarkovCursor(self)
+
     def spec(self) -> dict:
         return {
             "kind": "markov",
@@ -290,6 +310,42 @@ class MarkovEnv(Environment):
             bound = max(bound, self._row(past)[0])
             past = past + (0,)
         return bound
+
+
+class _MarkovCursor(EnvCursor):
+    """Keyed by the transition counts plus the current context."""
+
+    def __init__(self, env: MarkovEnv):
+        self._env = env
+        self._ctx: tuple[int, ...] = ()
+        self._mass = ONE
+        # one count per (context, symbol), in the order of env.transitions
+        self._offsets = {ctx: i * env.alphabet.size
+                         for i, ctx in enumerate(env.transitions)}
+        self._counts = (0,) * (len(env.transitions) * env.alphabet.size)
+
+    def _transition_row(self) -> tuple[Fraction, ...]:
+        # the context is already cut to the order; _row raises when missing
+        row = self._env.transitions.get(self._ctx)
+        return row if row is not None else self._env._row(self._ctx)
+
+    def row(self) -> tuple[Fraction, ...]:
+        if self._mass == 0:
+            raise UndefinedPosteriorError("zero mass at cursor position")
+        return self._transition_row()
+
+    def step(self, a: int) -> None:
+        ctx = self._ctx
+        if self._mass != 0:
+            self._mass = self._mass * self._transition_row()[a]
+            i = self._offsets[ctx] + a
+            counts = self._counts
+            self._counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
+        ctx = ctx + (a,)
+        self._ctx = ctx[1:] if len(ctx) > self._env.order else ctx
+
+    def state_key(self):
+        return (self._counts, self._ctx) if self._mass != 0 else None
 
 
 class DeterministicEnv(Environment):
@@ -318,6 +374,9 @@ class DeterministicEnv(Environment):
                 return ZERO
         return ONE
 
+    def cursor(self) -> EnvCursor:
+        return _DeterministicCursor(self)
+
     def spec(self) -> dict:
         return {
             "kind": "deterministic",
@@ -333,6 +392,29 @@ class DeterministicEnv(Environment):
         if self.target_symbol(len(prefix)) != 0:
             return ZERO
         return None
+
+
+class _DeterministicCursor(EnvCursor):
+    """At most one string per length is alive; every dead one has key None."""
+
+    def __init__(self, env: DeterministicEnv):
+        self._env = env
+        self._t = 0
+        self._mass = ONE
+
+    def row(self) -> tuple[Fraction, ...]:
+        if self._mass == 0:
+            raise UndefinedPosteriorError("zero mass at cursor position")
+        target = self._env.target_symbol(self._t)
+        return tuple(ONE if a == target else ZERO for a in self._env.alphabet.symbols)
+
+    def step(self, a: int) -> None:
+        if self._mass != 0 and a != self._env.target_symbol(self._t):
+            self._mass = ZERO
+        self._t += 1
+
+    def state_key(self):
+        return self._t if self._mass != 0 else None
 
 
 class LeakyEnv(Environment):
@@ -354,6 +436,9 @@ class LeakyEnv(Environment):
             return ZERO
         return b * self.leak ** len(symbols)
 
+    def cursor(self) -> EnvCursor:
+        return _LeakyCursor(self)
+
     def spec(self) -> dict:
         return {"kind": "leaky", "base": self.base.spec(), "leak": _frac_str(self.leak)}
 
@@ -364,6 +449,42 @@ class LeakyEnv(Environment):
                 return self.leak
             return None
         return inner * self.leak
+
+
+class _LeakyCursor(EnvCursor):
+    """Wraps the base cursor; the leak factor depends on the length only, so
+    the mass is formed only when asked for."""
+
+    def __init__(self, env: LeakyEnv):
+        self._env = env
+        self._inner = env.base.cursor()
+        self._depth = 0
+        self._base_row = self._row = None
+
+    @property
+    def mass(self) -> Fraction:
+        return self._inner.mass * self._env.leak ** self._depth
+
+    def row(self) -> tuple[Fraction, ...]:
+        if self._inner.mass == 0:
+            raise UndefinedPosteriorError("zero mass at cursor position")
+        base_row = self._inner.row()
+        if base_row is not self._base_row:  # product-form bases repeat rows
+            self._base_row = base_row
+            self._row = tuple(p * self._env.leak for p in base_row)
+        return self._row
+
+    def step(self, a: int) -> None:
+        self._inner.step(a)
+        self._depth += 1
+
+    def clone(self) -> "_LeakyCursor":
+        new = super().clone()
+        new._inner = self._inner.clone()
+        return new
+
+    def state_key(self):
+        return self._inner.state_key()
 
 
 class DecayingEnv(Environment):
@@ -400,18 +521,22 @@ class DecayingEnv(Environment):
 
 
 class _DecayingCursor(EnvCursor):
-    # does not track cumulative mass: the exact rational product at large
-    # depths is astronomically sized (use mass_interval for that)
+    """Tracks the exact mass, which at large depths is astronomically sized
+    (use mass_interval there)."""
+
     def __init__(self, env: DecayingEnv):
         self._env = env
-        self._t = 1
+        self._symbols = ()
+        self._mass = ONE
 
     def row(self) -> tuple[Fraction, ...]:
-        p1 = self._env.one_prob(self._t)
+        p1 = self._env.one_prob(len(self._symbols) + 1)
         return (1 - p1, p1)
 
     def step(self, a: int) -> None:
-        self._t += 1
+        p1 = self._env.one_prob(len(self._symbols) + 1)
+        self._mass = self._mass * (p1 if a == 1 else 1 - p1)
+        self._symbols = self._symbols + (a,)
 
 
 class TableEnv(Environment):
@@ -457,8 +582,50 @@ class ValidationReport:
     depth: int
 
 
+def walk_states(envs: Sequence[Environment], depth: int) -> Iterator[tuple]:
+    """Walk every string to ``depth`` level by level, merging strings whose
+    joint cursor keys are equal.
+
+    Yields one ``(symbols, cursors, count, children)`` per merged state:
+    ``symbols`` is the state's lexicographically smallest string, ``cursors``
+    holds one cursor per environment positioned there, ``count`` is the
+    number of strings in the state, and ``children`` holds the cursor tuples
+    of ``symbols + (a,)`` for each symbol a (None at the last level).  States
+    come level by level and in ascending order of ``symbols`` within a level:
+    parents expand in that order, symbols ascending, and the first string
+    with a new key becomes its representative.  Each level is released as
+    it is consumed.
+    """
+    symbols_range = envs[0].alphabet.symbols
+    level = [((), tuple(env.cursor() for env in envs), 1)]
+    for n in range(depth + 1):
+        merged: dict = {}
+        level.reverse()
+        while level:
+            symbols, cursors, count = level.pop()
+            if n == depth:
+                yield symbols, cursors, count, None
+                continue
+            children = []
+            for a in symbols_range:
+                child = tuple(c.clone() for c in cursors)
+                for c in child:
+                    c.step(a)
+                children.append(child)
+                key = tuple(c.state_key() for c in child)
+                state = merged.get(key)
+                if state is None:
+                    merged[key] = [symbols + (a,), child, count]
+                else:
+                    state[2] += count
+            yield symbols, cursors, count, children
+        level = [tuple(state) for state in merged.values()]
+
+
 def validate(env: Environment, depth: int) -> ValidationReport:
-    """Exact check of the node inequality/equality on all nodes to depth."""
+    """Exact check of the node inequality/equality on all nodes to depth,
+    zero-mass nodes included.  The defect reported is the shortest failing
+    node, and among those the lexicographically first."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if env.max_depth is not None:
@@ -467,19 +634,15 @@ def validate(env: Environment, depth: int) -> ValidationReport:
     if root > 1:
         return ValidationReport(False, False, FiniteString.empty(env.alphabet), depth)
     is_measure = root == 1
-    stack = [((), root)]
-    while stack:
-        symbols, mass = stack.pop()
-        if len(symbols) >= depth:
-            continue
-        children = [(symbols + (a,), env._mass(symbols + (a,))) for a in env.alphabet.symbols]
-        total = sum(c for _, c in children)
-        if total > mass:
+    for symbols, (cursor,), _, children in walk_states([env], depth):
+        if children is None:
+            break
+        total = sum(child.mass for (child,) in children)
+        if total > cursor.mass:
             return ValidationReport(False, False,
                                     FiniteString(env.alphabet, symbols), depth)
-        if total != mass:
+        if total != cursor.mass:
             is_measure = False
-        stack.extend((s, c) for s, c in children if c != 0)
     return ValidationReport(True, is_measure, None, depth)
 
 
@@ -588,8 +751,16 @@ def mass_interval(env: Environment, x: FiniteString, precision_bits: int = 64):
             return acc
         cursor = env.cursor()
         acc = intervals.iv.mpf(1)
+        # product-form rows repeat a few probabilities, so box each once;
+        # the memo is flushed when full, since mixture rows never repeat
+        boxed: dict[Fraction, object] = {}
         for a in x.symbols:
-            row = cursor.row()
-            acc *= intervals.from_fraction(row[a])
+            p = cursor.row()[a]
+            factor = boxed.get(p)
+            if factor is None:
+                if len(boxed) >= 64:
+                    boxed.clear()
+                factor = boxed[p] = intervals.from_fraction(p)
+            acc *= factor
             cursor.step(a)
         return acc

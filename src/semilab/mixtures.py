@@ -21,14 +21,16 @@ from .envcore import (
     FiniteString,
     ZERO,
     ONE,
-    enumerate_support,
     validate,
+    walk_states,
 )
 from .errors import (
     ApproximableNotMeasureError,
+    DepthExceededError,
     NormalizationError,
     NotDominatedError,
     SemilabError,
+    UndefinedPosteriorError,
 )
 
 RAW = "raw"
@@ -96,19 +98,24 @@ class EnvClass:
         return len(self.envs)
 
     def env(self, i: int) -> Environment:
+        if not 1 <= i <= len(self.envs):
+            raise SemilabError(f"class index {i} outside 1..{len(self.envs)}")
         return self.envs[i - 1]
 
     def is_measure(self, i: int) -> bool:
+        env = self.env(i)
         with self._lock:
             flag = self._measure_flags[i - 1]
         if flag is None:
-            env = self.env(i)
-            depth = self.certification_depth
-            if env.max_depth is not None:
-                depth = min(depth, env.max_depth)
-            report = validate(env, depth)
-            flag = bool(report.is_semimeasure and report.is_measure_to_depth
-                        and env.declared_class == MEASURE)
+            # a member not declared a measure is never one; only a declared
+            # measure needs the exact check
+            flag = env.declared_class == MEASURE
+            if flag:
+                depth = self.certification_depth
+                if env.max_depth is not None:
+                    depth = min(depth, env.max_depth)
+                report = validate(env, depth)
+                flag = report.is_semimeasure and report.is_measure_to_depth
             with self._lock:
                 self._measure_flags[i - 1] = flag
         return flag
@@ -139,9 +146,13 @@ class QuasimeasureEnv(Environment):
         with self._lock:
             cached = self._totals.get(n)
         if cached is None:
-            cached = sum((m for _, m in enumerate_support(self.base, n)), ZERO)
+            totals = [ZERO] * (n + 1)
+            for symbols, (cursor,), count, _ in walk_states([self.base], n):
+                totals[len(symbols)] += count * cursor.mass
             with self._lock:
-                self._totals.setdefault(n, cached)
+                for k, total in enumerate(totals):
+                    self._totals.setdefault(k, total)
+            cached = totals[n]
         return cached
 
     def alive_at(self, n: int) -> bool:
@@ -166,14 +177,19 @@ class QuasimeasureEnv(Environment):
                 return n
         return None
 
+    def _check_depth(self, n: int) -> None:
+        if n > self.max_depth:
+            raise DepthExceededError(f"quasimeasure materialized to depth {self.max_depth}")
+
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
         n = len(symbols)
-        if n > self.max_depth:
-            from .errors import DepthExceededError
-            raise DepthExceededError(f"quasimeasure materialized to depth {self.max_depth}")
+        self._check_depth(n)
         if not self.alive_at(n):
             return ZERO
         return self.base._mass(symbols)
+
+    def cursor(self) -> EnvCursor:
+        return _QuasimeasureCursor(self)
 
     def spec(self) -> dict:
         return {"kind": "derived", "derived": "quasimeasure",
@@ -183,6 +199,39 @@ class QuasimeasureEnv(Environment):
         if self._mass(prefix) == 0:
             return ZERO
         return self.base.zero_step_factor_bound(prefix)
+
+
+class _QuasimeasureCursor(EnvCursor):
+    """Wraps the base cursor; whether a depth survives depends on the depth
+    alone, so the base key is the key."""
+
+    def __init__(self, env: QuasimeasureEnv):
+        self._env = env
+        self._inner = env.base.cursor()
+        self._depth = 0
+        self._mass = self._inner.mass
+
+    def row(self) -> tuple[Fraction, ...]:
+        if self._mass == 0:
+            raise UndefinedPosteriorError("zero mass at cursor position")
+        self._env._check_depth(self._depth + 1)
+        if not self._env.alive_at(self._depth + 1):
+            return (ZERO,) * self._env.alphabet.size
+        return self._inner.row()
+
+    def step(self, a: int) -> None:
+        self._env._check_depth(self._depth + 1)
+        self._inner.step(a)
+        self._depth += 1
+        self._mass = self._inner.mass if self._env.alive_at(self._depth) else ZERO
+
+    def clone(self) -> "_QuasimeasureCursor":
+        new = super().clone()
+        new._inner = self._inner.clone()
+        return new
+
+    def state_key(self):
+        return self._inner.state_key()
 
 
 def quasimeasure_transform(env: Environment,
@@ -289,15 +338,19 @@ class MixtureEnv(Environment):
 
 
 class _MixtureCursor(EnvCursor):
-    """Tracks per-component masses so each posterior row costs O(components)."""
+    """Tracks per-component masses so each posterior row costs O(components).
+
+    Components are semimeasures, so one at mass 0 stays there: it is no
+    longer stepped, and its part of the key is None.
+    """
 
     def __init__(self, mix: MixtureEnv):
         self._env = mix
-        self._symbols = ()
-        self._indices = mix._component_indices()
-        self._cursors = {i: mix.component(i).cursor() for i in self._indices}
-        self._masses = {i: mix.component(i)._mass(()) for i in self._indices}
-        self._mass = sum(mix.weights.weight(i) * self._masses[i] for i in self._indices)
+        indices = mix._component_indices()
+        self._weights = tuple(mix.weights.weight(i) for i in indices)
+        self._cursors = [mix.component(i).cursor() for i in indices]
+        self._masses = [c.mass for c in self._cursors]
+        self._mass = sum(w * m for w, m in zip(self._weights, self._masses))
         if mix.mode == NORMALIZED_MEASURES_ONLY and self._mass != 0:
             self._norm = self._mass
             self._mass = ONE
@@ -306,40 +359,36 @@ class _MixtureCursor(EnvCursor):
 
     def row(self) -> tuple[Fraction, ...]:
         if self._mass == 0:
-            from .errors import UndefinedPosteriorError
             raise UndefinedPosteriorError("zero mass at cursor position")
-        mix = self._env
-        child_totals = [ZERO] * mix.alphabet.size
-        for i in self._indices:
-            m = self._masses[i]
+        child_totals = [ZERO] * self._env.alphabet.size
+        for w, m, cursor in zip(self._weights, self._masses, self._cursors):
             if m == 0:
                 continue
-            crow = self._cursors[i].row()
-            w = mix.weights.weight(i)
-            for a in mix.alphabet.symbols:
-                child_totals[a] += w * m * crow[a]
+            wm = w * m
+            for a, p in enumerate(cursor.row()):
+                child_totals[a] += wm * p
         denom = self._mass * self._norm
         return tuple(c / denom for c in child_totals)
 
     def step(self, a: int) -> None:
-        mix = self._env
-        for i in self._indices:
-            if self._masses[i] == 0:
-                continue
-            crow = self._cursors[i].row()
-            self._masses[i] = self._masses[i] * crow[a]
-            self._cursors[i].step(a)
-        self._symbols = self._symbols + (a,)
-        self._mass = sum(
-            mix.weights.weight(i) * self._masses[i] for i in self._indices
-        ) / self._norm
+        masses = self._masses
+        for j, cursor in enumerate(self._cursors):
+            if masses[j] != 0:
+                cursor.step(a)
+                masses[j] = cursor.mass
+        self._mass = sum(w * m for w, m in zip(self._weights, masses)) / self._norm
 
     def clone(self):
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
-        new._cursors = {i: c.clone() for i, c in self._cursors.items()}
-        new._masses = dict(self._masses)
+        new._cursors = [c.clone() if m != 0 else c
+                        for c, m in zip(self._cursors, self._masses)]
+        new._masses = list(self._masses)
         return new
+
+    def state_key(self):
+        return tuple(c.state_key() if m != 0 else None
+                     for c, m in zip(self._cursors, self._masses))
 
 
 def mix_eval(mix: MixtureEnv, x: FiniteString) -> Fraction:
@@ -377,7 +426,6 @@ class _NormalizedCursor(EnvCursor):
     def __init__(self, env: NormalizedEnv):
         self._env = env
         self._inner = env.base.cursor()
-        self._symbols = ()
 
     @property
     def mass(self):
@@ -392,13 +440,15 @@ class _NormalizedCursor(EnvCursor):
 
     def step(self, a: int) -> None:
         self._inner.step(a)
-        self._symbols = self._symbols + (a,)
 
     def clone(self):
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         new._inner = self._inner.clone()
         return new
+
+    def state_key(self):
+        return self._inner.state_key()
 
 
 def normalize(mix: MixtureEnv) -> Environment:

@@ -17,6 +17,7 @@ from .envcore import (
     MEASURE,
     STRICT_SEMIMEASURE,
     ZERO,
+    walk_states,
 )
 from .errors import (
     HypothesisFailedError,
@@ -370,17 +371,7 @@ def delta_hat_ratio_check(env_class: EnvClass, weights: WeightScheme, k: int,
     bound = 1 + weights.weight(k) / weights.weight(o)
     prev = MixtureEnv(env_class, weights, NORMALIZED_MEASURES_ONLY, k=k - 1)
     curr = MixtureEnv(env_class, weights, NORMALIZED_MEASURES_ONLY, k=k)
-    worst = ZERO
-
-    def rec(symbols: tuple[int, ...]):
-        nonlocal worst
-        c = curr._mass(symbols)
-        if c != 0:
-            worst = max(worst, prev._mass(symbols) / c)
-        if len(symbols) == depth:
-            return
-        for a in env_class.alphabet.symbols:
-            rec(symbols + (a,))
-
-    rec(())
+    worst = max((p.mass / c.mass
+                 for _, (p, c), _, _ in walk_states([prev, curr], depth)
+                 if c.mass != 0), default=ZERO)
     return _exact_verdict(worst, bound)

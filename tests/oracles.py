@@ -105,3 +105,80 @@ def interval_contains(x, value, slack="1e-40") -> bool:
     with mp.workdps(ORACLE_DPS):
         eps = mp.mpf(slack)
         return _mpf(lo) - eps <= value <= _mpf(hi) + eps
+
+
+# ------------------------------------------------- tree references for walks
+#
+# The exact node checks as they were written before the state-merging
+# walker: every string to the depth, every mass recomputed from scratch by
+# _mass.  Exponential in depth; kept only to check the merged walks.
+
+def validate_tree(env, depth):
+    """(is_semimeasure, is_measure_to_depth, first defect symbols or None);
+    every node is checked, and the defect is the shortest failing node,
+    lexicographically first among those."""
+    if env.max_depth is not None:
+        depth = min(depth, env.max_depth)
+    root = env._mass(())
+    if root > 1:
+        return False, False, ()
+    is_measure = root == 1
+    for n in range(depth):
+        for symbols in all_strings(env.alphabet.size, n):
+            mass = env._mass(symbols)
+            total = sum(env._mass(symbols + (a,)) for a in env.alphabet.symbols)
+            if total > mass:
+                return False, False, symbols
+            if total != mass:
+                is_measure = False
+    return True, is_measure, None
+
+
+def dominates_tree(nu, mu, w, depth):
+    """nu(x) >= w mu(x) on every string to depth, by recursion."""
+    def rec(symbols):
+        if nu._mass(symbols) < w * mu._mass(symbols):
+            return False
+        if len(symbols) == depth:
+            return True
+        return all(rec(symbols + (a,)) for a in mu.alphabet.symbols)
+
+    return rec(())
+
+
+def worst_ratio_tree(prev, curr, depth):
+    """max prev(x)/curr(x) over strings to depth where curr(x) != 0."""
+    worst = Fraction(0)
+
+    def rec(symbols):
+        nonlocal worst
+        c = curr._mass(symbols)
+        if c != 0:
+            worst = max(worst, prev._mass(symbols) / c)
+        if len(symbols) == depth:
+            return
+        for a in curr.alphabet.symbols:
+            rec(symbols + (a,))
+
+    rec(())
+    return worst
+
+
+def first_mismatch_tree(w_mix, d_mix, equal_from, depth):
+    """First string in depth-first order, of length equal_from..depth, at
+    which the two environments differ; None when they agree."""
+    mismatch = None
+
+    def rec(symbols):
+        nonlocal mismatch
+        if mismatch is not None:
+            return
+        if len(symbols) >= equal_from and w_mix._mass(symbols) != d_mix._mass(symbols):
+            mismatch = "".join(map(str, symbols))
+            return
+        if len(symbols) < depth:
+            for a in w_mix.alphabet.symbols:
+                rec(symbols + (a,))
+
+    rec(())
+    return mismatch

@@ -264,3 +264,58 @@ def test_precision_flag_overrides_environment(monkeypatch, capsys):
     assert code == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["part-ii"]["precision"] == 160
+
+
+# ----------------------------------------------------------- rejected inputs
+
+def _assert_one_line_error(code, capsys):
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_defective_table_with_zero_mass_node_exits_one(capsys):
+    spec = json.dumps({"class": [{"kind": "table", "depth": 2,
+                                  "values": {"": "1", "1": "1", "00": "1/2"}}],
+                       "weights": ["1/2"]})
+    code = run_cli("leftmost-alpha", "--spec", spec, "--depth", "2")
+    _assert_one_line_error(code, capsys)
+
+
+BERN3 = [{"kind": "bernoulli", "p": p} for p in ("1/4", "1/2", "3/4")]
+
+
+@pytest.mark.parametrize("subcommand, extra, args", [
+    ("deficiency", {"mu_index": 0}, ("--seed", "1")),
+    ("deficiency", {"mu_index": -1}, ("--seed", "1")),
+    ("deficiency", {"mu_index": 4}, ("--seed", "1")),
+    ("verify-hellinger-bounds", {"mu_index": 0}, ()),
+    ("markov-tail", {"mu_index": 9}, ()),
+    ("w-vs-d", {"mu_index": 0}, ("--seed", "1")),
+    ("e2i", {"mu_index": 4}, ("--seed", "1")),
+    ("prop8", {"k0": [0]}, ()),
+    ("prop8", {"k0": [4]}, ()),
+    ("prop8", {"ratio_k": [0]}, ()),
+    ("prop8", {"ratio_k": [1]}, ()),
+    ("prop8", {"ratio_k": [4]}, ()),
+])
+def test_class_index_out_of_range_exits_one(subcommand, extra, args, capsys):
+    spec = json.dumps({"class": BERN3, **extra})
+    code = run_cli(subcommand, "--spec", spec, "--depth", "3", *args)
+    _assert_one_line_error(code, capsys)
+
+
+def test_negative_depth_exits_one(capsys):
+    code = run_cli("verify-hellinger-bounds",
+                   "--spec", str(FIXTURES / "bern3_mix.json"), "--depth", "-1")
+    _assert_one_line_error(code, capsys)
+
+
+def test_decaying_mu_bound_chain_exits_clean(capsys):
+    spec = json.dumps({"class": [{"kind": "bernoulli", "p": "3/8"},
+                                 {"kind": "decaying", "beta": 2}],
+                       "weights": ["1/2", "1/2"], "mu_index": 2})
+    code = run_cli("verify-hellinger-bounds", "--spec", spec, "--depth", "4")
+    assert code == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert {"part-i", "part-ii", "part-iii"} <= set(out)

@@ -142,6 +142,19 @@ def test_trace_csv_schema(bern3_mixture, bern3_class):
     assert lines[1].startswith("1,")
 
 
+def test_trace_with_decaying_mu_matches_reference():
+    mu = sl.DecayingEnv(2)
+    mix = sl.MixtureEnv(sl.EnvClass([sl.BernoulliEnv(F(3, 8)), mu]),
+                        sl.WeightScheme((F(1, 2), F(1, 2))), sl.RAW)
+    omega = sl.FiniteString.parse("0100")
+    trace = hellinger_trace(mix, mu, omega, 4, 128)
+    assert trace.steps == [1, 2, 3, 4]
+    for i in range(4):
+        ref = oracles.hellinger(oracles.posterior_row(mix, omega.symbols[:i]),
+                                oracles.posterior_row(mu, omega.symbols[:i]))
+        assert oracles.interval_contains(trace.h_intervals[i], ref)
+
+
 # ---------------------------------------------------------------- expectations
 
 def test_expected_sums_match_reference(bern3_mixture, bern3_class):

@@ -261,3 +261,19 @@ def test_zero_step_bound_actually_bounds_step_ratios():
         den = env._mass(prefix)
         assert num <= bound * den
         prefix = prefix + (0,)
+
+
+def test_validation_checks_zero_mass_nodes():
+    # node 0 has mass 0, yet its child 00 has mass 1/2
+    bad = sl.TableEnv(2, {(): F(1), (1,): F(1), (0, 0): F(1, 2)})
+    report = sl.validate(bad, 2)
+    assert not report.is_semimeasure
+    assert report.first_defect_node == sl.FiniteString.parse("0")
+
+
+def test_decaying_cursor_tracks_mass():
+    env = sl.DecayingEnv(3)
+    cursor = env.cursor()
+    for a in (0, 1, 0, 0):
+        cursor.step(a)
+    assert cursor.mass == env.eval(sl.FiniteString.parse("0100"))

@@ -1,0 +1,284 @@
+"""The cursor contract, state-key sufficiency, and the merged walks against
+the tree references in oracles.py.
+
+Merging strings by ``state_key()`` is sound only if equal keys mean equal
+masses on every common extension; the property tests below check exactly
+that, for every environment kind, on every string to a fixed depth.
+"""
+
+from collections import defaultdict
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+import semilab as sl
+from semilab.cli import parse_environment, run_quasimeasure
+from semilab.envcore import walk_states
+from semilab.errors import DepthExceededError
+from semilab.randomness import delta_hat_ratio_check
+
+import oracles
+
+F = Fraction
+
+
+def _markov():
+    return sl.MarkovEnv(1, {
+        (): [F(1, 3), F(2, 3)],
+        (0,): [F(2, 5), F(3, 5)],
+        (1,): [F(1, 2), F(1, 2)],
+    })
+
+
+def _markov_order2_with_zeros():
+    rows = {(): [F(1, 2), F(1, 2)], (0,): [F(1), F(0)], (1,): [F(1, 4), F(3, 4)]}
+    for ctx in product((0, 1), repeat=2):
+        rows[ctx] = [F(0), F(1)] if ctx == (1, 1) else [F(2, 3), F(1, 3)]
+    return sl.MarkovEnv(2, rows)
+
+
+def _table():
+    """A strict semimeasure with dead subtrees, stored to depth 5."""
+    values = {(): F(1), (0,): F(1, 2), (1,): F(1, 4), (0, 0): F(1, 4),
+              (0, 1): F(1, 8), (1, 1): F(1, 4), (0, 0, 1): F(1, 8),
+              (1, 1, 0): F(1, 8), (1, 1, 1): F(1, 16), (0, 0, 1, 1): F(1, 16),
+              (1, 1, 0, 0): F(1, 8), (0, 0, 1, 1, 0): F(1, 32),
+              (1, 1, 0, 0, 1): F(1, 16)}
+    return sl.TableEnv(5, values)
+
+
+def _product_class():
+    return sl.EnvClass([sl.BernoulliEnv(F(1, 3)), _markov(),
+                        sl.LeakyEnv(sl.BernoulliEnv(F(1, 2)), F(1, 2)),
+                        sl.DeterministicEnv([1], [0])])
+
+
+def _table_class():
+    return sl.EnvClass([sl.BernoulliEnv(F(1, 2)), _table()])
+
+
+def _mixture(env_class, mode):
+    weights = sl.WeightScheme((F(1, 2 * len(env_class)),) * len(env_class))
+    return sl.MixtureEnv(env_class, weights, mode, quasi_depth_cap=8)
+
+
+KINDS = {
+    "bernoulli": lambda: sl.BernoulliEnv(F(1, 3)),
+    "bernoulli-dead-branch": lambda: sl.BernoulliEnv(F(0)),
+    "categorical": lambda: sl.CategoricalIIDEnv([F(1, 6), F(1, 3), F(1, 2)]),
+    "markov": _markov,
+    "markov-order2-zeros": _markov_order2_with_zeros,
+    "leaky": lambda: sl.LeakyEnv(sl.BernoulliEnv(F(1, 4)), F(2, 3)),
+    "leaky-markov": lambda: sl.LeakyEnv(_markov(), F(1, 2)),
+    "decaying": lambda: sl.DecayingEnv(2),
+    "table": _table,
+    "deterministic": lambda: sl.DeterministicEnv([1], [0, 1]),
+    "mixture-raw": lambda: _mixture(_product_class(), sl.RAW),
+    "mixture-quasi": lambda: _mixture(_product_class(), sl.QUASI),
+    "mixture-measures-only": lambda: _mixture(_product_class(), sl.MEASURES_ONLY),
+    "mixture-normalized": lambda: _mixture(_product_class(), sl.NORMALIZED_MEASURES_ONLY),
+    "mixture-table-raw": lambda: _mixture(_table_class(), sl.RAW),
+    "mixture-table-quasi": lambda: _mixture(_table_class(), sl.QUASI),
+    "normalized": lambda: sl.NormalizedEnv(
+        sl.LeakyEnv(_markov(), F(3, 4)), sl.STRICT_SEMIMEASURE),
+    "quasimeasure": lambda: sl.QuasimeasureEnv(
+        sl.LeakyEnv(sl.BernoulliEnv(F(1, 2)), F(3, 4)), 8),
+    "quasimeasure-table": lambda: sl.QuasimeasureEnv(_table(), 8),
+}
+
+
+def _depth(env, depth):
+    # ternary trees grow fast; the table stops at its stored depth
+    depth = min(depth, 4) if env.alphabet.size > 2 else depth
+    return depth if env.max_depth is None else min(depth, env.max_depth)
+
+
+def _cursors(env, depth):
+    """Every string to depth with its cursor, each child cloned from its
+    parent's cursor (so a clone that shared state would corrupt them)."""
+    cursors = {(): env.cursor()}
+    level = [()]
+    for _ in range(depth):
+        nxt = []
+        for symbols in level:
+            for a in env.alphabet.symbols:
+                child = cursors[symbols].clone()
+                child.step(a)
+                cursors[symbols + (a,)] = child
+                nxt.append(symbols + (a,))
+        level = nxt
+    return cursors
+
+
+def _has_row(env, symbols):
+    return env.max_depth is None or len(symbols) < env.max_depth
+
+
+# ----------------------------------------------------------- cursor contract
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cursor_mass_and_row_match_direct_evaluation(kind):
+    env = KINDS[kind]()
+    for symbols, cursor in _cursors(env, _depth(env, 6)).items():
+        assert cursor.mass == env._mass(symbols), symbols
+        if cursor.mass > 0 and _has_row(env, symbols):
+            x = sl.FiniteString(env.alphabet, symbols)
+            assert cursor.row() == env.posterior(x), symbols
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_equal_state_keys_have_equal_futures(kind):
+    env = KINDS[kind]()
+    depth = _depth(env, 6)
+    groups = defaultdict(list)
+    for symbols, cursor in _cursors(env, depth).items():
+        groups[len(symbols), cursor.state_key()].append(symbols)
+    merged = 0
+    for (n, _), members in groups.items():
+        first = members[0]
+        for other in members[1:]:
+            merged += 1
+            for k in range(depth - n + 1):
+                for z in product(env.alphabet.symbols, repeat=k):
+                    assert env._mass(first + z) == env._mass(other + z), (first, other, z)
+    if kind not in ("decaying", "table", "mixture-table-raw", "quasimeasure-table"):
+        assert merged > 0  # product-form kinds really merge
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_clone_is_independent(kind):
+    env = KINDS[kind]()
+    cursor = env.cursor()
+    cursor.step(0)
+    twin = cursor.clone()
+    twin.step(1)
+    cursor.step(0)
+    for symbols, c in (((0, 0), cursor), ((0, 1), twin)):
+        fresh = env.cursor()
+        for a in symbols:
+            fresh.step(a)
+        assert c.mass == env._mass(symbols)
+        assert c.state_key() == fresh.state_key()
+
+
+def test_quasimeasure_cursor_stops_at_its_cap():
+    env = sl.QuasimeasureEnv(sl.BernoulliEnv(F(1, 2)), 2)
+    cursor = env.cursor()
+    cursor.step(0)
+    cursor.step(1)
+    with pytest.raises(DepthExceededError):
+        cursor.row()
+    with pytest.raises(DepthExceededError):
+        cursor.step(0)
+
+
+# -------------------------------------------------------------------- walker
+
+def test_walk_merges_states_and_keeps_smallest_representatives():
+    env = sl.BernoulliEnv(F(1, 3))
+    states = list(walk_states([env], 8))
+    last = [(symbols, count) for symbols, _, count, _ in states if len(symbols) == 8]
+    assert len(last) == 9
+    assert sum(count for _, count in last) == 2 ** 8
+    # the representative of the state with k ones is 0^(8-k) 1^k
+    assert [symbols for symbols, _ in last] == sorted(
+        (0,) * (8 - k) + (1,) * k for k in range(9))
+    assert [len(s) for s, _, _, _ in states] == sorted(len(s) for s, _, _, _ in states)
+
+
+# ------------------------------------------------- merged walks vs the tree
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_validate_matches_tree_reference(kind):
+    env = KINDS[kind]()
+    depth = _depth(env, 8)
+    report = sl.validate(env, depth)
+    defect = None if report.first_defect_node is None else report.first_defect_node.symbols
+    assert (report.is_semimeasure, report.is_measure_to_depth, defect) == \
+        oracles.validate_tree(env, depth)
+
+
+@pytest.mark.parametrize("values, node", [
+    ({(): F(1), (1,): F(1), (0, 0): F(1, 2)}, (0,)),
+    ({(): F(1), (0,): F(1, 2), (1,): F(1, 2), (0, 1): F(1), (1, 0): F(1)}, (0,)),
+    ({(): F(1), (0,): F(1, 2), (1,): F(1, 2), (1, 0): F(1)}, (1,)),
+    ({(): F(3, 2)}, ()),
+])
+def test_validate_reports_first_defect_including_zero_mass_nodes(values, node):
+    env = sl.TableEnv(2, values)
+    report = sl.validate(env, 2)
+    assert not report.is_semimeasure
+    assert report.first_defect_node.symbols == node
+    assert oracles.validate_tree(env, 2)[2] == node
+
+
+def _dominance_cases():
+    for make in (_product_class, _table_class):
+        env_class = make()
+        mix = _mixture(env_class, sl.RAW)
+        for i in range(1, len(env_class) + 1):
+            w = mix.weights.weight(i)
+            yield mix, env_class.env(i), w
+            yield mix, env_class.env(i), 3 * w
+            yield env_class.env(i), mix, w
+
+
+def test_dominance_matches_tree_reference():
+    outcomes = []
+    for nu, mu, w in _dominance_cases():
+        depth = _depth(nu, _depth(mu, 8))
+        got = sl.verify_dominance(nu, mu, w, depth)
+        assert got == oracles.dominates_tree(nu, mu, w, depth)
+        outcomes.append(got)
+    assert True in outcomes and False in outcomes
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if not k.startswith("mixture-")
+                                  or k in ("mixture-raw", "mixture-table-raw")])
+def test_total_mass_matches_support_sum(kind):
+    base = KINDS[kind]()
+    quasi = sl.QuasimeasureEnv(base, 8)
+    for n in range(_depth(base, 8) + 1):
+        expected = sum((m for _, m in sl.enumerate_support(base, n)), F(0))
+        assert quasi.total_mass(n) == expected
+
+
+@pytest.mark.parametrize("make", [_product_class, _table_class,
+                                  lambda: sl.EnvClass([sl.BernoulliEnv(F(1, 4)),
+                                                       sl.BernoulliEnv(F(1, 2)),
+                                                       sl.BernoulliEnv(F(3, 4))])])
+def test_delta_hat_worst_ratio_matches_tree_reference(make):
+    env_class = make()
+    weights = sl.default_weights(len(env_class))
+    for k in range(2, len(env_class) + 1):
+        prev = sl.MixtureEnv(env_class, weights, sl.NORMALIZED_MEASURES_ONLY, k=k - 1)
+        curr = sl.MixtureEnv(env_class, weights, sl.NORMALIZED_MEASURES_ONLY, k=k)
+        worst = oracles.worst_ratio_tree(prev, curr, 7)
+        verdict = delta_hat_ratio_check(env_class, weights, k, 7)
+        assert verdict.lhs_lo == f"{worst.numerator}/{worst.denominator}"
+
+
+_MISMATCH_TABLE = {"kind": "table", "depth": 5, "values": {
+    "": "1", "1": "1", "10": "1/2", "11": "15/32", "101": "1/2", "110": "7/16",
+    "1010": "1/2", "1101": "13/32", "10101": "1/2", "11010": "3/8"}}
+
+
+@pytest.mark.parametrize("members, equal_from, expected", [
+    ([{"kind": "bernoulli", "p": "1/2"}, _MISMATCH_TABLE], 2, "10"),
+    ([{"kind": "bernoulli", "p": "1/2"}, _MISMATCH_TABLE], 4, "1010"),
+    ([{"kind": "bernoulli", "p": "1/2"},
+      {"kind": "leaky", "base": {"kind": "bernoulli", "p": "1/2"}, "leak": "1/2"}], 2, None),
+    ([{"kind": "bernoulli", "p": "1/2"},
+      {"kind": "leaky", "base": {"kind": "bernoulli", "p": "1/2"}, "leak": "1/2"}], 1, "0"),
+])
+def test_quasimeasure_first_mismatch_matches_tree_reference(members, equal_from, expected):
+    depth = 5
+    spec = {"class": members, "weights": ["1/4", "1/4"], "equal_from": equal_from}
+    doc = run_quasimeasure(spec, depth, 64, None, 1).documents["verdicts"]["w-equals-d"]
+    env_class = sl.EnvClass([parse_environment(m) for m in members])
+    weights = sl.WeightScheme((F(1, 4), F(1, 4)))
+    w_mix = sl.MixtureEnv(env_class, weights, sl.QUASI, quasi_depth_cap=depth)
+    d_mix = sl.MixtureEnv(env_class, weights, sl.MEASURES_ONLY)
+    assert doc["first_mismatch"] == oracles.first_mismatch_tree(
+        w_mix, d_mix, equal_from, depth) == expected
