@@ -74,10 +74,7 @@ from .mixtures import (
     default_weights,
     dominance_constant,
     k_x,
-    mix_eval,
     normalize,
-    quasimeasure_transform,
-    stage_eval,
 )
 from .divergence import (
     HellingerTrace,

@@ -351,25 +351,36 @@ def _mu_from(spec: dict, env_class: EnvClass) -> Environment:
     raise SpecError("spec needs mu_index or mu")
 
 
-def run_verify_hellinger_bounds(spec, depth, bits, seed, workers) -> RunResult:
+def _w_from(spec: dict, weights: WeightScheme) -> Fraction:
+    """The dominance constant: spec["w"], else the weight of mu_index."""
+    if "w" not in spec:
+        if "mu_index" not in spec:
+            raise SpecError("$.w: required when mu is given inline")
+        return weights.weight(int(spec["mu_index"]))
+    w = parse_rational(spec["w"], "$.w")
+    if not 0 < w <= 1:
+        raise SpecError(f"$.w: {w} outside (0, 1]")
+    return w
+
+
+def run_verify_hellinger_bounds(spec, depth, bits, seed) -> RunResult:
     mix, env_class, weights = _mixture_from(spec)
     mu = _mu_from(spec, env_class)
-    w = parse_rational(spec["w"], "$.w") if "w" in spec else weights.weight(int(spec["mu_index"]))
+    w = _w_from(spec, weights)
     result = RunResult()
     if not verify_dominance(mix, mu, w, depth):
         raise SemilabError("mixture does not dominate mu with the given constant")
     kappa = parse_rational(spec["kappa"], "$.kappa") if "kappa" in spec else None
     with precision(bits):
         if kappa is not None:
-            e = expected_exp_half_sum(mix, mu, depth, kappa=kappa,
-                                      precision_bits=bits, workers=workers)
+            e = expected_exp_half_sum(mix, mu, depth, kappa=kappa, precision_bits=bits)
             from .intervals import pow_nonneg
             lhs = pow_nonneg(from_fraction(w), kappa) * e
             result.add_verdict("kappa-bound", compare_le(lhs, iv.mpf(1), bits))
             return result
         sums = expected_hellinger_sums(mix, mu, depth, bits)
         result.add_verdict("part-i", sums["part_i"])
-        e = expected_exp_half_sum(mix, mu, depth, precision_bits=bits, workers=workers)
+        e = expected_exp_half_sum(mix, mu, depth, precision_bits=bits)
         two_ln_e = 2 * iv.log(e)
         result.add_verdict("part-ii", compare_le(sums["hellinger_sum"], two_ln_e, bits))
         result.add_verdict("part-iii",
@@ -377,15 +388,14 @@ def run_verify_hellinger_bounds(spec, depth, bits, seed, workers) -> RunResult:
     return result
 
 
-def run_markov_tail(spec, depth, bits, seed, workers) -> RunResult:
+def run_markov_tail(spec, depth, bits, seed) -> RunResult:
     mix, env_class, weights = _mixture_from(spec)
     mu = _mu_from(spec, env_class)
-    w = parse_rational(spec["w"], "$.w") if "w" in spec else weights.weight(int(spec["mu_index"]))
+    w = _w_from(spec, weights)
     cs = [parse_rational(c, "$.c") for c in spec.get("c", ["1", "2", "4"])]
     result = RunResult()
     for c in cs:
-        report = markov_tail_check(mix, mu, depth, w, c,
-                                   precision_bits=bits, workers=workers)
+        report = markov_tail_check(mix, mu, depth, w, c, precision_bits=bits)
         result.outcomes.append(report.verdict.outcome)
         result.documents.setdefault("verdicts", {})[f"tail-c-{c}"] = {
             "verdict": report.verdict.as_dict(),
@@ -411,7 +421,7 @@ def _random_vector(stream: BitStream, dim: int, substochastic: bool,
     return [Fraction(d, total) for d in draws[:dim]]
 
 
-def run_chain_lemma(spec, depth, bits, seed, workers) -> RunResult:
+def run_chain_lemma(spec, depth, bits, seed) -> RunResult:
     result = RunResult()
     rhs_scale = parse_rational(spec.get("rhs_scale", "1"), "$.rhs_scale")
     if "vectors" in spec:
@@ -441,7 +451,7 @@ def run_chain_lemma(spec, depth, bits, seed, workers) -> RunResult:
     return result
 
 
-def run_quasimeasure(spec, depth, bits, seed, workers) -> RunResult:
+def run_quasimeasure(spec, depth, bits, seed) -> RunResult:
     env_class, weights = parse_class(spec)
     w_mix = MixtureEnv(env_class, weights, QUASI, quasi_depth_cap=max(depth, 2))
     d_mix = MixtureEnv(env_class, weights, MEASURES_ONLY)
@@ -454,7 +464,8 @@ def run_quasimeasure(spec, depth, bits, seed, workers) -> RunResult:
     # tuple order is depth-first order and a state's representative is its
     # smallest string: the least mismatching one is the first a depth-first
     # walk would meet
-    mismatch = min((symbols for symbols, (w, d), _, _ in walk_states([w_mix, d_mix], depth)
+    mismatch = min((symbols
+                    for symbols, (w, d), _, _, _ in walk_states([w_mix, d_mix], depth)
                     if len(symbols) >= equal_from and w.mass != d.mass), default=None)
     if mismatch is not None:
         mismatch = "".join(map(str, mismatch))
@@ -464,7 +475,7 @@ def run_quasimeasure(spec, depth, bits, seed, workers) -> RunResult:
     return result
 
 
-def run_w_vs_d(spec, depth, bits, seed, workers) -> RunResult:
+def run_w_vs_d(spec, depth, bits, seed) -> RunResult:
     if seed is None:
         raise SpecError("w-vs-d samples omega and requires --seed")
     env_class, weights = parse_class(spec)
@@ -491,7 +502,7 @@ def run_w_vs_d(spec, depth, bits, seed, workers) -> RunResult:
     return result
 
 
-def run_deficiency(spec, depth, bits, seed, workers) -> RunResult:
+def run_deficiency(spec, depth, bits, seed) -> RunResult:
     mix, env_class, weights = _mixture_from(spec, mode=spec.get("mode", RAW))
     mu = _mu_from(spec, env_class)
     if "omega" in spec:
@@ -513,7 +524,7 @@ def run_deficiency(spec, depth, bits, seed, workers) -> RunResult:
     return result
 
 
-def run_leftmost_alpha(spec, depth, bits, seed, workers) -> RunResult:
+def run_leftmost_alpha(spec, depth, bits, seed) -> RunResult:
     mix, env_class, weights = _mixture_from(spec, mode=spec.get("mode", RAW))
     alpha = leftmost_random(mix, depth)
     violations = [
@@ -538,7 +549,7 @@ def _functional_from(spec: dict):
     raise SpecError(f"unknown functional kind {kind!r}")
 
 
-def run_e2i(spec, depth, bits, seed, workers) -> RunResult:
+def run_e2i(spec, depth, bits, seed) -> RunResult:
     if seed is None:
         raise SpecError("e2i samples omega and requires --seed")
     env_class, weights = parse_class(spec)
@@ -565,12 +576,12 @@ def run_e2i(spec, depth, bits, seed, workers) -> RunResult:
     return result
 
 
-def run_prop8(spec, depth, bits, seed, workers) -> RunResult:
+def run_prop8(spec, depth, bits, seed) -> RunResult:
     env_class, weights = parse_class(spec)
     k0s = [_class_index(k, env_class, "$.k0") for k in spec.get("k0", [1])]
     result = RunResult()
     for k0 in k0s:
-        v = prop8_expected_bound(env_class, weights, k0, depth, bits, workers)
+        v = prop8_expected_bound(env_class, weights, k0, depth, bits)
         result.add_verdict(f"expected-bound-k0-{k0}", v)
     ratio_depth = int(spec.get("ratio_depth", min(depth, 8)))
     for k in spec.get("ratio_k", list(range(2, len(env_class) + 1))):
@@ -580,7 +591,7 @@ def run_prop8(spec, depth, bits, seed, workers) -> RunResult:
     return result
 
 
-def run_counterexample(spec, depth, bits, seed, workers) -> RunResult:
+def run_counterexample(spec, depth, bits, seed) -> RunResult:
     env_class, weights = parse_class(spec)
     gamma = parse_rational(spec.get("gamma", "1/9"), "$.gamma")
     mix = MixtureEnv(env_class, weights, RAW)
@@ -631,13 +642,18 @@ DEFAULT_DEPTHS = {
 def run_experiment(subcommand: str, spec: dict, depth: Optional[int],
                    precision_bits: int, seed: Optional[int],
                    workers: int = 1) -> RunResult:
+    """Run one subcommand on a decoded spec.
+
+    ``workers`` is accepted for compatibility with earlier callers and has
+    no effect: every walk runs in the calling thread.
+    """
     if subcommand not in RUNNERS:
         raise SpecError(f"unknown subcommand {subcommand!r}")
     if depth is None:
         depth = int(spec.get("depth", DEFAULT_DEPTHS[subcommand]))
     if depth < 0:
         raise SpecError(f"depth must be >= 0, got {depth}")
-    return RUNNERS[subcommand](spec, depth, precision_bits, seed, workers)
+    return RUNNERS[subcommand](spec, depth, precision_bits, seed)
 
 
 # --------------------------------------------------------------------- output
@@ -708,7 +724,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--format", choices=("csv", "json", "plotdata"),
                         default="csv")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     return parser
 
 

@@ -2,14 +2,17 @@
 
 Rational parts of every quantity stay exact; square roots, exponentials and
 logarithms are carried as outward-rounded intervals, so every reported
-comparison is certified, never estimated.  Expected values are computed by
-exact path enumeration over the true measure's support.
+comparison is certified, never estimated.  Expected values are exact sums
+over the true measure's support, taken on the merged-state walk
+(``envcore.walk_states``): strings whose joint cursor keys agree share
+their posterior rows, so each row is computed once per state, not once per
+path.
 """
 
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -26,7 +29,7 @@ from .intervals import (
     pow_nonneg,
     precision,
 )
-from .envcore import Environment, FiniteString, ZERO, ONE, walk_states
+from .envcore import Environment, FiniteString, ZERO, walk_states
 from .errors import NotAMeasureRowError, NotDominatedError, UndefinedPosteriorError
 
 HALF = Fraction(1, 2)
@@ -143,28 +146,33 @@ def hellinger_trace(nu: Environment, mu: Environment, omega: FiniteString, n: in
     return HellingerTrace(steps, hs, cums, ratios, diffs)
 
 
-def _walk_expectation(nu: Environment, mu: Environment, n: int, visit):
-    """DFS over mu-support prefixes; calls visit(depth, mu_mass, nu_row, mu_row)."""
+def _carry(nu: Environment, mu: Environment, n: int, root, advance):
+    """Carry one value per mu-support state of ``walk_states([nu, mu], n)``.
 
-    def rec(nu_cur, mu_cur, depth: int, mu_mass: Fraction):
-        if depth == n:
-            return
-        mu_row = mu_cur.row()
-        nu_row = nu_cur.row() if nu_cur.mass != 0 else None
-        visit(depth, mu_mass, nu_row, mu_row)
-        for a in mu.alphabet.symbols:
-            if mu_row[a] == 0:
-                continue
-            nu_child, mu_child = _fork(nu_cur), _fork(mu_cur)
-            nu_child.step(a)
-            mu_child.step(a)
-            rec(nu_child, mu_child, depth + 1, mu_mass * mu_row[a])
-
-    rec(nu.cursor(), mu.cursor(), 0, mu.eval(FiniteString.empty(mu.alphabet)))
-
-
-def _fork(cursor):
-    return cursor.clone()
+    The root holds ``root``.  A state above depth n hands ``advance(nu_row,
+    mu_row, value)`` to each child that mu reaches, and a child reached from
+    several states holds the ``+`` of what they hand it, taken in the
+    walker's fixed state order.  Yields ``(mu_mass, value)`` for each
+    mu-support state at depth n.
+    """
+    level, carried, nxt = 0, {}, {}
+    for symbols, (nu_cur, mu_cur), _, key, children in walk_states([nu, mu], n):
+        if mu_cur.mass == 0:
+            continue
+        if len(symbols) > level:
+            level, carried, nxt = len(symbols), nxt, {}
+        value = carried.get(key) if symbols else root
+        if value is None:  # reached only through mu-null strings
+            continue
+        if children is None:
+            yield mu_cur.mass, value
+            continue
+        if nu_cur.mass == 0:
+            raise UndefinedPosteriorError("nu vanishes on a mu-support prefix")
+        out = advance(nu_cur.row(), mu_cur.row(), value)
+        for child_key, (_, mu_child) in children:
+            if mu_child.mass != 0:
+                nxt[child_key] = nxt[child_key] + out if child_key in nxt else out
 
 
 def expected_hellinger_sums(nu: Environment, mu: Environment, n: int,
@@ -176,18 +184,21 @@ def expected_hellinger_sums(nu: Environment, mu: Environment, n: int,
     The two sides differ exactly by the off-support excess sum_t E[sum_{a:
     mu_a=0} nu_a] (each off-support square root collapses to the raw mass),
     so the verdict is certified through that exact rational difference, which
-    stays decisive even when the two sides coincide.
+    stays decisive even when the two sides coincide.  Each merged state of
+    the walk adds its row terms once, weighted by its count times its mass.
     """
     with precision(precision_bits):
         sqrt_sum = iv.mpf(0)
         hell_sum = iv.mpf(0)
         excess = ZERO
-
-        def visit(depth, mu_mass, nu_row, mu_row):
-            nonlocal sqrt_sum, hell_sum, excess
-            if nu_row is None:
+        for _, (nu_cur, mu_cur), count, _, children in walk_states([nu, mu], n):
+            if children is None or mu_cur.mass == 0:
+                continue
+            if nu_cur.mass == 0:
                 raise UndefinedPosteriorError("nu vanishes on a mu-support prefix")
-            w = from_fraction(mu_mass)
+            nu_row, mu_row = nu_cur.row(), mu_cur.row()
+            mass = count * mu_cur.mass
+            w = from_fraction(mass)
             hell_sum += w * hellinger_step(nu_row, mu_row)
             # restrict to mu-support symbols: E[(sqrt(nu_t/mu_t)-1)^2 | prefix]
             restricted = hellinger_step(
@@ -195,10 +206,8 @@ def expected_hellinger_sums(nu: Environment, mu: Environment, n: int,
                 [mu_row[a] for a in mu.alphabet.symbols if mu_row[a] != 0],
             )
             sqrt_sum += w * restricted
-            excess += mu_mass * sum(
+            excess += mass * sum(
                 (nu_row[a] for a in mu.alphabet.symbols if mu_row[a] == 0), ZERO)
-
-        _walk_expectation(nu, mu, n, visit)
         outcome = intervals.CERTIFIED_HOLDS if excess >= 0 else intervals.CERTIFIED_FAILS
         lhs_lo, lhs_hi = interval_str(sqrt_sum)
         rhs_lo, rhs_hi = interval_str(hell_sum)
@@ -225,83 +234,35 @@ def _kappa_row(nu_row, mu_row, kappa: Fraction, symbols):
     return total
 
 
-def _leaf_exp_sum(nu: Environment, mu: Environment, n: int, kappa: Fraction,
-                  prefix: tuple[int, ...] = ()):
-    """sum over full mu-support paths extending prefix of
-    mu(path) * exp(half * sum_t g_t), with the per-step rows recomputed from
-    the path prefix (so partitioned calls compose exactly)."""
-    total = iv.mpf(0)
-
-    def rec(nu_cur, mu_cur, depth, mu_mass, g_cum):
-        nonlocal total
-        if depth == n:
-            total += from_fraction(mu_mass) * iv.exp(g_cum / 2)
-            return
-        mu_row = mu_cur.row()
-        if nu_cur.mass == 0:
-            raise UndefinedPosteriorError("nu vanishes on a mu-support prefix")
-        nu_row = nu_cur.row()
-        g = _kappa_row(nu_row, mu_row, kappa, mu.alphabet.symbols)
-        for a in mu.alphabet.symbols:
-            if mu_row[a] == 0:
-                continue
-            nu_child, mu_child = _fork(nu_cur), _fork(mu_cur)
-            nu_child.step(a)
-            mu_child.step(a)
-            rec(nu_child, mu_child, depth + 1, mu_mass * mu_row[a], g_cum + g)
-        return
-
-    nu_cur, mu_cur = nu.cursor(), mu.cursor()
-    mass = mu_cur.mass
-    g_cum = iv.mpf(0)
-    depth = 0
-    for a in prefix:
-        mu_row = mu_cur.row()
-        nu_row = nu_cur.row()
-        g_cum += _kappa_row(nu_row, mu_row, kappa, mu.alphabet.symbols)
-        mass *= mu_row[a]
-        nu_cur.step(a)
-        mu_cur.step(a)
-        depth += 1
-    if mass != 0:
-        rec(nu_cur, mu_cur, depth, mass, g_cum)
-    return total
-
-
 def expected_exp_half_sum(nu: Environment, mu: Environment, n: int,
                           kappa: Fraction = HALF,
-                          precision_bits: int = DEFAULT_PRECISION,
-                          workers: int = 1):
-    """Interval for E_mu[exp(half * sum_{t<=n} g_t)] by exact path enumeration.
+                          precision_bits: int = DEFAULT_PRECISION):
+    """Interval for E_mu[exp(half * sum_{t<=n} g_t)] over all mu-support paths.
 
     kappa = 1/2 gives the Hellinger case; smaller kappa uses the
-    |nu^kappa - mu^kappa|^{1/kappa} per-step rows.
+    |nu^kappa - mu^kappa|^{1/kappa} per-step rows.  Each merged state S
+    carries E_S, the sum of exp(half * sum g) over the paths into S; a child
+    receives E_S * exp(g_S / 2), and a state at depth n adds mu(S) * E_S.
     """
     kappa = Fraction(kappa)
     if not 0 < kappa <= HALF:
         raise ValueError("kappa must lie in (0, 1/2]")
+    symbols = mu.alphabet.symbols
+
+    def advance(nu_row, mu_row, e):
+        return e * iv.exp(_kappa_row(nu_row, mu_row, kappa, symbols) / 2)
+
     with precision(precision_bits):
-        if n == 0:
-            return _leaf_exp_sum(nu, mu, n, kappa)
-        # always partition by the first symbol and sum parts in symbol order:
-        # the operation sequence, hence the rounding, is worker-independent
-        prefixes = [(a,) for a in mu.alphabet.symbols]
-        if workers <= 1:
-            parts = [_leaf_exp_sum(nu, mu, n, kappa, prefix=p) for p in prefixes]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(
-                    lambda p: _leaf_exp_sum(nu, mu, n, kappa, prefix=p), prefixes))
         total = iv.mpf(0)
-        for part in parts:
-            total += part
+        for mass, e in _carry(nu, mu, n, iv.mpf(1), advance):
+            total += from_fraction(mass) * e
         return total
 
 
 def verify_dominance(nu: Environment, mu: Environment, w: Fraction, depth: int) -> bool:
     """Exact check nu(x) >= w mu(x) on every string to the given depth."""
     return all(nu_cur.mass >= w * mu_cur.mass
-               for _, (nu_cur, mu_cur), _, _ in walk_states([nu, mu], depth))
+               for _, (nu_cur, mu_cur), _, _, _ in walk_states([nu, mu], depth))
 
 
 @dataclass
@@ -315,68 +276,39 @@ class TailCheckReport:
 
 def markov_tail_check(nu: Environment, mu: Environment, n: int,
                       w: Fraction, c: Fraction,
-                      precision_bits: int = DEFAULT_PRECISION,
-                      workers: int = 1) -> TailCheckReport:
-    """Certify P[sum_t h_t >= ln(1/w) + c] <= exp(-c/2) by exact enumeration.
+                      precision_bits: int = DEFAULT_PRECISION) -> TailCheckReport:
+    """Certify P[sum_t h_t >= ln(1/w) + c] <= exp(-c/2) over all mu-support paths.
 
     The certified exceed mass plus the mass of paths whose enclosure straddles
-    the threshold is compared against the lower bound of exp(-c/2).
+    the threshold is compared against the lower bound of exp(-c/2).  Each
+    merged state carries the multiplicity of every cumulative-sum enclosure
+    among the paths into it, keyed by the enclosure's exact endpoints, so
+    each path's sum is formed by the same interval additions as along the
+    path itself.
     """
     w, c = Fraction(w), Fraction(c)
     if not verify_dominance(nu, mu, w, n):
         raise NotDominatedError("nu >= w*mu fails on the enumerated support")
+
+    def advance(nu_row, mu_row, cums):
+        h = hellinger_step(nu_row, mu_row)
+        out = Counter()
+        for cum, k in cums.items():
+            out[(iv.make_mpf(cum) + h)._mpi_] += k
+        return out
+
     with precision(precision_bits):
         threshold = iv.log(1 / from_fraction(w)) + from_fraction(c)
         bound = iv.exp(-from_fraction(c) / 2)
         exceed = ZERO
         unknown = ZERO
-
-        def classify(prefix):
-            def rec(nu_cur, mu_cur, depth, mu_mass, cum):
-                if depth == n:
-                    if cum.a >= threshold.b:
-                        exceed_local.append(mu_mass)
-                    elif not (cum.b < threshold.a):
-                        unknown_local.append(mu_mass)
-                    return
-                mu_row = mu_cur.row()
-                nu_row = nu_cur.row()
-                h = hellinger_step(nu_row, mu_row)
-                for a in mu.alphabet.symbols:
-                    if mu_row[a] == 0:
-                        continue
-                    nc, mc = _fork(nu_cur), _fork(mu_cur)
-                    nc.step(a)
-                    mc.step(a)
-                    rec(nc, mc, depth + 1, mu_mass * mu_row[a], cum + h)
-
-            exceed_local: list[Fraction] = []
-            unknown_local: list[Fraction] = []
-            nu_cur, mu_cur = nu.cursor(), mu.cursor()
-            mass = mu_cur.mass
-            cum = iv.mpf(0)
-            depth = 0
-            for a in prefix:
-                mu_row = mu_cur.row()
-                nu_row = nu_cur.row()
-                cum += hellinger_step(nu_row, mu_row)
-                mass *= mu_row[a]
-                nu_cur.step(a)
-                mu_cur.step(a)
-                depth += 1
-            if mass != 0:
-                rec(nu_cur, mu_cur, depth, mass, cum)
-            return sum(exceed_local, ZERO), sum(unknown_local, ZERO)
-
-        if workers <= 1 or n == 0:
-            parts = [classify(())]
-        else:
-            prefixes = [(a,) for a in mu.alphabet.symbols]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(classify, prefixes))
-        for e, u in parts:
-            exceed += e
-            unknown += u
+        for mass, cums in _carry(nu, mu, n, Counter({iv.mpf(0)._mpi_: 1}), advance):
+            for cum, k in cums.items():
+                cum = iv.make_mpf(cum)
+                if cum.a >= threshold.b:
+                    exceed += k * mass
+                elif not (cum.b < threshold.a):
+                    unknown += k * mass
         lhs = from_fraction(exceed + unknown)
         verdict = compare_le(lhs, bound, precision_bits)
         thr_lo, thr_hi = interval_str(threshold)

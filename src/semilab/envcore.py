@@ -586,40 +586,45 @@ def walk_states(envs: Sequence[Environment], depth: int) -> Iterator[tuple]:
     """Walk every string to ``depth`` level by level, merging strings whose
     joint cursor keys are equal.
 
-    Yields one ``(symbols, cursors, count, children)`` per merged state:
+    Yields one ``(symbols, cursors, count, key, children)`` per merged state:
     ``symbols`` is the state's lexicographically smallest string, ``cursors``
     holds one cursor per environment positioned there, ``count`` is the
-    number of strings in the state, and ``children`` holds the cursor tuples
-    of ``symbols + (a,)`` for each symbol a (None at the last level).  States
-    come level by level and in ascending order of ``symbols`` within a level:
-    parents expand in that order, symbols ascending, and the first string
-    with a new key becomes its representative.  Each level is released as
-    it is consumed.
+    number of strings in the state, ``key`` is the joint key (the tuple of
+    the cursors' ``state_key()``), and ``children`` holds one ``(key,
+    cursors)`` pair for ``symbols + (a,)`` per symbol a (None at the last
+    level).  A child's key is the key its state is yielded under on the next
+    level, so a consumer can carry a value from each state to its children.
+    States come level by level and in ascending order of ``symbols`` within
+    a level: parents expand in that order, symbols ascending, and the first
+    string with a new key becomes its representative.  Each level is
+    released as it is consumed.
     """
     symbols_range = envs[0].alphabet.symbols
-    level = [((), tuple(env.cursor() for env in envs), 1)]
+    root = tuple(env.cursor() for env in envs)
+    level = [((), root, 1, tuple(c.state_key() for c in root))]
     for n in range(depth + 1):
         merged: dict = {}
         level.reverse()
         while level:
-            symbols, cursors, count = level.pop()
+            symbols, cursors, count, key = level.pop()
             if n == depth:
-                yield symbols, cursors, count, None
+                yield symbols, cursors, count, key, None
                 continue
             children = []
             for a in symbols_range:
                 child = tuple(c.clone() for c in cursors)
                 for c in child:
                     c.step(a)
-                children.append(child)
-                key = tuple(c.state_key() for c in child)
-                state = merged.get(key)
+                child_key = tuple(c.state_key() for c in child)
+                children.append((child_key, child))
+                state = merged.get(child_key)
                 if state is None:
-                    merged[key] = [symbols + (a,), child, count]
+                    merged[child_key] = [symbols + (a,), child, count]
                 else:
                     state[2] += count
-            yield symbols, cursors, count, children
-        level = [tuple(state) for state in merged.values()]
+            yield symbols, cursors, count, key, children
+        level = [(symbols, child, count, key)
+                 for key, (symbols, child, count) in merged.items()]
 
 
 def validate(env: Environment, depth: int) -> ValidationReport:
@@ -634,10 +639,10 @@ def validate(env: Environment, depth: int) -> ValidationReport:
     if root > 1:
         return ValidationReport(False, False, FiniteString.empty(env.alphabet), depth)
     is_measure = root == 1
-    for symbols, (cursor,), _, children in walk_states([env], depth):
+    for symbols, (cursor,), _, _, children in walk_states([env], depth):
         if children is None:
             break
-        total = sum(child.mass for (child,) in children)
+        total = sum(child.mass for _, (child,) in children)
         if total > cursor.mass:
             return ValidationReport(False, False,
                                     FiniteString(env.alphabet, symbols), depth)
@@ -671,7 +676,9 @@ class BitStream:
     """Deterministic counter-based pseudorandom bit stream (SHA-256 blocks)."""
 
     def __init__(self, seed: int):
-        self._seed = seed & (2 ** 64 - 1)
+        if not 0 <= seed < 2 ** 64:
+            raise ValueError(f"seed {seed} outside 0..2^64-1")
+        self._seed = seed
         self._counter = 0
         self._bits: list[int] = []
 

@@ -138,22 +138,31 @@ class QuasimeasureEnv(Environment):
         self.alphabet = base.alphabet
         self.declared_class = base.declared_class
         self.max_depth = depth_cap if base.max_depth is None else min(depth_cap, base.max_depth)
-        self._totals: dict[int, Fraction] = {}
+        self._totals: list[Fraction] = []
+        self._walk = None
         self._alive: dict[int, bool] = {}
         self._lock = threading.Lock()
 
     def total_mass(self, n: int) -> Fraction:
+        """Total depth-n mass of the base, n up to ``max_depth``.
+
+        One walk of the base serves every call: it advances only as far as
+        the deepest level asked for, and caches each level's total as the
+        level completes (after its states have counted all |A|^n strings).
+        """
+        self._check_depth(n)
         with self._lock:
-            cached = self._totals.get(n)
-        if cached is None:
-            totals = [ZERO] * (n + 1)
-            for symbols, (cursor,), count, _ in walk_states([self.base], n):
-                totals[len(symbols)] += count * cursor.mass
-            with self._lock:
-                for k, total in enumerate(totals):
-                    self._totals.setdefault(k, total)
-            cached = totals[n]
-        return cached
+            if self._walk is None:
+                self._walk = walk_states([self.base], self.max_depth)
+            while len(self._totals) <= n:
+                strings = self.alphabet.size ** len(self._totals)
+                total = ZERO
+                while strings:
+                    _, (cursor,), count, _, _ = next(self._walk)
+                    total += count * cursor.mass
+                    strings -= count
+                self._totals.append(total)
+            return self._totals[n]
 
     def alive_at(self, n: int) -> bool:
         """Whether depth-n values survive the quasimeasure condition.
@@ -171,7 +180,8 @@ class QuasimeasureEnv(Environment):
         return cached
 
     def cutoff_depth(self) -> Optional[int]:
-        """First depth at which values are zeroed, up to the cap."""
+        """First depth at which values are zeroed, up to the cap; the base
+        is walked only down to that depth."""
         for n in range(1, self.max_depth + 1):
             if not self.alive_at(n):
                 return n
@@ -232,11 +242,6 @@ class _QuasimeasureCursor(EnvCursor):
 
     def state_key(self):
         return self._inner.state_key()
-
-
-def quasimeasure_transform(env: Environment,
-                           depth_cap: int = DEFAULT_QUASI_DEPTH_CAP) -> QuasimeasureEnv:
-    return QuasimeasureEnv(env, depth_cap)
 
 
 class MixtureEnv(Environment):
@@ -391,10 +396,6 @@ class _MixtureCursor(EnvCursor):
                      for c, m in zip(self._cursors, self._masses))
 
 
-def mix_eval(mix: MixtureEnv, x: FiniteString) -> Fraction:
-    return mix.eval(x)
-
-
 class NormalizedEnv(Environment):
     """base(x) / base(empty); a measure when the base has measure nodes."""
 
@@ -475,9 +476,8 @@ def dominance_constant(mix: MixtureEnv, component_index: int) -> Fraction:
     if component_index not in mix._component_indices():
         raise NotDominatedError(
             f"component {component_index} excluded by mode {mix.mode!r}")
-    if mix.mode == NORMALIZED_MEASURES_ONLY:
-        # normalization divides by total <= 1, so the raw weight still works
-        return mix.weights.weight(component_index)
+    # normalization divides by a total <= 1, so the raw weight works in
+    # every mode
     return mix.weights.weight(component_index)
 
 
@@ -522,7 +522,3 @@ class StageApproximation:
     @property
     def final_stage(self) -> int:
         return len(self.target.env_class)
-
-
-def stage_eval(stages: StageApproximation, t: int, x: FiniteString) -> Fraction:
-    return stages.stage_eval(t, x)

@@ -343,8 +343,7 @@ def prop8_trace(env_class: EnvClass, weights: WeightScheme, k0: int,
 
 
 def prop8_expected_bound(env_class: EnvClass, weights: WeightScheme, k0: int,
-                         n: int, precision_bits: int = DEFAULT_PRECISION,
-                         workers: int = 1) -> Verdict:
+                         n: int, precision_bits: int = DEFAULT_PRECISION) -> Verdict:
     """Certify E_mu[exp(half sum_{t<=n} h_t(delta_hat_k0, mu))] <= eps_k0^{-1/2}."""
     if not env_class.is_measure(k0):
         raise InvalidK0Error(f"index {k0} is not a validated measure")
@@ -352,8 +351,8 @@ def prop8_expected_bound(env_class: EnvClass, weights: WeightScheme, k0: int,
     delta_hat = MixtureEnv(env_class, weights, NORMALIZED_MEASURES_ONLY, k=k0)
     eps_k0 = weights.weight(k0)
     with precision(precision_bits):
-        lhs = divergence.expected_exp_half_sum(
-            delta_hat, mu, n, precision_bits=precision_bits, workers=workers)
+        lhs = divergence.expected_exp_half_sum(delta_hat, mu, n,
+                                               precision_bits=precision_bits)
         rhs = iv.sqrt(1 / from_fraction(eps_k0))
         return compare_le(lhs, rhs, precision_bits)
 
@@ -372,6 +371,6 @@ def delta_hat_ratio_check(env_class: EnvClass, weights: WeightScheme, k: int,
     prev = MixtureEnv(env_class, weights, NORMALIZED_MEASURES_ONLY, k=k - 1)
     curr = MixtureEnv(env_class, weights, NORMALIZED_MEASURES_ONLY, k=k)
     worst = max((p.mass / c.mass
-                 for _, (p, c), _, _ in walk_states([prev, curr], depth)
+                 for _, (p, c), _, _, _ in walk_states([prev, curr], depth)
                  if c.mass != 0), default=ZERO)
     return _exact_verdict(worst, bound)

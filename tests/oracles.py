@@ -182,3 +182,104 @@ def first_mismatch_tree(w_mix, d_mix, equal_from, depth):
 
     rec(())
     return mismatch
+
+
+# ------------------------------------------ tree references for expectations
+#
+# The expectation walks as they were written before they moved onto the
+# state-merging walker: one cursor pair per mu-support path, cloned at every
+# branch, with the same interval operations per path.  Exponential in depth;
+# kept only to check the merged walks.  Call them inside a precision context.
+
+def _walk_expectation_tree(nu, mu, n, visit):
+    """DFS over mu-support prefixes; calls visit(mu_mass, nu_row, mu_row)."""
+    from semilab.errors import UndefinedPosteriorError
+
+    def rec(nu_cur, mu_cur, depth, mu_mass):
+        if depth == n:
+            return
+        if nu_cur.mass == 0:
+            raise UndefinedPosteriorError("nu vanishes on a mu-support prefix")
+        mu_row = mu_cur.row()
+        visit(mu_mass, nu_cur.row(), mu_row)
+        for a in mu.alphabet.symbols:
+            if mu_row[a] == 0:
+                continue
+            nu_child, mu_child = nu_cur.clone(), mu_cur.clone()
+            nu_child.step(a)
+            mu_child.step(a)
+            rec(nu_child, mu_child, depth + 1, mu_mass * mu_row[a])
+
+    mu_cur = mu.cursor()
+    if mu_cur.mass != 0:
+        rec(nu.cursor(), mu_cur, 0, mu_cur.mass)
+
+
+def expected_hellinger_sums_tree(nu, mu, n):
+    """(sqrt_ratio_sum, hellinger_sum, off_support_excess), one term per
+    mu-support prefix shorter than n."""
+    from semilab.divergence import hellinger_step
+    from semilab.intervals import from_fraction, iv
+    sums = [iv.mpf(0), iv.mpf(0), Fraction(0)]
+
+    def visit(mu_mass, nu_row, mu_row):
+        on = [a for a in mu.alphabet.symbols if mu_row[a] != 0]
+        w = from_fraction(mu_mass)
+        sums[0] += w * hellinger_step([nu_row[a] for a in on], [mu_row[a] for a in on])
+        sums[1] += w * hellinger_step(nu_row, mu_row)
+        sums[2] += mu_mass * sum((nu_row[a] for a in mu.alphabet.symbols
+                                  if mu_row[a] == 0), Fraction(0))
+
+    _walk_expectation_tree(nu, mu, n, visit)
+    return tuple(sums)
+
+
+def paths_tree(nu, mu, n, step_term):
+    """(mu_mass, cum) for every mu-support path of length n, cum the sum of
+    step_term(nu_row, mu_row) along the path, added in path order."""
+    from semilab.intervals import iv
+    leaves = []
+
+    def rec(nu_cur, mu_cur, depth, mu_mass, cum):
+        if depth == n:
+            leaves.append((mu_mass, cum))
+            return
+        mu_row = mu_cur.row()
+        g = step_term(nu_cur.row(), mu_row)
+        for a in mu.alphabet.symbols:
+            if mu_row[a] == 0:
+                continue
+            nu_child, mu_child = nu_cur.clone(), mu_cur.clone()
+            nu_child.step(a)
+            mu_child.step(a)
+            rec(nu_child, mu_child, depth + 1, mu_mass * mu_row[a], cum + g)
+
+    mu_cur = mu.cursor()
+    if mu_cur.mass != 0:
+        rec(nu.cursor(), mu_cur, 0, mu_cur.mass, iv.mpf(0))
+    return leaves
+
+
+def expected_exp_half_sum_tree(nu, mu, n, kappa):
+    """sum over mu-support paths of mu(path) * exp(half * sum_t g_t)."""
+    from semilab.divergence import _kappa_row
+    from semilab.intervals import from_fraction, iv
+    total = iv.mpf(0)
+    for mu_mass, cum in paths_tree(
+            nu, mu, n, lambda p, q: _kappa_row(p, q, kappa, mu.alphabet.symbols)):
+        total += from_fraction(mu_mass) * iv.exp(cum / 2)
+    return total
+
+
+def tail_masses_tree(nu, mu, n, threshold):
+    """(exceed, inconclusive): the mu-mass of paths whose cumulative
+    Hellinger enclosure lies at or above the threshold, and of those whose
+    enclosure straddles it."""
+    from semilab.divergence import hellinger_step
+    exceed = unknown = Fraction(0)
+    for mu_mass, cum in paths_tree(nu, mu, n, hellinger_step):
+        if cum.a >= threshold.b:
+            exceed += mu_mass
+        elif not (cum.b < threshold.a):
+            unknown += mu_mass
+    return exceed, unknown

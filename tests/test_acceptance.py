@@ -52,12 +52,11 @@ def report(capsys, label, ok, detail=""):
     assert ok, f"{label}: {detail}"
 
 
-def _chain_links(mixture, mu, n, bits, workers=1):
+def _chain_links(mixture, mu, n, bits):
     w = F(1, 3)
     with precision(bits):
         sums = expected_hellinger_sums(mixture, mu, n, bits)
-        e = expected_exp_half_sum(mixture, mu, n, precision_bits=bits,
-                                  workers=workers)
+        e = expected_exp_half_sum(mixture, mu, n, precision_bits=bits)
         two_ln_e = 2 * iv.log(e)
         link2 = compare_le(sums["hellinger_sum"], two_ln_e, bits)
         link3 = compare_le(two_ln_e, iv.log(1 / from_fraction(w)), bits)

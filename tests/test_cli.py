@@ -319,3 +319,27 @@ def test_decaying_mu_bound_chain_exits_clean(capsys):
     assert code == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert {"part-i", "part-ii", "part-iii"} <= set(out)
+
+
+@pytest.mark.parametrize("subcommand", ["verify-hellinger-bounds", "markov-tail"])
+@pytest.mark.parametrize("w", ["0", "-1/3", "4/3"])
+def test_dominance_constant_outside_unit_interval_exits_one(subcommand, w, capsys):
+    # rejected as a spec error before the dominance and expectation walks
+    spec = json.dumps({"class": BERN3, "mu_index": 2, "w": w})
+    code = run_cli(subcommand, "--spec", spec, "--depth", "3")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: $.w: {w} outside (0, 1]\n"
+
+
+def test_inline_mu_without_dominance_constant_exits_one(capsys):
+    spec = json.dumps({"class": BERN3, "mu": BERN3[1]})
+    code = run_cli("markov-tail", "--spec", spec, "--depth", "3")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: $.w: ")
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_outside_64_bits_exits_one(seed, capsys):
+    code = run_cli("chain-lemma", "--spec", str(FIXTURES / "chain_trials.json"),
+                   "--seed", seed)
+    _assert_one_line_error(code, capsys)

@@ -185,7 +185,7 @@ def test_expected_exponential_is_worker_invariant(bern3_mixture, bern3_class):
     mu = bern3_class.env(2)
     results = [
         endpoints(expected_exp_half_sum(bern3_mixture, mu, 5,
-                                        precision_bits=128, workers=w))
+                                        precision_bits=128))
         for w in (1, 2, 8)
     ]
     assert results[0] == results[1] == results[2]
@@ -231,7 +231,7 @@ def test_tail_mass_bound_certified(bern3_mixture, bern3_class):
 def test_tail_mass_worker_invariant(bern3_mixture, bern3_class):
     reports = [
         markov_tail_check(bern3_mixture, bern3_class.env(2), 5,
-                          F(1, 3), F(2), precision_bits=128, workers=w)
+                          F(1, 3), F(2), precision_bits=128)
         for w in (1, 2, 8)
     ]
     assert len({(r.exceed_mass, r.inconclusive_mass, r.verdict.outcome)

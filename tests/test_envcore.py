@@ -216,6 +216,13 @@ def test_bitstream_is_a_pure_function_of_seed():
     assert [s1.next_bit() for _ in range(64)] != [s2.next_bit() for _ in range(64)]
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_bitstream_rejects_seeds_outside_64_bits(seed):
+    # masking would make -1 and 2^64 - 1 (or 2^64 and 0) the same stream
+    with pytest.raises(ValueError):
+        BitStream(seed)
+
+
 # ------------------------------------------------------------ interval eval
 
 def test_mass_interval_encloses_exact_value():

@@ -54,14 +54,14 @@ def test_class_requires_shared_alphabet():
 # ----------------------------------------------------------- quasimeasures
 
 def test_quasimeasure_keeps_measures_untouched():
-    q = sl.quasimeasure_transform(sl.BernoulliEnv(F(1, 2)), depth_cap=8)
+    q = sl.QuasimeasureEnv(sl.BernoulliEnv(F(1, 2)), depth_cap=8)
     assert q.cutoff_depth() is None
     assert q.eval(sl.FiniteString.parse("0101")) == F(1, 16)
 
 
 def test_quasimeasure_cutoff_for_leaking_mass():
     leaky = sl.LeakyEnv(sl.BernoulliEnv(F(1, 2)), F(1, 2))
-    q = sl.quasimeasure_transform(leaky, depth_cap=8)
+    q = sl.QuasimeasureEnv(leaky, depth_cap=8)
     # depth-n total mass is 2^-n; survives only while 2^-n > 1 - 1/n
     assert q.alive_at(0)
     assert q.alive_at(1)
@@ -72,7 +72,7 @@ def test_quasimeasure_cutoff_for_leaking_mass():
 
 def test_quasimeasure_cutoff_is_monotone():
     leaky = sl.LeakyEnv(sl.BernoulliEnv(F(1, 2)), F(3, 4))
-    q = sl.quasimeasure_transform(leaky, depth_cap=12)
+    q = sl.QuasimeasureEnv(leaky, depth_cap=12)
     cut = q.cutoff_depth()
     assert cut is not None
     for n in range(cut, 13):
@@ -81,9 +81,29 @@ def test_quasimeasure_cutoff_is_monotone():
         assert q.alive_at(n)
 
 
+def test_quasimeasure_cutoff_walks_the_base_once(monkeypatch):
+    from semilab import mixtures
+    calls = []
+
+    def counting_walk(envs, depth):
+        calls.append(depth)
+        return walk_states(envs, depth)
+
+    walk_states = mixtures.walk_states
+    monkeypatch.setattr(mixtures, "walk_states", counting_walk)
+    q = sl.QuasimeasureEnv(sl.BernoulliEnv(F(3, 8)), depth_cap=24)
+    assert q.cutoff_depth() is None
+    assert [q.total_mass(n) for n in (24, 3, 0)] == [1, 1, 1]
+    assert len(calls) == 1
+    leaky = sl.QuasimeasureEnv(sl.LeakyEnv(sl.BernoulliEnv(F(1, 2)), F(1, 2)), 24)
+    assert leaky.cutoff_depth() == 2
+    assert len(leaky._totals) == 3  # the walk stopped at the cutoff
+    assert len(calls) == 2
+
+
 def test_quasimeasure_never_exceeds_base():
     leaky = sl.LeakyEnv(sl.BernoulliEnv(F(1, 3)), F(2, 3))
-    q = sl.quasimeasure_transform(leaky, depth_cap=10)
+    q = sl.QuasimeasureEnv(leaky, depth_cap=10)
     for n in range(5):
         for x, m in sl.enumerate_support(sl.uniform_measure(), n):
             assert q.eval(x) <= leaky.eval(x)
@@ -213,4 +233,4 @@ def test_exact_stage_rule_equals_target(bern3_class, bern3_uniform_weights):
     mix = sl.MixtureEnv(bern3_class, bern3_uniform_weights, sl.RAW)
     stages = sl.StageApproximation(mix)
     x = sl.FiniteString.parse("11")
-    assert sl.stage_eval(stages, 1, x) == mix.eval(x)
+    assert stages.stage_eval(1, x) == mix.eval(x)

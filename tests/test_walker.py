@@ -1,5 +1,6 @@
-"""The cursor contract, state-key sufficiency, and the merged walks against
-the tree references in oracles.py.
+"""The cursor contract, state-key sufficiency, and the merged walks (exact
+node checks and interval expectations) against the tree references in
+oracles.py.
 
 Merging strings by ``state_key()`` is sound only if equal keys mean equal
 masses on every common extension; the property tests below check exactly
@@ -16,6 +17,7 @@ import semilab as sl
 from semilab.cli import parse_environment, run_quasimeasure
 from semilab.envcore import walk_states
 from semilab.errors import DepthExceededError
+from semilab.intervals import endpoints, from_fraction, iv, precision
 from semilab.randomness import delta_hat_ratio_check
 
 import oracles
@@ -178,13 +180,13 @@ def test_quasimeasure_cursor_stops_at_its_cap():
 def test_walk_merges_states_and_keeps_smallest_representatives():
     env = sl.BernoulliEnv(F(1, 3))
     states = list(walk_states([env], 8))
-    last = [(symbols, count) for symbols, _, count, _ in states if len(symbols) == 8]
+    last = [(symbols, count) for symbols, _, count, _, _ in states if len(symbols) == 8]
     assert len(last) == 9
     assert sum(count for _, count in last) == 2 ** 8
     # the representative of the state with k ones is 0^(8-k) 1^k
     assert [symbols for symbols, _ in last] == sorted(
         (0,) * (8 - k) + (1,) * k for k in range(9))
-    assert [len(s) for s, _, _, _ in states] == sorted(len(s) for s, _, _, _ in states)
+    assert [len(s) for s, _, _, _, _ in states] == sorted(len(s) for s, _, _, _, _ in states)
 
 
 # ------------------------------------------------- merged walks vs the tree
@@ -275,10 +277,90 @@ _MISMATCH_TABLE = {"kind": "table", "depth": 5, "values": {
 def test_quasimeasure_first_mismatch_matches_tree_reference(members, equal_from, expected):
     depth = 5
     spec = {"class": members, "weights": ["1/4", "1/4"], "equal_from": equal_from}
-    doc = run_quasimeasure(spec, depth, 64, None, 1).documents["verdicts"]["w-equals-d"]
+    doc = run_quasimeasure(spec, depth, 64, None).documents["verdicts"]["w-equals-d"]
     env_class = sl.EnvClass([parse_environment(m) for m in members])
     weights = sl.WeightScheme((F(1, 4), F(1, 4)))
     w_mix = sl.MixtureEnv(env_class, weights, sl.QUASI, quasi_depth_cap=depth)
     d_mix = sl.MixtureEnv(env_class, weights, sl.MEASURES_ONLY)
     assert doc["first_mismatch"] == oracles.first_mismatch_tree(
         w_mix, d_mix, equal_from, depth) == expected
+
+
+# ------------------------------------------- expectations vs the tree
+
+def _dominated_pair(kind):
+    """mu of the given kind under nu = (mu + uniform) / 2, so nu >= mu / 2."""
+    mu = KINDS[kind]()
+    nu = sl.MixtureEnv(sl.EnvClass([mu, sl.uniform_measure(mu.alphabet)]),
+                       sl.WeightScheme((F(1, 2), F(1, 2))))
+    return nu, mu, F(1, 2)
+
+
+def _mixture_over_member(kind):
+    """nu a mixture of the given mode, mu its first member (weight 1/8)."""
+    return KINDS[kind](), _product_class().env(1), F(1, 8)
+
+
+def _one_key_per_level():
+    """The uniform measure keyed by () on every string: sufficient within a
+    level, where its mass depends on the length alone, though keys repeat
+    across levels."""
+    mu = sl.uniform_measure()
+    make_cursor = mu.cursor
+
+    def cursor():
+        c = make_cursor()
+        c.state_key = lambda: ()
+        return c
+
+    mu.cursor = cursor
+    nu = sl.MixtureEnv(sl.EnvClass([mu, mu]), sl.WeightScheme((F(1, 2), F(1, 2))))
+    return nu, mu, F(1, 2)
+
+
+EXPECTATION_CASES = {kind: (lambda k=kind: _dominated_pair(k)) for kind in KINDS}
+EXPECTATION_CASES.update({f"nu-{kind}": (lambda k=kind: _mixture_over_member(k))
+                          for kind in KINDS if kind.startswith("mixture-")
+                          and "table" not in kind})
+EXPECTATION_CASES["one-key-per-level"] = _one_key_per_level
+
+
+def _overlap(x, y):
+    x_lo, x_hi = endpoints(x)
+    y_lo, y_hi = endpoints(y)
+    return x_lo <= y_hi and y_lo <= x_hi
+
+
+@pytest.mark.parametrize("case", EXPECTATION_CASES)
+def test_expectations_overlap_tree_reference(case):
+    nu, mu, _ = EXPECTATION_CASES[case]()
+    depth = _depth(nu, _depth(mu, 7))
+    sums = sl.expected_hellinger_sums(nu, mu, depth, 128)
+    with precision(128):
+        sqrt_sum, hell_sum, excess = oracles.expected_hellinger_sums_tree(nu, mu, depth)
+        assert _overlap(sums["sqrt_ratio_sum"], sqrt_sum)
+        assert _overlap(sums["hellinger_sum"], hell_sum)
+        assert sums["off_support_excess"] == excess
+        for kappa in (F(1, 2), F(1, 4)):
+            e = sl.expected_exp_half_sum(nu, mu, depth, kappa, 128)
+            assert _overlap(e, oracles.expected_exp_half_sum_tree(nu, mu, depth, kappa))
+
+
+@pytest.mark.parametrize("case", EXPECTATION_CASES)
+def test_tail_masses_equal_tree_reference(case):
+    """Exact equality: each path's cumulative enclosure is formed by the
+    same interval additions as in the tree.  The threshold sits at the
+    median path's sum, so mass lies on both sides of it, and at 12 bits
+    many enclosures straddle it."""
+    nu, mu, w = EXPECTATION_CASES[case]()
+    depth = _depth(nu, _depth(mu, 7))
+    for bits in (12, 128):
+        with precision(bits):
+            cums = sorted(endpoints(cum)[0] for _, cum in
+                          oracles.paths_tree(nu, mu, depth, sl.hellinger_step))
+            ln_inv_w = iv.log(1 / from_fraction(w))
+            median = cums[len(cums) // 2] if cums else F(0)  # mu may die out
+            c = median - endpoints(ln_inv_w)[0]
+            expected = oracles.tail_masses_tree(nu, mu, depth, ln_inv_w + from_fraction(c))
+        report = sl.markov_tail_check(nu, mu, depth, w, c, precision_bits=bits)
+        assert (report.exceed_mass, report.inconclusive_mass) == expected, bits
