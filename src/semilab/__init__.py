@@ -54,6 +54,7 @@ from .envcore import (
     ValidationReport,
     enumerate_support,
     mass_interval,
+    prefix_masses,
     sample,
     uniform_measure,
     validate,
@@ -86,6 +87,7 @@ from .divergence import (
     hellinger_step,
     hellinger_trace,
     markov_tail_check,
+    markov_tail_checks,
     row_inequality_verdicts,
     verify_dominance,
 )
@@ -101,6 +103,7 @@ from .randomness import (
     delta_hat_ratio_check,
     e2i_build_mubar,
     e2i_individual_bound,
+    envelope_violations,
     leftmost_random,
     prop8_expected_bound,
     prop8_trace,

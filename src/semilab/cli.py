@@ -26,7 +26,7 @@ from .divergence import (
     expected_exp_half_sum,
     expected_hellinger_sums,
     hellinger_trace,
-    markov_tail_check,
+    markov_tail_checks,
     verify_dominance,
 )
 from .envcore import (
@@ -79,6 +79,7 @@ from .randomness import (
     delta_hat_ratio_check,
     e2i_build_mubar,
     e2i_individual_bound,
+    envelope_violations,
     leftmost_random,
     prop8_expected_bound,
 )
@@ -168,9 +169,14 @@ def parse_environment(d: dict, path: str = "$") -> Environment:
                 tuple(int(c) for c in key): parse_rational(v, f"{path}.values[{key}]")
                 for key, v in _require(d, "values", path).items()
             }
-            return TableEnv(int(_require(d, "depth", path)), values,
-                            Alphabet(int(d.get("alphabet_size", 2))),
-                            d.get("declared_class", "strict-semimeasure"))
+            table = TableEnv(int(_require(d, "depth", path)), values,
+                             Alphabet(int(d.get("alphabet_size", 2))),
+                             d.get("declared_class", "strict-semimeasure"))
+            # every stored level, not only the few levels _cross_check walks
+            defect = table.first_defect()
+            if defect is not None:
+                raise SpecError(f"{path}: node inequality fails at {defect}")
+            return table
         if kind == "derived":
             return _parse_derived(d, path)
     except SpecError:
@@ -394,8 +400,7 @@ def run_markov_tail(spec, depth, bits, seed) -> RunResult:
     w = _w_from(spec, weights)
     cs = [parse_rational(c, "$.c") for c in spec.get("c", ["1", "2", "4"])]
     result = RunResult()
-    for c in cs:
-        report = markov_tail_check(mix, mu, depth, w, c, precision_bits=bits)
+    for c, report in zip(cs, markov_tail_checks(mix, mu, depth, w, cs, bits)):
         result.outcomes.append(report.verdict.outcome)
         result.documents.setdefault("verdicts", {})[f"tail-c-{c}"] = {
             "verdict": report.verdict.as_dict(),
@@ -527,10 +532,7 @@ def run_deficiency(spec, depth, bits, seed) -> RunResult:
 def run_leftmost_alpha(spec, depth, bits, seed) -> RunResult:
     mix, env_class, weights = _mixture_from(spec, mode=spec.get("mode", RAW))
     alpha = leftmost_random(mix, depth)
-    violations = [
-        k for k in range(1, depth + 1)
-        if mix.eval(alpha.prefix(k)) > Fraction(1, 2 ** k)
-    ]
+    violations = envelope_violations(mix, alpha)
     result = RunResult()
     result.add_outcome("envelope", _exact_outcome(not violations),
                        {"alpha": str(alpha), "depth": depth,

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .mixtures import PARTIAL_SUM, MixtureEnv, StageApproximation
 from .divergence import verify_dominance
+from .randomness import envelope_violations
 
 GAMMA_UPPER = Fraction(1, 5)
 
@@ -182,6 +183,7 @@ def nu_limit(stages: StageApproximation, t_max: int) -> NuLimitEnv:
         raise NeedsLargerTMaxError(
             f"partial-sum stages only stabilize from stage {stages.final_stage}")
     symbols: tuple[int, ...] = ()
+    cursor = m.cursor()
     certified_from: Optional[int] = None
     for k in range(t_max + 1):
         bound = m.zero_step_factor_bound(symbols)
@@ -190,11 +192,13 @@ def nu_limit(stages: StageApproximation, t_max: int) -> NuLimitEnv:
             break
         if k == t_max:
             break
-        candidate = symbols + (0,)
-        if m._mass(candidate) <= Fraction(1, 2 ** (k + 1)):
-            symbols = candidate
+        candidate = cursor.clone()
+        candidate.step(0)
+        if candidate.mass <= Fraction(1, 2 ** (k + 1)):
+            symbols, cursor = symbols + (0,), candidate
         else:
             symbols = symbols + (1,)
+            cursor.step(1)
     if certified_from is None:
         raise NeedsLargerTMaxError(
             f"no all-zero tail certificate found within horizon {t_max}")
@@ -324,9 +328,9 @@ def verify_nonconvergence(cm: ContaminatedMixture, mu: Environment,
     if len(alpha) < min(n_max + 1, 2):
         raise ValueError("alpha too short for the requested horizon")
     # envelope invariant of the construction, checked up front
-    for k in range(1, min(n_max, len(alpha)) + 1):
-        if cm.m.eval(alpha.prefix(k)) > Fraction(1, 2 ** k):
-            raise SemilabError(f"alpha violates the 2^-k envelope at k={k}")
+    violations = envelope_violations(cm.m, alpha.prefix(min(n_max, len(alpha))))
+    if violations:
+        raise SemilabError(f"alpha violates the 2^-k envelope at k={violations[0]}")
     bound = cm.posterior_bound
     positions = []
     for n in range(1, n_max + 1):

@@ -277,16 +277,27 @@ class TailCheckReport:
 def markov_tail_check(nu: Environment, mu: Environment, n: int,
                       w: Fraction, c: Fraction,
                       precision_bits: int = DEFAULT_PRECISION) -> TailCheckReport:
-    """Certify P[sum_t h_t >= ln(1/w) + c] <= exp(-c/2) over all mu-support paths.
+    """Certify P[sum_t h_t >= ln(1/w) + c] <= exp(-c/2) over all mu-support
+    paths; ``markov_tail_checks`` with the one threshold c."""
+    return markov_tail_checks(nu, mu, n, w, [c], precision_bits)[0]
 
-    The certified exceed mass plus the mass of paths whose enclosure straddles
-    the threshold is compared against the lower bound of exp(-c/2).  Each
-    merged state carries the multiplicity of every cumulative-sum enclosure
-    among the paths into it, keyed by the enclosure's exact endpoints, so
-    each path's sum is formed by the same interval additions as along the
-    path itself.
+
+def markov_tail_checks(nu: Environment, mu: Environment, n: int,
+                       w: Fraction, cs: Sequence[Fraction],
+                       precision_bits: int = DEFAULT_PRECISION) -> list[TailCheckReport]:
+    """``markov_tail_check`` for every c in cs, from one dominance check and
+    one walk.
+
+    For each c, the certified exceed mass plus the mass of paths whose
+    enclosure straddles the threshold is compared against the lower bound of
+    exp(-c/2).  Each merged state carries the multiplicity of every
+    cumulative-sum enclosure among the paths into it, keyed by the
+    enclosure's exact endpoints, so each path's sum is formed by the same
+    interval additions as along the path itself.
     """
-    w, c = Fraction(w), Fraction(c)
+    if not cs:
+        return []
+    w, cs = Fraction(w), [Fraction(c) for c in cs]
     if not verify_dominance(nu, mu, w, n):
         raise NotDominatedError("nu >= w*mu fails on the enumerated support")
 
@@ -298,21 +309,24 @@ def markov_tail_check(nu: Environment, mu: Environment, n: int,
         return out
 
     with precision(precision_bits):
-        threshold = iv.log(1 / from_fraction(w)) + from_fraction(c)
-        bound = iv.exp(-from_fraction(c) / 2)
-        exceed = ZERO
-        unknown = ZERO
+        log_inv_w = iv.log(1 / from_fraction(w))
+        thresholds = [log_inv_w + from_fraction(c) for c in cs]
+        exceed = [ZERO] * len(cs)
+        unknown = [ZERO] * len(cs)
         for mass, cums in _carry(nu, mu, n, Counter({iv.mpf(0)._mpi_: 1}), advance):
             for cum, k in cums.items():
                 cum = iv.make_mpf(cum)
-                if cum.a >= threshold.b:
-                    exceed += k * mass
-                elif not (cum.b < threshold.a):
-                    unknown += k * mass
-        lhs = from_fraction(exceed + unknown)
-        verdict = compare_le(lhs, bound, precision_bits)
-        thr_lo, thr_hi = interval_str(threshold)
-    return TailCheckReport(verdict, exceed, unknown, thr_lo, thr_hi)
+                for i, threshold in enumerate(thresholds):
+                    if cum.a >= threshold.b:
+                        exceed[i] += k * mass
+                    elif not (cum.b < threshold.a):
+                        unknown[i] += k * mass
+        reports = []
+        for c, threshold, ex, un in zip(cs, thresholds, exceed, unknown):
+            bound = iv.exp(-from_fraction(c) / 2)
+            verdict = compare_le(from_fraction(ex + un), bound, precision_bits)
+            reports.append(TailCheckReport(verdict, ex, un, *interval_str(threshold)))
+    return reports
 
 
 def chain_inequality(vectors: Sequence[Sequence[Fraction]],

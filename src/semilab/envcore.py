@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -138,7 +139,8 @@ class EnvCursor:
 
     The contract every cursor keeps: ``mass`` equals ``_mass`` of the string
     walked so far, ``row()`` equals ``posterior`` there (where the mass is
-    positive), ``step(a)`` appends one symbol, ``clone()`` returns an
+    positive), ``factor(a)`` gives ``row()[a]`` as two integers, ``step(a)``
+    appends one symbol, ``clone()`` returns an
     independent copy, and ``state_key()`` is a hashable sufficient statistic:
     two strings of equal length with equal keys have equal masses on every
     common extension.  The generic implementation re-evaluates masses and
@@ -163,6 +165,12 @@ class EnvCursor:
             for a in self._env.alphabet.symbols
         )
 
+    def factor(self, a: int) -> tuple[int, int]:
+        """``row()[a]`` as an integer numerator and denominator, not
+        necessarily in lowest terms."""
+        p = self.row()[a]
+        return p.numerator, p.denominator
+
     def step(self, a: int) -> None:
         self._symbols = self._symbols + (a,)
         self._mass = self._env._mass(self._symbols)
@@ -177,26 +185,49 @@ class EnvCursor:
 
 
 class _IIDCursor(EnvCursor):
-    """Keyed by the symbol counts; every dead string shares the key None."""
+    """Keyed by the symbol counts; every dead string shares the key None.
+
+    The mass is a function of the counts, so it is formed only when asked
+    for, from the counts added since it was last formed: one power per
+    symbol instead of one growing product per step."""
 
     def __init__(self, env: Environment, row: tuple[Fraction, ...]):
         self._env = env
         self._row = row
-        self._mass = ONE
+        self._zero = tuple(p == 0 for p in row)
+        self._dead = False
         self._counts = (0,) * len(row)
+        self._mass = ONE  # the mass at the counts _mass_counts
+        self._mass_counts = self._counts
+
+    @property
+    def mass(self) -> Fraction:
+        if self._mass_counts is not self._counts:
+            m = ZERO if self._dead else self._mass
+            if m:
+                for p, c, c0 in zip(self._row, self._counts, self._mass_counts):
+                    if c != c0:
+                        m = m * (p if c - c0 == 1 else p ** (c - c0))
+            self._mass, self._mass_counts = m, self._counts
+        return self._mass
 
     def row(self) -> tuple[Fraction, ...]:
-        if self._mass == 0:
+        if self._dead:
             raise UndefinedPosteriorError("zero mass at cursor position")
         return self._row
 
     def step(self, a: int) -> None:
-        self._mass = self._mass * self._row[a]
+        if self._zero[a]:
+            self._dead = True
         counts = self._counts
         self._counts = counts[:a] + (counts[a] + 1,) + counts[a + 1:]
 
+    def clone(self) -> "_IIDCursor":
+        self.mass  # form the mass once here rather than once in every clone
+        return super().clone()
+
     def state_key(self):
-        return self._counts if self._mass != 0 else None
+        return None if self._dead else self._counts
 
 
 class CategoricalIIDEnv(Environment):
@@ -521,22 +552,45 @@ class DecayingEnv(Environment):
 
 
 class _DecayingCursor(EnvCursor):
-    """Tracks the exact mass, which at large depths is astronomically sized
-    (use mass_interval there)."""
+    """Steps in O(1) without forming the exact mass, which at large depths
+    is astronomically sized: the mass is multiplied out only when asked for
+    (``mass_interval`` never asks).  The string is kept one byte per symbol."""
 
     def __init__(self, env: DecayingEnv):
         self._env = env
-        self._symbols = ()
-        self._mass = ONE
+        self._symbols = bytearray()
+        self._mass = ONE  # the mass of the first _mass_t symbols
+        self._mass_t = 0
+
+    @property
+    def mass(self) -> Fraction:
+        if self._mass_t < len(self._symbols):
+            m = self._mass
+            for t in range(self._mass_t + 1, len(self._symbols) + 1):
+                p1 = self._env.one_prob(t)
+                m = m * (p1 if self._symbols[t - 1] == 1 else 1 - p1)
+            self._mass, self._mass_t = m, len(self._symbols)
+        return self._mass
 
     def row(self) -> tuple[Fraction, ...]:
         p1 = self._env.one_prob(len(self._symbols) + 1)
         return (1 - p1, p1)
 
+    def factor(self, a: int) -> tuple[int, int]:
+        den = 2 * (len(self._symbols) + 1) ** self._env.beta
+        return (1, den) if a == 1 else (den - 1, den)
+
     def step(self, a: int) -> None:
-        p1 = self._env.one_prob(len(self._symbols) + 1)
-        self._mass = self._mass * (p1 if a == 1 else 1 - p1)
-        self._symbols = self._symbols + (a,)
+        self._symbols.append(a)
+
+    def clone(self) -> "_DecayingCursor":
+        self.mass  # multiply out once here rather than once in every clone
+        new = super().clone()
+        new._symbols = bytearray(self._symbols)
+        return new
+
+    def state_key(self):
+        return bytes(self._symbols)
 
 
 class TableEnv(Environment):
@@ -556,6 +610,29 @@ class TableEnv(Environment):
             raise DepthExceededError(
                 f"table stores depth <= {self.depth}, queried at {len(symbols)}")
         return self.values.get(symbols, ZERO)
+
+    def first_defect(self) -> Optional[FiniteString]:
+        """The node ``validate(self, self.depth)`` reports, found from the
+        stored entries alone: only the root, a parent of a stored entry, or
+        a stored entry below zero can fail the node inequality, so the cost
+        is linear in the number of entries, not exponential in the depth."""
+        if self.values.get((), ZERO) > 1:
+            return FiniteString.empty(self.alphabet)
+        size = self.alphabet.size
+        nodes = set()
+        for key, value in self.values.items():
+            if len(key) > self.depth or any(not 0 <= s < size for s in key):
+                continue  # never queried
+            if key:
+                nodes.add(key[:-1])
+            if value < 0 and len(key) < self.depth:
+                nodes.add(key)
+        failing = [x for x in nodes
+                   if sum(self.values.get(x + (a,), ZERO) for a in range(size))
+                   > self.values.get(x, ZERO)]
+        if not failing:
+            return None
+        return FiniteString(self.alphabet, min(failing, key=lambda x: (len(x), x)))
 
     def spec(self) -> dict:
         return {
@@ -651,6 +728,27 @@ def validate(env: Environment, depth: int) -> ValidationReport:
     return ValidationReport(True, is_measure, None, depth)
 
 
+def check_depth(env: Environment, n: int) -> None:
+    """Raise DepthExceededError, as evaluation would, for strings of length
+    n beyond the environment's stored depth."""
+    if env.max_depth is not None and n > env.max_depth:
+        raise DepthExceededError(
+            f"environment stores depth <= {env.max_depth}, queried at {n}")
+
+
+def prefix_masses(env: Environment, x: FiniteString) -> Iterator[Fraction]:
+    """Yield eval(env, x_{1:k}) for k = 0..len(x), stepping one cursor once
+    per symbol instead of evaluating every prefix from the root."""
+    if x.alphabet.size != env.alphabet.size:
+        raise SemilabError("string alphabet does not match environment alphabet")
+    check_depth(env, len(x))
+    cursor = env.cursor()
+    yield cursor.mass
+    for a in x.symbols:
+        cursor.step(a)
+        yield cursor.mass
+
+
 def enumerate_support(env: Environment, depth: int) -> Iterator[tuple[FiniteString, Fraction]]:
     """Yield the nonzero-mass strings of exactly the given length, in order."""
     if depth < 0:
@@ -695,22 +793,21 @@ class BitStream:
 
 
 def _draw_symbol(stream: BitStream, row: Sequence[Fraction]) -> int:
-    """Exact draw from a probability row by dyadic bisection against the CDF."""
-    bounds = [ZERO]
+    """Exact draw from a probability row by dyadic bisection against the CDF,
+    compared in integers scaled to the row's common denominator d."""
+    d = math.lcm(*(p.denominator for p in row))
+    bounds = [0]
     for p in row:
-        bounds.append(bounds[-1] + p)
+        bounds.append(bounds[-1] + p.numerator * (d // p.denominator))
     num, k = 0, 0
     while True:
-        # current dyadic interval [num/2^k, (num+1)/2^k)
-        j = None
-        for i in range(len(row)):
-            if bounds[i] * 2 ** k <= num and (num + 1) <= bounds[i + 1] * 2 ** k:
-                j = i
-                break
-        if j is not None:
-            if row[j] == 0:  # boundary cell of zero width cannot be drawn
-                raise SemilabError("drew zero-probability cell")
-            return j
+        # current dyadic interval [num/2^k, (num+1)/2^k), times d 2^k
+        lo, hi = num * d, (num + 1) * d
+        for j in range(len(row)):
+            if bounds[j] << k <= lo and hi <= bounds[j + 1] << k:
+                if row[j] == 0:  # boundary cell of zero width cannot be drawn
+                    raise SemilabError("drew zero-probability cell")
+                return j
         num = num * 2 + stream.next_bit()
         k += 1
 
@@ -721,53 +818,64 @@ def sample(env: Environment, length: int, seed: int,
 
     The pseudorandom stream is a pure function of the seed; the draw compares
     exact dyadic randomness against exact posterior CDFs, so no rounding
-    enters symbol selection.  The returned likelihood equals eval(env, draw).
+    enters symbol selection.  The returned likelihood is the cursor's mass,
+    which by the cursor contract equals eval(env, draw).
     """
     if env.declared_class != MEASURE:
         raise NotAMeasureError("sampling requires a declared (and valid) measure")
     stream = BitStream(seed)
     cursor = env.cursor()
     symbols = []
-    likelihood = ONE if with_likelihood else None
+    checked = None
     for _ in range(length):
         row = cursor.row()
-        if sum(row) != 1:
-            raise NotAMeasureError("posterior row does not sum to 1")
+        if row is not checked:  # product-form cursors repeat their rows
+            if sum(row) != 1:
+                raise NotAMeasureError("posterior row does not sum to 1")
+            checked = row
         a = _draw_symbol(stream, row)
-        if with_likelihood:
-            likelihood *= row[a]
         symbols.append(a)
         cursor.step(a)
-    return FiniteString(env.alphabet, tuple(symbols)), likelihood
+    return (FiniteString(env.alphabet, tuple(symbols)),
+            cursor.mass if with_likelihood else None)
+
+
+#: a block's exact product enters the interval once its denominator has
+#: this many bits; rows of mixtures, already larger, each make one block
+_BLOCK_BITS = 4096
 
 
 def mass_interval(env: Environment, x: FiniteString, precision_bits: int = 64):
     """Certified interval for eval(env, x), usable at depths where the exact
     rational would be astronomically large (e.g. decaying environments at
-    depth 10^6).  Returns an mpmath interval under the active precision."""
+    depth 10^6).  Returns an mpmath interval under the active precision.
+
+    The integer numerators and denominators of the steps' probabilities
+    (``cursor.factor``) are multiplied exactly over blocks of symbols, and
+    each block enters the interval as one outward-rounded quotient; the
+    cursor never needs its exact mass.
+    """
     from . import intervals
 
+    if x.alphabet.size != env.alphabet.size:
+        raise SemilabError("string alphabet does not match environment alphabet")
+    check_depth(env, len(x))
+    iv = intervals.iv
     with intervals.precision(precision_bits):
-        if isinstance(env, DecayingEnv):
-            iv = intervals.iv
-            acc = iv.mpf(1)
-            one = iv.mpf(1)
-            for t, s in enumerate(x.symbols, start=1):
-                p1 = one / iv.mpf(2 * t ** env.beta)
-                acc *= p1 if s == 1 else one - p1
-            return acc
         cursor = env.cursor()
-        acc = intervals.iv.mpf(1)
-        # product-form rows repeat a few probabilities, so box each once;
-        # the memo is flushed when full, since mixture rows never repeat
-        boxed: dict[Fraction, object] = {}
+        root = cursor.mass
+        if root == 0:
+            return iv.mpf(0)
+        num, den = root.numerator, root.denominator
+        acc = iv.mpf(1)
         for a in x.symbols:
-            p = cursor.row()[a]
-            factor = boxed.get(p)
-            if factor is None:
-                if len(boxed) >= 64:
-                    boxed.clear()
-                factor = boxed[p] = intervals.from_fraction(p)
-            acc *= factor
+            p_num, p_den = cursor.factor(a)
+            if p_num == 0:
+                return iv.mpf(0)
+            num *= p_num
+            den *= p_den
+            if den.bit_length() > _BLOCK_BITS:
+                acc *= iv.mpf(num) / iv.mpf(den)
+                num = den = 1
             cursor.step(a)
-        return acc
+        return acc * (iv.mpf(num) / iv.mpf(den))

@@ -17,6 +17,8 @@ from .envcore import (
     MEASURE,
     STRICT_SEMIMEASURE,
     ZERO,
+    check_depth,
+    prefix_masses,
     walk_states,
 )
 from .errors import (
@@ -80,20 +82,22 @@ def deficiency_trace(m_ref: Environment, mu: Environment, omega: FiniteString,
 
     The supremum d is reported as a log2 enclosure of the exact maximal
     ratio; the diverging flag marks ratios beyond the configured ceiling.
+    Both masses come from one cursor walk along omega each.
     """
+    if n > len(omega):
+        raise ValueError("n exceeds the provided sequence length")
+    prefix = omega.prefix(n)
     lengths, ratios, logs = [], [], []
-    sup_ratio = None
     with precision(precision_bits):
-        for k in range(n + 1):
-            prefix = omega.prefix(k)
-            mu_mass = mu.eval(prefix)
+        for k, (mu_mass, m_mass) in enumerate(zip(prefix_masses(mu, prefix),
+                                                  prefix_masses(m_ref, prefix))):
             if mu_mass == 0:
                 raise UndefinedPosteriorError(f"mu vanishes on prefix of length {k}")
-            ratio = m_ref.eval(prefix) / mu_mass
+            ratio = m_mass / mu_mass
             lengths.append(k)
             ratios.append(ratio)
             logs.append(interval_str(_log2_interval(ratio)) if ratio > 0 else ("-inf", "-inf"))
-            sup_ratio = ratio if sup_ratio is None else max(sup_ratio, ratio)
+        sup_ratio = max(ratios)
         d_bounds = (interval_str(_log2_interval(sup_ratio))
                     if sup_ratio > 0 else ("-inf", "-inf"))
     return DeficiencyTrace(
@@ -112,22 +116,35 @@ def leftmost_random(m: Environment, n: int,
     """The leftmost sequence alpha with M(alpha_{1:k}) <= 2^{-k} at every k.
 
     alpha_k = 0 when M(alpha_{<k} 0) <= 2^{-k} (ties take the 0-branch),
-    else alpha_k = 1; comparisons are exact rationals.
+    else alpha_k = 1; comparisons are exact rationals.  One cursor walks
+    alpha: a clone stepped by 0 is the candidate.
     """
     if m.alphabet.size != 2:
         raise SemilabError("leftmost-random construction requires binary alphabet")
-    symbols: tuple[int, ...] = ()
+    check_depth(m, n)
+    cursor = m.cursor()
+    symbols = []
     for k in range(1, n + 1):
         bound = Fraction(1, 2 ** k)
-        if m._mass(symbols + (0,)) <= bound:
-            symbols = symbols + (0,)
+        candidate = cursor.clone()
+        candidate.step(0)
+        if candidate.mass <= bound:
+            cursor = candidate
+            symbols.append(0)
         else:
-            symbols = symbols + (1,)
-        if verify_postcondition and m._mass(symbols) > bound:
+            cursor.step(1)
+            symbols.append(1)
+        if verify_postcondition and cursor.mass > bound:
             raise SemilabError(
                 f"postcondition M(alpha_{{1:{k}}}) <= 2^-{k} failed; "
                 "input is not a semimeasure")
-    return FiniteString(m.alphabet, symbols)
+    return FiniteString(m.alphabet, tuple(symbols))
+
+
+def envelope_violations(m: Environment, x: FiniteString) -> list[int]:
+    """Every k >= 1 with M(x_{1:k}) > 2^{-k}, from one cursor walk along x."""
+    return [k for k, mass in enumerate(prefix_masses(m, x))
+            if k >= 1 and mass > Fraction(1, 2 ** k)]
 
 
 def _exact_verdict(lhs: Fraction, rhs: Fraction) -> Verdict:
@@ -282,16 +299,14 @@ def e2i_individual_bound(m_ref_ext: MixtureEnv, f: EnumerableFunctional,
         raise NotDominatedError("stage-n table environment not registered in the mixture")
     w = m_ref_ext.weights.weight(index)
     prefix = omega.prefix(n)
-    mu_mass = mu.eval(prefix)
-    if mu_mass == 0:
+    mu_masses = list(prefix_masses(mu, prefix))
+    if mu_masses[-1] == 0:
         raise UndefinedPosteriorError("omega outside mu-support")
     f_val = f.value(n, prefix.symbols)
     eps_n = f.eps(n)
-    ratio = m_ref_ext.eval(prefix) / mu_mass
-    sup_ratio = max(
-        m_ref_ext.eval(omega.prefix(k)) / mu.eval(omega.prefix(k))
-        for k in range(n + 1)
-    )
+    ratios = [m / u for m, u in zip(prefix_masses(m_ref_ext, prefix), mu_masses)]
+    ratio = ratios[-1]
+    sup_ratio = max(ratios)
     return E2IBoundReport(
         ratio_verdict=_exact_verdict(f_val, eps_n / w * ratio),
         deficiency_verdict=_exact_verdict(f_val, eps_n / w * sup_ratio),

@@ -283,3 +283,99 @@ def tail_masses_tree(nu, mu, n, threshold):
         elif not (cum.b < threshold.a):
             unknown += mu_mass
     return exceed, unknown
+
+
+# ------------------------------------- references for single-string walks
+#
+# The checks along one string as they were written before they walked one
+# cursor along it: every prefix evaluated from the root by eval or _mass, so
+# a length-n string costs O(n^2) products.  Kept only to check the walks.
+
+def deficiency_trace_prefixes(m_ref, mu, omega, n, precision_bits=128):
+    """(ratios, log2 bound strings, sup ratio, d bounds), each prefix
+    re-evaluated."""
+    from semilab.errors import UndefinedPosteriorError
+    from semilab.intervals import interval_str, precision
+    from semilab.randomness import _log2_interval
+    ratios, logs = [], []
+    with precision(precision_bits):
+        for k in range(n + 1):
+            prefix = omega.prefix(k)
+            mu_mass = mu.eval(prefix)
+            if mu_mass == 0:
+                raise UndefinedPosteriorError(f"mu vanishes on prefix of length {k}")
+            ratio = m_ref.eval(prefix) / mu_mass
+            ratios.append(ratio)
+            logs.append(interval_str(_log2_interval(ratio)) if ratio > 0 else ("-inf", "-inf"))
+        sup_ratio = max(ratios)
+        d_bounds = (interval_str(_log2_interval(sup_ratio))
+                    if sup_ratio > 0 else ("-inf", "-inf"))
+    return ratios, logs, sup_ratio, d_bounds
+
+
+def leftmost_random_prefixes(m, n):
+    """The leftmost alpha's symbols, each candidate evaluated by _mass."""
+    from semilab.errors import SemilabError
+    symbols = ()
+    for k in range(1, n + 1):
+        bound = Fraction(1, 2 ** k)
+        if m._mass(symbols + (0,)) <= bound:
+            symbols = symbols + (0,)
+        else:
+            symbols = symbols + (1,)
+        if m._mass(symbols) > bound:
+            raise SemilabError("postcondition failed")
+    return symbols
+
+
+def envelope_violations_prefixes(m, x):
+    """Every k >= 1 with m(x_{1:k}) > 2^-k, each prefix re-evaluated."""
+    return [k for k in range(1, len(x) + 1)
+            if m.eval(x.prefix(k)) > Fraction(1, 2 ** k)]
+
+
+def mass_interval_per_step(env, x, precision_bits):
+    """eval(env, x) enclosed as the root mass times one outward-rounded
+    factor per symbol, each row probability boxed on its own (the blocked
+    product's predecessor, with the root mass that one left out)."""
+    from semilab.intervals import from_fraction, iv, precision
+    with precision(precision_bits):
+        cursor = env.cursor()
+        if cursor.mass == 0:
+            return iv.mpf(0)
+        acc = from_fraction(cursor.mass)
+        for a in x.symbols:
+            p = cursor.row()[a]
+            if p == 0:
+                return iv.mpf(0)
+            acc *= from_fraction(p)
+            cursor.step(a)
+        return acc
+
+
+def draw_symbol_fractions(stream, row):
+    """The dyadic-bisection draw compared in Fractions times 2^k."""
+    bounds = [Fraction(0)]
+    for p in row:
+        bounds.append(bounds[-1] + p)
+    num, k = 0, 0
+    while True:
+        for i in range(len(row)):
+            if bounds[i] * 2 ** k <= num and (num + 1) <= bounds[i + 1] * 2 ** k:
+                return i
+        num = num * 2 + stream.next_bit()
+        k += 1
+
+
+def sample_prefixes(env, length, seed):
+    """(symbols, likelihood): the Fraction draw at each prefix's posterior,
+    the likelihood a running product of the drawn probabilities."""
+    from semilab import BitStream, FiniteString
+    stream = BitStream(seed)
+    symbols, likelihood = (), Fraction(1)
+    for _ in range(length):
+        row = env.posterior(FiniteString(env.alphabet, symbols))
+        a = draw_symbol_fractions(stream, row)
+        likelihood *= row[a]
+        symbols = symbols + (a,)
+    return symbols, likelihood

@@ -282,6 +282,26 @@ def test_defective_table_with_zero_mass_node_exits_one(capsys):
     _assert_one_line_error(code, capsys)
 
 
+DEEP_DEFECT = {"kind": "table", "depth": 6,
+               "values": {"": "1", "0": "1/2", "00": "1/4", "000": "1/8",
+                          "0000": "1/16", "00001": "1/2"}}
+
+
+@pytest.mark.parametrize("subcommand, spec", [
+    ("leftmost-alpha", {"class": [DEEP_DEFECT]}),
+    ("leftmost-alpha", {"class": [{"kind": "leaky", "base": DEEP_DEFECT, "leak": "1/2"}]}),
+    ("deficiency", {"class": [DEEP_DEFECT, {"kind": "bernoulli", "p": "1/2"}],
+                    "mu_index": 2, "omega": "0000"}),
+])
+def test_table_defect_below_the_cross_check_depth_exits_one(subcommand, spec, capsys):
+    # the node inequality fails at 0000, below the 4 levels every member is
+    # walked to; the whole stored table is checked when it is parsed
+    code = run_cli(subcommand, "--spec", json.dumps(spec), "--depth", "4")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.rstrip().endswith("node inequality fails at 0000"), err
+
+
 BERN3 = [{"kind": "bernoulli", "p": p} for p in ("1/4", "1/2", "3/4")]
 
 

@@ -1,22 +1,25 @@
-"""The cursor contract, state-key sufficiency, and the merged walks (exact
-node checks and interval expectations) against the tree references in
-oracles.py.
+"""The cursor contract, state-key sufficiency, the merged walks (exact node
+checks and interval expectations) against the tree references in
+oracles.py, and the walks along one string against the prefix-re-evaluating
+references there.
 
 Merging strings by ``state_key()`` is sound only if equal keys mean equal
 masses on every common extension; the property tests below check exactly
 that, for every environment kind, on every string to a fixed depth.
 """
 
+import random
 from collections import defaultdict
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 import semilab as sl
-from semilab.cli import parse_environment, run_quasimeasure
+from semilab import divergence, envcore
+from semilab.cli import parse_environment, run_markov_tail, run_quasimeasure
 from semilab.envcore import walk_states
-from semilab.errors import DepthExceededError
+from semilab.errors import DepthExceededError, SemilabError
 from semilab.intervals import endpoints, from_fraction, iv, precision
 from semilab.randomness import delta_hat_ratio_check
 
@@ -215,6 +218,24 @@ def test_validate_reports_first_defect_including_zero_mass_nodes(values, node):
     assert oracles.validate_tree(env, 2)[2] == node
 
 
+def test_table_first_defect_matches_validate():
+    """The stored-entry check finds the node the full walk finds, on random
+    sparse tables (negative entries included), defective or not."""
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(300):
+        depth = rng.randint(1, 6)
+        values = {(): F(rng.randint(0, 9), 8)}
+        for _ in range(rng.randint(0, 8)):
+            key = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, depth)))
+            values[key] = F(rng.randint(-1, 8), 2 ** len(key) * rng.randint(1, 2))
+        env = sl.TableEnv(depth, values)
+        report = sl.validate(env, depth)
+        assert env.first_defect() == report.first_defect_node, values
+        outcomes.add(report.is_semimeasure)
+    assert outcomes == {True, False}
+
+
 def _dominance_cases():
     for make in (_product_class, _table_class):
         env_class = make()
@@ -364,3 +385,208 @@ def test_tail_masses_equal_tree_reference(case):
             expected = oracles.tail_masses_tree(nu, mu, depth, ln_inv_w + from_fraction(c))
         report = sl.markov_tail_check(nu, mu, depth, w, c, precision_bits=bits)
         assert (report.exceed_mass, report.inconclusive_mass) == expected, bits
+
+
+def test_tail_checks_classify_every_threshold_from_one_walk(monkeypatch):
+    nu, mu, w = EXPECTATION_CASES["markov"]()
+    depth = 6
+    with precision(128):
+        ln_inv_w = iv.log(1 / from_fraction(w))
+        cums = sorted(endpoints(cum)[0] for _, cum in
+                      oracles.paths_tree(nu, mu, depth, sl.hellinger_step))
+        # thresholds at a quarter, half and three quarters of the path sums
+        cs = [cums[len(cums) * i // 4] - endpoints(ln_inv_w)[0] for i in (1, 2, 3)] + [F(1)]
+    reports = sl.markov_tail_checks(nu, mu, depth, w, cs, 128)
+    with precision(128):
+        for c, report in zip(cs, reports):
+            expected = oracles.tail_masses_tree(nu, mu, depth, ln_inv_w + from_fraction(c))
+            assert (report.exceed_mass, report.inconclusive_mass) == expected, c
+            assert report == sl.markov_tail_check(nu, mu, depth, w, c, 128)
+    assert len({r.exceed_mass for r in reports}) > 1
+
+    walks = []
+
+    def counting_walk(envs, depth):
+        walks.append(depth)
+        return walk_states(envs, depth)
+
+    monkeypatch.setattr(divergence, "walk_states", counting_walk)
+    spec = {"class": [{"kind": "bernoulli", "p": p} for p in ("1/4", "1/2", "3/4")],
+            "mu_index": 2, "c": ["1", "2", "4"]}
+    run_markov_tail(spec, 5, 64, None)
+    assert walks == [5, 5]  # one dominance walk, one tail walk
+
+
+# ------------------------------------------ single-string walks vs prefixes
+
+def _length(env, n=64):
+    return n if env.max_depth is None else min(n, env.max_depth)
+
+
+def _random_string(env, length, seed):
+    rng = random.Random(seed)
+    return sl.FiniteString(env.alphabet, tuple(
+        rng.randrange(env.alphabet.size) for _ in range(length)))
+
+
+def _support_symbols(env, seed):
+    """Endless symbols of a string along which env keeps positive mass as
+    long as it can; one seed always gives the same string."""
+    rng = random.Random(seed)
+    cursor = env.cursor()
+    alive = cursor.mass != 0
+    while True:
+        choices = [a for a in env.alphabet.symbols if cursor.factor(a)[0]] if alive else []
+        a = rng.choice(choices) if choices else 0
+        alive = bool(choices)
+        if alive:
+            cursor.step(a)
+        yield a
+
+
+def _support_string(env, length, seed):
+    return sl.FiniteString(env.alphabet, tuple(islice(_support_symbols(env, seed), length)))
+
+
+def _strings(env, length):
+    return [_support_string(env, length, seed) for seed in range(2)] + \
+        [_random_string(env, length, 0)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cursor_factor_matches_row(kind):
+    env = KINDS[kind]()
+    for symbols, cursor in _cursors(env, _depth(env, 5)).items():
+        if cursor.mass > 0 and _has_row(env, symbols):
+            row = cursor.row()
+            assert [F(*cursor.factor(a)) for a in env.alphabet.symbols] == list(row)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_prefix_walks_match_prefix_evaluation(kind):
+    env = KINDS[kind]()
+    strings = _strings(env, _length(env))
+    for x in strings:
+        assert list(sl.prefix_masses(env, x)) == [
+            env.eval(x.prefix(k)) for k in range(len(x) + 1)]
+        assert sl.envelope_violations(env, x) == oracles.envelope_violations_prefixes(env, x)
+    # env as the reference mixture, and as mu under (env + uniform) / 2,
+    # along a string on its support
+    x = strings[0]
+    uniform = sl.uniform_measure(env.alphabet)
+    mix = sl.MixtureEnv(sl.EnvClass([env, uniform]), sl.WeightScheme((F(1, 2), F(1, 2))))
+    pairs = [(env, uniform)] + ([(mix, env)] if env.eval(x) != 0 else [])
+    for m_ref, mu in pairs:
+        trace = sl.deficiency_trace(m_ref, mu, x, len(x))
+        ratios, logs, sup, d_bounds = oracles.deficiency_trace_prefixes(m_ref, mu, x, len(x))
+        assert (trace.ratios, trace.log2_bounds, trace.sup_ratio, trace.d_bounds) == \
+            (ratios, logs, sup, d_bounds)
+        assert trace.prefix_lengths == list(range(len(x) + 1))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_leftmost_walk_matches_prefix_evaluation(kind):
+    env = KINDS[kind]()
+    n = _length(env)
+    if env.alphabet.size != 2:
+        with pytest.raises(SemilabError):
+            sl.leftmost_random(env, n)
+        return
+    alpha = sl.leftmost_random(env, n)
+    assert alpha.symbols == oracles.leftmost_random_prefixes(env, n)
+    assert sl.envelope_violations(env, alpha) == []
+
+
+def test_walks_past_the_stored_depth_raise_as_evaluation_does():
+    # the table member dies on 1^k, where the mixture cursor stops stepping it
+    env = _mixture(_table_class(), sl.RAW)
+    x = sl.FiniteString(sl.BINARY, (1,) * 6)
+    for call in (lambda: list(sl.prefix_masses(env, x)),
+                 lambda: sl.leftmost_random(env, 6),
+                 lambda: sl.mass_interval(env, x),
+                 lambda: env.eval(x)):
+        with pytest.raises(DepthExceededError):
+            call()
+
+
+def test_e2i_ratios_match_prefix_evaluation():
+    mu = sl.BernoulliEnv(F(2, 3))
+    f = sl.IndicatorFunctional(F(1, 64))
+    n = 6
+    mubar = sl.e2i_build_mubar(mu, f, n)
+    m_ext = sl.MixtureEnv(sl.EnvClass([mu, mubar]), sl.default_weights(2))
+    for omega in _strings(mu, n) + [sl.FiniteString(sl.BINARY, (0,) * n)]:
+        report = sl.e2i_individual_bound(m_ext, f, mu, omega, n)
+        assert report.sup_ratio == oracles.deficiency_sup_ratio(m_ext, mu, omega, n)
+        assert report.ratio == m_ext.eval(omega) / mu.eval(omega)
+
+
+def _first_block(env, symbols, cap):
+    """The number of symbols mass_interval multiplies into its first block
+    on a string starting with ``symbols`` (at most cap)."""
+    cursor = env.cursor()
+    den = cursor.mass.denominator
+    for k, a in enumerate(islice(symbols, cap), start=1):
+        num, p_den = cursor.factor(a)
+        if num == 0:
+            break
+        den *= p_den
+        if den.bit_length() > envcore._BLOCK_BITS:
+            return k
+        cursor.step(a)
+    return cap
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mass_interval_contains_exact_mass_around_block_ends(kind, monkeypatch):
+    # short blocks keep the exact masses of 3 blocks cheap to form
+    monkeypatch.setattr(envcore, "_BLOCK_BITS", 256)
+    env = KINDS[kind]()
+    cap = _length(env, 2000)
+    block = _first_block(env, _support_symbols(env, 0), cap)
+    long = _support_string(env, min(3 * block + 5, cap), 0)
+    lengths = sorted({n for n in (0, 1, block - 1, block, block + 1, 3 * block + 5)
+                      if 0 <= n <= len(long)})
+    for n in lengths:
+        for x in (long.prefix(n), _random_string(env, n, 1)):
+            exact = env.eval(x)
+            box = sl.mass_interval(env, x, 128)
+            lo, hi = endpoints(box)
+            assert lo <= exact <= hi, n
+            assert hi - lo <= exact / 2 ** 100, n
+            old_lo, old_hi = endpoints(oracles.mass_interval_per_step(env, x, 128))
+            assert lo <= old_hi and old_lo <= hi, n
+
+
+@pytest.mark.parametrize("env", [sl.DecayingEnv(2), sl.BernoulliEnv(F(3, 8))])
+def test_mass_interval_closes_several_full_blocks(env):
+    x = _random_string(env, 5000, 3)
+    block = _first_block(env, iter(x.symbols), len(x))
+    assert 1 < block and 3 * block + 5 <= len(x)
+    for n in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+        lo, hi = endpoints(sl.mass_interval(env, x.prefix(n), 128))
+        assert lo <= env.eval(x.prefix(n)) <= hi, n
+
+
+SAMPLED = {
+    "bernoulli": KINDS["bernoulli"],
+    "categorical": KINDS["categorical"],
+    "markov": KINDS["markov"],
+    "markov-order2-zeros": KINDS["markov-order2-zeros"],
+    "decaying": KINDS["decaying"],
+    "mixture-normalized": KINDS["mixture-normalized"],
+    "mixture-measures": lambda: sl.MixtureEnv(
+        sl.EnvClass([sl.BernoulliEnv(F(1, 3)), _markov()]),
+        sl.WeightScheme((F(1, 4), F(3, 4)))),
+}
+
+
+@pytest.mark.parametrize("kind", SAMPLED)
+def test_sample_likelihood_is_the_exact_mass_of_the_draw(kind):
+    env = SAMPLED[kind]()
+    assert env.declared_class == sl.MEASURE
+    for seed in range(3):
+        for length in (0, 1, 17, 64):
+            omega, likelihood = sl.sample(env, length, seed)
+            assert likelihood == env.eval(omega)
+            assert (omega.symbols, likelihood) == oracles.sample_prefixes(env, length, seed)
