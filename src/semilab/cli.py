@@ -25,7 +25,6 @@ from .divergence import (
     chain_inequality,
     expected_exp_half_sum,
     expected_hellinger_sums,
-    hellinger_trace,
     markov_tail_checks,
     verify_dominance,
 )
@@ -42,6 +41,7 @@ from .envcore import (
     MarkovEnv,
     MEASURE,
     TableEnv,
+    _frac_str,
     sample,
     uniform_measure,
     validate,
@@ -62,7 +62,6 @@ from .mixtures import (
     EnvClass,
     MEASURES_ONLY,
     MixtureEnv,
-    NORMALIZED_MEASURES_ONLY,
     NormalizedEnv,
     QUASI,
     QuasimeasureEnv,
@@ -165,18 +164,10 @@ def parse_environment(d: dict, path: str = "$") -> Environment:
         if kind == "decaying":
             return DecayingEnv(int(_require(d, "beta", path)))
         if kind == "table":
-            values = {
-                tuple(int(c) for c in key): parse_rational(v, f"{path}.values[{key}]")
-                for key, v in _require(d, "values", path).items()
-            }
-            table = TableEnv(int(_require(d, "depth", path)), values,
-                             Alphabet(int(d.get("alphabet_size", 2))),
-                             d.get("declared_class", "strict-semimeasure"))
-            # every stored level, not only the few levels _cross_check walks
-            defect = table.first_defect()
-            if defect is not None:
-                raise SpecError(f"{path}: node inequality fails at {defect}")
-            return table
+            return _checked_table(TableEnv(
+                int(_require(d, "depth", path)), _table_values(d, path),
+                Alphabet(int(d.get("alphabet_size", 2))),
+                d.get("declared_class", "strict-semimeasure")), path)
         if kind == "derived":
             return _parse_derived(d, path)
     except SpecError:
@@ -186,15 +177,35 @@ def parse_environment(d: dict, path: str = "$") -> Environment:
     raise SpecError(f"{path}: unknown environment kind {kind!r}")
 
 
+def _table_values(d: dict, path: str) -> dict[tuple[int, ...], Fraction]:
+    """The stored entries of a table or mubar spec, each in [0, 1]."""
+    values = {}
+    for key, v in _require(d, "values", path).items():
+        q = parse_rational(v, f"{path}.values[{key}]")
+        if not 0 <= q <= 1:
+            raise SpecError(f"{path}.values[{key}]: {q} outside [0, 1]")
+        values[tuple(int(c) for c in key)] = q
+    return values
+
+
+def _checked_table(table: TableEnv, path: str) -> TableEnv:
+    # every stored level, not only the few levels _cross_check walks
+    defect = table.first_defect()
+    if defect is not None:
+        raise SpecError(f"{path}: node inequality fails at {defect}")
+    return table
+
+
 def _parse_derived(d: dict, path: str) -> Environment:
     derived = _require(d, "derived", path)
     if derived == "mixture":
         env_class, weights = parse_class(
             {"class": _require(d, "environments", path), "weights": d.get("weights")},
             path)
+        k, cap = d.get("k"), d.get("quasi_depth_cap")
         return MixtureEnv(env_class, weights, d.get("mode", RAW),
-                          k=d.get("k"),
-                          quasi_depth_cap=int(d.get("quasi_depth_cap", 24)))
+                          k=None if k is None else int(k),
+                          quasi_depth_cap=None if cap is None else int(cap))
     if derived == "quasimeasure":
         return QuasimeasureEnv(
             parse_environment(_require(d, "base", path), path + ".base"),
@@ -218,19 +229,14 @@ def _parse_derived(d: dict, path: str) -> Environment:
             raise SpecError(f"{path}.m: contaminated mixtures require a mixture base")
         return MPrimeEnv(nu, m, parse_rational(_require(d, "gamma", path), path + ".gamma"))
     if derived == "mubar":
-        values = {
-            tuple(int(c) for c in key): parse_rational(v, f"{path}.values[{key}]")
-            for key, v in _require(d, "values", path).items()
-        }
-        return MuBarEnv(values, int(_require(d, "depth", path)),
-                        Alphabet(int(d.get("alphabet_size", 2))),
-                        int(_require(d, "stage", path)))
+        return _checked_table(MuBarEnv(
+            _table_values(d, path), int(_require(d, "depth", path)),
+            Alphabet(int(d.get("alphabet_size", 2))),
+            int(_require(d, "stage", path))), path)
     raise SpecError(f"{path}: unknown derived kind {derived!r}")
 
 
 def _cross_check(env: Environment, path: str, depth: int = 4) -> None:
-    if env.max_depth is not None:
-        depth = min(depth, env.max_depth)
     report = validate(env, depth)
     if not report.is_semimeasure:
         raise SpecError(
@@ -329,15 +335,11 @@ def _exact_outcome(holds: bool) -> str:
     return CERTIFIED_HOLDS if holds else CERTIFIED_FAILS
 
 
-def _frac(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 # ------------------------------------------------------------------- runners
 
-def _mixture_from(spec: dict, mode: str = RAW, k=None) -> tuple[MixtureEnv, EnvClass, WeightScheme]:
+def _mixture_from(spec: dict, mode: str = RAW) -> tuple[MixtureEnv, EnvClass, WeightScheme]:
     env_class, weights = parse_class(spec)
-    return MixtureEnv(env_class, weights, mode, k=k), env_class, weights
+    return MixtureEnv(env_class, weights, mode), env_class, weights
 
 
 def _class_index(value, env_class: EnvClass, path: str) -> int:
@@ -404,8 +406,8 @@ def run_markov_tail(spec, depth, bits, seed) -> RunResult:
         result.outcomes.append(report.verdict.outcome)
         result.documents.setdefault("verdicts", {})[f"tail-c-{c}"] = {
             "verdict": report.verdict.as_dict(),
-            "exceed_mass": _frac(report.exceed_mass),
-            "inconclusive_mass": _frac(report.inconclusive_mass),
+            "exceed_mass": _frac_str(report.exceed_mass),
+            "inconclusive_mass": _frac_str(report.inconclusive_mass),
             "threshold": [report.threshold_lo, report.threshold_hi],
         }
     return result
@@ -496,14 +498,14 @@ def run_w_vs_d(spec, depth, bits, seed) -> RunResult:
         w_row = w_mix.posterior(prefix)
         d_row = d_mix.posterior(prefix)
         diff = max(abs(a - b) for a, b in zip(w_row, d_row))
-        rows.append((t, _frac(diff), _frac(diff)))
+        rows.append((t, _frac_str(diff), _frac_str(diff)))
         if t >= stable_from:
             max_late = max(max_late, diff)
     result = RunResult()
     result.traces["w-vs-d"] = PlotSeries(("t", "maxdiff_lo", "maxdiff_hi"), rows)
     result.add_outcome("posterior-coincidence", _exact_outcome(max_late == 0),
                        {"stable_from": stable_from, "omega": str(omega),
-                        "max_late_diff": _frac(max_late)})
+                        "max_late_diff": _frac_str(max_late)})
     return result
 
 
@@ -524,7 +526,7 @@ def run_deficiency(spec, depth, bits, seed) -> RunResult:
          for i, n in enumerate(trace.prefix_lengths)])
     result.add_outcome(
         "deficiency-finite", _exact_outcome(not trace.diverging),
-        {"omega": str(omega), "sup_ratio": _frac(trace.sup_ratio),
+        {"omega": str(omega), "sup_ratio": _frac_str(trace.sup_ratio),
          "d_log2": list(trace.d_bounds)})
     return result
 
@@ -558,6 +560,8 @@ def run_e2i(spec, depth, bits, seed) -> RunResult:
     mu = _mu_from(spec, env_class)
     functional = _functional_from(spec)
     n = int(spec.get("stage", depth))
+    if n < 1:
+        raise SpecError(f"$.stage: {n} must be >= 1 (it defaults to the depth)")
     result = RunResult()
     mubar = None
     for stage in range(1, n + 1):

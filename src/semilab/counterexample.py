@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .envcore import (
     Environment,
@@ -32,9 +31,10 @@ from .errors import (
 )
 from .mixtures import PARTIAL_SUM, MixtureEnv, StageApproximation
 from .divergence import verify_dominance
-from .randomness import envelope_violations
+from .randomness import envelope_violations, leftmost_symbols
 
 GAMMA_UPPER = Fraction(1, 5)
+DOMINANCE_DEPTH = 4
 
 
 def alpha_stage(stages: StageApproximation, t: int) -> FiniteString:
@@ -172,9 +172,10 @@ class NuLimitEnv(Environment):
 def nu_limit(stages: StageApproximation, t_max: int) -> NuLimitEnv:
     """The limiting counterexample semimeasure, certified exact.
 
-    Walks alpha step by step; once the mixture certifies that every further
-    append-0 step at most halves the mass, the envelope inequality forces all
-    remaining alpha symbols to 0, making every limit value a finite sum.
+    Walks alpha step by step (``leftmost_symbols``); once the mixture
+    certifies that every further append-0 step at most halves the mass, the
+    envelope inequality forces all remaining alpha symbols to 0, making every
+    limit value a finite sum.
     """
     m = stages.target
     if m.alphabet.size != 2:
@@ -182,27 +183,16 @@ def nu_limit(stages: StageApproximation, t_max: int) -> NuLimitEnv:
     if stages.rule == PARTIAL_SUM and t_max < stages.final_stage:
         raise NeedsLargerTMaxError(
             f"partial-sum stages only stabilize from stage {stages.final_stage}")
+    alpha = leftmost_symbols(m)
     symbols: tuple[int, ...] = ()
-    cursor = m.cursor()
-    certified_from: Optional[int] = None
-    for k in range(t_max + 1):
+    while True:
         bound = m.zero_step_factor_bound(symbols)
         if bound is not None and bound <= HALF:
-            certified_from = k
-            break
-        if k == t_max:
-            break
-        candidate = cursor.clone()
-        candidate.step(0)
-        if candidate.mass <= Fraction(1, 2 ** (k + 1)):
-            symbols, cursor = symbols + (0,), candidate
-        else:
-            symbols = symbols + (1,)
-            cursor.step(1)
-    if certified_from is None:
-        raise NeedsLargerTMaxError(
-            f"no all-zero tail certificate found within horizon {t_max}")
-    return NuLimitEnv(FiniteString(m.alphabet, symbols), certified_from)
+            return NuLimitEnv(FiniteString(m.alphabet, symbols), len(symbols))
+        if len(symbols) == t_max:
+            raise NeedsLargerTMaxError(
+                f"no all-zero tail certificate found within horizon {t_max}")
+        symbols += (next(alpha),)
 
 
 class MPrimeEnv(Environment):
@@ -245,13 +235,12 @@ class ContaminatedMixture:
         return (1 - self.gamma) / (1 + 3 * self.gamma)
 
 
-def build_mprime(nu: Environment, m: MixtureEnv, gamma: Fraction,
-                 dominance_depth: int = 4) -> ContaminatedMixture:
+def build_mprime(nu: Environment, m: MixtureEnv, gamma: Fraction) -> ContaminatedMixture:
     """Contaminate the mixture with the counterexample semimeasure.
 
-    gamma must lie strictly inside (0, 1/5); the result is checked (to the
-    given depth, exactly) to dominate every class member with constant
-    gamma * weight_i, so it inherits the mixture's universality role.
+    gamma must lie strictly inside (0, 1/5); the result is checked (to
+    ``DOMINANCE_DEPTH``, exactly) to dominate every class member with
+    constant gamma * weight_i, so it inherits the mixture's universality role.
     """
     gamma = Fraction(gamma)
     if not 0 < gamma < GAMMA_UPPER:
@@ -259,7 +248,7 @@ def build_mprime(nu: Environment, m: MixtureEnv, gamma: Fraction,
     if nu.alphabet.size != m.alphabet.size:
         raise SemilabError("component alphabets differ")
     env = MPrimeEnv(nu, m, gamma)
-    depth = dominance_depth
+    depth = DOMINANCE_DEPTH
     if env.max_depth is not None:
         depth = min(depth, env.max_depth)
     for i in m.membership():

@@ -9,7 +9,6 @@ two interval endpoints is a proof, not an estimate.
 from __future__ import annotations
 
 import contextlib
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -22,21 +21,18 @@ iv = mpmath.iv
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1024
 
-_prec_lock = threading.RLock()
-
 RationalLike = Union[Fraction, int]
 
 
 @contextlib.contextmanager
 def precision(bits: int):
     """Temporarily set the working interval precision."""
-    with _prec_lock:
-        old = iv.prec
-        iv.prec = bits
-        try:
-            yield
-        finally:
-            iv.prec = old
+    old = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = old
 
 
 def from_fraction(q: RationalLike):

@@ -8,7 +8,6 @@ exact rational arithmetic.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -21,12 +20,13 @@ from .envcore import (
     FiniteString,
     ZERO,
     ONE,
+    _frac_str,
+    check_depth,
     validate,
     walk_states,
 )
 from .errors import (
     ApproximableNotMeasureError,
-    DepthExceededError,
     NormalizationError,
     NotDominatedError,
     SemilabError,
@@ -38,7 +38,7 @@ QUASI = "quasi"
 MEASURES_ONLY = "measures-only"
 NORMALIZED_MEASURES_ONLY = "normalized-measures-only"
 
-DEFAULT_CERTIFICATION_DEPTH = 10
+CERTIFICATION_DEPTH = 10
 DEFAULT_QUASI_DEPTH_CAP = 24
 
 
@@ -77,12 +77,12 @@ def default_weights(count: int) -> WeightScheme:
 class EnvClass:
     """Ordered, 1-indexed list of environments with certified class tags.
 
-    Measure membership is established by exact validation to the
-    certification depth, never taken from the declared tag alone.
+    Measure membership is established by exact validation to
+    ``CERTIFICATION_DEPTH``, never taken from the declared tag alone, and
+    only for the members asked about.
     """
 
-    def __init__(self, envs: Sequence[Environment],
-                 certification_depth: int = DEFAULT_CERTIFICATION_DEPTH):
+    def __init__(self, envs: Sequence[Environment]):
         if not envs:
             raise ValueError("class must be nonempty")
         sizes = {e.alphabet.size for e in envs}
@@ -90,9 +90,7 @@ class EnvClass:
             raise SemilabError("all class members must share one alphabet")
         self.envs = list(envs)
         self.alphabet = envs[0].alphabet
-        self.certification_depth = certification_depth
         self._measure_flags: list[Optional[bool]] = [None] * len(envs)
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.envs)
@@ -104,20 +102,15 @@ class EnvClass:
 
     def is_measure(self, i: int) -> bool:
         env = self.env(i)
-        with self._lock:
-            flag = self._measure_flags[i - 1]
+        flag = self._measure_flags[i - 1]
         if flag is None:
             # a member not declared a measure is never one; only a declared
             # measure needs the exact check
             flag = env.declared_class == MEASURE
             if flag:
-                depth = self.certification_depth
-                if env.max_depth is not None:
-                    depth = min(depth, env.max_depth)
-                report = validate(env, depth)
+                report = validate(env, CERTIFICATION_DEPTH)
                 flag = report.is_semimeasure and report.is_measure_to_depth
-            with self._lock:
-                self._measure_flags[i - 1] = flag
+            self._measure_flags[i - 1] = flag
         return flag
 
     def measure_indices(self, k: Optional[int] = None) -> tuple[int, ...]:
@@ -138,31 +131,31 @@ class QuasimeasureEnv(Environment):
         self.alphabet = base.alphabet
         self.declared_class = base.declared_class
         self.max_depth = depth_cap if base.max_depth is None else min(depth_cap, base.max_depth)
-        self._totals: list[Fraction] = []
+        # per level n: (total depth-n mass of the base, alive at n)
+        self._totals: list[tuple[Fraction, bool]] = []
         self._walk = None
-        self._alive: dict[int, bool] = {}
-        self._lock = threading.Lock()
 
     def total_mass(self, n: int) -> Fraction:
         """Total depth-n mass of the base, n up to ``max_depth``.
 
         One walk of the base serves every call: it advances only as far as
-        the deepest level asked for, and caches each level's total as the
-        level completes (after its states have counted all |A|^n strings).
+        the deepest level asked for, and records each level's total, and
+        whether the level is alive, as the level completes (after its
+        states have counted all |A|^n strings).
         """
-        self._check_depth(n)
-        with self._lock:
-            if self._walk is None:
-                self._walk = walk_states([self.base], self.max_depth)
-            while len(self._totals) <= n:
-                strings = self.alphabet.size ** len(self._totals)
-                total = ZERO
-                while strings:
-                    _, (cursor,), count, _, _ = next(self._walk)
-                    total += count * cursor.mass
-                    strings -= count
-                self._totals.append(total)
-            return self._totals[n]
+        check_depth(self, n)
+        if self._walk is None:
+            self._walk = walk_states([self.base], self.max_depth)
+        while len(self._totals) <= n:
+            level = len(self._totals)
+            strings = self.alphabet.size ** level
+            total = ZERO
+            while strings:
+                _, (cursor,), count, _, _ = next(self._walk)
+                total += count * cursor.mass
+                strings -= count
+            self._totals.append((total, level == 0 or total > 1 - Fraction(1, level)))
+        return self._totals[n][0]
 
     def alive_at(self, n: int) -> bool:
         """Whether depth-n values survive the quasimeasure condition.
@@ -171,13 +164,9 @@ class QuasimeasureEnv(Environment):
         there), preserving nu~ <= nu and the measure fixed point."""
         if n == 0:
             return True
-        with self._lock:
-            cached = self._alive.get(n)
-        if cached is None:
-            cached = self.total_mass(n) > 1 - Fraction(1, n)
-            with self._lock:
-                self._alive.setdefault(n, cached)
-        return cached
+        if n >= len(self._totals):
+            self.total_mass(n)
+        return self._totals[n][1]
 
     def cutoff_depth(self) -> Optional[int]:
         """First depth at which values are zeroed, up to the cap; the base
@@ -187,13 +176,9 @@ class QuasimeasureEnv(Environment):
                 return n
         return None
 
-    def _check_depth(self, n: int) -> None:
-        if n > self.max_depth:
-            raise DepthExceededError(f"quasimeasure materialized to depth {self.max_depth}")
-
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
         n = len(symbols)
-        self._check_depth(n)
+        check_depth(self, n)
         if not self.alive_at(n):
             return ZERO
         return self.base._mass(symbols)
@@ -224,13 +209,13 @@ class _QuasimeasureCursor(EnvCursor):
     def row(self) -> tuple[Fraction, ...]:
         if self._mass == 0:
             raise UndefinedPosteriorError("zero mass at cursor position")
-        self._env._check_depth(self._depth + 1)
+        check_depth(self._env, self._depth + 1)
         if not self._env.alive_at(self._depth + 1):
             return (ZERO,) * self._env.alphabet.size
         return self._inner.row()
 
     def step(self, a: int) -> None:
-        self._env._check_depth(self._depth + 1)
+        check_depth(self._env, self._depth + 1)
         self._inner.step(a)
         self._depth += 1
         self._mass = self._inner.mass if self._env.alive_at(self._depth) else ZERO
@@ -245,54 +230,61 @@ class _QuasimeasureCursor(EnvCursor):
 
 
 class MixtureEnv(Environment):
-    """Weighted mixture over an EnvClass in one of four evaluation modes."""
+    """Weighted mixture over an EnvClass in one of four evaluation modes.
+
+    ``k`` (mix only the measures among the first k members) is read by the
+    two measures-only modes and ``quasi_depth_cap`` by QUASI alone; passing
+    either to a mode that does not read it is an error.
+    """
 
     def __init__(self, env_class: EnvClass, weights: WeightScheme,
                  mode: str = RAW, k: Optional[int] = None,
-                 quasi_depth_cap: int = DEFAULT_QUASI_DEPTH_CAP):
+                 quasi_depth_cap: Optional[int] = None):
         if len(weights) != len(env_class):
             raise ValueError("one weight per class member required")
         if mode not in (RAW, QUASI, MEASURES_ONLY, NORMALIZED_MEASURES_ONLY):
             raise ValueError(f"unknown mode {mode!r}")
+        measures_only = mode in (MEASURES_ONLY, NORMALIZED_MEASURES_ONLY)
+        if k is not None and not measures_only:
+            raise ValueError(f"k is read only by measures-only modes, not {mode!r}")
+        if quasi_depth_cap is not None and mode != QUASI:
+            raise ValueError(f"quasi_depth_cap is read only by mode {QUASI!r}, not {mode!r}")
         self.env_class = env_class
         self.weights = weights
         self.mode = mode
-        self.k = len(env_class) if k is None else k
         self.alphabet = env_class.alphabet
-        self.quasi_depth_cap = quasi_depth_cap
-        self._quasi: Optional[list[QuasimeasureEnv]] = None
+        self._membership = tuple(range(1, len(env_class) + 1))
+        depths = []
         if mode == QUASI:
+            if quasi_depth_cap is None:
+                quasi_depth_cap = DEFAULT_QUASI_DEPTH_CAP
+            self.quasi_depth_cap = quasi_depth_cap
             self._quasi = [QuasimeasureEnv(e, quasi_depth_cap) for e in env_class.envs]
-            self.max_depth = quasi_depth_cap
-        self._membership: Optional[tuple[int, ...]] = None
-        if mode in (MEASURES_ONLY, NORMALIZED_MEASURES_ONLY):
+            depths.append(quasi_depth_cap)
+        if measures_only:
+            self.k = len(env_class) if k is None else k
             self._membership = env_class.measure_indices(self.k)
             if not self._membership:
                 raise SemilabError("measures-only mixture with empty membership set")
-        all_measures = all(env_class.is_measure(i) for i in self._component_indices())
+        all_measures = all(env_class.is_measure(i) for i in self._membership)
         if mode == NORMALIZED_MEASURES_ONLY:
             self.declared_class = MEASURE if all_measures else STRICT_SEMIMEASURE
         else:
-            total_one = self._raw_epsilon_total() == 1
+            total_one = sum(weights.weight(i) for i in self._membership) == 1
             self.declared_class = MEASURE if (all_measures and total_one) else STRICT_SEMIMEASURE
-        depths = [env_class.env(i).max_depth for i in self._component_indices()
-                  if env_class.env(i).max_depth is not None]
-        if depths and self.mode != QUASI:
+        depths += [env_class.env(i).max_depth for i in self._membership
+                   if env_class.env(i).max_depth is not None]
+        if depths:
             self.max_depth = min(depths)
-        elif self.mode == QUASI:
-            self.max_depth = min(depths + [quasi_depth_cap]) if depths else quasi_depth_cap
-
-    def _raw_epsilon_total(self) -> Fraction:
-        return sum(self.weights.weight(i) for i in self._component_indices())
-
-    def _component_indices(self) -> tuple[int, ...]:
-        if self.mode in (MEASURES_ONLY, NORMALIZED_MEASURES_ONLY):
-            return self._membership
-        return tuple(range(1, len(self.env_class) + 1))
+        # the normalizer: _mass and every cursor divide by this one total
+        self._norm = ONE
+        if mode == NORMALIZED_MEASURES_ONLY:
+            self._norm = sum(weights.weight(i) * self.component(i)._mass(())
+                             for i in self._membership)
 
     def membership(self) -> tuple[int, ...]:
         """J_k for measures-only modes; all indices otherwise."""
-        return self._component_indices()
+        return self._membership
 
     def component(self, i: int) -> Environment:
         """The environment the mode actually mixes at index i."""
@@ -302,36 +294,30 @@ class MixtureEnv(Environment):
 
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
         total = ZERO
-        for i in self._component_indices():
+        for i in self._membership:
             total += self.weights.weight(i) * self.component(i)._mass(symbols)
         if self.mode == NORMALIZED_MEASURES_ONLY:
-            return total / self._norm_total()
+            return total / self._norm
         return total
 
-    def _norm_total(self) -> Fraction:
-        if getattr(self, "_norm_cache", None) is None:
-            norm = sum(self.weights.weight(i) * self.component(i)._mass(())
-                       for i in self._component_indices())
-            if norm == 0:
-                raise NormalizationError("zero total mass")
-            self._norm_cache = norm
-        return self._norm_cache
-
     def spec(self) -> dict:
-        return {
+        spec = {
             "kind": "derived",
             "derived": "mixture",
             "mode": self.mode,
-            "k": self.k,
-            "quasi_depth_cap": self.quasi_depth_cap,
             "environments": self.env_class.spec(),
-            "weights": [f"{w.numerator}/{w.denominator}" for w in self.weights.weights],
+            "weights": [_frac_str(w) for w in self.weights.weights],
         }
+        if self.mode == QUASI:
+            spec["quasi_depth_cap"] = self.quasi_depth_cap
+        elif self.mode != RAW:
+            spec["k"] = self.k
+        return spec
 
     def zero_step_factor_bound(self, prefix):
         # a weighted sum's per-step ratio is bounded by the max component ratio
         bound = ZERO
-        for i in self._component_indices():
+        for i in self._membership:
             b = self.component(i).zero_step_factor_bound(prefix)
             if b is None:
                 return None
@@ -351,16 +337,12 @@ class _MixtureCursor(EnvCursor):
 
     def __init__(self, mix: MixtureEnv):
         self._env = mix
-        indices = mix._component_indices()
+        indices = mix.membership()
         self._weights = tuple(mix.weights.weight(i) for i in indices)
         self._cursors = [mix.component(i).cursor() for i in indices]
         self._masses = [c.mass for c in self._cursors]
-        self._mass = sum(w * m for w, m in zip(self._weights, self._masses))
-        if mix.mode == NORMALIZED_MEASURES_ONLY and self._mass != 0:
-            self._norm = self._mass
-            self._mass = ONE
-        else:
-            self._norm = ONE
+        self._norm = mix._norm
+        self._mass = sum(w * m for w, m in zip(self._weights, self._masses)) / self._norm
 
     def row(self) -> tuple[Fraction, ...]:
         if self._mass == 0:
@@ -432,10 +414,6 @@ class _NormalizedCursor(EnvCursor):
     def mass(self):
         return self._inner.mass / self._env.total
 
-    @property
-    def _mass(self):
-        return self._inner.mass
-
     def row(self):
         return self._inner.row()
 
@@ -460,11 +438,11 @@ def normalize(mix: MixtureEnv) -> Environment:
     evaluable measure.
     """
     if mix.mode == QUASI:
-        for i in mix._component_indices():
+        for i in mix.membership():
             if not mix.env_class.is_measure(i) and mix.component(i)._mass(()) > 0:
                 raise ApproximableNotMeasureError(
                     f"component {i} is a strict quasimeasure with positive mass")
-    all_measures = all(mix.env_class.is_measure(i) for i in mix._component_indices())
+    all_measures = all(mix.env_class.is_measure(i) for i in mix.membership())
     declared = MEASURE if all_measures else STRICT_SEMIMEASURE
     return NormalizedEnv(mix, declared)
 
@@ -473,7 +451,7 @@ def dominance_constant(mix: MixtureEnv, component_index: int) -> Fraction:
     """The weight by which the mixture lower-bounds the indexed component."""
     if not 1 <= component_index <= len(mix.env_class):
         raise NotDominatedError(f"index {component_index} not in class")
-    if component_index not in mix._component_indices():
+    if component_index not in mix.membership():
         raise NotDominatedError(
             f"component {component_index} excluded by mode {mix.mode!r}")
     # normalization divides by a total <= 1, so the raw weight works in
@@ -514,7 +492,7 @@ class StageApproximation:
         if self.rule == EXACT:
             return self.target.eval(x)
         total = ZERO
-        indices = [i for i in self.target._component_indices() if i <= t]
+        indices = [i for i in self.target.membership() if i <= t]
         for i in indices:
             total += self.target.weights.weight(i) * self.target.component(i).eval(x)
         return total

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 from . import divergence
 from .envcore import (
@@ -16,7 +18,9 @@ from .envcore import (
     FiniteString,
     MEASURE,
     STRICT_SEMIMEASURE,
+    TableEnv,
     ZERO,
+    _frac_str,
     check_depth,
     prefix_masses,
     walk_states,
@@ -111,34 +115,41 @@ def deficiency_trace(m_ref: Environment, mu: Environment, omega: FiniteString,
     )
 
 
-def leftmost_random(m: Environment, n: int,
-                    verify_postcondition: bool = True) -> FiniteString:
-    """The leftmost sequence alpha with M(alpha_{1:k}) <= 2^{-k} at every k.
+def leftmost_symbols(m: Environment) -> Iterator[int]:
+    """Yield alpha_1, alpha_2, ... of the leftmost sequence alpha with
+    M(alpha_{1:k}) <= 2^{-k} at every k, for a binary M, one symbol per
+    step asked for.
 
     alpha_k = 0 when M(alpha_{<k} 0) <= 2^{-k} (ties take the 0-branch),
     else alpha_k = 1; comparisons are exact rationals.  One cursor walks
     alpha: a clone stepped by 0 is the candidate.
     """
-    if m.alphabet.size != 2:
-        raise SemilabError("leftmost-random construction requires binary alphabet")
-    check_depth(m, n)
     cursor = m.cursor()
-    symbols = []
-    for k in range(1, n + 1):
+    k = 0
+    while True:
+        k += 1
         bound = Fraction(1, 2 ** k)
         candidate = cursor.clone()
         candidate.step(0)
         if candidate.mass <= bound:
-            cursor = candidate
-            symbols.append(0)
+            cursor, a = candidate, 0
         else:
             cursor.step(1)
-            symbols.append(1)
-        if verify_postcondition and cursor.mass > bound:
+            a = 1
+        if cursor.mass > bound:
             raise SemilabError(
                 f"postcondition M(alpha_{{1:{k}}}) <= 2^-{k} failed; "
                 "input is not a semimeasure")
-    return FiniteString(m.alphabet, tuple(symbols))
+        yield a
+
+
+def leftmost_random(m: Environment, n: int) -> FiniteString:
+    """The first n symbols of the leftmost sequence alpha with
+    M(alpha_{1:k}) <= 2^{-k} at every k (see ``leftmost_symbols``)."""
+    if m.alphabet.size != 2:
+        raise SemilabError("leftmost-random construction requires binary alphabet")
+    check_depth(m, n)
+    return FiniteString(m.alphabet, tuple(islice(leftmost_symbols(m), n)))
 
 
 def envelope_violations(m: Environment, x: FiniteString) -> list[int]:
@@ -149,12 +160,8 @@ def envelope_violations(m: Environment, x: FiniteString) -> list[int]:
 
 def _exact_verdict(lhs: Fraction, rhs: Fraction) -> Verdict:
     outcome = CERTIFIED_HOLDS if lhs <= rhs else CERTIFIED_FAILS
-    return Verdict(
-        outcome,
-        f"{lhs.numerator}/{lhs.denominator}", f"{lhs.numerator}/{lhs.denominator}",
-        f"{rhs.numerator}/{rhs.denominator}", f"{rhs.numerator}/{rhs.denominator}",
-        0,
-    )
+    return Verdict(outcome, _frac_str(lhs), _frac_str(lhs),
+                   _frac_str(rhs), _frac_str(rhs), 0)
 
 
 class EnumerableFunctional:
@@ -200,17 +207,15 @@ class IndicatorFunctional(EnumerableFunctional):
         return Fraction(2 ** n) * self.eps(n)
 
 
-class MuBarEnv(Environment):
+class MuBarEnv(TableEnv):
     """The stage-n semimeasure produced by the expected-to-individual
     construction: an explicit prefix table to depth n, zero beyond."""
 
     def __init__(self, values: dict[tuple[int, ...], Fraction], depth: int,
                  alphabet, stage: int):
-        self.values = values
-        self.depth = depth
-        self.alphabet = alphabet
+        super().__init__(depth, values, alphabet, STRICT_SEMIMEASURE)
+        self.max_depth = None  # defined at every depth, unlike a table
         self.stage = stage
-        self.declared_class = STRICT_SEMIMEASURE
 
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
         if len(symbols) > self.depth:
@@ -224,10 +229,7 @@ class MuBarEnv(Environment):
             "stage": self.stage,
             "depth": self.depth,
             "alphabet_size": self.alphabet.size,
-            "values": {
-                "".join(map(str, k)): f"{v.numerator}/{v.denominator}"
-                for k, v in sorted(self.values.items()) if v != 0
-            },
+            "values": super().spec()["values"],
         }
 
 

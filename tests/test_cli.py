@@ -88,6 +88,13 @@ def test_parse_detects_node_defects():
     lambda: sl.MixtureEnv(
         sl.EnvClass([sl.BernoulliEnv(F(1, 2)), sl.BernoulliEnv(F(1, 4))]),
         sl.default_weights(2), sl.RAW),
+    lambda: sl.MixtureEnv(
+        sl.EnvClass([sl.BernoulliEnv(F(1, 2)), sl.BernoulliEnv(F(1, 4))]),
+        sl.default_weights(2), sl.MEASURES_ONLY, k=1),
+    lambda: sl.MixtureEnv(
+        sl.EnvClass([sl.BernoulliEnv(F(1, 2)),
+                     sl.LeakyEnv(sl.BernoulliEnv(F(1, 2)), F(1, 2))]),
+        sl.default_weights(2), sl.QUASI, quasi_depth_cap=3),
 ])
 def test_environment_specs_round_trip(builder):
     env = builder()
@@ -300,6 +307,52 @@ def test_table_defect_below_the_cross_check_depth_exits_one(subcommand, spec, ca
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.rstrip().endswith("node inequality fails at 0000"), err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "table", "depth": 2, "values": {"": "1", "0": "1/2", "00": "-1/4"}},
+     "$.class[0].values[00]: -1/4 outside [0, 1]"),
+    ({"kind": "table", "depth": 1, "values": {"": "1", "0": "3/2"}},
+     "$.class[0].values[0]: 3/2 outside [0, 1]"),
+    ({"kind": "derived", "derived": "mubar", "depth": 2, "stage": 2,
+      "values": {"": "1", "1": "-1/2"}},
+     "$.class[0].values[1]: -1/2 outside [0, 1]"),
+    ({**DEEP_DEFECT, "kind": "derived", "derived": "mubar", "stage": 6},
+     "$.class[0]: node inequality fails at 0000"),
+    ({"kind": "derived", "derived": "mixture", "mode": "raw", "k": 1,
+      "environments": [{"kind": "bernoulli", "p": "1/2"}], "weights": ["1"]},
+     "$.class[0]: k is read only by measures-only modes, not 'raw'"),
+], ids=["table-negative", "table-above-one", "mubar-negative", "mubar-deep-defect",
+        "raw-mixture-k"])
+def test_member_spec_outside_its_domain_exits_one(spec, message, capsys):
+    # every stored entry is checked: range first, then the node inequality
+    code = run_cli("leftmost-alpha", "--spec", json.dumps({"class": [spec]}),
+                   "--depth", "2")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_mixture_member_with_malformed_k_exits_one(capsys):
+    spec = {"kind": "derived", "derived": "mixture", "mode": "measures-only",
+            "k": "one", "environments": [{"kind": "bernoulli", "p": "1/2"}],
+            "weights": ["1"]}
+    code = run_cli("leftmost-alpha", "--spec", json.dumps({"class": [spec]}),
+                   "--depth", "2")
+    _assert_one_line_error(code, capsys)
+
+
+@pytest.mark.parametrize("stage, args", [
+    ({"stage": 0}, ("--depth", "3")),
+    ({"stage": -1}, ("--depth", "3")),
+    ({}, ("--depth", "0")),
+], ids=["stage-0", "stage-negative", "depth-0"])
+def test_e2i_stage_below_one_exits_one(stage, args, capsys):
+    spec = json.dumps({"class": [{"kind": "bernoulli", "p": "1/2"}],
+                       "mu_index": 1, **stage})
+    code = run_cli("e2i", "--spec", spec, "--seed", "1", *args)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.stage: ") and err.count("\n") == 1, err
 
 
 BERN3 = [{"kind": "bernoulli", "p": p} for p in ("1/4", "1/2", "3/4")]

@@ -168,6 +168,24 @@ def test_limit_requires_certifiable_tail():
         nu_limit(sl.StageApproximation(m), 12)
 
 
+def test_limit_stops_at_its_certificate(canonical_mixture, monkeypatch):
+    from semilab.mixtures import _MixtureCursor
+    steps = []
+    step = _MixtureCursor.step
+
+    def counting_step(cursor, a):
+        steps.append(a)
+        step(cursor, a)
+
+    monkeypatch.setattr(_MixtureCursor, "step", counting_step)
+    nu = nu_limit(sl.StageApproximation(canonical_mixture), 10 ** 4)
+    k = nu.tail_start
+    assert k == len(nu.alpha_prefix) < 10
+    # the candidate 0-step plus at most one 1-step per symbol of alpha
+    assert len(steps) <= 2 * k
+    assert nu.alpha_prefix == leftmost_random(canonical_mixture, k)
+
+
 def test_partial_sum_staging_needs_the_full_horizon(canonical_mixture):
     stages = sl.StageApproximation(canonical_mixture, rule=sl.PARTIAL_SUM)
     with pytest.raises(NeedsLargerTMaxError):

@@ -169,6 +169,18 @@ def test_normalized_measures_only_mixture_is_a_measure(bern3_class):
     assert d_hat.eval(x) == raw.eval(x) / sum(ws.weights)
 
 
+@pytest.mark.parametrize("mode, option", [
+    (sl.RAW, {"k": 1}),
+    (sl.QUASI, {"k": 1}),
+    (sl.RAW, {"quasi_depth_cap": 8}),
+    (sl.MEASURES_ONLY, {"quasi_depth_cap": 8}),
+    (sl.NORMALIZED_MEASURES_ONLY, {"quasi_depth_cap": 8}),
+])
+def test_mixture_refuses_an_option_its_mode_ignores(bern3_class, mode, option):
+    with pytest.raises(ValueError):
+        sl.MixtureEnv(bern3_class, sl.default_weights(3), mode, **option)
+
+
 def test_truncated_mixture_prefix_k(bern3_class):
     ws = sl.default_weights(3)
     d2 = sl.MixtureEnv(bern3_class, ws, sl.MEASURES_ONLY, k=2)

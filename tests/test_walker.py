@@ -65,7 +65,9 @@ def _table_class():
 
 def _mixture(env_class, mode):
     weights = sl.WeightScheme((F(1, 2 * len(env_class)),) * len(env_class))
-    return sl.MixtureEnv(env_class, weights, mode, quasi_depth_cap=8)
+    if mode == sl.QUASI:
+        return sl.MixtureEnv(env_class, weights, mode, quasi_depth_cap=8)
+    return sl.MixtureEnv(env_class, weights, mode)
 
 
 KINDS = {
