@@ -21,13 +21,7 @@ from typing import Optional, Union
 
 from . import __version__
 from .counterexample import build_mprime, nu_limit, verify_nonconvergence
-from .divergence import (
-    chain_inequality,
-    expected_exp_half_sum,
-    expected_hellinger_sums,
-    markov_tail_checks,
-    verify_dominance,
-)
+from .divergence import HALF, chain_inequality, hellinger_expectations, markov_tail_checks
 from .envcore import (
     Alphabet,
     BernoulliEnv,
@@ -47,7 +41,7 @@ from .envcore import (
     validate,
     walk_states,
 )
-from .errors import InconclusiveConfigurationError, SemilabError, SpecError
+from .errors import InconclusiveConfigurationError, NotDominatedError, SemilabError, SpecError
 from .intervals import (
     CERTIFIED_FAILS,
     CERTIFIED_HOLDS,
@@ -56,6 +50,7 @@ from .intervals import (
     compare_le,
     from_fraction,
     iv,
+    pow_nonneg,
     precision,
 )
 from .mixtures import (
@@ -375,22 +370,22 @@ def run_verify_hellinger_bounds(spec, depth, bits, seed) -> RunResult:
     mix, env_class, weights = _mixture_from(spec)
     mu = _mu_from(spec, env_class)
     w = _w_from(spec, weights)
-    result = RunResult()
-    if not verify_dominance(mix, mu, w, depth):
-        raise SemilabError("mixture does not dominate mu with the given constant")
     kappa = parse_rational(spec["kappa"], "$.kappa") if "kappa" in spec else None
+    try:
+        found = hellinger_expectations(
+            mix, mu, depth, HALF if kappa is None else kappa, w, bits)
+    except NotDominatedError:
+        raise SemilabError("mixture does not dominate mu with the given constant") from None
+    result = RunResult()
+    e = found["exp_half_sum"]
     with precision(bits):
         if kappa is not None:
-            e = expected_exp_half_sum(mix, mu, depth, kappa=kappa, precision_bits=bits)
-            from .intervals import pow_nonneg
             lhs = pow_nonneg(from_fraction(w), kappa) * e
             result.add_verdict("kappa-bound", compare_le(lhs, iv.mpf(1), bits))
             return result
-        sums = expected_hellinger_sums(mix, mu, depth, bits)
-        result.add_verdict("part-i", sums["part_i"])
-        e = expected_exp_half_sum(mix, mu, depth, precision_bits=bits)
+        result.add_verdict("part-i", found["part_i"])
         two_ln_e = 2 * iv.log(e)
-        result.add_verdict("part-ii", compare_le(sums["hellinger_sum"], two_ln_e, bits))
+        result.add_verdict("part-ii", compare_le(found["hellinger_sum"], two_ln_e, bits))
         result.add_verdict("part-iii",
                            compare_le(two_ln_e, iv.log(1 / from_fraction(w)), bits))
     return result

@@ -17,12 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from mpmath.libmp import (
+    fzero, mpf_add, mpf_ge, mpf_lt, mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, round_floor,
+)
+
 from . import intervals
 from .intervals import (
     DEFAULT_PRECISION,
     Verdict,
     abs_interval,
     compare_le,
+    fraction_bounds,
     from_fraction,
     interval_str,
     iv,
@@ -35,14 +40,16 @@ from .errors import NotAMeasureRowError, NotDominatedError, UndefinedPosteriorEr
 HALF = Fraction(1, 2)
 
 
-def _sqrt_prod_sum(p: Sequence[Fraction], q: Sequence[Fraction]):
-    """Interval for sum_i sqrt(p_i q_i)."""
-    total = iv.mpf(0)
+def _sqrt_prod_sum(p: Sequence[Fraction], q: Sequence[Fraction], prec: int) -> tuple:
+    """Raw ``(lo, hi)`` enclosure of sum_i sqrt(p_i q_i) at prec bits."""
+    lo = hi = fzero
     for pi, qi in zip(p, q):
         prod = pi * qi
         if prod != 0:
-            total += iv.sqrt(from_fraction(prod))
-    return total
+            a, b = fraction_bounds(prod, prec)
+            lo = mpf_add(lo, mpf_sqrt(a, prec, round_floor), prec, round_floor)
+            hi = mpf_add(hi, mpf_sqrt(b, prec, round_ceiling), prec, round_ceiling)
+    return lo, hi
 
 
 def hellinger_step(p: Sequence[Fraction], q: Sequence[Fraction]):
@@ -55,12 +62,14 @@ def hellinger_step(p: Sequence[Fraction], q: Sequence[Fraction]):
         raise ValueError("length mismatch")
     if any(v < 0 for v in p) or any(v < 0 for v in q):
         raise ValueError("entries must be nonnegative")
-    rational_part = sum(p, ZERO) + sum(q, ZERO)
-    h = from_fraction(rational_part) - 2 * _sqrt_prod_sum(p, q)
+    prec = iv.prec
+    r_lo, r_hi = fraction_bounds(sum(p, ZERO) + sum(q, ZERO), prec)
+    s_lo, s_hi = _sqrt_prod_sum(p, q, prec)
+    lo = mpf_sub(r_lo, mpf_shift(s_hi, 1), prec, round_floor)
+    hi = mpf_sub(r_hi, mpf_shift(s_lo, 1), prec, round_ceiling)
     # h >= 0 and h <= sum p + sum q hold exactly; clip the enclosure
-    lo = max(h.a, iv.mpf(0).a)
-    hi = min(h.b, from_fraction(rational_part).b)
-    return iv.mpf([lo, hi])
+    return iv.make_mpf((fzero if mpf_lt(lo, fzero) else lo,
+                        r_hi if mpf_lt(r_hi, hi) else hi))
 
 
 def bhattacharyya_step(p: Sequence[Fraction], q: Sequence[Fraction]):
@@ -71,7 +80,7 @@ def bhattacharyya_step(p: Sequence[Fraction], q: Sequence[Fraction]):
         raise NotAMeasureRowError("first row must sum to exactly 1")
     if sum(q, ZERO) > 1:
         raise ValueError("second row exceeds total mass 1")
-    return _sqrt_prod_sum(p, q)
+    return iv.make_mpf(_sqrt_prod_sum(p, q, iv.prec))
 
 
 def row_inequality_verdicts(p: Sequence[Fraction], q: Sequence[Fraction],
@@ -146,78 +155,108 @@ def hellinger_trace(nu: Environment, mu: Environment, omega: FiniteString, n: in
     return HellingerTrace(steps, hs, cums, ratios, diffs)
 
 
-def _carry(nu: Environment, mu: Environment, n: int, root, advance):
-    """Carry one value per mu-support state of ``walk_states([nu, mu], n)``.
+def _support_states(nu: Environment, mu: Environment, n: int, w: Fraction):
+    """``walk_states([nu, mu], n)`` over mu's support, checking nu >= w mu
+    exactly at every state.
+
+    Strings of mu-mass 0 are neither yielded nor expanded: every expectation
+    skips them, their extensions have mu-mass 0 too, and nu >= w * 0 holds
+    there.  Raises NotDominatedError at the first state that fails.
+    """
+    for state in walk_states([nu, mu], n, support=1):
+        nu_cur, mu_cur = state[1]
+        if nu_cur.mass < w * mu_cur.mass:
+            raise NotDominatedError("nu >= w*mu fails on the enumerated support")
+        yield state
+
+
+def _carry(states, root, advance):
+    """Carry one value per state of ``_support_states``.
 
     The root holds ``root``.  A state above depth n hands ``advance(nu_row,
-    mu_row, value)`` to each child that mu reaches, and a child reached from
-    several states holds the ``+`` of what they hand it, taken in the
-    walker's fixed state order.  Yields ``(mu_mass, value)`` for each
-    mu-support state at depth n.
+    mu_row, mass, value)`` to each of its children, ``mass`` being the mu-mass
+    of all the strings in the state, and a child reached from several states
+    holds the ``+`` of what they hand it, taken in the walker's fixed state
+    order.  Yields ``(mu_mass, value)`` for each state at depth n.
     """
     level, carried, nxt = 0, {}, {}
-    for symbols, (nu_cur, mu_cur), _, key, children in walk_states([nu, mu], n):
-        if mu_cur.mass == 0:
-            continue
+    for symbols, (nu_cur, mu_cur), count, key, children in states:
         if len(symbols) > level:
             level, carried, nxt = len(symbols), nxt, {}
-        value = carried.get(key) if symbols else root
-        if value is None:  # reached only through mu-null strings
-            continue
+        value = carried[key] if symbols else root
         if children is None:
             yield mu_cur.mass, value
             continue
         if nu_cur.mass == 0:
             raise UndefinedPosteriorError("nu vanishes on a mu-support prefix")
-        out = advance(nu_cur.row(), mu_cur.row(), value)
-        for child_key, (_, mu_child) in children:
-            if mu_child.mass != 0:
-                nxt[child_key] = nxt[child_key] + out if child_key in nxt else out
+        out = advance(nu_cur.row(), mu_cur.row(), count * mu_cur.mass, value)
+        for child_key, _ in children:
+            nxt[child_key] = nxt[child_key] + out if child_key in nxt else out
+
+
+def hellinger_expectations(nu: Environment, mu: Environment, n: int,
+                           kappa: Fraction = HALF, w: Fraction = ZERO,
+                           precision_bits: int = DEFAULT_PRECISION) -> dict:
+    """Every expectation over the mu-support paths of length n, from one walk
+    that also checks nu >= w mu exactly (NotDominatedError if it fails).
+
+    ``exp_half_sum`` is an interval for E_mu[exp(half * sum_{t<=n} g_t)]:
+    kappa = 1/2 gives the Hellinger case; smaller kappa uses the
+    |nu^kappa - mu^kappa|^{1/kappa} per-step rows.  Each merged state S
+    carries E_S, the sum of exp(half * sum g) over the paths into S; a child
+    receives E_S * exp(g_S / 2), and a state at depth n adds mu(S) * E_S.
+
+    For kappa = 1/2 the result also holds intervals for the on-support
+    sqrt-ratio sum (part (i) left side) and for sum_t E[h_t], plus the
+    verdict sqrt_ratio_sum <= hellinger_sum.  The two sides differ exactly by
+    the off-support excess sum_t E[sum_{a: mu_a=0} nu_a] (each off-support
+    square root collapses to the raw mass), so the verdict is certified
+    through that exact rational difference, which stays decisive even when
+    the two sides coincide.  Each merged state adds its row terms once,
+    weighted by its mu-mass, from the one Hellinger step it also carries.
+    """
+    kappa = Fraction(kappa)
+    if not 0 < kappa <= HALF:
+        raise ValueError("kappa must lie in (0, 1/2]")
+    symbols = mu.alphabet.symbols
+    sums = [iv.mpf(0), iv.mpf(0), ZERO]  # sqrt-ratio sum, Hellinger sum, excess
+
+    def advance(nu_row, mu_row, mass, e):
+        if kappa != HALF:
+            return e * iv.exp(_kappa_row(nu_row, mu_row, kappa, symbols) / 2)
+        h = hellinger_step(nu_row, mu_row)
+        weight = from_fraction(mass)
+        # restrict to mu-support symbols: E[(sqrt(nu_t/mu_t)-1)^2 | prefix]
+        on = [a for a in symbols if mu_row[a] != 0]
+        restricted = h if len(on) == len(symbols) else hellinger_step(
+            [nu_row[a] for a in on], [mu_row[a] for a in on])
+        sums[0] += weight * restricted
+        sums[1] += weight * h
+        sums[2] += mass * sum((nu_row[a] for a in symbols if mu_row[a] == 0), ZERO)
+        return e * iv.exp(h / 2)
+
+    with precision(precision_bits):
+        total = iv.mpf(0)
+        for mass, e in _carry(_support_states(nu, mu, n, Fraction(w)), iv.mpf(1), advance):
+            total += from_fraction(mass) * e
+        if kappa != HALF:
+            return {"exp_half_sum": total}
+        sqrt_sum, hell_sum, excess = sums
+        outcome = intervals.CERTIFIED_HOLDS if excess >= 0 else intervals.CERTIFIED_FAILS
+        return {
+            "sqrt_ratio_sum": sqrt_sum,
+            "hellinger_sum": hell_sum,
+            "off_support_excess": excess,
+            "part_i": Verdict(outcome, *interval_str(sqrt_sum), *interval_str(hell_sum),
+                              precision_bits),
+            "exp_half_sum": total,
+        }
 
 
 def expected_hellinger_sums(nu: Environment, mu: Environment, n: int,
                             precision_bits: int = DEFAULT_PRECISION) -> dict:
-    """Exact-expectation sums over all mu-support paths of length n.
-
-    Returns intervals for the on-support sqrt-ratio sum (part (i) left side)
-    and for sum_t E[h_t], plus the verdict sqrt_ratio_sum <= hellinger_sum.
-    The two sides differ exactly by the off-support excess sum_t E[sum_{a:
-    mu_a=0} nu_a] (each off-support square root collapses to the raw mass),
-    so the verdict is certified through that exact rational difference, which
-    stays decisive even when the two sides coincide.  Each merged state of
-    the walk adds its row terms once, weighted by its count times its mass.
-    """
-    with precision(precision_bits):
-        sqrt_sum = iv.mpf(0)
-        hell_sum = iv.mpf(0)
-        excess = ZERO
-        for _, (nu_cur, mu_cur), count, _, children in walk_states([nu, mu], n):
-            if children is None or mu_cur.mass == 0:
-                continue
-            if nu_cur.mass == 0:
-                raise UndefinedPosteriorError("nu vanishes on a mu-support prefix")
-            nu_row, mu_row = nu_cur.row(), mu_cur.row()
-            mass = count * mu_cur.mass
-            w = from_fraction(mass)
-            hell_sum += w * hellinger_step(nu_row, mu_row)
-            # restrict to mu-support symbols: E[(sqrt(nu_t/mu_t)-1)^2 | prefix]
-            restricted = hellinger_step(
-                [nu_row[a] for a in mu.alphabet.symbols if mu_row[a] != 0],
-                [mu_row[a] for a in mu.alphabet.symbols if mu_row[a] != 0],
-            )
-            sqrt_sum += w * restricted
-            excess += mass * sum(
-                (nu_row[a] for a in mu.alphabet.symbols if mu_row[a] == 0), ZERO)
-        outcome = intervals.CERTIFIED_HOLDS if excess >= 0 else intervals.CERTIFIED_FAILS
-        lhs_lo, lhs_hi = interval_str(sqrt_sum)
-        rhs_lo, rhs_hi = interval_str(hell_sum)
-        verdict = Verdict(outcome, lhs_lo, lhs_hi, rhs_lo, rhs_hi, precision_bits)
-    return {
-        "sqrt_ratio_sum": sqrt_sum,
-        "hellinger_sum": hell_sum,
-        "off_support_excess": excess,
-        "part_i": verdict,
-    }
+    """``hellinger_expectations`` at kappa = 1/2, with no dominance check."""
+    return hellinger_expectations(nu, mu, n, precision_bits=precision_bits)
 
 
 def _kappa_row(nu_row, mu_row, kappa: Fraction, symbols):
@@ -237,32 +276,16 @@ def _kappa_row(nu_row, mu_row, kappa: Fraction, symbols):
 def expected_exp_half_sum(nu: Environment, mu: Environment, n: int,
                           kappa: Fraction = HALF,
                           precision_bits: int = DEFAULT_PRECISION):
-    """Interval for E_mu[exp(half * sum_{t<=n} g_t)] over all mu-support paths.
-
-    kappa = 1/2 gives the Hellinger case; smaller kappa uses the
-    |nu^kappa - mu^kappa|^{1/kappa} per-step rows.  Each merged state S
-    carries E_S, the sum of exp(half * sum g) over the paths into S; a child
-    receives E_S * exp(g_S / 2), and a state at depth n adds mu(S) * E_S.
-    """
-    kappa = Fraction(kappa)
-    if not 0 < kappa <= HALF:
-        raise ValueError("kappa must lie in (0, 1/2]")
-    symbols = mu.alphabet.symbols
-
-    def advance(nu_row, mu_row, e):
-        return e * iv.exp(_kappa_row(nu_row, mu_row, kappa, symbols) / 2)
-
-    with precision(precision_bits):
-        total = iv.mpf(0)
-        for mass, e in _carry(nu, mu, n, iv.mpf(1), advance):
-            total += from_fraction(mass) * e
-        return total
+    """Interval for E_mu[exp(half * sum_{t<=n} g_t)] over all mu-support
+    paths: ``hellinger_expectations``' ``exp_half_sum``."""
+    return hellinger_expectations(nu, mu, n, kappa,
+                                  precision_bits=precision_bits)["exp_half_sum"]
 
 
 def verify_dominance(nu: Environment, mu: Environment, w: Fraction, depth: int) -> bool:
-    """Exact check nu(x) >= w mu(x) on every string to the given depth."""
-    return all(nu_cur.mass >= w * mu_cur.mass
-               for _, (nu_cur, mu_cur), _, _, _ in walk_states([nu, mu], depth))
+    """Exact check nu(x) >= w mu(x) on every string of mu's support to depth."""
+    return all(nu_cur.mass >= w * mu_cur.mass for _, (nu_cur, mu_cur), _, _, _
+               in walk_states([nu, mu], depth, support=1))
 
 
 @dataclass
@@ -285,47 +308,48 @@ def markov_tail_check(nu: Environment, mu: Environment, n: int,
 def markov_tail_checks(nu: Environment, mu: Environment, n: int,
                        w: Fraction, cs: Sequence[Fraction],
                        precision_bits: int = DEFAULT_PRECISION) -> list[TailCheckReport]:
-    """``markov_tail_check`` for every c in cs, from one dominance check and
-    one walk.
+    """``markov_tail_check`` for every c in cs, from one walk that also checks
+    nu >= w mu exactly (NotDominatedError if it fails).
 
     For each c, the certified exceed mass plus the mass of paths whose
     enclosure straddles the threshold is compared against the lower bound of
     exp(-c/2).  Each merged state carries the multiplicity of every
     cumulative-sum enclosure among the paths into it, keyed by the
-    enclosure's exact endpoints, so each path's sum is formed by the same
-    interval additions as along the path itself.
+    enclosure's exact raw endpoints, so each path's sum is formed by the same
+    outward-rounded additions as along the path itself.
     """
     if not cs:
         return []
     w, cs = Fraction(w), [Fraction(c) for c in cs]
-    if not verify_dominance(nu, mu, w, n):
-        raise NotDominatedError("nu >= w*mu fails on the enumerated support")
 
-    def advance(nu_row, mu_row, cums):
-        h = hellinger_step(nu_row, mu_row)
+    def advance(nu_row, mu_row, mass, cums):
+        h_lo, h_hi = hellinger_step(nu_row, mu_row)._mpi_
         out = Counter()
-        for cum, k in cums.items():
-            out[(iv.make_mpf(cum) + h)._mpi_] += k
+        for (lo, hi), k in cums.items():
+            out[(mpf_add(lo, h_lo, prec, round_floor),
+                 mpf_add(hi, h_hi, prec, round_ceiling))] += k
         return out
 
     with precision(precision_bits):
+        prec = iv.prec
         log_inv_w = iv.log(1 / from_fraction(w))
-        thresholds = [log_inv_w + from_fraction(c) for c in cs]
+        thresholds = [(log_inv_w + from_fraction(c))._mpi_ for c in cs]
         exceed = [ZERO] * len(cs)
         unknown = [ZERO] * len(cs)
-        for mass, cums in _carry(nu, mu, n, Counter({iv.mpf(0)._mpi_: 1}), advance):
-            for cum, k in cums.items():
-                cum = iv.make_mpf(cum)
-                for i, threshold in enumerate(thresholds):
-                    if cum.a >= threshold.b:
+        for mass, cums in _carry(_support_states(nu, mu, n, w),
+                                 Counter({(fzero, fzero): 1}), advance):
+            for (lo, hi), k in cums.items():
+                for i, (t_lo, t_hi) in enumerate(thresholds):
+                    if mpf_ge(lo, t_hi):
                         exceed[i] += k * mass
-                    elif not (cum.b < threshold.a):
+                    elif not mpf_lt(hi, t_lo):
                         unknown[i] += k * mass
         reports = []
         for c, threshold, ex, un in zip(cs, thresholds, exceed, unknown):
             bound = iv.exp(-from_fraction(c) / 2)
             verdict = compare_le(from_fraction(ex + un), bound, precision_bits)
-            reports.append(TailCheckReport(verdict, ex, un, *interval_str(threshold)))
+            reports.append(TailCheckReport(verdict, ex, un,
+                                           *interval_str(iv.make_mpf(threshold))))
     return reports
 
 

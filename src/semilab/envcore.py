@@ -659,7 +659,8 @@ class ValidationReport:
     depth: int
 
 
-def walk_states(envs: Sequence[Environment], depth: int) -> Iterator[tuple]:
+def walk_states(envs: Sequence[Environment], depth: int,
+                support: Optional[int] = None) -> Iterator[tuple]:
     """Walk every string to ``depth`` level by level, merging strings whose
     joint cursor keys are equal.
 
@@ -674,10 +675,15 @@ def walk_states(envs: Sequence[Environment], depth: int) -> Iterator[tuple]:
     States come level by level and in ascending order of ``symbols`` within
     a level: parents expand in that order, symbols ascending, and the first
     string with a new key becomes its representative.  Each level is
-    released as it is consumed.
+    released as it is consumed.  With ``support`` = i, strings where
+    ``envs[i]`` has mass 0 are neither yielded, expanded nor listed among
+    ``children``; a semimeasure's extensions of such a string have mass 0
+    too, so this drops whole subtrees.
     """
     symbols_range = envs[0].alphabet.symbols
     root = tuple(env.cursor() for env in envs)
+    if support is not None and root[support].mass == 0:
+        return
     level = [((), root, 1, tuple(c.state_key() for c in root))]
     for n in range(depth + 1):
         merged: dict = {}
@@ -692,6 +698,8 @@ def walk_states(envs: Sequence[Environment], depth: int) -> Iterator[tuple]:
                 child = tuple(c.clone() for c in cursors)
                 for c in child:
                     c.step(a)
+                if support is not None and child[support].mass == 0:
+                    continue
                 child_key = tuple(c.state_key() for c in child)
                 children.append((child_key, child))
                 state = merged.get(child_key)

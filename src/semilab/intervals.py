@@ -1,9 +1,10 @@
 """Outward-rounded arbitrary-precision intervals and certified comparisons.
 
-Thin layer over mpmath's interval context.  Exact rationals embed as the
-tightest representable interval around them; every arithmetic result is an
-interval guaranteed to contain the true real value, so a comparison between
-two interval endpoints is a proof, not an estimate.
+Thin layer over mpmath's interval context.  An exact rational embeds as the
+tightest interval around it (its exact quotient rounded down and up by
+``libmp``); every arithmetic result is an interval guaranteed to contain the
+true real value, so a comparison between two interval endpoints is a proof,
+not an estimate.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Union
 
 import mpmath
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_man_exp, mpf_div, round_ceiling, round_floor, to_rational
 
 iv = mpmath.iv
 
@@ -35,12 +36,22 @@ def precision(bits: int):
         iv.prec = old
 
 
+def _exact(n: int) -> tuple:
+    """The integer n as an exact raw mpf, its trailing zero bits shifted out
+    at once (``from_int`` strips them a byte at a time)."""
+    zeros = (n & -n).bit_length() - 1 if n else 0
+    return from_man_exp(n >> zeros, zeros)
+
+
+def fraction_bounds(q: Fraction, prec: int) -> tuple:
+    """Raw ``(lo, hi)`` mpf endpoints of q rounded down and up to prec bits."""
+    n, d = _exact(q.numerator), _exact(q.denominator)
+    return mpf_div(n, d, prec, round_floor), mpf_div(n, d, prec, round_ceiling)
+
+
 def from_fraction(q: RationalLike):
-    """Embed an exact rational as an enclosing interval."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return iv.mpf(q.numerator)
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+    """Embed an exact rational as the tightest enclosing interval."""
+    return iv.make_mpf(fraction_bounds(Fraction(q), iv.prec))
 
 
 def endpoints(x) -> tuple[Fraction, Fraction]:

@@ -107,6 +107,35 @@ def interval_contains(x, value, slack="1e-40") -> bool:
         return _mpf(lo) - eps <= value <= _mpf(hi) + eps
 
 
+# ------------------------------------- interval kernels through ctx_iv
+#
+# The enclosures as they were built before the kernels rounded raw libmp
+# endpoints directly: rationals as the quotient of two boxed integers, square
+# roots and sums through mpmath's interval objects.  Both are outward
+# rounded, so every enclosure here contains the exact value.
+
+def from_fraction_iv(q):
+    """iv.mpf(numerator) / iv.mpf(denominator) at the working precision."""
+    from semilab.intervals import iv
+    q = Fraction(q)
+    if q.denominator == 1:
+        return iv.mpf(q.numerator)
+    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+
+def hellinger_step_iv(p, q):
+    """(sum p + sum q) - 2 sum sqrt(p_i q_i) in interval objects, clipped to
+    [0, sum p + sum q]."""
+    from semilab.intervals import iv
+    total = iv.mpf(0)
+    for pi, qi in zip(p, q):
+        if pi * qi != 0:
+            total += iv.sqrt(from_fraction_iv(pi * qi))
+    rational = from_fraction_iv(sum(p, Fraction(0)) + sum(q, Fraction(0)))
+    h = rational - 2 * total
+    return iv.mpf([max(h.a, iv.mpf(0).a), min(h.b, rational.b)])
+
+
 # ------------------------------------------------- tree references for walks
 #
 # The exact node checks as they were written before the state-merging

@@ -404,6 +404,21 @@ def test_dominance_constant_outside_unit_interval_exits_one(subcommand, w, capsy
     assert capsys.readouterr().err == f"error: $.w: {w} outside (0, 1]\n"
 
 
+@pytest.mark.parametrize("subcommand, extra, message", [
+    ("verify-hellinger-bounds", {}, "mixture does not dominate mu with the given constant"),
+    ("verify-hellinger-bounds", {"kappa": "1/4"},
+     "mixture does not dominate mu with the given constant"),
+    ("markov-tail", {}, "nu >= w*mu fails on the enumerated support"),
+])
+def test_dominance_failure_exits_one_with_its_message(subcommand, extra, message, capsys):
+    # the equal-weight mixture gives 01 the mass 5/24 < 1 * mu(01) = 1/4
+    spec = json.dumps({"class": BERN3, "weights": ["1/3"] * 3, "mu_index": 2, "w": "1",
+                       **extra})
+    code = run_cli(subcommand, "--spec", spec, "--depth", "4")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_inline_mu_without_dominance_constant_exits_one(capsys):
     spec = json.dumps({"class": BERN3, "mu": BERN3[1]})
     code = run_cli("markov-tail", "--spec", spec, "--depth", "3")

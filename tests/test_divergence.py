@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semilab as sl
@@ -22,6 +22,7 @@ from semilab.intervals import (
     CERTIFIED_HOLDS,
     INCONCLUSIVE,
     endpoints,
+    from_fraction,
     precision,
 )
 
@@ -83,6 +84,39 @@ def test_overlap_requires_first_row_to_be_a_measure():
 def test_distance_rejects_negative_entries():
     with pytest.raises(ValueError):
         hellinger_step((F(-1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
+
+
+# Entries with numerators and denominators both below and above the working
+# precision: past it the boxed-integer oracle rounds before it divides.
+wide_ints = st.one_of(st.integers(1, 2 ** 40), st.integers(1, 2 ** 600))
+wide_entries = st.one_of(st.just(F(0)), st.builds(F, wide_ints, wide_ints))
+
+
+def _fits(p, q, bits):
+    """Every rational the kernel rounds has numerator and denominator of at
+    most ``bits`` bits, so the oracle's boxed integers are exact."""
+    rounded = [a * b for a, b in zip(p, q) if a * b != 0] + [sum(p) + sum(q)]
+    return all(max(r.numerator.bit_length(), r.denominator.bit_length()) <= bits
+               for r in rounded)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([64, 128, 256]),
+       st.lists(st.tuples(wide_entries, wide_entries), min_size=1, max_size=3))
+@example(64, [(F(1, 3), F(2, 5)), (F(2, 3), F(3, 5))])
+@example(256, [(F(3, 7), F(3, 7)), (F(4, 7), F(4, 7))])
+def test_hellinger_kernel_within_interval_object_oracle(bits, pairs):
+    p, q = [a for a, _ in pairs], [b for _, b in pairs]
+    with precision(bits):
+        got = endpoints(hellinger_step(p, q))
+        oracle = endpoints(oracles.hellinger_step_iv(p, q))
+        rational = endpoints(from_fraction(sum(p) + sum(q)))
+    with precision(4096):  # every integer exact: a tight enclosure of h
+        tight = endpoints(oracles.hellinger_step_iv(p, q))
+    assert oracle[0] <= got[0] <= tight[0] <= tight[1] <= got[1] <= oracle[1]
+    assert 0 <= got[0] and got[1] <= rational[1]
+    if _fits(p, q, bits):
+        assert got == oracle
 
 
 # ----------------------------------------------- overlap/exponential sandwich

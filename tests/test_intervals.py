@@ -20,6 +20,8 @@ from semilab.intervals import (
     precision,
 )
 
+import oracles
+
 rationals = st.fractions(min_value=-100, max_value=100)
 positive_rationals = st.fractions(min_value=Fraction(1, 1000), max_value=100)
 
@@ -30,6 +32,23 @@ def test_embedding_encloses_the_rational(q):
     with precision(64):
         lo, hi = endpoints(from_fraction(q))
     assert lo <= q <= hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([64, 128, 256]),
+       st.one_of(st.integers(-2 ** 40, 2 ** 40), st.integers(-2 ** 600, 2 ** 600)),
+       st.one_of(st.integers(1, 2 ** 40), st.integers(1, 2 ** 600)))
+def test_embedding_is_tightest_and_inside_interval_object_oracle(bits, n, d):
+    """Rounding n/d directly brackets it exactly, never exceeds the quotient
+    of the boxed integers, and equals it when both fit in the precision."""
+    import oracles
+    q = Fraction(n, d)
+    with precision(bits):
+        lo, hi = endpoints(from_fraction(q))
+        o_lo, o_hi = endpoints(oracles.from_fraction_iv(q))
+    assert o_lo <= lo <= q <= hi <= o_hi
+    if max(q.numerator.bit_length(), q.denominator.bit_length()) <= bits:
+        assert (lo, hi) == (o_lo, o_hi)
 
 
 def test_dyadic_rationals_embed_exactly():

@@ -17,7 +17,9 @@ import pytest
 
 import semilab as sl
 from semilab import divergence, envcore
-from semilab.cli import parse_environment, run_markov_tail, run_quasimeasure
+from semilab.cli import (
+    parse_environment, run_markov_tail, run_quasimeasure, run_verify_hellinger_bounds,
+)
 from semilab.envcore import walk_states
 from semilab.errors import DepthExceededError, SemilabError
 from semilab.intervals import endpoints, from_fraction, iv, precision
@@ -406,17 +408,54 @@ def test_tail_checks_classify_every_threshold_from_one_walk(monkeypatch):
             assert report == sl.markov_tail_check(nu, mu, depth, w, c, 128)
     assert len({r.exceed_mass for r in reports}) > 1
 
+    walks = _count_walks(monkeypatch)
+    run_markov_tail(dict(_BERN3, c=["1", "2", "4"]), 5, 64, None)
+    assert walks == [5]  # the tail walk checks dominance too
+
+
+_BERN3 = {"class": [{"kind": "bernoulli", "p": p} for p in ("1/4", "1/2", "3/4")],
+          "mu_index": 2}
+
+
+def _count_walks(monkeypatch):
+    """Record the depth of every walk the divergence module starts."""
     walks = []
 
-    def counting_walk(envs, depth):
+    def counting_walk(envs, depth, **kwargs):
         walks.append(depth)
-        return walk_states(envs, depth)
+        return walk_states(envs, depth, **kwargs)
 
     monkeypatch.setattr(divergence, "walk_states", counting_walk)
-    spec = {"class": [{"kind": "bernoulli", "p": p} for p in ("1/4", "1/2", "3/4")],
-            "mu_index": 2, "c": ["1", "2", "4"]}
-    run_markov_tail(spec, 5, 64, None)
-    assert walks == [5, 5]  # one dominance walk, one tail walk
+    return walks
+
+
+@pytest.mark.parametrize("extra", [{}, {"kappa": "1/4"}, {"kappa": "1/2"}])
+def test_hellinger_bounds_run_one_walk(monkeypatch, extra):
+    walks = _count_walks(monkeypatch)
+    result = run_verify_hellinger_bounds(dict(_BERN3, **extra), 5, 64, None)
+    assert walks == [5]  # dominance, every sum and the exponential together
+    assert set(result.outcomes) == {"certified-holds"}
+
+
+@pytest.mark.parametrize("run", [run_verify_hellinger_bounds, run_markov_tail])
+def test_walk_skips_mu_null_subtrees(monkeypatch, run):
+    """A point-mass mu under a never-merging nu: the support walk visits one
+    state per level, where the full walk would visit 2^n strings."""
+    spec = {"class": [{"kind": "deterministic", "prefix": "", "period": "0"},
+                      {"kind": "decaying", "beta": 2}],
+            "weights": ["1/2", "1/4"], "mu_index": 1}
+    states = []
+
+    def counting_walk(envs, depth, **kwargs):
+        for state in walk_states(envs, depth, **kwargs):
+            states.append(state[0])
+            yield state
+
+    monkeypatch.setattr(divergence, "walk_states", counting_walk)
+    for depth in (4, 8, 16):
+        states.clear()
+        run(spec, depth, 64, None)
+        assert states == [(0,) * t for t in range(depth + 1)]
 
 
 # ------------------------------------------ single-string walks vs prefixes
