@@ -23,6 +23,7 @@ from .envcore import (
     MEASURE,
     ZERO,
     _frac_str,
+    walk_states,
 )
 from .errors import (
     InconclusiveConfigurationError,
@@ -106,20 +107,10 @@ class NuStage:
         return self.env.eval(x)
 
     def table(self) -> dict[str, Fraction]:
-        """All nonzero values to depth t, keyed by the string's digits."""
-        out: dict[str, Fraction] = {}
-
-        def rec(symbols: tuple[int, ...]):
-            v = self.env._mass(symbols)
-            if v == 0:
-                return
-            out["".join(map(str, symbols))] = v
-            if len(symbols) < self.t:
-                for a in self.alpha.alphabet.symbols:
-                    rec(symbols + (a,))
-
-        rec(())
-        return out
+        """All nonzero values to depth t, keyed by the string's digits.  The
+        generic cursor never merges, so each nonzero string comes once."""
+        return {"".join(map(str, symbols)): cursor.mass for symbols, (cursor,), _, _, _
+                in walk_states([self.env], self.t, support=0)}
 
 
 def nu_stage(alpha_t: FiniteString, t: int) -> NuStage:
@@ -172,10 +163,10 @@ class NuLimitEnv(Environment):
 def nu_limit(stages: StageApproximation, t_max: int) -> NuLimitEnv:
     """The limiting counterexample semimeasure, certified exact.
 
-    Walks alpha step by step (``leftmost_symbols``); once the mixture
-    certifies that every further append-0 step at most halves the mass, the
-    envelope inequality forces all remaining alpha symbols to 0, making every
-    limit value a finite sum.
+    Walks alpha step by step (``leftmost_symbols``); once the walk's mixture
+    cursor certifies that every further append-0 step at most halves the
+    mass, the envelope inequality forces all remaining alpha symbols to 0,
+    making every limit value a finite sum.
     """
     m = stages.target
     if m.alphabet.size != 2:
@@ -184,15 +175,16 @@ def nu_limit(stages: StageApproximation, t_max: int) -> NuLimitEnv:
         raise NeedsLargerTMaxError(
             f"partial-sum stages only stabilize from stage {stages.final_stage}")
     alpha = leftmost_symbols(m)
-    symbols: tuple[int, ...] = ()
+    symbols, cursor = [], m.cursor()
     while True:
-        bound = m.zero_step_factor_bound(symbols)
+        bound = cursor.zero_step_factor_bound()
         if bound is not None and bound <= HALF:
-            return NuLimitEnv(FiniteString(m.alphabet, symbols), len(symbols))
+            return NuLimitEnv(FiniteString(m.alphabet, tuple(symbols)), len(symbols))
         if len(symbols) == t_max:
             raise NeedsLargerTMaxError(
                 f"no all-zero tail certificate found within horizon {t_max}")
-        symbols += (next(alpha),)
+        a, cursor = next(alpha)
+        symbols.append(a)
 
 
 class MPrimeEnv(Environment):

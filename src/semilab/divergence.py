@@ -177,7 +177,8 @@ def _carry(states, root, advance):
     mu_row, mass, value)`` to each of its children, ``mass`` being the mu-mass
     of all the strings in the state, and a child reached from several states
     holds the ``+`` of what they hand it, taken in the walker's fixed state
-    order.  Yields ``(mu_mass, value)`` for each state at depth n.
+    order.  Yields ``(count, mu_mass, value)`` for each state at depth n: its
+    number of strings, the mu-mass of each, and its value.
     """
     level, carried, nxt = 0, {}, {}
     for symbols, (nu_cur, mu_cur), count, key, children in states:
@@ -185,7 +186,7 @@ def _carry(states, root, advance):
             level, carried, nxt = len(symbols), nxt, {}
         value = carried[key] if symbols else root
         if children is None:
-            yield mu_cur.mass, value
+            yield count, mu_cur.mass, value
             continue
         if nu_cur.mass == 0:
             raise UndefinedPosteriorError("nu vanishes on a mu-support prefix")
@@ -214,6 +215,10 @@ def hellinger_expectations(nu: Environment, mu: Environment, n: int,
     through that exact rational difference, which stays decisive even when
     the two sides coincide.  Each merged state adds its row terms once,
     weighted by its mu-mass, from the one Hellinger step it also carries.
+
+    ``support_size`` is the number of mu-support strings of length n and
+    ``support_mass`` their exact total mu-mass: when both are 1, mu is a
+    point mass on one path and every expectation is a point evaluation.
     """
     kappa = Fraction(kappa)
     if not 0 < kappa <= HALF:
@@ -236,21 +241,25 @@ def hellinger_expectations(nu: Environment, mu: Environment, n: int,
         return e * iv.exp(h / 2)
 
     with precision(precision_bits):
-        total = iv.mpf(0)
-        for mass, e in _carry(_support_states(nu, mu, n, Fraction(w)), iv.mpf(1), advance):
+        total, size, support_mass = iv.mpf(0), 0, ZERO
+        for count, mass, e in _carry(_support_states(nu, mu, n, Fraction(w)),
+                                     iv.mpf(1), advance):
             total += from_fraction(mass) * e
+            size += count
+            support_mass += count * mass
+        found = {"exp_half_sum": total, "support_size": size, "support_mass": support_mass}
         if kappa != HALF:
-            return {"exp_half_sum": total}
+            return found
         sqrt_sum, hell_sum, excess = sums
         outcome = intervals.CERTIFIED_HOLDS if excess >= 0 else intervals.CERTIFIED_FAILS
-        return {
+        found.update({
             "sqrt_ratio_sum": sqrt_sum,
             "hellinger_sum": hell_sum,
             "off_support_excess": excess,
             "part_i": Verdict(outcome, *interval_str(sqrt_sum), *interval_str(hell_sum),
                               precision_bits),
-            "exp_half_sum": total,
-        }
+        })
+        return found
 
 
 def expected_hellinger_sums(nu: Environment, mu: Environment, n: int,
@@ -336,8 +345,8 @@ def markov_tail_checks(nu: Environment, mu: Environment, n: int,
         thresholds = [(log_inv_w + from_fraction(c))._mpi_ for c in cs]
         exceed = [ZERO] * len(cs)
         unknown = [ZERO] * len(cs)
-        for mass, cums in _carry(_support_states(nu, mu, n, w),
-                                 Counter({(fzero, fzero): 1}), advance):
+        for _, mass, cums in _carry(_support_states(nu, mu, n, w),
+                                    Counter({(fzero, fzero): 1}), advance):
             for (lo, hi), k in cums.items():
                 for i, (t_lo, t_hi) in enumerate(thresholds):
                     if mpf_ge(lo, t_hi):

@@ -123,16 +123,6 @@ class Environment:
         """JSON-able description that round-trips through the spec parser."""
         raise NotImplementedError
 
-    def zero_step_factor_bound(self, prefix: tuple[int, ...]) -> Optional[Fraction]:
-        """Upper bound on sup_k nu(prefix 0^{k+1}) / nu(prefix 0^k), or None.
-
-        Returns None when no bound below 1 can be certified.  A dead
-        environment (zero mass at the prefix) stays dead, bound 0.
-        """
-        if self._mass(prefix) == 0:
-            return ZERO
-        return None
-
 
 class EnvCursor:
     """Stateful walker exposing one posterior row at a time.
@@ -183,6 +173,17 @@ class EnvCursor:
     def state_key(self):
         return self._symbols
 
+    def zero_step_factor_bound(self) -> Optional[Fraction]:
+        """Upper bound on sup_k nu(x 0^{k+1}) / nu(x 0^k), x the string
+        walked so far, or None.
+
+        Returns None when no bound below 1 can be certified.  A dead
+        environment (zero mass at x) stays dead, bound 0.  The kinds without
+        an override (decaying, whose append-0 factor tends to 1, table and
+        the generic derived kinds) certify nothing at positive mass.
+        """
+        return ZERO if self.mass == 0 else None
+
 
 class _IIDCursor(EnvCursor):
     """Keyed by the symbol counts; every dead string shares the key None.
@@ -229,6 +230,9 @@ class _IIDCursor(EnvCursor):
     def state_key(self):
         return None if self._dead else self._counts
 
+    def zero_step_factor_bound(self):
+        return ZERO if self._dead else self._row[0]
+
 
 class CategoricalIIDEnv(Environment):
     """I.i.d. draws from a fixed categorical distribution."""
@@ -256,11 +260,6 @@ class CategoricalIIDEnv(Environment):
 
     def spec(self) -> dict:
         return {"kind": "categorical", "probs": [_frac_str(p) for p in self.probs]}
-
-    def zero_step_factor_bound(self, prefix):
-        if self._mass(prefix) == 0:
-            return ZERO
-        return self.probs[0]
 
 
 class BernoulliEnv(CategoricalIIDEnv):
@@ -330,18 +329,6 @@ class MarkovEnv(Environment):
             },
         }
 
-    def zero_step_factor_bound(self, prefix):
-        if self._mass(prefix) == 0:
-            return ZERO
-        # contexts on the all-zeros continuation stabilize at 0^order after
-        # ``order`` steps; take the max zero-transition over the whole walk
-        bound = ZERO
-        past = prefix
-        for _ in range(self.order + 1):
-            bound = max(bound, self._row(past)[0])
-            past = past + (0,)
-        return bound
-
 
 class _MarkovCursor(EnvCursor):
     """Keyed by the transition counts plus the current context."""
@@ -377,6 +364,17 @@ class _MarkovCursor(EnvCursor):
 
     def state_key(self):
         return (self._counts, self._ctx) if self._mass != 0 else None
+
+    def zero_step_factor_bound(self):
+        if self._mass == 0:
+            return ZERO
+        # contexts on the all-zeros continuation stabilize at 0^order after
+        # ``order`` steps; take the max zero-transition over the whole walk
+        bound, ctx, order = ZERO, self._ctx, self._env.order
+        for _ in range(order + 1):
+            bound = max(bound, self._env._row(ctx)[0])
+            ctx = (ctx + (0,))[-order:]
+        return bound
 
 
 class DeterministicEnv(Environment):
@@ -415,15 +413,6 @@ class DeterministicEnv(Environment):
             "period": "".join(map(str, self.target_period)),
         }
 
-    def zero_step_factor_bound(self, prefix):
-        if self._mass(prefix) == 0:
-            return ZERO
-        # appending 0 where the target demands 1 kills the mass immediately;
-        # a target continuing with 0 keeps ratio 1, never certifiable below 1
-        if self.target_symbol(len(prefix)) != 0:
-            return ZERO
-        return None
-
 
 class _DeterministicCursor(EnvCursor):
     """At most one string per length is alive; every dead one has key None."""
@@ -446,6 +435,13 @@ class _DeterministicCursor(EnvCursor):
 
     def state_key(self):
         return self._t if self._mass != 0 else None
+
+    def zero_step_factor_bound(self):
+        # appending 0 where the target demands 1 kills the mass immediately;
+        # a target continuing with 0 keeps ratio 1, never certifiable below 1
+        if self._mass == 0 or self._env.target_symbol(self._t) != 0:
+            return ZERO
+        return None
 
 
 class LeakyEnv(Environment):
@@ -472,14 +468,6 @@ class LeakyEnv(Environment):
 
     def spec(self) -> dict:
         return {"kind": "leaky", "base": self.base.spec(), "leak": _frac_str(self.leak)}
-
-    def zero_step_factor_bound(self, prefix):
-        inner = self.base.zero_step_factor_bound(prefix)
-        if inner is None:
-            if self.leak <= HALF:
-                return self.leak
-            return None
-        return inner * self.leak
 
 
 class _LeakyCursor(EnvCursor):
@@ -517,6 +505,12 @@ class _LeakyCursor(EnvCursor):
     def state_key(self):
         return self._inner.state_key()
 
+    def zero_step_factor_bound(self):
+        inner = self._inner.zero_step_factor_bound()
+        if inner is None:
+            return self._env.leak if self._env.leak <= HALF else None
+        return inner * self._env.leak
+
 
 class DecayingEnv(Environment):
     """Binary measure with mu(1 | x_{<t}) = (1/2) t^{-beta}."""
@@ -543,12 +537,6 @@ class DecayingEnv(Environment):
 
     def spec(self) -> dict:
         return {"kind": "decaying", "beta": self.beta}
-
-    # append-0 factor tends to 1: not certifiable below 1/2
-    def zero_step_factor_bound(self, prefix):
-        if self._mass(prefix) == 0:
-            return ZERO
-        return None
 
 
 class _DecayingCursor(EnvCursor):

@@ -190,11 +190,6 @@ class QuasimeasureEnv(Environment):
         return {"kind": "derived", "derived": "quasimeasure",
                 "base": self.base.spec(), "depth_cap": self.depth_cap}
 
-    def zero_step_factor_bound(self, prefix):
-        if self._mass(prefix) == 0:
-            return ZERO
-        return self.base.zero_step_factor_bound(prefix)
-
 
 class _QuasimeasureCursor(EnvCursor):
     """Wraps the base cursor; whether a depth survives depends on the depth
@@ -227,6 +222,9 @@ class _QuasimeasureCursor(EnvCursor):
 
     def state_key(self):
         return self._inner.state_key()
+
+    def zero_step_factor_bound(self):
+        return ZERO if self._mass == 0 else self._inner.zero_step_factor_bound()
 
 
 class MixtureEnv(Environment):
@@ -314,16 +312,6 @@ class MixtureEnv(Environment):
             spec["k"] = self.k
         return spec
 
-    def zero_step_factor_bound(self, prefix):
-        # a weighted sum's per-step ratio is bounded by the max component ratio
-        bound = ZERO
-        for i in self._membership:
-            b = self.component(i).zero_step_factor_bound(prefix)
-            if b is None:
-                return None
-            bound = max(bound, b)
-        return bound
-
     def cursor(self) -> EnvCursor:
         return _MixtureCursor(self)
 
@@ -377,6 +365,18 @@ class _MixtureCursor(EnvCursor):
         return tuple(c.state_key() if m != 0 else None
                      for c, m in zip(self._cursors, self._masses))
 
+    def zero_step_factor_bound(self):
+        # a weighted sum's per-step ratio is bounded by the max component
+        # ratio; a component at mass 0 stays there and adds nothing
+        bound = ZERO
+        for cursor, m in zip(self._cursors, self._masses):
+            if m != 0:
+                b = cursor.zero_step_factor_bound()
+                if b is None:
+                    return None
+                bound = max(bound, b)
+        return bound
+
 
 class NormalizedEnv(Environment):
     """base(x) / base(empty); a measure when the base has measure nodes."""
@@ -397,9 +397,6 @@ class NormalizedEnv(Environment):
     def spec(self) -> dict:
         return {"kind": "derived", "derived": "normalized",
                 "base": self.base.spec(), "declared_class": self.declared_class}
-
-    def zero_step_factor_bound(self, prefix):
-        return self.base.zero_step_factor_bound(prefix)
 
     def cursor(self) -> EnvCursor:
         return _NormalizedCursor(self)
@@ -428,6 +425,9 @@ class _NormalizedCursor(EnvCursor):
 
     def state_key(self):
         return self._inner.state_key()
+
+    def zero_step_factor_bound(self):
+        return self._inner.zero_step_factor_bound()
 
 
 def normalize(mix: MixtureEnv) -> Environment:

@@ -11,9 +11,11 @@ from semilab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     main,
+    parse_class,
     parse_env_spec,
     parse_environment,
     parse_rational,
+    run_w_vs_d,
 )
 from semilab.errors import SpecError
 
@@ -431,3 +433,45 @@ def test_seed_outside_64_bits_exits_one(seed, capsys):
     code = run_cli("chain-lemma", "--spec", str(FIXTURES / "chain_trials.json"),
                    "--seed", seed)
     _assert_one_line_error(code, capsys)
+
+
+POINT_MASS_MU = json.dumps({"class": [{"kind": "deterministic", "prefix": "", "period": "0"},
+                                      {"kind": "decaying", "beta": 2}],
+                            "weights": ["1/2", "1/4"], "mu_index": 1})
+
+
+@pytest.mark.parametrize("depth", [6, 10, 14])
+def test_point_mass_mu_certifies_part_ii_as_an_equality(depth, capsys):
+    # one mu-path of mass 1: both sides of part-ii are one real, so their
+    # enclosures overlap at every precision, and Jensen's gap is 0
+    code = run_cli("verify-hellinger-bounds", "--spec", POINT_MASS_MU, "--depth", str(depth))
+    assert code == EXIT_OK
+    part_ii = json.loads(capsys.readouterr().out)["part-ii"]
+    assert part_ii["outcome"] == "certified-holds"
+    assert part_ii["lhs"] == part_ii["rhs"]
+
+
+def test_w_vs_d_steps_cursors_along_omega(monkeypatch):
+    spec = json.loads((FIXTURES / "quasi_leaky.json").read_text())
+    calls = []
+    _mass = sl.MixtureEnv._mass
+
+    def recording_mass(env, symbols):
+        calls.append(symbols)
+        return _mass(env, symbols)
+
+    monkeypatch.setattr(sl.MixtureEnv, "_mass", recording_mass)
+    result = run_w_vs_d(spec, 12, 128, 1)
+    assert calls == []
+    monkeypatch.undo()
+    # the rows the prefix-by-prefix posteriors give
+    env_class, weights = parse_class(spec)
+    w_mix = sl.MixtureEnv(env_class, weights, sl.QUASI, quasi_depth_cap=13)
+    d_mix = sl.MixtureEnv(env_class, weights, sl.MEASURES_ONLY)
+    omega = sl.FiniteString.parse(result.documents["verdicts"]["posterior-coincidence"]["omega"])
+    expected = []
+    for t in range(1, 13):
+        w_row, d_row = (mix.posterior(omega.prefix(t - 1)) for mix in (w_mix, d_mix))
+        diff = max(abs(a - b) for a, b in zip(w_row, d_row))
+        expected.append((t, f"{diff.numerator}/{diff.denominator}"))
+    assert [(t, lo) for t, lo, _ in result.traces["w-vs-d"].rows] == expected

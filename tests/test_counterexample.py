@@ -168,6 +168,24 @@ def test_limit_requires_certifiable_tail():
         nu_limit(sl.StageApproximation(m), 12)
 
 
+def test_limit_reads_its_certificate_from_the_walk_cursor(monkeypatch):
+    # the decaying member never certifies, so the walk runs to the horizon;
+    # no member is evaluated from the root at any nonempty string
+    m = sl.MixtureEnv(sl.EnvClass([sl.uniform_measure(), sl.DecayingEnv(2)]),
+                      sl.WeightScheme((F(1, 2), F(1, 4))), sl.RAW)
+    calls = []
+    for cls in (sl.CategoricalIIDEnv, sl.DecayingEnv):
+        def recording_mass(env, symbols, _mass=cls._mass):
+            if symbols:
+                calls.append(symbols)
+            return _mass(env, symbols)
+
+        monkeypatch.setattr(cls, "_mass", recording_mass)
+    with pytest.raises(NeedsLargerTMaxError, match="within horizon 64"):
+        nu_limit(sl.StageApproximation(m), 64)
+    assert calls == []
+
+
 def test_limit_stops_at_its_certificate(canonical_mixture, monkeypatch):
     from semilab.mixtures import _MixtureCursor
     steps = []

@@ -208,6 +208,15 @@ def test_expected_sums_excess_counts_off_support_mass():
     assert sums["part_i"].outcome == CERTIFIED_HOLDS
 
 
+def test_expectations_count_the_mu_support(bern3_mixture):
+    # the support is counted at depth n; a leaky mu loses mass per level
+    leak = sl.LeakyEnv(sl.BernoulliEnv(F(1, 2)), F(1, 2))
+    for mu, size, mass in [(sl.BernoulliEnv(F(1, 2)), 8, 1), (leak, 8, F(1, 8)),
+                           (sl.DeterministicEnv([1], [0]), 1, 1)]:
+        found = expected_hellinger_sums(bern3_mixture, mu, 3, 64)
+        assert (found["support_size"], found["support_mass"]) == (size, mass)
+
+
 def test_expected_exponential_matches_reference(bern3_mixture, bern3_class):
     mu = bern3_class.env(2)
     e = expected_exp_half_sum(bern3_mixture, mu, 5, precision_bits=128)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from semilab.errors import (
 )
 
 import oracles
+from test_walker import KINDS
 
 F = Fraction
 
@@ -247,27 +249,35 @@ def test_mass_interval_decaying_fast_path_agrees_with_exact():
 # ------------------------------------------------- zero-step factor bounds
 
 def test_zero_step_bounds_by_environment_kind():
-    assert sl.BernoulliEnv(F(1, 3)).zero_step_factor_bound(()) == F(2, 3)
-    assert sl.DeterministicEnv([], [0]).zero_step_factor_bound(()) is None
-    assert sl.DeterministicEnv([1], [0]).zero_step_factor_bound(()) == 0
+    assert sl.BernoulliEnv(F(1, 3)).cursor().zero_step_factor_bound() == F(2, 3)
+    assert sl.DeterministicEnv([], [0]).cursor().zero_step_factor_bound() is None
+    assert sl.DeterministicEnv([1], [0]).cursor().zero_step_factor_bound() == 0
     leaky = sl.LeakyEnv(sl.BernoulliEnv(F(1, 2)), F(1, 2))
-    assert leaky.zero_step_factor_bound(()) == F(1, 4)
-    assert sl.DecayingEnv(2).zero_step_factor_bound(()) is None
+    assert leaky.cursor().zero_step_factor_bound() == F(1, 4)
+    assert sl.DecayingEnv(2).cursor().zero_step_factor_bound() is None
 
 
-def test_zero_step_bound_actually_bounds_step_ratios():
-    env = sl.MarkovEnv(1, {
-        (): [F(1, 3), F(2, 3)],
-        (0,): [F(2, 5), F(3, 5)],
-        (1,): [F(1, 2), F(1, 2)],
-    })
-    bound = env.zero_step_factor_bound((1,))
-    prefix = (1,)
-    for _ in range(6):
-        num = env._mass(prefix + (0,))
-        den = env._mass(prefix)
-        assert num <= bound * den
-        prefix = prefix + (0,)
+# the kinds of the cursor-contract tests (every base kind, quasimeasures, a
+# mixture in each of the four modes), plus a leak over a base with no bound
+BOUND_KINDS = dict(KINDS, **{
+    "leaky-decaying": lambda: sl.LeakyEnv(sl.DecayingEnv(2), F(1, 2))})
+
+
+@pytest.mark.parametrize("kind", BOUND_KINDS)
+def test_zero_step_bound_actually_bounds_step_ratios(kind):
+    env = BOUND_KINDS[kind]()
+    depth = 4 if env.max_depth is None else min(4, env.max_depth)
+    for n in range(depth + 1):
+        for x in product(env.alphabet.symbols, repeat=n):
+            cursor = env.cursor()
+            for a in x:
+                cursor.step(a)
+            bound = cursor.zero_step_factor_bound()
+            if bound is None:
+                continue
+            steps = 8 if env.max_depth is None else min(8, env.max_depth - n)
+            for k in range(steps):
+                assert env._mass(x + (0,) * (k + 1)) <= bound * env._mass(x + (0,) * k), (x, k)
 
 
 def test_validation_checks_zero_mass_nodes():
