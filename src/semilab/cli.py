@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -123,6 +124,19 @@ def _require(d: dict, key: str, path: str):
     return d[key]
 
 
+def _parse_int(value, path: str) -> int:
+    """A JSON integer (not a bool) or a decimal-digit string; int() truncates floats."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise SpecError(f"{path}: expected an integer, got {value!r}")
+
+
+def _alphabet(d: dict, path: str) -> Alphabet:
+    return Alphabet(_parse_int(d.get("alphabet_size", 2), path + ".alphabet_size"))
+
+
 def parse_environment(d: dict, path: str = "$") -> Environment:
     if not isinstance(d, dict):
         raise SpecError(f"{path}: environment spec must be an object")
@@ -135,7 +149,7 @@ def parse_environment(d: dict, path: str = "$") -> Environment:
                      for i, p in enumerate(_require(d, "probs", path))]
             return CategoricalIIDEnv(probs)
         if kind == "uniform":
-            return uniform_measure(Alphabet(int(d.get("alphabet_size", 2))))
+            return uniform_measure(_alphabet(d, path))
         if kind == "markov":
             transitions = {
                 tuple(int(c) for c in ctx): [
@@ -144,13 +158,13 @@ def parse_environment(d: dict, path: str = "$") -> Environment:
                 ]
                 for ctx, row in _require(d, "transitions", path).items()
             }
-            return MarkovEnv(int(_require(d, "order", path)), transitions,
-                             Alphabet(int(d.get("alphabet_size", 2))))
+            order = _parse_int(_require(d, "order", path), path + ".order")
+            return MarkovEnv(order, transitions, _alphabet(d, path))
         if kind == "deterministic":
             return DeterministicEnv(
                 [int(c) for c in d.get("prefix", "")],
                 [int(c) for c in _require(d, "period", path)],
-                Alphabet(int(d.get("alphabet_size", 2))),
+                _alphabet(d, path),
             )
         if kind == "leaky":
             return LeakyEnv(
@@ -158,11 +172,11 @@ def parse_environment(d: dict, path: str = "$") -> Environment:
                 parse_rational(_require(d, "leak", path), path + ".leak"),
             )
         if kind == "decaying":
-            return DecayingEnv(int(_require(d, "beta", path)))
+            return DecayingEnv(_parse_int(_require(d, "beta", path), path + ".beta"))
         if kind == "table":
             return _checked_table(TableEnv(
-                int(_require(d, "depth", path)), _table_values(d, path),
-                Alphabet(int(d.get("alphabet_size", 2))),
+                _parse_int(_require(d, "depth", path), path + ".depth"),
+                _table_values(d, path), _alphabet(d, path),
                 d.get("declared_class", "strict-semimeasure")), path)
         if kind == "derived":
             return _parse_derived(d, path)
@@ -198,25 +212,25 @@ def _parse_derived(d: dict, path: str) -> Environment:
         env_class, weights = parse_class(
             {"class": _require(d, "environments", path), "weights": d.get("weights")},
             path)
-        k, cap = d.get("k"), d.get("quasi_depth_cap")
-        return MixtureEnv(env_class, weights, d.get("mode", RAW),
-                          k=None if k is None else int(k),
-                          quasi_depth_cap=None if cap is None else int(cap))
+        k, cap = (None if d.get(f) is None else _parse_int(d[f], f"{path}.{f}")
+                  for f in ("k", "quasi_depth_cap"))
+        return MixtureEnv(env_class, weights, d.get("mode", RAW), k=k, quasi_depth_cap=cap)
     if derived == "quasimeasure":
         return QuasimeasureEnv(
             parse_environment(_require(d, "base", path), path + ".base"),
-            int(d.get("depth_cap", 24)))
+            _parse_int(d.get("depth_cap", 24), path + ".depth_cap"))
     if derived == "normalized":
         base = parse_environment(_require(d, "base", path), path + ".base")
         return NormalizedEnv(base, d.get("declared_class", base.declared_class))
     if derived == "nu-stage":
         from .counterexample import NuStageEnv
         pivot = FiniteString.parse(d.get("pivot", ""))
-        return NuStageEnv(pivot, int(_require(d, "t", path)))
+        return NuStageEnv(pivot, _parse_int(_require(d, "t", path), path + ".t"))
     if derived == "nu-limit":
         from .counterexample import NuLimitEnv
         return NuLimitEnv(FiniteString.parse(d.get("alpha_prefix", "")),
-                          int(_require(d, "tail_zero_from", path)))
+                          _parse_int(_require(d, "tail_zero_from", path),
+                                     path + ".tail_zero_from"))
     if derived == "contaminated":
         from .counterexample import MPrimeEnv
         nu = parse_environment(_require(d, "nu", path), path + ".nu")
@@ -226,9 +240,9 @@ def _parse_derived(d: dict, path: str) -> Environment:
         return MPrimeEnv(nu, m, parse_rational(_require(d, "gamma", path), path + ".gamma"))
     if derived == "mubar":
         return _checked_table(MuBarEnv(
-            _table_values(d, path), int(_require(d, "depth", path)),
-            Alphabet(int(d.get("alphabet_size", 2))),
-            int(_require(d, "stage", path))), path)
+            _table_values(d, path),
+            _parse_int(_require(d, "depth", path), path + ".depth"), _alphabet(d, path),
+            _parse_int(_require(d, "stage", path), path + ".stage")), path)
     raise SpecError(f"{path}: unknown derived kind {derived!r}")
 
 

@@ -102,6 +102,10 @@ class Environment:
     #: depth beyond which evaluation raises DepthExceededError; None = unbounded
     max_depth: Optional[int] = None
 
+    #: the constructor checked exactly that every row reachable at positive
+    #: mass sums to 1, so every node is a measure node and every level totals 1
+    rows_sum_to_one: bool = False
+
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
         raise NotImplementedError
 
@@ -237,6 +241,8 @@ class _IIDCursor(EnvCursor):
 class CategoricalIIDEnv(Environment):
     """I.i.d. draws from a fixed categorical distribution."""
 
+    rows_sum_to_one = True
+
     def __init__(self, probs: Sequence[Fraction]):
         probs = tuple(Fraction(p) for p in probs)
         if len(probs) < 2:
@@ -299,6 +305,15 @@ class MarkovEnv(Environment):
             if len(row) != alphabet.size or any(p < 0 for p in row) or sum(row) != 1:
                 raise ValueError(f"invalid transition row at context {ctx}")
         self.declared_class = MEASURE
+        # contexts reachable at positive mass, cut as _MarkovCursor.step cuts
+        # them; the search stops at the first one without a row
+        seen, todo = {()}, [()]
+        while todo and todo[-1] in self.transitions:
+            ctx = todo.pop()
+            new = {(ctx + (a,))[-order:] for a, p in enumerate(self.transitions[ctx]) if p}
+            todo += new - seen
+            seen |= new
+        self.rows_sum_to_one = not todo
 
     def _row(self, past: tuple[int, ...]) -> tuple[Fraction, ...]:
         ctx = past[-self.order:] if len(past) >= self.order else past
@@ -379,6 +394,8 @@ class _MarkovCursor(EnvCursor):
 
 class DeterministicEnv(Environment):
     """Point mass on an eventually periodic infinite target sequence."""
+
+    rows_sum_to_one = True
 
     def __init__(self, prefix: Sequence[int], period: Sequence[int],
                  alphabet: Alphabet = BINARY):
@@ -515,8 +532,10 @@ class _LeakyCursor(EnvCursor):
 class DecayingEnv(Environment):
     """Binary measure with mu(1 | x_{<t}) = (1/2) t^{-beta}."""
 
+    rows_sum_to_one = True
+
     def __init__(self, beta: int):
-        if beta < 2:
+        if beta < 2 or beta != int(beta):
             raise ValueError("beta must be an integer >= 2")
         self.beta = int(beta)
         self.alphabet = BINARY
@@ -703,11 +722,14 @@ def walk_states(envs: Sequence[Environment], depth: int,
 def validate(env: Environment, depth: int) -> ValidationReport:
     """Exact check of the node inequality/equality on all nodes to depth,
     zero-mass nodes included.  The defect reported is the shortest failing
-    node, and among those the lexicographically first."""
+    node, and among those the lexicographically first.  An environment with
+    ``rows_sum_to_one`` is a measure by its constructor's row check: no walk."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if env.max_depth is not None:
         depth = min(depth, env.max_depth)
+    if env.rows_sum_to_one:
+        return ValidationReport(True, True, None, depth)
     root = env._mass(())
     if root > 1:
         return ValidationReport(False, False, FiniteString.empty(env.alphabet), depth)

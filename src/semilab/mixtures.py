@@ -77,9 +77,10 @@ def default_weights(count: int) -> WeightScheme:
 class EnvClass:
     """Ordered, 1-indexed list of environments with certified class tags.
 
-    Measure membership is established by exact validation to
-    ``CERTIFICATION_DEPTH``, never taken from the declared tag alone, and
-    only for the members asked about.
+    Measure membership is never taken from the declared tag alone, and only
+    established for the members asked about: by the exact row check made in
+    the constructor (``rows_sum_to_one``), else by exact validation to
+    ``CERTIFICATION_DEPTH``, as for a table declared a measure.
     """
 
     def __init__(self, envs: Sequence[Environment]):
@@ -138,12 +139,15 @@ class QuasimeasureEnv(Environment):
     def total_mass(self, n: int) -> Fraction:
         """Total depth-n mass of the base, n up to ``max_depth``.
 
-        One walk of the base serves every call: it advances only as far as
+        A base with ``rows_sum_to_one`` totals 1 and is not walked.  Else
+        one walk of the base serves every call: it advances only as far as
         the deepest level asked for, and records each level's total, and
         whether the level is alive, as the level completes (after its
         states have counted all |A|^n strings).
         """
         check_depth(self, n)
+        if self.base.rows_sum_to_one:
+            return ONE
         if self._walk is None:
             self._walk = walk_states([self.base], self.max_depth)
         while len(self._totals) <= n:
@@ -166,7 +170,7 @@ class QuasimeasureEnv(Environment):
             return True
         if n >= len(self._totals):
             self.total_mass(n)
-        return self._totals[n][1]
+        return self.base.rows_sum_to_one or self._totals[n][1]
 
     def cutoff_depth(self) -> Optional[int]:
         """First depth at which values are zeroed, up to the cap; the base

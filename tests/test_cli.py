@@ -334,6 +334,33 @@ def test_member_spec_outside_its_domain_exits_one(spec, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+_HALVES = {"": ["1/2", "1/2"], "0": ["1/2", "1/2"], "1": ["1/2", "1/2"]}
+
+
+@pytest.mark.parametrize("member, message", [
+    ({"kind": "decaying", "beta": 2.9}, "$.class[0].beta: expected an integer, got 2.9"),
+    ({"kind": "markov", "order": 1.5, "transitions": _HALVES},
+     "$.class[0].order: expected an integer, got 1.5"),
+    ({"kind": "uniform", "alphabet_size": True},
+     "$.class[0].alphabet_size: expected an integer, got True"),
+    ({"kind": "derived", "derived": "quasimeasure", "depth_cap": "x",
+      "base": {"kind": "bernoulli", "p": "1/2"}},
+     "$.class[0].depth_cap: expected an integer, got 'x'"),
+], ids=["beta-float", "order-float", "alphabet-size-bool", "depth-cap-string"])
+def test_non_integer_integer_field_exits_one(member, message, capsys):
+    spec = {"class": [member, {"kind": "bernoulli", "p": "1/2"}], "mu_index": 2}
+    code = run_cli("verify-hellinger-bounds", "--spec", json.dumps(spec), "--depth", "3")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_integer_fields_accept_ints_and_decimal_strings():
+    assert parse_environment({"kind": "decaying", "beta": "3"}).beta == 3
+    assert parse_environment({"kind": "uniform", "alphabet_size": 3}).alphabet.size == 3
+    with pytest.raises(ValueError, match="integer"):
+        sl.DecayingEnv(2.9)
+
+
 def test_mixture_member_with_malformed_k_exits_one(capsys):
     spec = {"kind": "derived", "derived": "mixture", "mode": "measures-only",
             "k": "one", "environments": [{"kind": "bernoulli", "p": "1/2"}],

@@ -94,11 +94,11 @@ def test_quasimeasure_cutoff_walks_the_base_once(monkeypatch):
     q = sl.QuasimeasureEnv(sl.BernoulliEnv(F(3, 8)), depth_cap=24)
     assert q.cutoff_depth() is None
     assert [q.total_mass(n) for n in (24, 3, 0)] == [1, 1, 1]
-    assert len(calls) == 1
+    assert calls == []  # an i.i.d. base totals 1 by its rows
     leaky = sl.QuasimeasureEnv(sl.LeakyEnv(sl.BernoulliEnv(F(1, 2)), F(1, 2)), 24)
     assert leaky.cutoff_depth() == 2
     assert len(leaky._totals) == 3  # the walk stopped at the cutoff
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_quasimeasure_never_exceeds_base():

@@ -8,17 +8,21 @@ masses on every common extension; the property tests below check exactly
 that, for every environment kind, on every string to a fixed depth.
 """
 
+import json
 import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semilab as sl
-from semilab import divergence, envcore
+from semilab import divergence, envcore, mixtures
 from semilab.cli import (
-    parse_environment, run_markov_tail, run_quasimeasure, run_verify_hellinger_bounds,
+    parse_class, parse_environment, run_experiment, run_markov_tail, run_quasimeasure,
+    run_verify_hellinger_bounds,
 )
 from semilab.envcore import walk_states
 from semilab.errors import DepthExceededError, SemilabError
@@ -26,6 +30,7 @@ from semilab.intervals import endpoints, from_fraction, iv, precision
 from semilab.randomness import delta_hat_ratio_check
 
 import oracles
+from conftest import FIXTURES
 
 F = Fraction
 
@@ -269,6 +274,165 @@ def test_total_mass_matches_support_sum(kind):
     for n in range(_depth(base, 8) + 1):
         expected = sum((m for _, m in sl.enumerate_support(base, n)), F(0))
         assert quasi.total_mass(n) == expected
+
+
+# ------------------------------------------- row-sum certificates vs walks
+
+def _markov_missing_behind_zero():
+    """Order 2 without a (1, 1) row: both ways into it, after (1,) or
+    (0, 1), take symbol 1 with probability 0."""
+    return sl.MarkovEnv(2, {
+        (): [F(1, 2), F(1, 2)], (0,): [F(1, 4), F(3, 4)], (1,): [F(1), F(0)],
+        (0, 0): [F(1, 2), F(1, 2)], (0, 1): [F(1), F(0)], (1, 0): [F(1, 3), F(2, 3)]})
+
+
+def _markov_missing_at_depth_1():
+    # the string 1 needs the (1,) row
+    return sl.MarkovEnv(1, {(): [F(1, 2), F(1, 2)], (0,): [F(1, 3), F(2, 3)]})
+
+
+def _markov_missing_at_depth_3():
+    # 001 is the first string to need the (0, 1) row
+    return sl.MarkovEnv(2, {(): [F(1), F(0)], (0,): [F(1), F(0)],
+                            (0, 0): [F(1, 2), F(1, 2)]})
+
+
+# beside KINDS' order-1 and order-2 chains, whose every context has a row
+MARKOV_GAPS = {"markov-missing-behind-zero": _markov_missing_behind_zero,
+               "markov-missing-at-1": _markov_missing_at_depth_1,
+               "markov-missing-at-3": _markov_missing_at_depth_3}
+
+
+def _outcome(run):
+    """What a check returns, or the error it raises with its message."""
+    try:
+        return run()
+    except SemilabError as exc:
+        return type(exc), str(exc)
+
+
+def _report(env, depth):
+    report = sl.validate(env, depth)
+    defect = None if report.first_defect_node is None else report.first_defect_node.symbols
+    assert report.depth == depth
+    return report.is_semimeasure, report.is_measure_to_depth, defect
+
+
+def _walking(env):
+    env.rows_sum_to_one = False  # shadows the class attribute: validate walks
+    return env
+
+
+@pytest.mark.parametrize("kind", [*KINDS, *MARKOV_GAPS])
+def test_certificate_matches_the_walk(kind):
+    make = {**KINDS, **MARKOV_GAPS}[kind]
+    env = make()
+    for depth in range(_depth(env, 8) + 1):
+        certified = _outcome(lambda: _report(env, depth))
+        walked = _outcome(lambda: _report(_walking(make()), depth))
+        assert certified == walked == _outcome(lambda: oracles.validate_tree(env, depth))
+
+
+@pytest.mark.parametrize("make, first_bad_depth", [
+    (_markov_missing_at_depth_1, 2), (_markov_missing_at_depth_3, 4)])
+def test_missing_reachable_context_raises_as_before(make, first_bad_depth):
+    env = make()
+    assert not env.rows_sum_to_one
+    assert sl.validate(env, first_bad_depth - 1).is_measure_to_depth
+    with pytest.raises(SemilabError, match="missing transition row for context"):
+        sl.validate(env, first_bad_depth)
+
+
+def test_certificate_is_set_exactly_for_row_checked_kinds():
+    certified = {kind for kind, make in {**KINDS, **MARKOV_GAPS}.items()
+                 if make().rows_sum_to_one}
+    assert certified == {"bernoulli", "bernoulli-dead-branch", "categorical", "markov",
+                         "markov-order2-zeros", "decaying", "deterministic",
+                         "markov-missing-behind-zero"}
+    assert sl.uniform_measure().rows_sum_to_one
+    assert sl.uniform_measure(sl.Alphabet(3)).rows_sum_to_one
+    # a user-declared measure of any other kind is still walked
+    assert not sl.NormalizedEnv(sl.BernoulliEnv(F(1, 2)), sl.MEASURE).rows_sum_to_one
+
+
+_ENTRIES = st.sampled_from([F(0), F(1, 4), F(1, 2), F(3, 4), F(1)])
+
+
+@st.composite
+def _markov_tables(draw):
+    """Binary tables of order 1-2, each context kept with probability 2/3."""
+    order = draw(st.integers(1, 2))
+    transitions = {}
+    for n in range(order + 1):
+        for ctx in product((0, 1), repeat=n):
+            p = draw(_ENTRIES)
+            if draw(st.integers(0, 2)):
+                transitions[ctx] = [1 - p, p]
+    return sl.MarkovEnv(order, transitions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_markov_tables())
+def test_markov_closure_matches_the_tree(env):
+    assert _outcome(lambda: _report(env, 6)) == \
+        _outcome(lambda: oracles.validate_tree(env, 6))
+    quasi = sl.QuasimeasureEnv(env, 8)
+    for n in range(7):
+        support = _outcome(lambda: sum((m for _, m in sl.enumerate_support(env, n)), F(0)))
+        total = _outcome(lambda: quasi.total_mass(n))
+        if env.rows_sum_to_one:
+            assert total == support == 1
+        elif isinstance(total, tuple):
+            # a walk expands level n as it counts it, so it needs the rows
+            # of level n, which the strings of length n + 1 need too
+            assert isinstance(_outcome(lambda: list(sl.enumerate_support(env, n + 1))),
+                              tuple)
+            break
+        else:
+            assert total == support
+
+
+def _count_all_walks(monkeypatch):
+    """Record every walk validate and the quasimeasure totals start: the
+    module, the environment walked and the deepest level it reached."""
+    walks = []
+
+    def patch(module):
+        def counting_walk(envs, depth, **kwargs):
+            walk = [module.__name__, envs[0], -1]
+            walks.append(walk)  # counted when started, even if never advanced
+
+            def states():
+                for state in walk_states(envs, depth, **kwargs):
+                    walk[2] = len(state[0])
+                    yield state
+            return states()
+        monkeypatch.setattr(module, "walk_states", counting_walk)
+
+    patch(envcore)
+    patch(mixtures)
+    return walks
+
+
+def test_certifying_a_class_of_product_measures_walks_nothing(monkeypatch):
+    walks = _count_all_walks(monkeypatch)
+    env_class, weights = parse_class({"class": [{"kind": "decaying", "beta": 3},
+                                                {"kind": "bernoulli", "p": "3/8"}]})
+    mix = sl.MixtureEnv(env_class, weights, sl.RAW)
+    assert mix.declared_class == sl.STRICT_SEMIMEASURE  # default weights sum below 1
+    assert env_class.measure_indices() == (1, 2)
+    assert walks == []
+
+
+def test_w_vs_d_walks_only_the_leaky_member(monkeypatch):
+    walks = _count_all_walks(monkeypatch)
+    spec = json.loads((FIXTURES / "quasi_leaky.json").read_text())
+    result = run_experiment("w-vs-d", spec, 200, 128, 1)
+    assert result.outcomes == ["certified-holds"]
+    # the parser's cross-check of the strict semimeasure (depth 4), then its
+    # quasimeasure's totals, stopped at the cutoff 2
+    assert [(module, type(env), reached) for module, env, reached in walks] == [
+        ("semilab.envcore", sl.LeakyEnv, 4), ("semilab.mixtures", sl.LeakyEnv, 2)]
 
 
 @pytest.mark.parametrize("make", [_product_class, _table_class,
