@@ -21,10 +21,11 @@ from pathlib import Path
 from typing import Optional, Union
 
 from . import __version__
-from .counterexample import build_mprime, nu_limit, verify_nonconvergence
+from .counterexample import build_mprime, contaminate, nu_limit, verify_nonconvergence
 from .divergence import HALF, chain_inequality, hellinger_expectations, markov_tail_checks
 from .envcore import (
     Alphabet,
+    BINARY,
     BernoulliEnv,
     BitStream,
     CategoricalIIDEnv,
@@ -133,6 +134,29 @@ def _parse_int(value, path: str) -> int:
     raise SpecError(f"{path}: expected an integer, got {value!r}")
 
 
+def _int_field(spec: dict, key: str, default) -> int:
+    return _parse_int(spec.get(key, default), f"$.{key}")
+
+
+def _typed(value, kind: type, path: str):
+    """value itself, when it is a JSON array (kind list) or object (dict)."""
+    if not isinstance(value, kind):
+        what = "an array" if kind is list else "an object"
+        raise SpecError(f"{path}: expected {what}, got {value!r}")
+    return value
+
+
+def _rationals(value, path: str) -> list[Fraction]:
+    return [parse_rational(x, f"{path}[{i}]") for i, x in enumerate(_typed(value, list, path))]
+
+
+def _symbols(value, path: str) -> tuple[int, ...]:
+    """A string of symbols, one decimal digit each."""
+    if not isinstance(value, str) or not re.fullmatch(r"[0-9]*", value):
+        raise SpecError(f"{path}: expected a string of symbol digits, got {value!r}")
+    return tuple(map(int, value))
+
+
 def _alphabet(d: dict, path: str) -> Alphabet:
     return Alphabet(_parse_int(d.get("alphabet_size", 2), path + ".alphabet_size"))
 
@@ -145,25 +169,22 @@ def parse_environment(d: dict, path: str = "$") -> Environment:
         if kind == "bernoulli":
             return BernoulliEnv(parse_rational(_require(d, "p", path), path + ".p"))
         if kind == "categorical":
-            probs = [parse_rational(p, f"{path}.probs[{i}]")
-                     for i, p in enumerate(_require(d, "probs", path))]
-            return CategoricalIIDEnv(probs)
+            return CategoricalIIDEnv(_rationals(_require(d, "probs", path), path + ".probs"))
         if kind == "uniform":
             return uniform_measure(_alphabet(d, path))
         if kind == "markov":
             transitions = {
-                tuple(int(c) for c in ctx): [
-                    parse_rational(p, f"{path}.transitions[{ctx}][{i}]")
-                    for i, p in enumerate(row)
-                ]
-                for ctx, row in _require(d, "transitions", path).items()
+                _symbols(ctx, f"{path}.transitions[{ctx}]"):
+                    _rationals(row, f"{path}.transitions[{ctx}]")
+                for ctx, row in _typed(_require(d, "transitions", path), dict,
+                                       path + ".transitions").items()
             }
             order = _parse_int(_require(d, "order", path), path + ".order")
             return MarkovEnv(order, transitions, _alphabet(d, path))
         if kind == "deterministic":
             return DeterministicEnv(
-                [int(c) for c in d.get("prefix", "")],
-                [int(c) for c in _require(d, "period", path)],
+                _symbols(d.get("prefix", ""), path + ".prefix"),
+                _symbols(_require(d, "period", path), path + ".period"),
                 _alphabet(d, path),
             )
         if kind == "leaky":
@@ -190,11 +211,11 @@ def parse_environment(d: dict, path: str = "$") -> Environment:
 def _table_values(d: dict, path: str) -> dict[tuple[int, ...], Fraction]:
     """The stored entries of a table or mubar spec, each in [0, 1]."""
     values = {}
-    for key, v in _require(d, "values", path).items():
+    for key, v in _typed(_require(d, "values", path), dict, path + ".values").items():
         q = parse_rational(v, f"{path}.values[{key}]")
         if not 0 <= q <= 1:
             raise SpecError(f"{path}.values[{key}]: {q} outside [0, 1]")
-        values[tuple(int(c) for c in key)] = q
+        values[_symbols(key, f"{path}.values[{key}]")] = q
     return values
 
 
@@ -224,20 +245,23 @@ def _parse_derived(d: dict, path: str) -> Environment:
         return NormalizedEnv(base, d.get("declared_class", base.declared_class))
     if derived == "nu-stage":
         from .counterexample import NuStageEnv
-        pivot = FiniteString.parse(d.get("pivot", ""))
+        pivot = FiniteString(BINARY, _symbols(d.get("pivot", ""), path + ".pivot"))
         return NuStageEnv(pivot, _parse_int(_require(d, "t", path), path + ".t"))
     if derived == "nu-limit":
         from .counterexample import NuLimitEnv
-        return NuLimitEnv(FiniteString.parse(d.get("alpha_prefix", "")),
+        return NuLimitEnv(FiniteString(BINARY, _symbols(d.get("alpha_prefix", ""),
+                                                        path + ".alpha_prefix")),
                           _parse_int(_require(d, "tail_zero_from", path),
                                      path + ".tail_zero_from"))
     if derived == "contaminated":
-        from .counterexample import MPrimeEnv
         nu = parse_environment(_require(d, "nu", path), path + ".nu")
         m = parse_environment(_require(d, "m", path), path + ".m")
         if not isinstance(m, MixtureEnv):
             raise SpecError(f"{path}.m: contaminated mixtures require a mixture base")
-        return MPrimeEnv(nu, m, parse_rational(_require(d, "gamma", path), path + ".gamma"))
+        gamma = parse_rational(_require(d, "gamma", path), path + ".gamma")
+        if not 0 < gamma < 1:
+            raise SpecError(f"{path}.gamma: {gamma} outside (0, 1)")
+        return contaminate(nu, m, gamma)
     if derived == "mubar":
         return _checked_table(MuBarEnv(
             _table_values(d, path),
@@ -270,9 +294,7 @@ def parse_class(d, path: str = "$") -> tuple[EnvClass, WeightScheme]:
     if raw_weights is None:
         weights = default_weights(len(envs))
     else:
-        weights = WeightScheme(tuple(
-            parse_rational(w, f"{path}.weights[{i}]")
-            for i, w in enumerate(raw_weights)))
+        weights = WeightScheme(tuple(_rationals(raw_weights, path + ".weights")))
         if len(weights) != len(envs):
             raise SpecError(f"{path}.weights: expected {len(envs)} entries")
     return EnvClass(envs), weights
@@ -353,7 +375,7 @@ def _mixture_from(spec: dict, mode: str = RAW) -> tuple[MixtureEnv, EnvClass, We
 
 
 def _class_index(value, env_class: EnvClass, path: str) -> int:
-    i = int(value)
+    i = _parse_int(value, path)
     if not 1 <= i <= len(env_class):
         raise SpecError(f"{path}: index {i} outside 1..{len(env_class)}")
     return i
@@ -374,7 +396,7 @@ def _w_from(spec: dict, weights: WeightScheme) -> Fraction:
     if "w" not in spec:
         if "mu_index" not in spec:
             raise SpecError("$.w: required when mu is given inline")
-        return weights.weight(int(spec["mu_index"]))
+        return weights.weight(_parse_int(spec["mu_index"], "$.mu_index"))
     w = parse_rational(spec["w"], "$.w")
     if not 0 < w <= 1:
         raise SpecError(f"$.w: {w} outside (0, 1]")
@@ -415,7 +437,7 @@ def run_markov_tail(spec, depth, bits, seed) -> RunResult:
     mix, env_class, weights = _mixture_from(spec)
     mu = _mu_from(spec, env_class)
     w = _w_from(spec, weights)
-    cs = [parse_rational(c, "$.c") for c in spec.get("c", ["1", "2", "4"])]
+    cs = _rationals(spec.get("c", ["1", "2", "4"]), "$.c")
     result = RunResult()
     for c, report in zip(cs, markov_tail_checks(mix, mu, depth, w, cs, bits)):
         result.outcomes.append(report.verdict.outcome)
@@ -447,16 +469,15 @@ def run_chain_lemma(spec, depth, bits, seed) -> RunResult:
     result = RunResult()
     rhs_scale = parse_rational(spec.get("rhs_scale", "1"), "$.rhs_scale")
     if "vectors" in spec:
-        vectors = [[parse_rational(x, "$.vectors") for x in v] for v in spec["vectors"]]
+        vectors = [_rationals(v, f"$.vectors[{i}]")
+                   for i, v in enumerate(_typed(spec["vectors"], list, "$.vectors"))]
         beta = parse_rational(spec["beta"], "$.beta") if "beta" in spec else None
         result.add_verdict("chain", chain_inequality(vectors, beta, bits, rhs_scale))
         return result
     if seed is None:
         raise SpecError("seeded trials require --seed")
-    trials = int(spec.get("trials", 100))
-    dim = int(spec.get("dim", 2))
-    betas = [parse_rational(b, "$.betas") for b in spec.get("betas", ["1/4", "1", "4"])]
-    m = int(spec.get("m", 6))
+    trials, dim, m = (_int_field(spec, *f) for f in (("trials", 100), ("dim", 2), ("m", 6)))
+    betas = _rationals(spec.get("betas", ["1/4", "1", "4"]), "$.betas")
     stream = BitStream(seed)
     counts = {CERTIFIED_HOLDS: 0, CERTIFIED_FAILS: 0, INCONCLUSIVE: 0}
     for _ in range(trials):
@@ -482,7 +503,7 @@ def run_quasimeasure(spec, depth, bits, seed) -> RunResult:
     for i in range(1, len(env_class) + 1):
         cutoffs[str(i)] = w_mix.component(i).cutoff_depth()
     result.documents["report"] = {"cutoff_depths": cutoffs}
-    equal_from = int(spec.get("equal_from", 2))
+    equal_from = _int_field(spec, "equal_from", 2)
     # tuple order is depth-first order and a state's representative is its
     # smallest string: the least mismatching one is the first a depth-first
     # walk would meet
@@ -505,7 +526,7 @@ def run_w_vs_d(spec, depth, bits, seed) -> RunResult:
     w_mix = MixtureEnv(env_class, weights, QUASI, quasi_depth_cap=max(depth + 1, 2))
     d_mix = MixtureEnv(env_class, weights, MEASURES_ONLY)
     omega, _ = sample(mu, depth, seed, with_likelihood=False)
-    stable_from = int(spec.get("stable_from", 3))
+    stable_from = _int_field(spec, "stable_from", 3)
     rows = []
     max_late = Fraction(0)
     w_cur, d_cur = w_mix.cursor(), d_mix.cursor()
@@ -530,7 +551,7 @@ def run_deficiency(spec, depth, bits, seed) -> RunResult:
     mix, env_class, weights = _mixture_from(spec, mode=spec.get("mode", RAW))
     mu = _mu_from(spec, env_class)
     if "omega" in spec:
-        omega = FiniteString.parse(spec["omega"], env_class.alphabet)
+        omega = FiniteString(env_class.alphabet, _symbols(spec["omega"], "$.omega"))
     else:
         if seed is None:
             raise SpecError("sampling omega requires --seed")
@@ -560,7 +581,8 @@ def run_leftmost_alpha(spec, depth, bits, seed) -> RunResult:
 
 
 def _functional_from(spec: dict):
-    f = spec.get("functional", {"kind": "indicator", "eps": "1/64"})
+    f = _typed(spec.get("functional", {"kind": "indicator", "eps": "1/64"}), dict,
+               "$.functional")
     eps = parse_rational(f.get("eps", "1/64"), "$.functional.eps")
     kind = f.get("kind", "indicator")
     if kind == "indicator":
@@ -576,7 +598,7 @@ def run_e2i(spec, depth, bits, seed) -> RunResult:
     env_class, weights = parse_class(spec)
     mu = _mu_from(spec, env_class)
     functional = _functional_from(spec)
-    n = int(spec.get("stage", depth))
+    n = _int_field(spec, "stage", depth)
     if n < 1:
         raise SpecError(f"$.stage: {n} must be >= 1 (it defaults to the depth)")
     result = RunResult()
@@ -590,7 +612,7 @@ def run_e2i(spec, depth, bits, seed) -> RunResult:
     extended = EnvClass(list(env_class.envs) + [mubar])
     ext_weights = default_weights(len(extended))
     m_ext = MixtureEnv(extended, ext_weights, RAW)
-    count = int(spec.get("count", 1))
+    count = _int_field(spec, "count", 1)
     stream_seed = seed
     for j in range(count):
         omega, _ = sample(mu, n, stream_seed + j, with_likelihood=False)
@@ -601,15 +623,17 @@ def run_e2i(spec, depth, bits, seed) -> RunResult:
 
 def run_prop8(spec, depth, bits, seed) -> RunResult:
     env_class, weights = parse_class(spec)
-    k0s = [_class_index(k, env_class, "$.k0") for k in spec.get("k0", [1])]
+    k0s = [_class_index(k, env_class, f"$.k0[{i}]")
+           for i, k in enumerate(_typed(spec.get("k0", [1]), list, "$.k0"))]
     result = RunResult()
     for k0 in k0s:
         v = prop8_expected_bound(env_class, weights, k0, depth, bits)
         result.add_verdict(f"expected-bound-k0-{k0}", v)
-    ratio_depth = int(spec.get("ratio_depth", min(depth, 8)))
-    for k in spec.get("ratio_k", list(range(2, len(env_class) + 1))):
+    ratio_depth = _int_field(spec, "ratio_depth", min(depth, 8))
+    ratio_k = _typed(spec.get("ratio_k", list(range(2, len(env_class) + 1))), list, "$.ratio_k")
+    for i, k in enumerate(ratio_k):
         v = delta_hat_ratio_check(env_class, weights,
-                                  _class_index(k, env_class, "$.ratio_k"), ratio_depth)
+                                  _class_index(k, env_class, f"$.ratio_k[{i}]"), ratio_depth)
         result.add_verdict(f"ratio-bound-k-{k}", v)
     return result
 
@@ -673,7 +697,7 @@ def run_experiment(subcommand: str, spec: dict, depth: Optional[int],
     if subcommand not in RUNNERS:
         raise SpecError(f"unknown subcommand {subcommand!r}")
     if depth is None:
-        depth = int(spec.get("depth", DEFAULT_DEPTHS[subcommand]))
+        depth = _int_field(spec, "depth", DEFAULT_DEPTHS[subcommand])
     if depth < 0:
         raise SpecError(f"depth must be >= 0, got {depth}")
     return RUNNERS[subcommand](spec, depth, precision_bits, seed)

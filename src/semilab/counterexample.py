@@ -3,11 +3,11 @@ away from the true uniform posterior on a uniformly random sequence.
 
 The ingredients: alpha is the leftmost sequence kept below the uniform
 envelope by the mixture M; nu piles mass 2^{-t} on every length-t string
-lexicographically below alpha; the contaminated mixture (1-gamma) nu + gamma M
-still dominates every class member yet its posterior exceeds 2/3 at each
-01-position of alpha.  Everything is exact rational arithmetic, including the
-limit values of nu on the alpha-spine, which are certified via an all-zero
-tail of alpha.
+lexicographically below alpha; the contaminated mixture (1-gamma) nu + gamma M,
+a raw mixture of the two, still dominates every class member yet its posterior
+exceeds 2/3 at each 01-position of alpha.  Everything is exact rational
+arithmetic, including the limit values of nu on the alpha-spine, which are
+certified via an all-zero tail of alpha.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .envcore import (
     FiniteString,
     HALF,
     STRICT_SEMIMEASURE,
-    MEASURE,
     ZERO,
     _frac_str,
     walk_states,
@@ -30,7 +29,7 @@ from .errors import (
     NeedsLargerTMaxError,
     SemilabError,
 )
-from .mixtures import PARTIAL_SUM, MixtureEnv, StageApproximation
+from .mixtures import RAW, PARTIAL_SUM, EnvClass, MixtureEnv, StageApproximation, WeightScheme
 from .divergence import verify_dominance
 from .randomness import envelope_violations, leftmost_symbols
 
@@ -187,32 +186,10 @@ def nu_limit(stages: StageApproximation, t_max: int) -> NuLimitEnv:
         symbols.append(a)
 
 
-class MPrimeEnv(Environment):
-    """(1-gamma) nu + gamma M, exactly."""
-
-    def __init__(self, nu: Environment, m: Environment, gamma: Fraction):
-        self.nu = nu
-        self.m = m
-        self.gamma = gamma
-        self.alphabet = nu.alphabet
-        self.declared_class = (
-            MEASURE
-            if nu.declared_class == MEASURE and m.declared_class == MEASURE
-            else STRICT_SEMIMEASURE
-        )
-        self.max_depth = None
-        for d in (nu.max_depth, m.max_depth):
-            if d is not None:
-                self.max_depth = d if self.max_depth is None else min(self.max_depth, d)
-
-    def _mass(self, symbols: tuple[int, ...]) -> Fraction:
-        return ((1 - self.gamma) * self.nu._mass(symbols)
-                + self.gamma * self.m._mass(symbols))
-
-    def spec(self) -> dict:
-        return {"kind": "derived", "derived": "contaminated",
-                "gamma": _frac_str(self.gamma),
-                "nu": self.nu.spec(), "m": self.m.spec()}
+def contaminate(nu: Environment, m: MixtureEnv, gamma: Fraction) -> MixtureEnv:
+    """M' = (1-gamma) nu + gamma M, exactly: the raw mixture of nu and M with
+    weights 1-gamma and gamma, so gamma must lie in (0, 1)."""
+    return MixtureEnv(EnvClass([nu, m]), WeightScheme((1 - gamma, gamma)), RAW)
 
 
 @dataclass(frozen=True)
@@ -220,7 +197,7 @@ class ContaminatedMixture:
     gamma: Fraction
     nu: Environment
     m: MixtureEnv
-    env: MPrimeEnv
+    env: MixtureEnv
 
     @property
     def posterior_bound(self) -> Fraction:
@@ -237,9 +214,7 @@ def build_mprime(nu: Environment, m: MixtureEnv, gamma: Fraction) -> Contaminate
     gamma = Fraction(gamma)
     if not 0 < gamma < GAMMA_UPPER:
         raise ValueError(f"gamma must lie strictly in (0, {GAMMA_UPPER})")
-    if nu.alphabet.size != m.alphabet.size:
-        raise SemilabError("component alphabets differ")
-    env = MPrimeEnv(nu, m, gamma)
+    env = contaminate(nu, m, gamma)
     depth = DOMINANCE_DEPTH
     if env.max_depth is not None:
         depth = min(depth, env.max_depth)

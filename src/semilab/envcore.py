@@ -487,13 +487,39 @@ class LeakyEnv(Environment):
         return {"kind": "leaky", "base": self.base.spec(), "leak": _frac_str(self.leak)}
 
 
-class _LeakyCursor(EnvCursor):
-    """Wraps the base cursor; the leak factor depends on the length only, so
-    the mass is formed only when asked for."""
+class _WrapperCursor(EnvCursor):
+    """The cursor of an environment derived from one base (``env.base``):
+    it steps the base's cursor, whose key is the key, and by default
+    passes ``row``, ``step`` and ``zero_step_factor_bound`` through."""
 
-    def __init__(self, env: LeakyEnv):
+    def __init__(self, env: Environment):
         self._env = env
         self._inner = env.base.cursor()
+
+    def row(self) -> tuple[Fraction, ...]:
+        return self._inner.row()
+
+    def step(self, a: int) -> None:
+        self._inner.step(a)
+
+    def clone(self) -> "_WrapperCursor":
+        new = super().clone()
+        new._inner = self._inner.clone()
+        return new
+
+    def state_key(self):
+        return self._inner.state_key()
+
+    def zero_step_factor_bound(self):
+        return self._inner.zero_step_factor_bound()
+
+
+class _LeakyCursor(_WrapperCursor):
+    """The leak factor depends on the length only, so the mass is formed
+    only when asked for."""
+
+    def __init__(self, env: LeakyEnv):
+        super().__init__(env)
         self._depth = 0
         self._base_row = self._row = None
 
@@ -513,14 +539,6 @@ class _LeakyCursor(EnvCursor):
     def step(self, a: int) -> None:
         self._inner.step(a)
         self._depth += 1
-
-    def clone(self) -> "_LeakyCursor":
-        new = super().clone()
-        new._inner = self._inner.clone()
-        return new
-
-    def state_key(self):
-        return self._inner.state_key()
 
     def zero_step_factor_bound(self):
         inner = self._inner.zero_step_factor_bound()

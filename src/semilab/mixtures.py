@@ -2,8 +2,9 @@
 
 Covers the raw reference mixture, measures-only mixtures (delta_k and their
 full-class limit), the quasimeasure mixture, normalization, stagewise
-approximations, and the quasimeasure transform itself.  All evaluation is
-exact rational arithmetic.
+approximations, and the quasimeasure transform itself.  Every mode is one
+weighted sum: a normalized mixture divides its weights once, when built.
+All evaluation is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .envcore import (
     ZERO,
     ONE,
     _frac_str,
+    _WrapperCursor,
     check_depth,
     validate,
     walk_states,
@@ -47,7 +49,6 @@ class WeightScheme:
     """Positive weights indexed from 1, summing to at most 1."""
 
     weights: tuple[Fraction, ...]
-    mode: str = "explicit"
 
     def __post_init__(self):
         if any(w <= 0 for w in self.weights):
@@ -69,9 +70,7 @@ def default_weights(count: int) -> WeightScheme:
     if count < 1:
         raise ValueError("count must be >= 1")
     return WeightScheme(
-        tuple(Fraction(1, i ** 6 * 2 ** i) for i in range(1, count + 1)),
-        mode="paper-default",
-    )
+        tuple(Fraction(1, i ** 6 * 2 ** i) for i in range(1, count + 1)))
 
 
 class EnvClass:
@@ -133,7 +132,7 @@ class QuasimeasureEnv(Environment):
         self.declared_class = base.declared_class
         self.max_depth = depth_cap if base.max_depth is None else min(depth_cap, base.max_depth)
         # per level n: (total depth-n mass of the base, alive at n)
-        self._totals: list[tuple[Fraction, bool]] = []
+        self._totals: list[tuple[Fraction, bool]] = [(base._mass(()), True)]
         self._walk = None
 
     def total_mass(self, n: int) -> Fraction:
@@ -141,24 +140,29 @@ class QuasimeasureEnv(Environment):
 
         A base with ``rows_sum_to_one`` totals 1 and is not walked.  Else
         one walk of the base serves every call: it advances only as far as
-        the deepest level asked for, and records each level's total, and
-        whether the level is alive, as the level completes (after its
-        states have counted all |A|^n strings).
+        the deepest level asked for, and totals level n from the children
+        of level n - 1's states (after they have counted all |A|^(n-1)
+        strings), so no row below level n - 1 is read.  A walk that raised
+        is dropped, and the next call walks again from the root.
         """
         check_depth(self, n)
         if self.base.rows_sum_to_one:
             return ONE
         if self._walk is None:
             self._walk = walk_states([self.base], self.max_depth)
-        while len(self._totals) <= n:
-            level = len(self._totals)
-            strings = self.alphabet.size ** level
-            total = ZERO
-            while strings:
-                _, (cursor,), count, _, _ = next(self._walk)
-                total += count * cursor.mass
-                strings -= count
-            self._totals.append((total, level == 0 or total > 1 - Fraction(1, level)))
+        try:
+            while len(self._totals) <= n:
+                level = len(self._totals)
+                strings, total = self.alphabet.size ** (level - 1), ZERO
+                while strings:
+                    symbols, _, count, _, children = next(self._walk)
+                    if len(symbols) == level - 1:  # else a level totalled before
+                        total += count * sum(child.mass for _, (child,) in children)
+                        strings -= count
+                self._totals.append((total, total > 1 - Fraction(1, level)))
+        except BaseException:
+            self._walk = None
+            raise
         return self._totals[n][0]
 
     def alive_at(self, n: int) -> bool:
@@ -195,13 +199,12 @@ class QuasimeasureEnv(Environment):
                 "base": self.base.spec(), "depth_cap": self.depth_cap}
 
 
-class _QuasimeasureCursor(EnvCursor):
-    """Wraps the base cursor; whether a depth survives depends on the depth
-    alone, so the base key is the key."""
+class _QuasimeasureCursor(_WrapperCursor):
+    """Whether a depth survives depends on the depth alone, so the base key
+    is the key."""
 
     def __init__(self, env: QuasimeasureEnv):
-        self._env = env
-        self._inner = env.base.cursor()
+        super().__init__(env)
         self._depth = 0
         self._mass = self._inner.mass
 
@@ -218,14 +221,6 @@ class _QuasimeasureCursor(EnvCursor):
         self._inner.step(a)
         self._depth += 1
         self._mass = self._inner.mass if self._env.alive_at(self._depth) else ZERO
-
-    def clone(self) -> "_QuasimeasureCursor":
-        new = super().clone()
-        new._inner = self._inner.clone()
-        return new
-
-    def state_key(self):
-        return self._inner.state_key()
 
     def zero_step_factor_bound(self):
         return ZERO if self._mass == 0 else self._inner.zero_step_factor_bound()
@@ -268,21 +263,20 @@ class MixtureEnv(Environment):
             self._membership = env_class.measure_indices(self.k)
             if not self._membership:
                 raise SemilabError("measures-only mixture with empty membership set")
-        all_measures = all(env_class.is_measure(i) for i in self._membership)
+        # the weights actually mixed, formed once: a normalized mixture
+        # divides them by its unnormalized root mass
+        self._weights = tuple(weights.weight(i) for i in self._membership)
         if mode == NORMALIZED_MEASURES_ONLY:
-            self.declared_class = MEASURE if all_measures else STRICT_SEMIMEASURE
-        else:
-            total_one = sum(weights.weight(i) for i in self._membership) == 1
-            self.declared_class = MEASURE if (all_measures and total_one) else STRICT_SEMIMEASURE
+            root = sum(w * self.component(i)._mass(())
+                       for w, i in zip(self._weights, self._membership))
+            self._weights = tuple(w / root for w in self._weights)
+        self.declared_class = (
+            MEASURE if all(env_class.is_measure(i) for i in self._membership)
+            and sum(self._weights) == 1 else STRICT_SEMIMEASURE)
         depths += [env_class.env(i).max_depth for i in self._membership
                    if env_class.env(i).max_depth is not None]
         if depths:
             self.max_depth = min(depths)
-        # the normalizer: _mass and every cursor divide by this one total
-        self._norm = ONE
-        if mode == NORMALIZED_MEASURES_ONLY:
-            self._norm = sum(weights.weight(i) * self.component(i)._mass(())
-                             for i in self._membership)
 
     def membership(self) -> tuple[int, ...]:
         """J_k for measures-only modes; all indices otherwise."""
@@ -296,10 +290,8 @@ class MixtureEnv(Environment):
 
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
         total = ZERO
-        for i in self._membership:
-            total += self.weights.weight(i) * self.component(i)._mass(symbols)
-        if self.mode == NORMALIZED_MEASURES_ONLY:
-            return total / self._norm
+        for w, i in zip(self._weights, self._membership):
+            total += w * self.component(i)._mass(symbols)
         return total
 
     def spec(self) -> dict:
@@ -329,12 +321,10 @@ class _MixtureCursor(EnvCursor):
 
     def __init__(self, mix: MixtureEnv):
         self._env = mix
-        indices = mix.membership()
-        self._weights = tuple(mix.weights.weight(i) for i in indices)
-        self._cursors = [mix.component(i).cursor() for i in indices]
+        self._weights = mix._weights
+        self._cursors = [mix.component(i).cursor() for i in mix.membership()]
         self._masses = [c.mass for c in self._cursors]
-        self._norm = mix._norm
-        self._mass = sum(w * m for w, m in zip(self._weights, self._masses)) / self._norm
+        self._mass = sum(w * m for w, m in zip(self._weights, self._masses))
 
     def row(self) -> tuple[Fraction, ...]:
         if self._mass == 0:
@@ -346,8 +336,7 @@ class _MixtureCursor(EnvCursor):
             wm = w * m
             for a, p in enumerate(cursor.row()):
                 child_totals[a] += wm * p
-        denom = self._mass * self._norm
-        return tuple(c / denom for c in child_totals)
+        return tuple(c / self._mass for c in child_totals)
 
     def step(self, a: int) -> None:
         masses = self._masses
@@ -355,11 +344,10 @@ class _MixtureCursor(EnvCursor):
             if masses[j] != 0:
                 cursor.step(a)
                 masses[j] = cursor.mass
-        self._mass = sum(w * m for w, m in zip(self._weights, masses)) / self._norm
+        self._mass = sum(w * m for w, m in zip(self._weights, masses))
 
     def clone(self):
-        new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__)
+        new = super().clone()
         new._cursors = [c.clone() if m != 0 else c
                         for c, m in zip(self._cursors, self._masses)]
         new._masses = list(self._masses)
@@ -406,32 +394,10 @@ class NormalizedEnv(Environment):
         return _NormalizedCursor(self)
 
 
-class _NormalizedCursor(EnvCursor):
-    def __init__(self, env: NormalizedEnv):
-        self._env = env
-        self._inner = env.base.cursor()
-
+class _NormalizedCursor(_WrapperCursor):
     @property
     def mass(self):
         return self._inner.mass / self._env.total
-
-    def row(self):
-        return self._inner.row()
-
-    def step(self, a: int) -> None:
-        self._inner.step(a)
-
-    def clone(self):
-        new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__)
-        new._inner = self._inner.clone()
-        return new
-
-    def state_key(self):
-        return self._inner.state_key()
-
-    def zero_step_factor_bound(self):
-        return self._inner.zero_step_factor_bound()
 
 
 def normalize(mix: MixtureEnv) -> Environment:
@@ -496,9 +462,9 @@ class StageApproximation:
         if self.rule == EXACT:
             return self.target.eval(x)
         total = ZERO
-        indices = [i for i in self.target.membership() if i <= t]
-        for i in indices:
-            total += self.target.weights.weight(i) * self.target.component(i).eval(x)
+        for w, i in zip(self.target._weights, self.target.membership()):
+            if i <= t:
+                total += w * self.target.component(i).eval(x)
         return total
 
     @property

@@ -407,6 +407,61 @@ def test_class_index_out_of_range_exits_one(subcommand, extra, args, capsys):
     _assert_one_line_error(code, capsys)
 
 
+@pytest.mark.parametrize("subcommand, fixture, field, value, message", [
+    ("verify-hellinger-bounds", "bern3_mix", "mu_index", 1.5, "$.mu_index"),
+    ("prop8", "bern3_default_weights", "k0", [1, 1.5], "$.k0[1]"),
+    ("prop8", "bern3_default_weights", "ratio_k", [2.5], "$.ratio_k[0]"),
+    ("prop8", "bern3_default_weights", "ratio_depth", 3.5, "$.ratio_depth"),
+    ("quasimeasure", "quasi_leaky", "equal_from", 2.5, "$.equal_from"),
+    ("w-vs-d", "quasi_leaky", "stable_from", 2.7, "$.stable_from"),
+    ("chain-lemma", "chain_trials", "trials", 2.5, "$.trials"),
+    ("chain-lemma", "chain_trials", "dim", "3.0", "$.dim"),
+    ("chain-lemma", "chain_trials", "m", True, "$.m"),
+    ("e2i", "e2i_indicator", "stage", 2.5, "$.stage"),
+    ("e2i", "e2i_indicator", "count", 1.5, "$.count"),
+    ("leftmost-alpha", "counterexample_canonical", "depth", 5.7, "$.depth"),
+])
+def test_runner_integer_field_is_never_truncated(subcommand, fixture, field, value,
+                                                 message, capsys):
+    spec = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    spec[field] = value
+    depth = () if field == "depth" else ("--depth", "3")
+    code = run_cli(subcommand, "--spec", json.dumps(spec), "--seed", "1", *depth)
+    assert code == EXIT_USAGE
+    bad = value[-1] if isinstance(value, list) else value
+    assert capsys.readouterr().err == f"error: {message}: expected an integer, got {bad!r}\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"class": [{"kind": "deterministic", "period": 0}]},
+     "$.class[0].period: expected a string of symbol digits, got 0"),
+    ({"class": [{"kind": "markov", "order": 1, "transitions": []}]},
+     "$.class[0].transitions: expected an object, got []"),
+    ({"class": [{"kind": "table", "depth": 1, "values": []}]},
+     "$.class[0].values: expected an object, got []"),
+    ({"class": [{"kind": "bernoulli", "p": "1/2"}], "weights": "1"},
+     "$.weights: expected an array, got '1'"),
+], ids=["period-int", "transitions-array", "values-array", "weights-string"])
+def test_wrong_typed_container_field_exits_one(spec, message, capsys):
+    code = run_cli("leftmost-alpha", "--spec", json.dumps(spec), "--depth", "2")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("gamma", ["2", "1", "0", "-1/2"])
+def test_contamination_weight_outside_the_unit_interval_exits_one(gamma, capsys):
+    member = {"kind": "derived", "derived": "contaminated", "gamma": gamma,
+              "nu": {"kind": "derived", "derived": "nu-limit", "alpha_prefix": "01",
+                     "tail_zero_from": 2},
+              "m": {"kind": "derived", "derived": "mixture",
+                    "environments": [{"kind": "uniform"}], "weights": ["1"]}}
+    code = run_cli("leftmost-alpha", "--spec", json.dumps({"class": [member]}),
+                   "--depth", "4")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: $.class[0].gamma: {parse_rational(gamma)} outside (0, 1)\n"
+
+
 def test_negative_depth_exits_one(capsys):
     code = run_cli("verify-hellinger-bounds",
                    "--spec", str(FIXTURES / "bern3_mix.json"), "--depth", "-1")

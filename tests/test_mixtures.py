@@ -101,6 +101,19 @@ def test_quasimeasure_cutoff_walks_the_base_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_quasimeasure_totals_read_no_row_below_the_level_above():
+    # no row for context (1,): level 1 totals from the root's row alone, and
+    # level 2 needs the missing row, every time it is asked for
+    gapped = sl.MarkovEnv(1, {(): [F(1, 2), F(1, 2)], (0,): [F(1, 3), F(2, 3)]})
+    q = sl.QuasimeasureEnv(gapped, 8)
+    assert q.total_mass(1) == 1
+    for _ in range(2):
+        with pytest.raises(SemilabError) as err:
+            q.total_mass(2)
+        assert type(err.value) is SemilabError
+        assert str(err.value) == "missing transition row for context (1,)"
+
+
 def test_quasimeasure_never_exceeds_base():
     leaky = sl.LeakyEnv(sl.BernoulliEnv(F(1, 3)), F(2, 3))
     q = sl.QuasimeasureEnv(leaky, depth_cap=10)
@@ -167,6 +180,17 @@ def test_normalized_measures_only_mixture_is_a_measure(bern3_class):
     x = sl.FiniteString.parse("01")
     raw = sl.MixtureEnv(bern3_class, ws, sl.MEASURES_ONLY)
     assert d_hat.eval(x) == raw.eval(x) / sum(ws.weights)
+
+
+def test_partial_sum_stages_of_a_normalized_target_end_at_the_target(bern3_class):
+    target = sl.MixtureEnv(bern3_class, sl.default_weights(3), sl.NORMALIZED_MEASURES_ONLY)
+    stages = sl.StageApproximation(target, rule=sl.PARTIAL_SUM)
+    assert stages.stage_eval(stages.final_stage, sl.FiniteString.empty()) == 1
+    for n in range(4):
+        for x, _ in sl.enumerate_support(sl.uniform_measure(), n):
+            values = [stages.stage_eval(t, x) for t in range(1, stages.final_stage + 1)]
+            assert values == sorted(values)
+            assert values[-1] == target.eval(x)
 
 
 @pytest.mark.parametrize("mode, option", [

@@ -1,0 +1,80 @@
+"""Bounded fuzz of the CLI: every bad spec field ends in an exit code and at
+most a one-line error, never in an escaped exception or a traceback.
+
+Each example takes one fixture, replaces one of its fields (or sets one of
+the fields the runners read) with a drawn JSON value, and runs one
+subcommand in-process at depth <= 4.  Drawn integers and digit strings stay
+small, so that a field read as a size (trials, stage, ratio_depth) cannot
+make a run exponential.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semilab.cli import SUBCOMMANDS, main
+
+from conftest import FIXTURES
+
+SPECS = {f.name: json.loads(f.read_text()) for f in sorted(FIXTURES.glob("*.json"))}
+
+#: fields the runners read that not every fixture sets
+RUNNER_FIELDS = ("depth", "mu_index", "mu", "w", "kappa", "c", "vectors", "beta",
+                 "rhs_scale", "trials", "dim", "betas", "m", "equal_from",
+                 "stable_from", "mode", "omega", "functional", "stage", "count",
+                 "k0", "ratio_depth", "ratio_k", "gamma", "weights", "class")
+
+SCALARS = (st.none() | st.booleans() | st.integers(-2, 4)
+           | st.sampled_from([1.5, -0.5, 5.7, 0.0, 1e300])
+           | st.sampled_from(["", "1", "2", "-1", "1/2", "3/2", "0/1", "1/0", "1.5", "x",
+                              "01", "10", "raw", "quasi", "measures-only",
+                              "normalized-measures-only", "constant", "bernoulli", "uniform",
+                              "categorical", "markov", "deterministic", "leaky", "decaying",
+                              "table", "derived", "mixture", "quasimeasure", "normalized",
+                              "nu-stage", "nu-limit", "contaminated", "mubar"]))
+KEYS = st.sampled_from(["kind", "derived", "p", "probs", "base", "leak", "period", "prefix",
+                        "order", "transitions", "beta", "depth", "values", "environments",
+                        "weights", "mode", "k", "nu", "m", "gamma", "eps", "", "0", "1"])
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=6)
+
+
+def _fields(node, path=()):
+    """Every field of a decoded spec: object members and array items."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+@st.composite
+def mutated_runs(draw):
+    name = draw(st.sampled_from(sorted(SPECS)))
+    spec = json.loads(json.dumps(SPECS[name]))
+    path = draw(st.sampled_from(sorted(_fields(spec), key=repr)
+                                + [(f,) for f in RUNNER_FIELDS]))
+    node = spec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = draw(JSON_VALUES)
+    args = [draw(st.sampled_from(SUBCOMMANDS)), "--spec", json.dumps(spec), "--seed", "1"]
+    if path != ("depth",):  # else the spec's own depth is read
+        args += ["--depth", str(draw(st.integers(0, 4)))]
+    return args
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(mutated_runs())
+def test_mutated_fixture_specs_exit_cleanly(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1

@@ -99,6 +99,9 @@ KINDS = {
     "quasimeasure": lambda: sl.QuasimeasureEnv(
         sl.LeakyEnv(sl.BernoulliEnv(F(1, 2)), F(3, 4)), 8),
     "quasimeasure-table": lambda: sl.QuasimeasureEnv(_table(), 8),
+    "contaminated": lambda: sl.contaminate(
+        sl.NuLimitEnv(sl.FiniteString.parse("0101"), 4), _mixture(_product_class(), sl.RAW),
+        F(1, 9)),
 }
 
 
@@ -430,9 +433,10 @@ def test_w_vs_d_walks_only_the_leaky_member(monkeypatch):
     result = run_experiment("w-vs-d", spec, 200, 128, 1)
     assert result.outcomes == ["certified-holds"]
     # the parser's cross-check of the strict semimeasure (depth 4), then its
-    # quasimeasure's totals, stopped at the cutoff 2
+    # quasimeasure's totals, stopped at the cutoff 2: level 2 is totalled
+    # from the children of level 1, so the walk yields nothing deeper
     assert [(module, type(env), reached) for module, env, reached in walks] == [
-        ("semilab.envcore", sl.LeakyEnv, 4), ("semilab.mixtures", sl.LeakyEnv, 2)]
+        ("semilab.envcore", sl.LeakyEnv, 4), ("semilab.mixtures", sl.LeakyEnv, 1)]
 
 
 @pytest.mark.parametrize("make", [_product_class, _table_class,
