@@ -36,6 +36,7 @@ from .envcore import (
     LeakyEnv,
     MarkovEnv,
     MEASURE,
+    STRICT_SEMIMEASURE,
     TableEnv,
     _frac_str,
     sample,
@@ -105,8 +106,8 @@ EXIT_INCONCLUSIVE = 3
 # ---------------------------------------------------------------- spec parsing
 
 def parse_rational(text, path: str = "") -> Fraction:
-    """Parse "num/den" or integer strings; floats are rejected."""
-    if isinstance(text, int):
+    """Parse "num/den" or integer strings; floats and bools are rejected."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise SpecError(f"{path}: rational must be a \"num/den\" string, got {text!r}")
@@ -134,8 +135,20 @@ def _parse_int(value, path: str) -> int:
     raise SpecError(f"{path}: expected an integer, got {value!r}")
 
 
-def _int_field(spec: dict, key: str, default) -> int:
-    return _parse_int(spec.get(key, default), f"$.{key}")
+def _int_field(spec: dict, key: str, default, least: Optional[int] = None) -> int:
+    """The integer field ``key`` of a run spec, refused below ``least``."""
+    value = _parse_int(spec.get(key, default), f"$.{key}")
+    if least is not None and value < least:
+        raise SpecError(f"$.{key}: {value} must be >= {least}")
+    return value
+
+
+def _declared_class(d: dict, default: str, path: str) -> str:
+    value = d.get("declared_class", default)
+    if value not in (MEASURE, STRICT_SEMIMEASURE):
+        raise SpecError(f"{path}.declared_class: expected {MEASURE!r} or "
+                        f"{STRICT_SEMIMEASURE!r}, got {value!r}")
+    return value
 
 
 def _typed(value, kind: type, path: str):
@@ -198,7 +211,7 @@ def parse_environment(d: dict, path: str = "$") -> Environment:
             return _checked_table(TableEnv(
                 _parse_int(_require(d, "depth", path), path + ".depth"),
                 _table_values(d, path), _alphabet(d, path),
-                d.get("declared_class", "strict-semimeasure")), path)
+                _declared_class(d, STRICT_SEMIMEASURE, path)), path)
         if kind == "derived":
             return _parse_derived(d, path)
     except SpecError:
@@ -242,7 +255,7 @@ def _parse_derived(d: dict, path: str) -> Environment:
             _parse_int(d.get("depth_cap", 24), path + ".depth_cap"))
     if derived == "normalized":
         base = parse_environment(_require(d, "base", path), path + ".base")
-        return NormalizedEnv(base, d.get("declared_class", base.declared_class))
+        return NormalizedEnv(base, _declared_class(d, base.declared_class, path))
     if derived == "nu-stage":
         from .counterexample import NuStageEnv
         pivot = FiniteString(BINARY, _symbols(d.get("pivot", ""), path + ".pivot"))
@@ -476,7 +489,8 @@ def run_chain_lemma(spec, depth, bits, seed) -> RunResult:
         return result
     if seed is None:
         raise SpecError("seeded trials require --seed")
-    trials, dim, m = (_int_field(spec, *f) for f in (("trials", 100), ("dim", 2), ("m", 6)))
+    trials, dim, m = (_int_field(spec, *f)
+                      for f in (("trials", 100, 1), ("dim", 2, 2), ("m", 6, 2)))
     betas = _rationals(spec.get("betas", ["1/4", "1", "4"]), "$.betas")
     stream = BitStream(seed)
     counts = {CERTIFIED_HOLDS: 0, CERTIFIED_FAILS: 0, INCONCLUSIVE: 0}
@@ -612,7 +626,7 @@ def run_e2i(spec, depth, bits, seed) -> RunResult:
     extended = EnvClass(list(env_class.envs) + [mubar])
     ext_weights = default_weights(len(extended))
     m_ext = MixtureEnv(extended, ext_weights, RAW)
-    count = _int_field(spec, "count", 1)
+    count = _int_field(spec, "count", 1, 1)
     stream_seed = seed
     for j in range(count):
         omega, _ = sample(mu, n, stream_seed + j, with_likelihood=False)

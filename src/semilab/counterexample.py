@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .envcore import (
     Environment,
@@ -40,19 +41,12 @@ DOMINANCE_DEPTH = 4
 def alpha_stage(stages: StageApproximation, t: int) -> FiniteString:
     """Length-t leftmost string kept below the 2^{-k} envelope by the stage-t
     evaluation: symbol k is 0 when stage value of the 0-extension is at most
-    2^{-k}, else 1.  Nondecreasing in t because stages increase pointwise."""
+    2^{-k}, else 1.  Nondecreasing in t because stages increase pointwise.
+    One stage cursor walks the string (``leftmost_symbols``)."""
     if stages.target.alphabet.size != 2:
         raise SemilabError("construction requires binary alphabet")
-    alphabet = stages.target.alphabet
-    symbols: tuple[int, ...] = ()
-    stage = max(t, 1)
-    for k in range(1, t + 1):
-        candidate = FiniteString(alphabet, symbols + (0,))
-        if stages.stage_eval(stage, candidate) <= Fraction(1, 2 ** k):
-            symbols = symbols + (0,)
-        else:
-            symbols = symbols + (1,)
-    return FiniteString(alphabet, symbols)
+    symbols = islice(leftmost_symbols(stages.stage_cursor(max(t, 1))), t)
+    return FiniteString(stages.target.alphabet, tuple(a for a, _ in symbols))
 
 
 class NuStageEnv(Environment):
@@ -173,7 +167,7 @@ def nu_limit(stages: StageApproximation, t_max: int) -> NuLimitEnv:
     if stages.rule == PARTIAL_SUM and t_max < stages.final_stage:
         raise NeedsLargerTMaxError(
             f"partial-sum stages only stabilize from stage {stages.final_stage}")
-    alpha = leftmost_symbols(m)
+    alpha = leftmost_symbols(m.cursor())
     symbols, cursor = [], m.cursor()
     while True:
         bound = cursor.zero_step_factor_bound()

@@ -18,21 +18,23 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from mpmath.libmp import (
-    fzero, mpf_add, mpf_ge, mpf_lt, mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, round_floor,
+    fone, fzero, mpf_add, mpf_ge, mpf_lt, mpf_shift, mpf_sqrt, mpf_sub, mpi_add, mpi_exp,
+    mpi_mul, mpi_sub, round_ceiling, round_floor,
 )
 
 from . import intervals
 from .intervals import (
     DEFAULT_PRECISION,
     Verdict,
-    abs_interval,
+    abs_bounds,
     compare_le,
     fraction_bounds,
     from_fraction,
     interval_str,
     iv,
-    pow_nonneg,
+    pow_nonneg_bounds,
     precision,
+    quotient_bounds,
 )
 from .envcore import Environment, FiniteString, ZERO, walk_states
 from .errors import NotAMeasureRowError, NotDominatedError, UndefinedPosteriorError
@@ -41,15 +43,27 @@ HALF = Fraction(1, 2)
 
 
 def _sqrt_prod_sum(p: Sequence[Fraction], q: Sequence[Fraction], prec: int) -> tuple:
-    """Raw ``(lo, hi)`` enclosure of sum_i sqrt(p_i q_i) at prec bits."""
+    """Raw ``(lo, hi)`` enclosure of sum_i sqrt(p_i q_i) at prec bits; each
+    product is rounded as its integer quotient, never reduced."""
     lo = hi = fzero
     for pi, qi in zip(p, q):
-        prod = pi * qi
-        if prod != 0:
-            a, b = fraction_bounds(prod, prec)
+        if pi and qi:
+            a, b = quotient_bounds(pi.numerator * qi.numerator,
+                                   pi.denominator * qi.denominator, prec)
             lo = mpf_add(lo, mpf_sqrt(a, prec, round_floor), prec, round_floor)
             hi = mpf_add(hi, mpf_sqrt(b, prec, round_ceiling), prec, round_ceiling)
     return lo, hi
+
+
+def _hellinger_bounds(p: Sequence[Fraction], q: Sequence[Fraction], prec: int) -> tuple:
+    """Raw ``(lo, hi)`` enclosure of h(p, q) at prec bits, unchecked rows."""
+    r_lo, r_hi = fraction_bounds(sum(p, ZERO) + sum(q, ZERO), prec)
+    s_lo, s_hi = _sqrt_prod_sum(p, q, prec)
+    lo = mpf_sub(r_lo, mpf_shift(s_hi, 1), prec, round_floor)
+    hi = mpf_sub(r_hi, mpf_shift(s_lo, 1), prec, round_ceiling)
+    # h >= 0 and h <= sum p + sum q hold exactly; clip the enclosure
+    return (fzero if mpf_lt(lo, fzero) else lo,
+            r_hi if mpf_lt(r_hi, hi) else hi)
 
 
 def hellinger_step(p: Sequence[Fraction], q: Sequence[Fraction]):
@@ -62,14 +76,7 @@ def hellinger_step(p: Sequence[Fraction], q: Sequence[Fraction]):
         raise ValueError("length mismatch")
     if any(v < 0 for v in p) or any(v < 0 for v in q):
         raise ValueError("entries must be nonnegative")
-    prec = iv.prec
-    r_lo, r_hi = fraction_bounds(sum(p, ZERO) + sum(q, ZERO), prec)
-    s_lo, s_hi = _sqrt_prod_sum(p, q, prec)
-    lo = mpf_sub(r_lo, mpf_shift(s_hi, 1), prec, round_floor)
-    hi = mpf_sub(r_hi, mpf_shift(s_lo, 1), prec, round_ceiling)
-    # h >= 0 and h <= sum p + sum q hold exactly; clip the enclosure
-    return iv.make_mpf((fzero if mpf_lt(lo, fzero) else lo,
-                        r_hi if mpf_lt(r_hi, hi) else hi))
+    return iv.make_mpf(_hellinger_bounds(p, q, iv.prec))
 
 
 def bhattacharyya_step(p: Sequence[Fraction], q: Sequence[Fraction]):
@@ -170,15 +177,15 @@ def _support_states(nu: Environment, mu: Environment, n: int, w: Fraction):
         yield state
 
 
-def _carry(states, root, advance):
+def _carry(states, root, advance, join):
     """Carry one value per state of ``_support_states``.
 
     The root holds ``root``.  A state above depth n hands ``advance(nu_row,
     mu_row, mass, value)`` to each of its children, ``mass`` being the mu-mass
     of all the strings in the state, and a child reached from several states
-    holds the ``+`` of what they hand it, taken in the walker's fixed state
-    order.  Yields ``(count, mu_mass, value)`` for each state at depth n: its
-    number of strings, the mu-mass of each, and its value.
+    holds the ``join`` of what they hand it, taken in the walker's fixed
+    state order.  Yields ``(count, mu_mass, value)`` for each state at depth
+    n: its number of strings, the mu-mass of each, and its value.
     """
     level, carried, nxt = 0, {}, {}
     for symbols, (nu_cur, mu_cur), count, key, children in states:
@@ -192,7 +199,12 @@ def _carry(states, root, advance):
             raise UndefinedPosteriorError("nu vanishes on a mu-support prefix")
         out = advance(nu_cur.row(), mu_cur.row(), count * mu_cur.mass, value)
         for child_key, _ in children:
-            nxt[child_key] = nxt[child_key] + out if child_key in nxt else out
+            nxt[child_key] = join(nxt[child_key], out) if child_key in nxt else out
+
+
+def _half(x: tuple) -> tuple:
+    """x / 2 for a raw interval: exact, so no rounding."""
+    return mpf_shift(x[0], -1), mpf_shift(x[1], -1)
 
 
 def hellinger_expectations(nu: Environment, mu: Environment, n: int,
@@ -219,47 +231,59 @@ def hellinger_expectations(nu: Environment, mu: Environment, n: int,
     ``support_size`` is the number of mu-support strings of length n and
     ``support_mass`` their exact total mu-mass: when both are 1, mu is a
     point mass on one path and every expectation is a point evaluation.
+
+    The folds run on raw ``(lo, hi)`` endpoint tuples with the ``libmpi``
+    kernels mpmath's interval objects call, so each enclosure is the one
+    those objects would give; the sums are boxed only in the result.
     """
     kappa = Fraction(kappa)
     if not 0 < kappa <= HALF:
         raise ValueError("kappa must lie in (0, 1/2]")
     symbols = mu.alphabet.symbols
-    sums = [iv.mpf(0), iv.mpf(0), ZERO]  # sqrt-ratio sum, Hellinger sum, excess
+    prec = precision_bits
+    zero = (fzero, fzero)
+    sums = [zero, zero, ZERO]  # sqrt-ratio sum, Hellinger sum, excess
 
     def advance(nu_row, mu_row, mass, e):
         if kappa != HALF:
-            return e * iv.exp(_kappa_row(nu_row, mu_row, kappa, symbols) / 2)
-        h = hellinger_step(nu_row, mu_row)
-        weight = from_fraction(mass)
+            g = _kappa_row(nu_row, mu_row, kappa, symbols, prec)
+            return mpi_mul(e, mpi_exp(_half(g), prec), prec)
+        h = _hellinger_bounds(nu_row, mu_row, prec)
+        weight = fraction_bounds(mass, prec)
         # restrict to mu-support symbols: E[(sqrt(nu_t/mu_t)-1)^2 | prefix]
-        on = [a for a in symbols if mu_row[a] != 0]
-        restricted = h if len(on) == len(symbols) else hellinger_step(
-            [nu_row[a] for a in on], [mu_row[a] for a in on])
-        sums[0] += weight * restricted
-        sums[1] += weight * h
-        sums[2] += mass * sum((nu_row[a] for a in symbols if mu_row[a] == 0), ZERO)
-        return e * iv.exp(h / 2)
+        on = [a for a in symbols if mu_row[a]]
+        restricted = h
+        if len(on) < len(symbols):
+            restricted = _hellinger_bounds([nu_row[a] for a in on], [mu_row[a] for a in on],
+                                           prec)
+            sums[2] += mass * sum((nu_row[a] for a in symbols if not mu_row[a]), ZERO)
+        sums[0] = mpi_add(sums[0], mpi_mul(weight, restricted, prec), prec)
+        sums[1] = mpi_add(sums[1], mpi_mul(weight, h, prec), prec)
+        return mpi_mul(e, mpi_exp(_half(h), prec), prec)
 
-    with precision(precision_bits):
-        total, size, support_mass = iv.mpf(0), 0, ZERO
-        for count, mass, e in _carry(_support_states(nu, mu, n, Fraction(w)),
-                                     iv.mpf(1), advance):
-            total += from_fraction(mass) * e
-            size += count
-            support_mass += count * mass
-        found = {"exp_half_sum": total, "support_size": size, "support_mass": support_mass}
-        if kappa != HALF:
-            return found
-        sqrt_sum, hell_sum, excess = sums
-        outcome = intervals.CERTIFIED_HOLDS if excess >= 0 else intervals.CERTIFIED_FAILS
-        found.update({
-            "sqrt_ratio_sum": sqrt_sum,
-            "hellinger_sum": hell_sum,
-            "off_support_excess": excess,
-            "part_i": Verdict(outcome, *interval_str(sqrt_sum), *interval_str(hell_sum),
-                              precision_bits),
-        })
+    def join(x, y):
+        return mpi_add(x, y, prec)
+
+    total, size, support_mass = zero, 0, ZERO
+    for count, mass, e in _carry(_support_states(nu, mu, n, Fraction(w)),
+                                 (fone, fone), advance, join):
+        total = mpi_add(total, mpi_mul(fraction_bounds(mass, prec), e, prec), prec)
+        size += count
+        support_mass += count * mass
+    found = {"exp_half_sum": iv.make_mpf(total), "support_size": size,
+             "support_mass": support_mass}
+    if kappa != HALF:
         return found
+    sqrt_sum, hell_sum, excess = iv.make_mpf(sums[0]), iv.make_mpf(sums[1]), sums[2]
+    outcome = intervals.CERTIFIED_HOLDS if excess >= 0 else intervals.CERTIFIED_FAILS
+    found.update({
+        "sqrt_ratio_sum": sqrt_sum,
+        "hellinger_sum": hell_sum,
+        "off_support_excess": excess,
+        "part_i": Verdict(outcome, *interval_str(sqrt_sum), *interval_str(hell_sum),
+                          precision_bits),
+    })
+    return found
 
 
 def expected_hellinger_sums(nu: Environment, mu: Environment, n: int,
@@ -268,17 +292,19 @@ def expected_hellinger_sums(nu: Environment, mu: Environment, n: int,
     return hellinger_expectations(nu, mu, n, precision_bits=precision_bits)
 
 
-def _kappa_row(nu_row, mu_row, kappa: Fraction, symbols):
-    """Interval for sum_a |nu_a^kappa - mu_a^kappa|^{1/kappa}."""
+def _kappa_row(nu_row, mu_row, kappa: Fraction, symbols, prec: int) -> tuple:
+    """Raw ``(lo, hi)`` enclosure of sum_a |nu_a^kappa - mu_a^kappa|^{1/kappa}
+    at prec bits."""
     if kappa == HALF:
-        return hellinger_step(nu_row, mu_row)
-    total = iv.mpf(0)
+        return _hellinger_bounds(nu_row, mu_row, prec)
+    zero = (fzero, fzero)
+    total = zero
     inv = 1 / kappa
     for a in symbols:
-        na = pow_nonneg(from_fraction(nu_row[a]), kappa) if nu_row[a] != 0 else iv.mpf(0)
-        ma = pow_nonneg(from_fraction(mu_row[a]), kappa) if mu_row[a] != 0 else iv.mpf(0)
-        diff = abs_interval(na - ma)
-        total += pow_nonneg(diff, inv)
+        na, ma = (pow_nonneg_bounds(fraction_bounds(row[a], prec), kappa, prec)
+                  if row[a] else zero for row in (nu_row, mu_row))
+        diff = abs_bounds(mpi_sub(na, ma, prec))
+        total = mpi_add(total, pow_nonneg_bounds(diff, inv, prec), prec)
     return total
 
 
@@ -332,7 +358,7 @@ def markov_tail_checks(nu: Environment, mu: Environment, n: int,
     w, cs = Fraction(w), [Fraction(c) for c in cs]
 
     def advance(nu_row, mu_row, mass, cums):
-        h_lo, h_hi = hellinger_step(nu_row, mu_row)._mpi_
+        h_lo, h_hi = _hellinger_bounds(nu_row, mu_row, prec)
         out = Counter()
         for (lo, hi), k in cums.items():
             out[(mpf_add(lo, h_lo, prec, round_floor),
@@ -346,7 +372,7 @@ def markov_tail_checks(nu: Environment, mu: Environment, n: int,
         exceed = [ZERO] * len(cs)
         unknown = [ZERO] * len(cs)
         for _, mass, cums in _carry(_support_states(nu, mu, n, w),
-                                    Counter({(fzero, fzero): 1}), advance):
+                                    Counter({(fzero, fzero): 1}), advance, Counter.__add__):
             for (lo, hi), k in cums.items():
                 for i, (t_lo, t_hi) in enumerate(thresholds):
                     if mpf_ge(lo, t_hi):

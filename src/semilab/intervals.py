@@ -15,7 +15,10 @@ from fractions import Fraction
 from typing import Callable, Union
 
 import mpmath
-from mpmath.libmp import from_man_exp, mpf_div, round_ceiling, round_floor, to_rational
+from mpmath.libmp import (
+    from_man_exp, fzero, mpf_div, mpf_ge, mpf_gt, mpf_le, mpf_neg, mpi_exp, mpi_log, mpi_mul,
+    round_ceiling, round_floor, to_rational,
+)
 
 iv = mpmath.iv
 
@@ -43,10 +46,17 @@ def _exact(n: int) -> tuple:
     return from_man_exp(n >> zeros, zeros)
 
 
+def quotient_bounds(num: int, den: int, prec: int) -> tuple:
+    """Raw ``(lo, hi)`` mpf endpoints of num / den (den > 0) rounded down and
+    up to prec bits.  ``mpf_div`` rounds correctly, so a quotient not in
+    lowest terms rounds to the bits of the reduced one."""
+    n, d = _exact(num), _exact(den)
+    return mpf_div(n, d, prec, round_floor), mpf_div(n, d, prec, round_ceiling)
+
+
 def fraction_bounds(q: Fraction, prec: int) -> tuple:
     """Raw ``(lo, hi)`` mpf endpoints of q rounded down and up to prec bits."""
-    n, d = _exact(q.numerator), _exact(q.denominator)
-    return mpf_div(n, d, prec, round_floor), mpf_div(n, d, prec, round_ceiling)
+    return quotient_bounds(q.numerator, q.denominator, prec)
 
 
 def from_fraction(q: RationalLike):
@@ -65,27 +75,40 @@ def _mpf_to_fraction(raw) -> Fraction:
     return Fraction(int(p), int(q))
 
 
-def abs_interval(x):
-    """Interval absolute value."""
-    if x.a >= 0:
+def abs_bounds(x: tuple) -> tuple:
+    """Raw ``(lo, hi)`` enclosure of |x| for a raw interval x."""
+    lo, hi = x
+    if mpf_ge(lo, fzero):
         return x
-    if x.b <= 0:
-        return -x
-    return iv.mpf([0, max(-x.a, x.b).b])
+    if mpf_le(hi, fzero):
+        return mpf_neg(hi), mpf_neg(lo)
+    return fzero, hi if mpf_gt(hi, mpf_neg(lo)) else mpf_neg(lo)
+
+
+def pow_nonneg_bounds(x: tuple, e: Fraction, prec: int) -> tuple:
+    """Raw ``(lo, hi)`` enclosure of x**e at prec bits, for a nonnegative
+    raw interval x and a positive rational exponent e: exp(e log x) at each
+    endpoint, an endpoint at or below 0 giving 0."""
+    e = Fraction(e)
+    if e <= 0:
+        raise ValueError("exponent must be positive")
+    lo, hi = x
+    if mpf_le(hi, fzero):
+        return fzero, fzero
+    e_bounds = fraction_bounds(e, prec)
+
+    def power(v):
+        return mpi_exp(mpi_mul(e_bounds, mpi_log((v, v), prec), prec), prec)
+
+    top = power(hi)[1]
+    if mpf_le(lo, fzero):
+        return fzero, top
+    return power(lo)[0], top
 
 
 def pow_nonneg(x, e: Fraction):
     """x**e for a nonnegative interval x and positive rational exponent e."""
-    e = Fraction(e)
-    if e <= 0:
-        raise ValueError("exponent must be positive")
-    if x.b <= 0:
-        return iv.mpf(0)
-    hi = iv.exp(from_fraction(e) * iv.log(iv.mpf([x.b, x.b])))
-    if x.a <= 0:
-        return iv.mpf([0, hi.b])
-    lo = iv.exp(from_fraction(e) * iv.log(iv.mpf([x.a, x.a])))
-    return iv.mpf([lo.a, hi.b])
+    return iv.make_mpf(pow_nonneg_bounds(x._mpi_, e, iv.prec))
 
 
 def interval_str(x, digits: int = 30) -> tuple[str, str]:

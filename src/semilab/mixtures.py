@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .envcore import (
@@ -312,11 +313,21 @@ class MixtureEnv(Environment):
         return _MixtureCursor(self)
 
 
+def _common_denominator(den: int, term_den: int) -> tuple[int, int, int]:
+    """(lcm, lcm // den, lcm // term_den): the running denominator of an
+    integer sum and the factors that bring it and a new term onto it."""
+    g = gcd(den, term_den)
+    scale, term_scale = term_den // g, den // g
+    return den * scale, scale, term_scale
+
+
 class _MixtureCursor(EnvCursor):
     """Tracks per-component masses so each posterior row costs O(components).
 
     Components are semimeasures, so one at mass 0 stays there: it is no
-    longer stepped, and its part of the key is None.
+    longer stepped, and its part of the key is None.  The weighted sum
+    ``mass`` is formed only when read: the walker steps many children only
+    for their keys.
     """
 
     def __init__(self, mix: MixtureEnv):
@@ -324,37 +335,58 @@ class _MixtureCursor(EnvCursor):
         self._weights = mix._weights
         self._cursors = [mix.component(i).cursor() for i in mix.membership()]
         self._masses = [c.mass for c in self._cursors]
-        self._mass = sum(w * m for w, m in zip(self._weights, self._masses))
+        self._mass = None  # sum_j w_j m_j, once read
+
+    @property
+    def mass(self) -> Fraction:
+        if self._mass is None:
+            num, den = 0, 1
+            for w, m in zip(self._weights, self._masses):
+                if m:
+                    den, scale, term_scale = _common_denominator(
+                        den, w.denominator * m.denominator)
+                    num = num * scale + w.numerator * m.numerator * term_scale
+            self._mass = Fraction(num, den)
+        return self._mass
 
     def row(self) -> tuple[Fraction, ...]:
-        if self._mass == 0:
-            raise UndefinedPosteriorError("zero mass at cursor position")
-        child_totals = [ZERO] * self._env.alphabet.size
+        """sum_j w_j m_j p_j / sum_j w_j m_j in integers: each live term
+        enters as numerators over w_j's and m_j's denominators times its
+        row's least common denominator, and the numerators of the row and of
+        the mass share one running denominator, which cancels."""
+        nums, mass_num, den = [0] * self._env.alphabet.size, 0, 1
         for w, m, cursor in zip(self._weights, self._masses, self._cursors):
-            if m == 0:
+            if not m:
                 continue
-            wm = w * m
-            for a, p in enumerate(cursor.row()):
-                child_totals[a] += wm * p
-        return tuple(c / self._mass for c in child_totals)
+            row = cursor.row()
+            row_den = lcm(*[p.denominator for p in row])
+            den, scale, term_scale = _common_denominator(
+                den, w.denominator * m.denominator * row_den)
+            term_num = w.numerator * m.numerator * term_scale
+            nums = [n * scale + term_num * (p.numerator * (row_den // p.denominator))
+                    for n, p in zip(nums, row)]
+            mass_num = mass_num * scale + term_num * row_den
+        if not mass_num:
+            raise UndefinedPosteriorError("zero mass at cursor position")
+        return tuple(Fraction(n, mass_num) for n in nums)
 
     def step(self, a: int) -> None:
         masses = self._masses
         for j, cursor in enumerate(self._cursors):
-            if masses[j] != 0:
+            if masses[j]:
                 cursor.step(a)
                 masses[j] = cursor.mass
-        self._mass = sum(w * m for w, m in zip(self._weights, masses))
+        self._mass = None
 
     def clone(self):
         new = super().clone()
-        new._cursors = [c.clone() if m != 0 else c
+        new._cursors = [c.clone() if m else c
                         for c, m in zip(self._cursors, self._masses)]
         new._masses = list(self._masses)
         return new
 
     def state_key(self):
-        return tuple(c.state_key() if m != 0 else None
+        return tuple(c.state_key() if m else None
                      for c, m in zip(self._cursors, self._masses))
 
     def zero_step_factor_bound(self):
@@ -466,6 +498,20 @@ class StageApproximation:
             if i <= t:
                 total += w * self.target.component(i).eval(x)
         return total
+
+    def stage_cursor(self, t: int) -> EnvCursor:
+        """A root cursor whose ``mass`` is ``stage_eval(t, x)`` at every
+        string x it walks: the target's own under EXACT, and under
+        PARTIAL_SUM the target's mixture cursor with every component past
+        stage t dropped, as a component at mass 0 is."""
+        if t < 1:
+            raise ValueError("stage index starts at 1")
+        cursor = self.target.cursor()
+        if self.rule == PARTIAL_SUM:
+            for j, i in enumerate(self.target.membership()):
+                if i > t:
+                    cursor._masses[j] = ZERO
+        return cursor
 
     @property
     def final_stage(self) -> int:

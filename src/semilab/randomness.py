@@ -116,17 +116,17 @@ def deficiency_trace(m_ref: Environment, mu: Environment, omega: FiniteString,
     )
 
 
-def leftmost_symbols(m: Environment) -> Iterator[tuple[int, EnvCursor]]:
+def leftmost_symbols(cursor: EnvCursor) -> Iterator[tuple[int, EnvCursor]]:
     """Yield (alpha_k, cursor at alpha_{1:k}) for k = 1, 2, ... along the
-    leftmost sequence alpha with M(alpha_{1:k}) <= 2^{-k} at every k, for a
-    binary M, one symbol per step asked for.
+    leftmost sequence alpha with M(alpha_{1:k}) <= 2^{-k} at every k, M the
+    binary semimeasure whose ``mass`` the root cursor given reads, one
+    symbol per step asked for.
 
     alpha_k = 0 when M(alpha_{<k} 0) <= 2^{-k} (ties take the 0-branch),
     else alpha_k = 1; comparisons are exact rationals.  One cursor walks
     alpha: a clone stepped by 0 is the candidate.  The cursor yielded is
     the walk's own, valid until the next symbol is asked for.
     """
-    cursor = m.cursor()
     k = 0
     while True:
         k += 1
@@ -151,7 +151,8 @@ def leftmost_random(m: Environment, n: int) -> FiniteString:
     if m.alphabet.size != 2:
         raise SemilabError("leftmost-random construction requires binary alphabet")
     check_depth(m, n)
-    return FiniteString(m.alphabet, tuple(a for a, _ in islice(leftmost_symbols(m), n)))
+    symbols = islice(leftmost_symbols(m.cursor()), n)
+    return FiniteString(m.alphabet, tuple(a for a, _ in symbols))
 
 
 def envelope_violations(m: Environment, x: FiniteString) -> list[int]:

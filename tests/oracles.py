@@ -136,6 +136,142 @@ def hellinger_step_iv(p, q):
     return iv.mpf([max(h.a, iv.mpf(0).a), min(h.b, rational.b)])
 
 
+# ------------------------------------- expectation folds through ctx_iv
+#
+# The merged-walk folds as they were written before they ran on raw libmpi
+# tuples: interval objects added and multiplied through mpmath's operators,
+# each product p_i q_i formed as a Fraction and then rounded, powers and
+# absolute values taken on interval objects.  Same walk, same order, so the
+# endpoints must agree bit for bit.
+
+def from_fraction_mpq(q):
+    """q boxed as mpmath boxes a rational: ``from_rational`` rounded down and up."""
+    from mpmath.libmp import from_rational, round_ceiling, round_floor
+    from semilab.intervals import iv
+    q = Fraction(q)
+    n, d, prec = q.numerator, q.denominator, iv.prec
+    return iv.make_mpf((from_rational(n, d, prec, round_floor),
+                        from_rational(n, d, prec, round_ceiling)))
+
+
+def hellinger_step_fractions(p, q):
+    """h(p, q) with each product p_i q_i reduced as a Fraction, then rounded."""
+    from mpmath.libmp import (fzero, mpf_add, mpf_lt, mpf_shift, mpf_sqrt, mpf_sub,
+                              round_ceiling, round_floor)
+    from semilab.intervals import iv
+    prec = iv.prec
+    s_lo = s_hi = fzero
+    for pi, qi in zip(p, q):
+        prod = pi * qi
+        if prod != 0:
+            a, b = from_fraction_mpq(prod)._mpi_
+            s_lo = mpf_add(s_lo, mpf_sqrt(a, prec, round_floor), prec, round_floor)
+            s_hi = mpf_add(s_hi, mpf_sqrt(b, prec, round_ceiling), prec, round_ceiling)
+    r_lo, r_hi = from_fraction_mpq(sum(p, Fraction(0)) + sum(q, Fraction(0)))._mpi_
+    lo = mpf_sub(r_lo, mpf_shift(s_hi, 1), prec, round_floor)
+    hi = mpf_sub(r_hi, mpf_shift(s_lo, 1), prec, round_ceiling)
+    return iv.make_mpf((fzero if mpf_lt(lo, fzero) else lo,
+                        r_hi if mpf_lt(r_hi, hi) else hi))
+
+
+def pow_nonneg_iv(x, e):
+    from semilab.intervals import iv
+    if x.b <= 0:
+        return iv.mpf(0)
+    hi = iv.exp(from_fraction_mpq(e) * iv.log(iv.mpf([x.b, x.b])))
+    if x.a <= 0:
+        return iv.mpf([0, hi.b])
+    lo = iv.exp(from_fraction_mpq(e) * iv.log(iv.mpf([x.a, x.a])))
+    return iv.mpf([lo.a, hi.b])
+
+
+def abs_interval_iv(x):
+    from semilab.intervals import iv
+    if x.a >= 0:
+        return x
+    if x.b <= 0:
+        return -x
+    return iv.mpf([0, max(-x.a, x.b).b])
+
+
+def kappa_row_iv(nu_row, mu_row, kappa, symbols):
+    """sum_a |nu_a^kappa - mu_a^kappa|^{1/kappa} in interval objects."""
+    from semilab.intervals import iv
+    total = iv.mpf(0)
+    for a in symbols:
+        na, ma = (pow_nonneg_iv(from_fraction_mpq(row[a]), kappa) if row[a] != 0
+                  else iv.mpf(0) for row in (nu_row, mu_row))
+        total += pow_nonneg_iv(abs_interval_iv(na - ma), 1 / kappa)
+    return total
+
+
+def _carry_states(nu, mu, n, root, advance):
+    """(count, mu_mass, value) of every depth-n state of the merged walk over
+    mu's support: each state hands ``advance(nu_row, mu_row, mass, value)``
+    to its children, and a child holds the ``+`` of what it is handed."""
+    from semilab.envcore import walk_states
+    values, leaves = {}, []
+    for symbols, (nu_cur, mu_cur), count, key, children in walk_states([nu, mu], n, support=1):
+        value = values.pop((len(symbols), key)) if symbols else root
+        if children is None:
+            leaves.append((count, mu_cur.mass, value))
+            continue
+        out = advance(nu_cur.row(), mu_cur.row(), count * mu_cur.mass, value)
+        for child_key, _ in children:
+            slot = (len(symbols) + 1, child_key)
+            values[slot] = values[slot] + out if slot in values else out
+    return leaves
+
+
+def hellinger_expectations_iv(nu, mu, n, kappa, precision_bits):
+    """Raw endpoints of the sums, and the (count, mu_mass, raw value) of every
+    depth-n state, from the fold on interval objects."""
+    from semilab.divergence import HALF
+    from semilab.intervals import iv, precision
+    symbols = mu.alphabet.symbols
+    kappa = Fraction(kappa)
+    with precision(precision_bits):
+        sums = [iv.mpf(0), iv.mpf(0)]
+
+        def advance(nu_row, mu_row, mass, e):
+            if kappa != HALF:
+                return e * iv.exp(kappa_row_iv(nu_row, mu_row, kappa, symbols) / 2)
+            h = hellinger_step_fractions(nu_row, mu_row)
+            weight = from_fraction_mpq(mass)
+            on = [a for a in symbols if mu_row[a] != 0]
+            restricted = h if len(on) == len(symbols) else hellinger_step_fractions(
+                [nu_row[a] for a in on], [mu_row[a] for a in on])
+            sums[0] += weight * restricted
+            sums[1] += weight * h
+            return e * iv.exp(h / 2)
+
+        total, leaves = iv.mpf(0), []
+        for count, mass, e in _carry_states(nu, mu, n, iv.mpf(1), advance):
+            total += from_fraction_mpq(mass) * e
+            leaves.append((count, mass, e._mpi_))
+        found = {"exp_half_sum": total._mpi_, "leaves": leaves}
+        if kappa == HALF:
+            found["sqrt_ratio_sum"], found["hellinger_sum"] = sums[0]._mpi_, sums[1]._mpi_
+    return found
+
+
+def tail_states_iv(nu, mu, n, precision_bits):
+    """(count, mu_mass, enclosure counts) of every depth-n state, each path's
+    cumulative sum added as interval objects."""
+    from collections import Counter
+    from semilab.intervals import iv, precision
+    with precision(precision_bits):
+        def advance(nu_row, mu_row, mass, cums):
+            h = hellinger_step_fractions(nu_row, mu_row)
+            out = Counter()
+            for raw, k in cums.items():
+                out[(iv.make_mpf(raw) + h)._mpi_] += k
+            return out
+
+        root = Counter({iv.mpf(0)._mpi_: 1})
+        return _carry_states(nu, mu, n, root, advance)
+
+
 # ------------------------------------------------- tree references for walks
 #
 # The exact node checks as they were written before the state-merging
@@ -295,7 +431,8 @@ def expected_exp_half_sum_tree(nu, mu, n, kappa):
     from semilab.intervals import from_fraction, iv
     total = iv.mpf(0)
     for mu_mass, cum in paths_tree(
-            nu, mu, n, lambda p, q: _kappa_row(p, q, kappa, mu.alphabet.symbols)):
+            nu, mu, n,
+            lambda p, q: iv.make_mpf(_kappa_row(p, q, kappa, mu.alphabet.symbols, iv.prec))):
         total += from_fraction(mu_mass) * iv.exp(cum / 2)
     return total
 

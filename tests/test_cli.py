@@ -557,3 +557,51 @@ def test_w_vs_d_steps_cursors_along_omega(monkeypatch):
         diff = max(abs(a - b) for a, b in zip(w_row, d_row))
         expected.append((t, f"{diff.numerator}/{diff.denominator}"))
     assert [(t, lo) for t, lo, _ in result.traces["w-vs-d"].rows] == expected
+
+
+@pytest.mark.parametrize("subcommand, fixture, field, value", [
+    ("chain-lemma", "chain_trials", "trials", -3),
+    ("chain-lemma", "chain_trials", "trials", 0),
+    ("chain-lemma", "chain_trials", "dim", 1),
+    ("chain-lemma", "chain_trials", "m", 1),
+    ("e2i", "e2i_indicator", "count", 0),
+])
+def test_seeded_run_sizes_that_certify_nothing_exit_one(subcommand, fixture, field, value,
+                                                        capsys):
+    # the schema's minimums: zero trials or bounds would certify nothing
+    least = 2 if field in ("dim", "m") else 1
+    spec = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    spec[field] = value
+    code = run_cli(subcommand, "--spec", json.dumps(spec), "--seed", "1", "--depth", "3")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: $.{field}: {value} must be >= {least}\n"
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_rational_refuses_json_booleans(value, capsys):
+    spec = json.dumps({"class": [{"kind": "bernoulli", "p": value}]})
+    code = run_cli("leftmost-alpha", "--spec", spec, "--depth", "3")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f'error: $.class[0].p: rational must be a "num/den" string, got {value!r}\n')
+
+
+@pytest.mark.parametrize("entry", [
+    {"kind": "table", "depth": 1, "values": {"": "1", "0": "1/2", "1": "1/2"}},
+    {"kind": "derived", "derived": "normalized", "base": {"kind": "bernoulli", "p": "1/2"}},
+], ids=["table", "normalized"])
+@pytest.mark.parametrize("declared", [5, "probability", None])
+def test_declared_class_outside_the_class_names_exits_one(entry, declared, capsys):
+    spec = json.dumps({"class": [{**entry, "declared_class": declared}]})
+    code = run_cli("leftmost-alpha", "--spec", spec, "--depth", "1")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: $.class[0].declared_class: expected 'measure' or 'strict-semimeasure', "
+        f"got {declared!r}\n")
+
+
+@pytest.mark.parametrize("declared", ["measure", "strict-semimeasure"])
+def test_declared_class_names_are_accepted(declared):
+    table = {"kind": "table", "depth": 1, "values": {"": "1", "0": "1/2", "1": "1/2"},
+             "declared_class": declared}
+    assert parse_environment(table).declared_class == declared

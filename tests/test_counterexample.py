@@ -46,6 +46,36 @@ def test_stage_pivots_nondecreasing_with_partial_sums(canonical_mixture):
         assert a.symbols <= b.symbols[:len(a)] or a.symbols < b.symbols
 
 
+@pytest.mark.parametrize("rule", [sl.EXACT, sl.PARTIAL_SUM])
+def test_stage_pivot_walks_cursors_not_prefixes(rule, monkeypatch):
+    # the class of the limit test: no member is evaluated from the root at a
+    # nonempty string, so the pivot costs one cursor step per symbol
+    m = sl.MixtureEnv(sl.EnvClass([sl.uniform_measure(), sl.DecayingEnv(2)]),
+                      sl.WeightScheme((F(1, 2), F(1, 4))), sl.RAW)
+    stages = sl.StageApproximation(m, rule)
+    expected = [_alpha_stage_by_prefixes(stages, t) for t in (1, 2, 5, 16)]
+    calls = []
+    for cls in (sl.CategoricalIIDEnv, sl.DecayingEnv):
+        def recording_mass(env, symbols, _mass=cls._mass):
+            if symbols:
+                calls.append(symbols)
+            return _mass(env, symbols)
+
+        monkeypatch.setattr(cls, "_mass", recording_mass)
+    assert [alpha_stage(stages, t) for t in (1, 2, 5, 16)] == expected
+    alpha_stage(stages, 128)
+    assert calls == []
+
+
+def _alpha_stage_by_prefixes(stages, t):
+    """The pivot with every candidate evaluated by ``stage_eval``."""
+    symbols = ()
+    for k in range(1, t + 1):
+        candidate = sl.FiniteString(stages.target.alphabet, symbols + (0,))
+        symbols += (0,) if stages.stage_eval(max(t, 1), candidate) <= F(1, 2 ** k) else (1,)
+    return sl.FiniteString(stages.target.alphabet, symbols)
+
+
 # -------------------------------------------------------------- stage tables
 
 def test_stage_table_worked_example():

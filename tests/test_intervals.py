@@ -9,7 +9,7 @@ from semilab.intervals import (
     CERTIFIED_HOLDS,
     INCONCLUSIVE,
     Verdict,
-    abs_interval,
+    abs_bounds,
     certify_le,
     compare_le,
     endpoints,
@@ -82,11 +82,14 @@ def test_abs_interval_covers_sign_cases():
         pos = from_fraction(Fraction(1, 3))
         neg = -pos
         straddle = from_fraction(Fraction(-1, 4)) + from_fraction(Fraction(1, 8))
-        assert endpoints(abs_interval(pos))[0] >= 0
-        assert endpoints(abs_interval(neg))[0] >= 0
-        lo, hi = endpoints(abs_interval(straddle))
+        assert endpoints(iv.make_mpf(abs_bounds(pos._mpi_)))[0] >= 0
+        assert endpoints(iv.make_mpf(abs_bounds(neg._mpi_)))[0] >= 0
+        lo, hi = endpoints(iv.make_mpf(abs_bounds(straddle._mpi_)))
         assert lo >= 0
         assert hi >= Fraction(1, 8)
+        for a, b in ((Fraction(-1, 4), Fraction(1, 8)), (Fraction(-1, 8), Fraction(1, 4))):
+            x = iv.mpf([from_fraction(a).a, from_fraction(b).b])
+            assert endpoints(iv.make_mpf(abs_bounds(x._mpi_))) == (0, Fraction(1, 4))
 
 
 @settings(max_examples=40, deadline=None)

@@ -179,6 +179,48 @@ def test_clone_is_independent(kind):
         assert c.state_key() == fresh.state_key()
 
 
+MIXTURES = [kind for kind in KINDS if isinstance(KINDS[kind](), sl.MixtureEnv)]
+
+
+def _check_mixture_walk(mix, symbols):
+    """The cursor's mass and row equal ``_mass`` and ``posterior`` at every
+    prefix of symbols."""
+    cursor = mix.cursor()
+    for k in range(len(symbols) + 1):
+        x = sl.FiniteString(mix.alphabet, symbols[:k])
+        assert cursor.mass == mix._mass(x.symbols), x
+        if cursor.mass and _has_row(mix, x.symbols):
+            assert cursor.row() == mix.posterior(x), x
+        if k < len(symbols):
+            cursor.step(symbols[k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MIXTURES), st.lists(st.integers(0, 1), max_size=10))
+def test_mixture_cursor_row_and_mass_match_evaluation(kind, symbols):
+    mix = KINDS[kind]()
+    _check_mixture_walk(mix, tuple(symbols)[:_depth(mix, 10)])
+
+
+def test_mixture_cursor_with_a_component_dead_at_depth_two():
+    # the point mass on 0 1 0 0 ... dies at the second 0; the others live on
+    mix = sl.MixtureEnv(sl.EnvClass([sl.BernoulliEnv(F(1, 3)), sl.DeterministicEnv([0, 1], [0]),
+                                     _markov()]), sl.WeightScheme((F(1, 4), F(1, 2), F(1, 8))))
+    _check_mixture_walk(mix, (0, 0, 1, 0, 1, 1))
+    cursor = mix.cursor()
+    cursor.step(0)
+    cursor.step(0)
+    assert [bool(m) for m in cursor._masses] == [True, False, True]
+
+
+def test_mixture_cursor_along_a_long_string():
+    # masses with hundreds of bits in numerator and denominator
+    mix = sl.MixtureEnv(sl.EnvClass([sl.BernoulliEnv(F(3, 8)), sl.BernoulliEnv(F(5, 8)),
+                                     sl.LeakyEnv(sl.BernoulliEnv(F(3, 8)), F(7, 8))]),
+                        sl.WeightScheme((F(1, 3),) * 3))
+    _check_mixture_walk(mix, tuple(_random_string(mix, 300, 5).symbols))
+
+
 def test_quasimeasure_cursor_stops_at_its_cap():
     env = sl.QuasimeasureEnv(sl.BernoulliEnv(F(1, 2)), 2)
     cursor = env.cursor()
@@ -557,6 +599,56 @@ def test_tail_masses_equal_tree_reference(case):
             expected = oracles.tail_masses_tree(nu, mu, depth, ln_inv_w + from_fraction(c))
         report = sl.markov_tail_check(nu, mu, depth, w, c, precision_bits=bits)
         assert (report.exceed_mass, report.inconclusive_mass) == expected, bits
+
+
+def _bern3_mix():
+    spec = json.loads((FIXTURES / "bern3_mix.json").read_text())
+    env_class, weights = parse_class(spec)
+    return sl.MixtureEnv(env_class, weights), env_class.env(2), F(1, 3), 8
+
+
+def _decaying_table():
+    # decaying and table cursors never merge, one state per path; mu, the
+    # table, has zeros in its rows, so the restricted sum is its own term
+    env_class = sl.EnvClass([sl.DecayingEnv(2), _table()])
+    return (sl.MixtureEnv(env_class, sl.WeightScheme((F(1, 2), F(1, 2)))),
+            env_class.env(2), F(1, 2), 5)
+
+
+def _recording_carry(monkeypatch):
+    """Record what ``divergence._carry`` yields: every depth-n state's
+    (count, mu_mass, carried raw value)."""
+    leaves = []
+    carry = divergence._carry
+
+    def recording(*args):
+        for leaf in carry(*args):
+            leaves.append(leaf)
+            yield leaf
+
+    monkeypatch.setattr(divergence, "_carry", recording)
+    return leaves
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("make", [_bern3_mix, _decaying_table])
+def test_folds_match_the_interval_object_fold_bit_for_bit(monkeypatch, make, bits):
+    nu, mu, w, n = make()
+    expected = {kappa: oracles.hellinger_expectations_iv(nu, mu, n, kappa, bits)
+                for kappa in (F(1, 2), F(1, 4))}
+    expected_tail = oracles.tail_states_iv(nu, mu, n, bits)
+    leaves = _recording_carry(monkeypatch)
+    for kappa, want in expected.items():
+        leaves.clear()
+        got = divergence.hellinger_expectations(nu, mu, n, kappa, w, bits)
+        assert leaves == want["leaves"]
+        assert got["exp_half_sum"]._mpi_ == want["exp_half_sum"]
+        if kappa == F(1, 2):
+            assert got["sqrt_ratio_sum"]._mpi_ == want["sqrt_ratio_sum"]
+            assert got["hellinger_sum"]._mpi_ == want["hellinger_sum"]
+    leaves.clear()
+    divergence.markov_tail_checks(nu, mu, n, w, [F(1), F(4)], bits)
+    assert leaves == expected_tail
 
 
 def test_tail_checks_classify_every_threshold_from_one_walk(monkeypatch):
