@@ -112,13 +112,10 @@ from .counterexample import (
     ContaminatedMixture,
     NonconvergenceReport,
     NuLimitEnv,
-    NuStage,
-    NuStageEnv,
     alpha_stage,
     build_mprime,
     contaminate,
     nu_limit,
-    nu_stage,
     verify_nonconvergence,
 )
 

@@ -21,7 +21,9 @@ from pathlib import Path
 from typing import Optional, Union
 
 from . import __version__
-from .counterexample import build_mprime, contaminate, nu_limit, verify_nonconvergence
+from .counterexample import (
+    NuLimitEnv, build_mprime, contaminate, nu_limit, verify_nonconvergence,
+)
 from .divergence import HALF, chain_inequality, hellinger_expectations, markov_tail_checks
 from .envcore import (
     Alphabet,
@@ -257,15 +259,15 @@ def _parse_derived(d: dict, path: str) -> Environment:
         base = parse_environment(_require(d, "base", path), path + ".base")
         return NormalizedEnv(base, _declared_class(d, base.declared_class, path))
     if derived == "nu-stage":
-        from .counterexample import NuStageEnv
         pivot = FiniteString(BINARY, _symbols(d.get("pivot", ""), path + ".pivot"))
-        return NuStageEnv(pivot, _parse_int(_require(d, "t", path), path + ".t"))
+        return NuLimitEnv(pivot, _parse_int(_require(d, "t", path), path + ".t"))
     if derived == "nu-limit":
-        from .counterexample import NuLimitEnv
-        return NuLimitEnv(FiniteString(BINARY, _symbols(d.get("alpha_prefix", ""),
-                                                        path + ".alpha_prefix")),
-                          _parse_int(_require(d, "tail_zero_from", path),
-                                     path + ".tail_zero_from"))
+        prefix = _symbols(d.get("alpha_prefix", ""), path + ".alpha_prefix")
+        tail = _parse_int(_require(d, "tail_zero_from", path), path + ".tail_zero_from")
+        if tail < 0 or any(prefix[tail:]):
+            raise SpecError(f"{path}.tail_zero_from: {tail} does not start an all-zero "
+                            "tail of alpha_prefix")
+        return NuLimitEnv(FiniteString(BINARY, prefix))
     if derived == "contaminated":
         nu = parse_environment(_require(d, "nu", path), path + ".nu")
         m = parse_environment(_require(d, "m", path), path + ".m")

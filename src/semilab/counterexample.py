@@ -15,20 +15,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import Optional
 
 from .envcore import (
+    EnvCursor,
     Environment,
     FiniteString,
     HALF,
+    ONE,
     STRICT_SEMIMEASURE,
     ZERO,
     _frac_str,
-    walk_states,
 )
 from .errors import (
     InconclusiveConfigurationError,
     NeedsLargerTMaxError,
     SemilabError,
+    UndefinedPosteriorError,
 )
 from .mixtures import RAW, PARTIAL_SUM, EnvClass, MixtureEnv, StageApproximation, WeightScheme
 from .divergence import verify_dominance
@@ -49,82 +52,24 @@ def alpha_stage(stages: StageApproximation, t: int) -> FiniteString:
     return FiniteString(stages.target.alphabet, tuple(a for a, _ in symbols))
 
 
-class NuStageEnv(Environment):
-    """The stage-t counterexample semimeasure in closed form.
-
-    At depth t the mass is 2^{-t} on strings lexicographically below the
-    stage pivot and 0 at or above it; internal nodes are exact children sums,
-    which reduce to 2^{-k} strictly below the pivot prefix, 0 strictly above,
-    and a dyadic remainder on the pivot prefix itself.  Depths beyond t are 0.
-    """
-
-    def __init__(self, pivot: FiniteString, t: int):
-        if len(pivot) != t:
-            raise ValueError("pivot length must equal the stage index")
-        self.pivot = pivot
-        self.t = t
-        self.alphabet = pivot.alphabet
-        self.declared_class = STRICT_SEMIMEASURE
-
-    def _mass(self, symbols: tuple[int, ...]) -> Fraction:
-        k = len(symbols)
-        if k > self.t:
-            return ZERO
-        head = self.pivot.symbols[:k]
-        if symbols < head:
-            return Fraction(1, 2 ** k)
-        if symbols > head:
-            return ZERO
-        # on the pivot prefix: count of length-t extensions below the pivot
-        count = sum(
-            2 ** (self.t - j)
-            for j in range(k + 1, self.t + 1)
-            if self.pivot.symbols[j - 1] == 1
-        )
-        return Fraction(count, 2 ** self.t)
-
-    def spec(self) -> dict:
-        return {"kind": "derived", "derived": "nu-stage", "t": self.t,
-                "pivot": str(self.pivot) if len(self.pivot) else ""}
-
-
-@dataclass(frozen=True)
-class NuStage:
-    """Stage-t table: the pivot string and its closed-form environment."""
-
-    t: int
-    alpha: FiniteString
-    env: NuStageEnv
-
-    def value(self, x: FiniteString) -> Fraction:
-        return self.env.eval(x)
-
-    def table(self) -> dict[str, Fraction]:
-        """All nonzero values to depth t, keyed by the string's digits.  The
-        generic cursor never merges, so each nonzero string comes once."""
-        return {"".join(map(str, symbols)): cursor.mass for symbols, (cursor,), _, _, _
-                in walk_states([self.env], self.t, support=0)}
-
-
-def nu_stage(alpha_t: FiniteString, t: int) -> NuStage:
-    if len(alpha_t) != t:
-        raise ValueError("pivot must have length t")
-    return NuStage(t, alpha_t, NuStageEnv(alpha_t, t))
-
-
 class NuLimitEnv(Environment):
-    """Exact limit of the stage semimeasures, valid at all depths.
+    """The counterexample semimeasure in closed form, exact at every depth.
 
-    Requires a certified all-zero tail of alpha past the stored prefix: the
-    limit value on the alpha-spine is then the finite dyadic sum of the
-    remaining 1-digits, and off-spine values are the usual 2^{-k} / 0 split.
-    Node sums are exact equalities, so the normalization by the root mass is
-    a proper measure whenever the root mass is positive.
+    alpha is ``alpha_prefix`` followed by zeros (the limit's certified
+    all-zero tail).  A length-k string strictly below alpha_{1:k} has mass
+    2^{-k}, one strictly above has mass 0, and alpha_{1:k} itself carries
+    the dyadic tail sum_{j>k, alpha_j=1} 2^{-j}.  Node sums are exact
+    equalities, so the normalization by the root mass is a proper measure
+    whenever the root mass is positive.  With ``horizon`` t every depth past
+    t has mass 0: this is the stage-t semimeasure, mass 2^{-t} on each
+    length-t string below the pivot ``alpha_prefix`` (of length t).
     """
 
-    def __init__(self, alpha_prefix: FiniteString, certified_tail_zero_from: int):
+    def __init__(self, alpha_prefix: FiniteString, horizon: Optional[int] = None):
+        if horizon is not None and len(alpha_prefix) != horizon:
+            raise ValueError("pivot length must equal the stage index")
         self.alpha_prefix = alpha_prefix
-        self.tail_start = certified_tail_zero_from
+        self.horizon = horizon
         self.alphabet = alpha_prefix.alphabet
         self.declared_class = STRICT_SEMIMEASURE
 
@@ -136,21 +81,70 @@ class NuLimitEnv(Environment):
 
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
         k = len(symbols)
-        head = tuple(self.alpha_symbol(j) for j in range(1, k + 1))
-        if symbols < head:
-            return Fraction(1, 2 ** k)
-        if symbols > head:
+        if self.horizon is not None and k > self.horizon:
             return ZERO
-        total = ZERO
-        for j in range(k + 1, len(self.alpha_prefix) + 1):
-            if self.alpha_prefix.symbols[j - 1] == 1:
-                total += Fraction(1, 2 ** j)
-        return total
+        prefix = self.alpha_prefix.symbols
+        head = (prefix + (0,) * k)[:k]
+        if symbols != head:
+            return Fraction(1, 2 ** k) if symbols < head else ZERO
+        return sum((Fraction(1, 2 ** j) for j in range(k + 1, len(prefix) + 1)
+                    if prefix[j - 1]), ZERO)
+
+    def cursor(self) -> EnvCursor:
+        return _SpineCursor(self)
 
     def spec(self) -> dict:
-        return {"kind": "derived", "derived": "nu-limit",
-                "alpha_prefix": str(self.alpha_prefix) if len(self.alpha_prefix) else "",
-                "tail_zero_from": self.tail_start}
+        prefix = str(self.alpha_prefix) if len(self.alpha_prefix) else ""
+        if self.horizon is not None:
+            return {"kind": "derived", "derived": "nu-stage", "t": self.horizon,
+                    "pivot": prefix}
+        return {"kind": "derived", "derived": "nu-limit", "alpha_prefix": prefix,
+                "tail_zero_from": len(self.alpha_prefix)}
+
+
+class _SpineCursor(EnvCursor):
+    """Position k and where the string stands against the spine alpha_{1:k}.
+
+    Every string below the spine at one depth has mass 2^{-k} and the same
+    future, so all of them share the key "below"; the spine itself, whose
+    mass is the running dyadic tail, has the key "spine".  A string above
+    the spine, past the horizon, or at mass 0 is dead: key None.
+    """
+
+    def __init__(self, env: NuLimitEnv):
+        self._env = env
+        self._k = 0
+        self._mass = env._mass(())
+        self._key = "spine" if self._mass else None
+
+    def row(self) -> tuple[Fraction, ...]:
+        if self._key is None:
+            raise UndefinedPosteriorError("zero mass at cursor position")
+        if self._k == self._env.horizon:
+            return ZERO, ZERO
+        if self._key == "below":
+            return HALF, HALF
+        if self._env.alpha_symbol(self._k + 1) == 0:
+            return ONE, ZERO
+        below = Fraction(1, 2 ** (self._k + 1)) / self._mass
+        return below, 1 - below
+
+    def step(self, a: int) -> None:
+        k = self._k = self._k + 1
+        if self._key is None:
+            return
+        spine = self._env.alpha_symbol(k)
+        if k - 1 == self._env.horizon or (self._key == "spine" and a > spine):
+            self._key, self._mass = None, ZERO  # past the horizon, or above
+        elif self._key == "below" or a < spine:
+            self._key, self._mass = "below", Fraction(1, 2 ** k)
+        elif spine:  # along a 1 of alpha: the string below it leaves the tail
+            self._mass -= Fraction(1, 2 ** k)
+            if not self._mass:
+                self._key = None
+
+    def state_key(self):
+        return self._key
 
 
 def nu_limit(stages: StageApproximation, t_max: int) -> NuLimitEnv:
@@ -172,7 +166,7 @@ def nu_limit(stages: StageApproximation, t_max: int) -> NuLimitEnv:
     while True:
         bound = cursor.zero_step_factor_bound()
         if bound is not None and bound <= HALF:
-            return NuLimitEnv(FiniteString(m.alphabet, tuple(symbols)), len(symbols))
+            return NuLimitEnv(FiniteString(m.alphabet, tuple(symbols)))
         if len(symbols) == t_max:
             raise NeedsLargerTMaxError(
                 f"no all-zero tail certificate found within horizon {t_max}")
@@ -272,6 +266,7 @@ def verify_nonconvergence(cm: ContaminatedMixture, mu: Environment,
     nu is flat across the step (nu(alpha_{<n}) = nu(alpha_{1:n})), the spine
     value is at least 2^{-n-1}, and the contaminated posterior of the next
     symbol is at least (1-gamma)/(1+3gamma) > 1/2, the uniform posterior.
+    One nu cursor and one M' cursor walk alpha up to the last such n.
     """
     if mu.alphabet.size != 2 or cm.env.alphabet.size != 2:
         raise SemilabError("verification requires binary alphabet")
@@ -283,19 +278,22 @@ def verify_nonconvergence(cm: ContaminatedMixture, mu: Environment,
         raise SemilabError(f"alpha violates the 2^-k envelope at k={violations[0]}")
     bound = cm.posterior_bound
     positions = []
-    for n in range(1, n_max + 1):
-        if n + 1 > len(alpha):
-            break
-        if alpha.symbols[n - 1] != 0 or alpha.symbols[n] != 1:
-            continue
-        before = alpha.prefix(n - 1)
-        at = alpha.prefix(n)
-        nu_before = cm.nu.eval(before)
-        nu_at = cm.nu.eval(at)
-        denom = cm.env.eval(before)
+    flagged = [n for n in range(1, min(n_max, len(alpha) - 1) + 1)
+               if alpha.symbols[n - 1] == 0 and alpha.symbols[n] == 1]
+    nu, env = cm.nu.cursor(), cm.env.cursor()
+    k = 0
+    for n in flagged:
+        for a in alpha.symbols[k:n - 1]:
+            nu.step(a)
+            env.step(a)
+        nu_before, denom = nu.mass, env.mass
+        nu.step(0)
+        env.step(0)
+        k = n
+        nu_at = nu.mass
         if denom == 0:
             raise SemilabError(f"contaminated mixture vanishes at alpha_{{<{n}}}")
-        post = cm.env.eval(at) / denom
+        post = env.mass / denom
         certified = (
             nu_before == nu_at
             and nu_at >= Fraction(1, 2 ** (n + 1))

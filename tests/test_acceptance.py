@@ -255,6 +255,7 @@ def _payload_bytes(subcommand, spec, depth, seed, workers, bits=128):
 def test_criterion_12_determinism(capsys):
     runs = [
         ("verify-hellinger-bounds", "bern3_mix.json", 6, None),
+        ("verify-hellinger-bounds", "mprime_bounds.json", 12, None),
         ("markov-tail", "bern3_mix.json", 6, None),
         ("chain-lemma", "chain_trials.json", 0, 42),
         ("quasimeasure", "quasi_leaky.json", 6, None),

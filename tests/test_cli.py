@@ -97,6 +97,7 @@ def test_parse_detects_node_defects():
         sl.EnvClass([sl.BernoulliEnv(F(1, 2)),
                      sl.LeakyEnv(sl.BernoulliEnv(F(1, 2)), F(1, 2))]),
         sl.default_weights(2), sl.QUASI, quasi_depth_cap=3),
+    lambda: sl.NuLimitEnv(sl.FiniteString.parse("0110"), horizon=4),
 ])
 def test_environment_specs_round_trip(builder):
     env = builder()
@@ -112,7 +113,7 @@ def test_environment_specs_round_trip(builder):
 
 def test_limit_and_blend_specs_round_trip(canonical_mixture):
     from semilab.counterexample import NuLimitEnv, build_mprime
-    nu = NuLimitEnv(sl.FiniteString.parse("0100"), 4)
+    nu = NuLimitEnv(sl.FiniteString.parse("0100"))
     cm = build_mprime(nu, canonical_mixture, F(1, 9))
     clone = parse_environment(cm.env.spec())
     for s in ("", "0", "01", "010", "11"):
@@ -324,8 +325,12 @@ def test_table_defect_below_the_cross_check_depth_exits_one(subcommand, spec, ca
     ({"kind": "derived", "derived": "mixture", "mode": "raw", "k": 1,
       "environments": [{"kind": "bernoulli", "p": "1/2"}], "weights": ["1"]},
      "$.class[0]: k is read only by measures-only modes, not 'raw'"),
+    ({"kind": "derived", "derived": "nu-limit", "alpha_prefix": "0111", "tail_zero_from": -5},
+     "$.class[0].tail_zero_from: -5 does not start an all-zero tail of alpha_prefix"),
+    ({"kind": "derived", "derived": "nu-limit", "alpha_prefix": "0111", "tail_zero_from": 1},
+     "$.class[0].tail_zero_from: 1 does not start an all-zero tail of alpha_prefix"),
 ], ids=["table-negative", "table-above-one", "mubar-negative", "mubar-deep-defect",
-        "raw-mixture-k"])
+        "raw-mixture-k", "tail-zero-from-negative", "tail-zero-from-inside-ones"])
 def test_member_spec_outside_its_domain_exits_one(spec, message, capsys):
     # every stored entry is checked: range first, then the node inequality
     code = run_cli("leftmost-alpha", "--spec", json.dumps({"class": [spec]}),

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,13 +7,12 @@ import semilab as sl
 from semilab.counterexample import (
     ContaminatedMixture,
     NuLimitEnv,
-    NuStageEnv,
     alpha_stage,
     build_mprime,
     nu_limit,
-    nu_stage,
     verify_nonconvergence,
 )
+from semilab.envcore import walk_states
 from semilab.errors import (
     InconclusiveConfigurationError,
     NeedsLargerTMaxError,
@@ -79,8 +79,8 @@ def _alpha_stage_by_prefixes(stages, t):
 # -------------------------------------------------------------- stage tables
 
 def test_stage_table_worked_example():
-    ns = nu_stage(sl.FiniteString.parse("01"), 2)
-    val = ns.value
+    ns = NuLimitEnv(sl.FiniteString.parse("01"), horizon=2)
+    val = ns.eval
     assert val(sl.FiniteString.parse("00")) == F(1, 4)
     assert val(sl.FiniteString.parse("01")) == 0
     assert val(sl.FiniteString.parse("10")) == 0
@@ -91,35 +91,35 @@ def test_stage_table_worked_example():
 
 
 def test_stage_table_leftmost_pivot_is_empty():
-    ns = nu_stage(sl.FiniteString.parse("0000"), 4)
-    assert ns.value(sl.FiniteString.parse("")) == 0
-    assert ns.table() == {}
+    ns = NuLimitEnv(sl.FiniteString.parse("0000"), horizon=4)
+    assert ns.eval(sl.FiniteString.parse("")) == 0
+    assert [m for n in range(5) for _, m in sl.enumerate_support(ns, n)] == []
 
 
 def test_stage_table_rightmost_pivot_fills_everything_below():
-    ns = nu_stage(sl.FiniteString.parse("111"), 3)
+    ns = NuLimitEnv(sl.FiniteString.parse("111"), horizon=3)
     for n in range(4):
         for x, _ in sl.enumerate_support(sl.uniform_measure(), n):
             expected = oracles.nu_stage_value((1, 1, 1), 3, x.symbols)
-            assert ns.value(x) == expected
+            assert ns.eval(x) == expected
     # strictly below the all-ones spine everything carries 2^-len
-    assert ns.value(sl.FiniteString.parse("10")) == F(1, 4)
-    assert ns.value(sl.FiniteString.parse("110")) == F(1, 8)
+    assert ns.eval(sl.FiniteString.parse("10")) == F(1, 4)
+    assert ns.eval(sl.FiniteString.parse("110")) == F(1, 8)
 
 
 def test_stage_values_match_direct_leaf_counting():
     pivot = sl.FiniteString.parse("0110")
-    ns = nu_stage(pivot, 4)
+    ns = NuLimitEnv(pivot, horizon=4)
     for n in range(5):
         for x, _ in sl.enumerate_support(sl.uniform_measure(), n):
-            assert ns.value(x) == oracles.nu_stage_value(pivot.symbols, 4, x.symbols)
+            assert ns.eval(x) == oracles.nu_stage_value(pivot.symbols, 4, x.symbols)
 
 
 def test_stage_tables_are_semimeasures_and_monotone(canonical_mixture):
     stages = sl.StageApproximation(canonical_mixture)
     prev = None
     for t in range(1, 7):
-        env = nu_stage(alpha_stage(stages, t), t).env
+        env = NuLimitEnv(alpha_stage(stages, t), horizon=t)
         assert sl.validate(env, t).is_semimeasure
         if prev is not None:
             for n in range(t):
@@ -129,10 +129,10 @@ def test_stage_tables_are_semimeasures_and_monotone(canonical_mixture):
 
 
 def test_stage_values_never_exceed_the_uniform_envelope():
-    ns = nu_stage(sl.FiniteString.parse("10101"), 5)
+    ns = NuLimitEnv(sl.FiniteString.parse("10101"), horizon=5)
     for n in range(6):
         for x, _ in sl.enumerate_support(sl.uniform_measure(), n):
-            assert ns.value(x) <= F(1, 2 ** n)
+            assert ns.eval(x) <= F(1, 2 ** n)
 
 
 # ---------------------------------------------------------------- limit env
@@ -175,7 +175,7 @@ def test_limit_dominates_every_stage(canonical_mixture):
     stages = sl.StageApproximation(canonical_mixture)
     nu = nu_limit(stages, 16)
     for t in (2, 4, 6):
-        env = nu_stage(alpha_stage(stages, t), t).env
+        env = NuLimitEnv(alpha_stage(stages, t), horizon=t)
         for n in range(t + 1):
             for x, _ in sl.enumerate_support(sl.uniform_measure(), n):
                 assert env.eval(x) <= nu.eval(x)
@@ -227,7 +227,7 @@ def test_limit_stops_at_its_certificate(canonical_mixture, monkeypatch):
 
     monkeypatch.setattr(_MixtureCursor, "step", counting_step)
     nu = nu_limit(sl.StageApproximation(canonical_mixture), 10 ** 4)
-    k = nu.tail_start
+    k = nu.spec()["tail_zero_from"]
     assert k == len(nu.alpha_prefix) < 10
     # the candidate 0-step plus at most one 1-step per symbol of alpha
     assert len(steps) <= 2 * k
@@ -245,7 +245,7 @@ def test_partial_sum_staging_needs_the_full_horizon(canonical_mixture):
 # --------------------------------------------------------------- composition
 
 def test_contamination_weight_range(canonical_mixture):
-    nu = NuLimitEnv(sl.FiniteString.parse("01"), 2)
+    nu = NuLimitEnv(sl.FiniteString.parse("01"))
     with pytest.raises(ValueError):
         build_mprime(nu, canonical_mixture, F(1, 5))
     with pytest.raises(ValueError):
@@ -256,14 +256,14 @@ def test_contamination_weight_range(canonical_mixture):
 
 
 def test_contaminated_values_are_the_exact_blend(canonical_mixture):
-    nu = NuLimitEnv(sl.FiniteString.parse("01"), 2)
+    nu = NuLimitEnv(sl.FiniteString.parse("01"))
     cm = build_mprime(nu, canonical_mixture, F(1, 9))
     x = sl.FiniteString.parse("01")
     assert cm.env.eval(x) == F(8, 9) * nu.eval(x) + F(1, 9) * canonical_mixture.eval(x)
 
 
 def test_contamination_of_nothing_scales_the_mixture(canonical_mixture):
-    dead = NuLimitEnv(sl.FiniteString.empty(), 0)
+    dead = NuLimitEnv(sl.FiniteString.empty())
     assert dead.eval(sl.FiniteString.parse("")) == 0
     cm = build_mprime(dead, canonical_mixture, F(1, 9))
     x = sl.FiniteString.parse("010")
@@ -272,7 +272,7 @@ def test_contamination_of_nothing_scales_the_mixture(canonical_mixture):
 
 def test_contaminated_mixture_still_dominates_components(canonical_mixture,
                                                          canonical_weights):
-    nu = NuLimitEnv(sl.FiniteString.parse("01"), 2)
+    nu = NuLimitEnv(sl.FiniteString.parse("01"))
     cm = build_mprime(nu, canonical_mixture, F(1, 9))
     from semilab.divergence import verify_dominance
     for i in (1, 2, 3):
@@ -318,6 +318,61 @@ def test_degenerate_class_is_reported_inconclusive():
     alpha = leftmost_random(m, 8)
     with pytest.raises(InconclusiveConfigurationError):
         verify_nonconvergence(cm, sl.uniform_measure(), alpha, 8)
+
+
+def test_verification_steps_cursors_not_prefixes(canonical_mixture, monkeypatch):
+    # nu, M' and every member are read through cursors walked along alpha;
+    # none is evaluated from the root at a nonempty string
+    nu = nu_limit(sl.StageApproximation(canonical_mixture), 64)
+    cm = build_mprime(nu, canonical_mixture, F(1, 9))
+    alpha = leftmost_random(canonical_mixture, 64)
+    expected = verify_nonconvergence(cm, sl.uniform_measure(), alpha, 63)
+    calls = []
+    for cls in (NuLimitEnv, sl.MixtureEnv, sl.CategoricalIIDEnv, sl.DeterministicEnv):
+        def recording_mass(env, symbols, _mass=cls._mass):
+            if symbols:
+                calls.append(symbols)
+            return _mass(env, symbols)
+
+        monkeypatch.setattr(cls, "_mass", recording_mass)
+    assert verify_nonconvergence(cm, sl.uniform_measure(), alpha, 63) == expected
+    assert calls == []
+
+
+def test_verification_matches_evaluation_from_the_root(canonical_mixture):
+    # alpha = 0101...: eight 01-positions, each checked against four
+    # evaluations from the root, as the report was formed before
+    nu = nu_limit(sl.StageApproximation(canonical_mixture), 16)
+    cm = build_mprime(nu, canonical_mixture, F(1, 9))
+    alpha = sl.FiniteString.parse("01" * 8)
+    report = verify_nonconvergence(cm, sl.uniform_measure(), alpha, 15)
+    assert [p.n for p in report.positions] == list(range(1, 16, 2))
+    for p in report.positions:
+        before, at = alpha.prefix(p.n - 1), alpha.prefix(p.n)
+        assert (p.nu_before, p.nu_at) == (nu.eval(before), nu.eval(at))
+        assert p.mprime_posterior == cm.env.eval(at) / cm.env.eval(before)
+
+
+@pytest.mark.parametrize("nu", [
+    NuLimitEnv(sl.FiniteString.parse("0101")),
+    NuLimitEnv(sl.FiniteString.parse("0110"), horizon=4),
+    NuLimitEnv(sl.FiniteString.empty()),
+], ids=["limit", "stage", "dead"])
+def test_spine_keys_are_below_on_the_spine_or_dead(nu):
+    for _, (cursor,), _, (key,), _ in walk_states([nu], 8):
+        assert key in ("below", "spine", None)
+        assert (key is None) == (cursor.mass == 0)
+
+
+def test_contaminated_walk_keeps_two_states_per_level(canonical_mixture):
+    # below the spine every string merges into one nu key, so M' against the
+    # uniform measure stays linear in the depth instead of doubling
+    nu = nu_limit(sl.StageApproximation(canonical_mixture), 16)
+    cm = build_mprime(nu, canonical_mixture, F(1, 9))
+    levels = Counter(len(symbols) for symbols, *_ in
+                     walk_states([cm.env, sl.uniform_measure()], 40, support=1))
+    assert sorted(levels) == list(range(41))
+    assert all(count <= 2 * (n + 1) for n, count in levels.items())
 
 
 def test_verification_rejects_envelope_violations(canonical_mixture):

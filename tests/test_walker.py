@@ -99,8 +99,11 @@ KINDS = {
     "quasimeasure": lambda: sl.QuasimeasureEnv(
         sl.LeakyEnv(sl.BernoulliEnv(F(1, 2)), F(3, 4)), 8),
     "quasimeasure-table": lambda: sl.QuasimeasureEnv(_table(), 8),
+    "nu-limit": lambda: sl.NuLimitEnv(sl.FiniteString.parse("0101")),
+    "nu-limit-dead": lambda: sl.NuLimitEnv(sl.FiniteString.empty()),
+    "nu-stage": lambda: sl.NuLimitEnv(sl.FiniteString.parse("0110"), horizon=4),
     "contaminated": lambda: sl.contaminate(
-        sl.NuLimitEnv(sl.FiniteString.parse("0101"), 4), _mixture(_product_class(), sl.RAW),
+        sl.NuLimitEnv(sl.FiniteString.parse("0101")), _mixture(_product_class(), sl.RAW),
         F(1, 9)),
 }
 
@@ -826,6 +829,8 @@ def _first_block(env, symbols, cap):
     """The number of symbols mass_interval multiplies into its first block
     on a string starting with ``symbols`` (at most cap)."""
     cursor = env.cursor()
+    if cursor.mass == 0:
+        return 0  # a dead root: mass_interval reads no factor
     den = cursor.mass.denominator
     for k, a in enumerate(islice(symbols, cap), start=1):
         num, p_den = cursor.factor(a)
