@@ -21,7 +21,6 @@ from semilab import (
     FiniteString,
     MixtureEnv,
     RAW,
-    StageApproximation,
     WeightScheme,
     uniform_measure,
 )
@@ -46,14 +45,15 @@ alpha = leftmost_random(mixture, depth)
 print("leftmost sequence under the 2^-n envelope:", alpha)
 
 # freeze the stagewise approximations into the limiting flat semimeasure
-nu = nu_limit(StageApproximation(mixture), depth)
+nu = nu_limit(mixture, depth)
 print("nu(empty) =", nu.eval(FiniteString.empty()))
 
+# M' is itself a raw mixture: nu and M with weights 1-gamma and gamma
 gamma = F(1, 9)
-contaminated = build_mprime(nu, mixture, gamma)
-print("posterior lower bound (1-gamma)/(1+3gamma) =", contaminated.posterior_bound)
+mprime = build_mprime(nu, mixture, gamma)
+print("posterior lower bound (1-gamma)/(1+3gamma) =", (1 - gamma) / (1 + 3 * gamma))
 
-report = verify_nonconvergence(contaminated, uniform_measure(), alpha, depth - 1)
+report = verify_nonconvergence(mprime, alpha, depth - 1)
 print()
 for pos in report.positions:
     print(f"position n={pos.n}: alpha reads 01,",
@@ -67,7 +67,7 @@ print("all positions certified:", report.all_certified)
 # the alpha-spine nu is flat, so the walk merges those strings and visits
 # 2n states at level n instead of 2^n strings
 w = gamma * weights.weight(1)
-spec = {"class": [contaminated.env.spec()], "weights": ["1"],
+spec = {"class": [mprime.spec()], "weights": ["1"],
         "mu": {"kind": "uniform"}, "w": str(w)}
 bounds = run_experiment("verify-hellinger-bounds", spec, 32, 128, None)
 print()

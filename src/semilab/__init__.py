@@ -60,17 +60,14 @@ from .envcore import (
     validate,
 )
 from .mixtures import (
-    EXACT,
     MEASURES_ONLY,
     NORMALIZED_MEASURES_ONLY,
-    PARTIAL_SUM,
     QUASI,
     RAW,
     EnvClass,
     MixtureEnv,
     NormalizedEnv,
     QuasimeasureEnv,
-    StageApproximation,
     WeightScheme,
     default_weights,
     dominance_constant,
@@ -109,7 +106,6 @@ from .randomness import (
     prop8_trace,
 )
 from .counterexample import (
-    ContaminatedMixture,
     NonconvergenceReport,
     NuLimitEnv,
     alpha_stage,

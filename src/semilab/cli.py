@@ -67,7 +67,6 @@ from .mixtures import (
     QUASI,
     QuasimeasureEnv,
     RAW,
-    StageApproximation,
     WeightScheme,
     default_weights,
 )
@@ -79,7 +78,6 @@ from .randomness import (
     delta_hat_ratio_check,
     e2i_build_mubar,
     e2i_individual_bound,
-    envelope_violations,
     leftmost_random,
     prop8_expected_bound,
 )
@@ -453,6 +451,8 @@ def run_markov_tail(spec, depth, bits, seed) -> RunResult:
     mu = _mu_from(spec, env_class)
     w = _w_from(spec, weights)
     cs = _rationals(spec.get("c", ["1", "2", "4"]), "$.c")
+    if not cs:
+        raise SpecError("$.c: empty, so no tail check would run")
     result = RunResult()
     for c, report in zip(cs, markov_tail_checks(mix, mu, depth, w, cs, bits)):
         result.outcomes.append(report.verdict.outcome)
@@ -587,12 +587,12 @@ def run_deficiency(spec, depth, bits, seed) -> RunResult:
 
 def run_leftmost_alpha(spec, depth, bits, seed) -> RunResult:
     mix, env_class, weights = _mixture_from(spec, mode=spec.get("mode", RAW))
+    # leftmost_random compares M(alpha_{1:k}) with 2^-k exactly at every k
+    # and raises on the first violation, so the envelope holds once it returns
     alpha = leftmost_random(mix, depth)
-    violations = envelope_violations(mix, alpha)
     result = RunResult()
-    result.add_outcome("envelope", _exact_outcome(not violations),
-                       {"alpha": str(alpha), "depth": depth,
-                        "violations": violations})
+    result.add_outcome("envelope", CERTIFIED_HOLDS,
+                       {"alpha": str(alpha), "depth": depth, "violations": []})
     return result
 
 
@@ -641,12 +641,14 @@ def run_prop8(spec, depth, bits, seed) -> RunResult:
     env_class, weights = parse_class(spec)
     k0s = [_class_index(k, env_class, f"$.k0[{i}]")
            for i, k in enumerate(_typed(spec.get("k0", [1]), list, "$.k0"))]
+    ratio_k = _typed(spec.get("ratio_k", list(range(2, len(env_class) + 1))), list, "$.ratio_k")
+    if not k0s and not ratio_k:
+        raise SpecError("$.k0, $.ratio_k: both empty, so no check would run")
     result = RunResult()
     for k0 in k0s:
         v = prop8_expected_bound(env_class, weights, k0, depth, bits)
         result.add_verdict(f"expected-bound-k0-{k0}", v)
     ratio_depth = _int_field(spec, "ratio_depth", min(depth, 8))
-    ratio_k = _typed(spec.get("ratio_k", list(range(2, len(env_class) + 1))), list, "$.ratio_k")
     for i, k in enumerate(ratio_k):
         v = delta_hat_ratio_check(env_class, weights,
                                   _class_index(k, env_class, f"$.ratio_k[{i}]"), ratio_depth)
@@ -658,13 +660,16 @@ def run_counterexample(spec, depth, bits, seed) -> RunResult:
     env_class, weights = parse_class(spec)
     gamma = parse_rational(spec.get("gamma", "1/9"), "$.gamma")
     mix = MixtureEnv(env_class, weights, RAW)
-    stages = StageApproximation(mix)
     result = RunResult()
     try:
-        nu = nu_limit(stages, depth)
-        cm = build_mprime(nu, mix, gamma)
-        alpha = leftmost_random(mix, depth)
-        report = verify_nonconvergence(cm, uniform_measure(), alpha, depth)
+        nu = nu_limit(mix, depth)
+        mprime = build_mprime(nu, mix, gamma)
+        # the leftmost alpha, read off nu: nu_limit stops at a certificate
+        # that every later append-0 step at most halves M's mass, so past
+        # alpha_prefix the leftmost walk would read 0 at every k
+        alpha = FiniteString(mix.alphabet,
+                             tuple(nu.alpha_symbol(k) for k in range(1, depth + 1)))
+        report = verify_nonconvergence(mprime, alpha, depth)
     except InconclusiveConfigurationError as exc:
         result.add_outcome("nonconvergence", INCONCLUSIVE, {"reason": str(exc)},
                            doc="report")
@@ -792,20 +797,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _precision_bits(flag: Optional[int]) -> int:
+    """--precision, else $SEMILAB_PRECISION, else 128; at least 8 bits."""
+    name = "precision"
+    bits = flag
+    if bits is None:
+        name = f"${DEFAULT_PRECISION_ENV}"
+        bits = _parse_int(os.environ.get(DEFAULT_PRECISION_ENV, "128"), name)
+    if bits < 8:
+        raise SpecError(f"{name} must be at least 8 bits")
+    return bits
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    bits = args.precision
-    if bits is None:
-        bits = int(os.environ.get(DEFAULT_PRECISION_ENV, "128"))
-    if bits < 8:
-        print("error: precision must be at least 8 bits", file=sys.stderr)
-        return EXIT_USAGE
     spec_text = args.spec
     try:
+        bits = _precision_bits(args.precision)
         if not spec_text.lstrip().startswith(("{", "[")):
             spec_text = Path(args.spec).read_text()
         spec = json.loads(spec_text)

@@ -33,7 +33,7 @@ from .errors import (
     SemilabError,
     UndefinedPosteriorError,
 )
-from .mixtures import RAW, PARTIAL_SUM, EnvClass, MixtureEnv, StageApproximation, WeightScheme
+from .mixtures import RAW, EnvClass, MixtureEnv, WeightScheme, stage_cursor
 from .divergence import verify_dominance
 from .randomness import envelope_violations, leftmost_symbols
 
@@ -41,15 +41,16 @@ GAMMA_UPPER = Fraction(1, 5)
 DOMINANCE_DEPTH = 4
 
 
-def alpha_stage(stages: StageApproximation, t: int) -> FiniteString:
-    """Length-t leftmost string kept below the 2^{-k} envelope by the stage-t
-    evaluation: symbol k is 0 when stage value of the 0-extension is at most
-    2^{-k}, else 1.  Nondecreasing in t because stages increase pointwise.
-    One stage cursor walks the string (``leftmost_symbols``)."""
-    if stages.target.alphabet.size != 2:
+def alpha_stage(m: MixtureEnv, t: int) -> FiniteString:
+    """The stage-t pivot: the length-t leftmost string kept below the 2^{-k}
+    envelope by the stage-t partial sum M^t of the mixture, symbol k 0 when
+    M^t of the 0-extension is at most 2^{-k}, else 1.  Nondecreasing in t
+    because the partial sums increase pointwise.  One stage cursor walks the
+    string (``stage_cursor``, ``leftmost_symbols``)."""
+    if m.alphabet.size != 2:
         raise SemilabError("construction requires binary alphabet")
-    symbols = islice(leftmost_symbols(stages.stage_cursor(max(t, 1))), t)
-    return FiniteString(stages.target.alphabet, tuple(a for a, _ in symbols))
+    symbols = islice(leftmost_symbols(stage_cursor(m, max(t, 1))), t)
+    return FiniteString(m.alphabet, tuple(a for a, _ in symbols))
 
 
 class NuLimitEnv(Environment):
@@ -147,20 +148,16 @@ class _SpineCursor(EnvCursor):
         return self._key
 
 
-def nu_limit(stages: StageApproximation, t_max: int) -> NuLimitEnv:
-    """The limiting counterexample semimeasure, certified exact.
+def nu_limit(m: MixtureEnv, t_max: int) -> NuLimitEnv:
+    """The limiting counterexample semimeasure of the mixture, certified exact.
 
     Walks alpha step by step (``leftmost_symbols``); once the walk's mixture
     cursor certifies that every further append-0 step at most halves the
     mass, the envelope inequality forces all remaining alpha symbols to 0,
     making every limit value a finite sum.
     """
-    m = stages.target
     if m.alphabet.size != 2:
         raise SemilabError("construction requires binary alphabet")
-    if stages.rule == PARTIAL_SUM and t_max < stages.final_stage:
-        raise NeedsLargerTMaxError(
-            f"partial-sum stages only stabilize from stage {stages.final_stage}")
     alpha = leftmost_symbols(m.cursor())
     symbols, cursor = [], m.cursor()
     while True:
@@ -180,20 +177,9 @@ def contaminate(nu: Environment, m: MixtureEnv, gamma: Fraction) -> MixtureEnv:
     return MixtureEnv(EnvClass([nu, m]), WeightScheme((1 - gamma, gamma)), RAW)
 
 
-@dataclass(frozen=True)
-class ContaminatedMixture:
-    gamma: Fraction
-    nu: Environment
-    m: MixtureEnv
-    env: MixtureEnv
-
-    @property
-    def posterior_bound(self) -> Fraction:
-        return (1 - self.gamma) / (1 + 3 * self.gamma)
-
-
-def build_mprime(nu: Environment, m: MixtureEnv, gamma: Fraction) -> ContaminatedMixture:
-    """Contaminate the mixture with the counterexample semimeasure.
+def build_mprime(nu: Environment, m: MixtureEnv, gamma: Fraction) -> MixtureEnv:
+    """M' = (1-gamma) nu + gamma M: contaminate the mixture with the
+    counterexample semimeasure.
 
     gamma must lie strictly inside (0, 1/5); the result is checked (to
     ``DOMINANCE_DEPTH``, exactly) to dominate every class member with
@@ -211,7 +197,7 @@ def build_mprime(nu: Environment, m: MixtureEnv, gamma: Fraction) -> Contaminate
         if not verify_dominance(env, m.component(i), w, depth):
             raise SemilabError(
                 f"dominance with constant gamma*eps_{i} fails to depth {depth}")
-    return ContaminatedMixture(gamma, nu, m, env)
+    return env
 
 
 @dataclass(frozen=True)
@@ -258,29 +244,38 @@ class NonconvergenceReport:
         }
 
 
-def verify_nonconvergence(cm: ContaminatedMixture, mu: Environment,
-                          alpha: FiniteString, n_max: int) -> NonconvergenceReport:
+def verify_nonconvergence(mprime: MixtureEnv, alpha: FiniteString,
+                          n_max: int) -> NonconvergenceReport:
     """Certify the posterior gap at every 01-position of alpha up to n_max.
 
-    At each n with alpha_n = 0, alpha_{n+1} = 1 the exact chain is checked:
-    nu is flat across the step (nu(alpha_{<n}) = nu(alpha_{1:n})), the spine
+    M' = (1-gamma) nu + gamma M is read as ``contaminate`` builds it: a raw
+    mixture of nu and the mixture M with weights 1-gamma and gamma.  At
+    each n with alpha_n = 0, alpha_{n+1} = 1 the exact chain is checked: nu
+    is flat across the step (nu(alpha_{<n}) = nu(alpha_{1:n})), the spine
     value is at least 2^{-n-1}, and the contaminated posterior of the next
     symbol is at least (1-gamma)/(1+3gamma) > 1/2, the uniform posterior.
     One nu cursor and one M' cursor walk alpha up to the last such n.
     """
-    if mu.alphabet.size != 2 or cm.env.alphabet.size != 2:
+    if not (isinstance(mprime, MixtureEnv) and mprime.mode == RAW
+            and len(mprime.env_class) == 2
+            and isinstance(mprime.env_class.env(2), MixtureEnv)
+            and sum(mprime.weights.weights) == 1):
+        raise SemilabError("expected M' = (1-gamma) nu + gamma M: a raw mixture of nu "
+                           "and a mixture M with weights summing to 1")
+    (nu_env, m), gamma = mprime.env_class.envs, mprime.weights.weight(2)
+    if mprime.alphabet.size != 2:
         raise SemilabError("verification requires binary alphabet")
     if len(alpha) < min(n_max + 1, 2):
         raise ValueError("alpha too short for the requested horizon")
     # envelope invariant of the construction, checked up front
-    violations = envelope_violations(cm.m, alpha.prefix(min(n_max, len(alpha))))
+    violations = envelope_violations(m, alpha.prefix(min(n_max, len(alpha))))
     if violations:
         raise SemilabError(f"alpha violates the 2^-k envelope at k={violations[0]}")
-    bound = cm.posterior_bound
+    bound = (1 - gamma) / (1 + 3 * gamma)
     positions = []
     flagged = [n for n in range(1, min(n_max, len(alpha) - 1) + 1)
                if alpha.symbols[n - 1] == 0 and alpha.symbols[n] == 1]
-    nu, env = cm.nu.cursor(), cm.env.cursor()
+    nu, env = nu_env.cursor(), mprime.cursor()
     k = 0
     for n in flagged:
         for a in alpha.symbols[k:n - 1]:
@@ -313,8 +308,8 @@ def verify_nonconvergence(cm: ContaminatedMixture, mu: Environment,
         raise InconclusiveConfigurationError(
             f"no 01-position in alpha up to horizon {n_max}")
     return NonconvergenceReport(
-        gamma=cm.gamma,
-        class_spec=cm.m.env_class.spec(),
+        gamma=gamma,
+        class_spec=m.env_class.spec(),
         alpha_prefix=str(alpha) if len(alpha) else "",
         positions=tuple(positions),
         horizon=n_max,

@@ -1,8 +1,8 @@
 """Weighted mixtures over finite ordered environment classes.
 
 Covers the raw reference mixture, measures-only mixtures (delta_k and their
-full-class limit), the quasimeasure mixture, normalization, stagewise
-approximations, and the quasimeasure transform itself.  Every mode is one
+full-class limit), the quasimeasure mixture, normalization, the cursor of a
+mixture's stagewise partial sums, and the quasimeasure transform itself.  Every mode is one
 weighted sum: a normalized mixture divides its weights once, when built.
 All evaluation is exact rational arithmetic.
 """
@@ -473,46 +473,15 @@ def k_x(mix: MixtureEnv, x: FiniteString) -> Optional[int]:
     return None
 
 
-PARTIAL_SUM = "partial-sum"
-EXACT = "exact"
-
-
-@dataclass(frozen=True)
-class StageApproximation:
-    """Stagewise lower approximations M^t increasing to the target mixture."""
-
-    target: MixtureEnv
-    rule: str = EXACT
-
-    def __post_init__(self):
-        if self.rule not in (PARTIAL_SUM, EXACT):
-            raise ValueError(f"unknown stage rule {self.rule!r}")
-
-    def stage_eval(self, t: int, x: FiniteString) -> Fraction:
-        if t < 1:
-            raise ValueError("stage index starts at 1")
-        if self.rule == EXACT:
-            return self.target.eval(x)
-        total = ZERO
-        for w, i in zip(self.target._weights, self.target.membership()):
-            if i <= t:
-                total += w * self.target.component(i).eval(x)
-        return total
-
-    def stage_cursor(self, t: int) -> EnvCursor:
-        """A root cursor whose ``mass`` is ``stage_eval(t, x)`` at every
-        string x it walks: the target's own under EXACT, and under
-        PARTIAL_SUM the target's mixture cursor with every component past
-        stage t dropped, as a component at mass 0 is."""
-        if t < 1:
-            raise ValueError("stage index starts at 1")
-        cursor = self.target.cursor()
-        if self.rule == PARTIAL_SUM:
-            for j, i in enumerate(self.target.membership()):
-                if i > t:
-                    cursor._masses[j] = ZERO
-        return cursor
-
-    @property
-    def final_stage(self) -> int:
-        return len(self.target.env_class)
+def stage_cursor(mix: MixtureEnv, t: int) -> EnvCursor:
+    """A root cursor on the stage-t partial sum M^t, the weighted components
+    of the first t class members: the mixture's own cursor with every
+    component past stage t dropped, as a component at mass 0 is.  M^t
+    increases pointwise in t and equals the mixture from t = len(class)."""
+    if t < 1:
+        raise ValueError("stage index starts at 1")
+    cursor = mix.cursor()
+    for j, i in enumerate(mix.membership()):
+        if i > t:
+            cursor._masses[j] = ZERO
+    return cursor

@@ -240,7 +240,8 @@ def e2i_build_mubar(mu: Environment, f: EnumerableFunctional, n: int) -> MuBarEn
     """mubar_n(x_{1:k}) = eps_n^{-1} sum over extensions of mu * F_n.
 
     The hypothesis E_mu[F_n] <= eps_n is checked exactly by enumeration
-    before the table is built.
+    before the table is built.  Each mu-support string is reached by a clone
+    of its parent's cursor stepped once, not evaluated from the root.
     """
     if mu.declared_class != MEASURE:
         raise SemilabError("the construction requires a measure")
@@ -251,23 +252,24 @@ def e2i_build_mubar(mu: Environment, f: EnumerableFunctional, n: int) -> MuBarEn
     values: dict[tuple[int, ...], Fraction] = {}
     expectation = ZERO
 
-    def rec(symbols: tuple[int, ...], mass: Fraction) -> Fraction:
+    def rec(symbols: tuple[int, ...], cursor: EnvCursor) -> Fraction:
         nonlocal expectation
         if len(symbols) == n:
-            term = mass * f.value(n, symbols)
+            term = cursor.mass * f.value(n, symbols)
             expectation += term
             v = term / eps_n
         else:
             v = ZERO
             for a in mu.alphabet.symbols:
-                child = mu._mass(symbols + (a,))
-                if child != 0:
+                child = cursor.clone()
+                child.step(a)
+                if child.mass != 0:
                     v += rec(symbols + (a,), child)
         if v != 0:
             values[symbols] = v
         return v
 
-    rec((), mu._mass(()))
+    rec((), mu.cursor())
     if expectation > eps_n:
         raise HypothesisFailedError(
             f"E_mu[F_n] = {expectation} exceeds eps_n = {eps_n}")

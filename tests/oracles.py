@@ -545,3 +545,38 @@ def sample_prefixes(env, length, seed):
         likelihood *= row[a]
         symbols = symbols + (a,)
     return symbols, likelihood
+
+
+def stage_eval(m, t, x):
+    """The stage-t partial sum M^t(x) of a mixture: its weighted components
+    of the first t class members, each evaluated from the root."""
+    if t < 1:
+        raise ValueError("stage index starts at 1")
+    return sum((w * m.component(i).eval(x)
+                for w, i in zip(m._weights, m.membership()) if i <= t), Fraction(0))
+
+
+def e2i_mubar_prefixes(mu, f, n):
+    """(values, E_mu F_n): the stage-n mubar table's nonzero entries, with
+    every mu-support string evaluated from the root by ``_mass``."""
+    eps_n = f.eps(n)
+    values, expectation = {}, Fraction(0)
+
+    def rec(symbols, mass):
+        nonlocal expectation
+        if len(symbols) == n:
+            term = mass * f.value(n, symbols)
+            expectation += term
+            v = term / eps_n
+        else:
+            v = Fraction(0)
+            for a in mu.alphabet.symbols:
+                child = mu._mass(symbols + (a,))
+                if child != 0:
+                    v += rec(symbols + (a,), child)
+        if v != 0:
+            values[symbols] = v
+        return v
+
+    rec((), mu._mass(()))
+    return values, expectation

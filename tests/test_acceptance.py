@@ -164,11 +164,10 @@ def test_criterion_07_envelope_to_64(capsys, bern3_mixture, canonical_mixture,
 
 
 def test_criterion_08_nonconvergence(capsys, canonical_mixture):
-    stages = sl.StageApproximation(canonical_mixture)
-    nu = nu_limit(stages, 16)
+    nu = nu_limit(canonical_mixture, 16)
     cm = build_mprime(nu, canonical_mixture, F(1, 9))
     alpha = leftmost_random(canonical_mixture, 16)
-    rep = verify_nonconvergence(cm, sl.uniform_measure(), alpha, 15)
+    rep = verify_nonconvergence(cm, alpha, 15)
     # independent rational check of the first flagged posterior: blend the
     # known component masses by hand and divide
     gamma = F(1, 9)

@@ -115,10 +115,10 @@ def test_limit_and_blend_specs_round_trip(canonical_mixture):
     from semilab.counterexample import NuLimitEnv, build_mprime
     nu = NuLimitEnv(sl.FiniteString.parse("0100"))
     cm = build_mprime(nu, canonical_mixture, F(1, 9))
-    clone = parse_environment(cm.env.spec())
+    clone = parse_environment(cm.spec())
     for s in ("", "0", "01", "010", "11"):
         x = sl.FiniteString.parse(s)
-        assert clone.eval(x) == cm.env.eval(x)
+        assert clone.eval(x) == cm.eval(x)
 
 
 # --------------------------------------------------------------- subcommands
@@ -610,3 +610,63 @@ def test_declared_class_names_are_accepted(declared):
     table = {"kind": "table", "depth": 1, "values": {"": "1", "0": "1/2", "1": "1/2"},
              "declared_class": declared}
     assert parse_environment(table).declared_class == declared
+
+
+@pytest.mark.parametrize("value, error", [
+    ("abc", "$SEMILAB_PRECISION: expected an integer, got 'abc'"),
+    ("64.0", "$SEMILAB_PRECISION: expected an integer, got '64.0'"),
+    ("4", "$SEMILAB_PRECISION must be at least 8 bits"),
+    ("-128", "$SEMILAB_PRECISION must be at least 8 bits"),
+], ids=["not-a-number", "a-float", "below-8", "negative"])
+def test_bad_precision_environment_variable_exits_one(value, error, monkeypatch, capsys):
+    monkeypatch.setenv("SEMILAB_PRECISION", value)
+    code = run_cli("leftmost-alpha", "--spec", str(FIXTURES / "bern3_mix.json"))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_precision_flag_below_8_bits_exits_one(capsys):
+    code = run_cli("leftmost-alpha", "--spec", str(FIXTURES / "bern3_mix.json"),
+                   "--precision", "4")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: precision must be at least 8 bits\n"
+
+
+@pytest.mark.parametrize("subcommand, spec, error", [
+    ("markov-tail", {**json.loads((FIXTURES / "bern3_mix.json").read_text()), "c": []},
+     "$.c: empty, so no tail check would run"),
+    ("prop8", {**json.loads((FIXTURES / "bern3_default_weights.json").read_text()),
+               "k0": [], "ratio_k": []},
+     "$.k0, $.ratio_k: both empty, so no check would run"),
+    ("prop8", {"class": [{"kind": "bernoulli", "p": "1/2"}], "k0": []},
+     "$.k0, $.ratio_k: both empty, so no check would run"),
+], ids=["markov-tail-no-c", "prop8-no-k0-no-ratio-k", "prop8-no-k0-one-member"])
+def test_runs_that_select_no_check_exit_one(subcommand, spec, error, capsys):
+    code = run_cli(subcommand, "--spec", json.dumps(spec), "--depth", "3")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_leftmost_alpha_walks_the_mixture_along_alpha_once(monkeypatch, capsys):
+    # the construction's own exact check is the envelope verdict: the run
+    # steps the mixture no more than leftmost_random alone does
+    from semilab.mixtures import _MixtureCursor
+    from semilab.randomness import leftmost_random
+    steps = []
+    step = _MixtureCursor.step
+
+    def counting_step(cursor, a):
+        steps.append(a)
+        step(cursor, a)
+
+    monkeypatch.setattr(_MixtureCursor, "step", counting_step)
+    spec_path = FIXTURES / "bern3_mix.json"
+    alpha = leftmost_random(sl.MixtureEnv(*parse_class(json.loads(spec_path.read_text())),
+                                          sl.RAW), 64)
+    alone = len(steps)
+    steps.clear()
+    assert run_cli("leftmost-alpha", "--spec", str(spec_path), "--depth", "64") == EXIT_OK
+    assert len(steps) == alone
+    out = json.loads(capsys.readouterr().out)
+    assert out["envelope"]["alpha"] == str(alpha)
+    assert out["envelope"]["violations"] == []

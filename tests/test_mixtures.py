@@ -8,6 +8,9 @@ from semilab.errors import (
     NotDominatedError,
     SemilabError,
 )
+from semilab.mixtures import stage_cursor
+
+import oracles
 
 F = Fraction
 
@@ -182,13 +185,21 @@ def test_normalized_measures_only_mixture_is_a_measure(bern3_class):
     assert d_hat.eval(x) == raw.eval(x) / sum(ws.weights)
 
 
+def _stage_mass(m, t, x):
+    cursor = stage_cursor(m, t)
+    for a in x.symbols:
+        cursor.step(a)
+    return cursor.mass
+
+
 def test_partial_sum_stages_of_a_normalized_target_end_at_the_target(bern3_class):
     target = sl.MixtureEnv(bern3_class, sl.default_weights(3), sl.NORMALIZED_MEASURES_ONLY)
-    stages = sl.StageApproximation(target, rule=sl.PARTIAL_SUM)
-    assert stages.stage_eval(stages.final_stage, sl.FiniteString.empty()) == 1
+    assert stage_cursor(target, len(bern3_class)).mass == 1
     for n in range(4):
         for x, _ in sl.enumerate_support(sl.uniform_measure(), n):
-            values = [stages.stage_eval(t, x) for t in range(1, stages.final_stage + 1)]
+            values = [_stage_mass(target, t, x) for t in range(1, len(bern3_class) + 1)]
+            assert values == [oracles.stage_eval(target, t, x)
+                              for t in range(1, len(bern3_class) + 1)]
             assert values == sorted(values)
             assert values[-1] == target.eval(x)
 
@@ -257,16 +268,9 @@ def test_normalize_refuses_live_truncated_strict_component(quasi_class):
 
 def test_partial_sum_stages_increase_to_the_mixture(bern3_class, bern3_uniform_weights):
     mix = sl.MixtureEnv(bern3_class, bern3_uniform_weights, sl.RAW)
-    stages = sl.StageApproximation(mix, rule=sl.PARTIAL_SUM)
     x = sl.FiniteString.parse("010")
-    values = [stages.stage_eval(t, x) for t in (1, 2, 3)]
-    assert values[0] <= values[1] <= values[2]
-    assert values[2] == mix.eval(x)
-    assert stages.final_stage == 3
-
-
-def test_exact_stage_rule_equals_target(bern3_class, bern3_uniform_weights):
-    mix = sl.MixtureEnv(bern3_class, bern3_uniform_weights, sl.RAW)
-    stages = sl.StageApproximation(mix)
-    x = sl.FiniteString.parse("11")
-    assert stages.stage_eval(1, x) == mix.eval(x)
+    values = [_stage_mass(mix, t, x) for t in (1, 2, 3, 4)]
+    assert values == [oracles.stage_eval(mix, t, x) for t in (1, 2, 3, 4)]
+    assert values[0] < values[1] < values[2] == values[3] == mix.eval(x)
+    with pytest.raises(ValueError):
+        stage_cursor(mix, 0)

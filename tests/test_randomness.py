@@ -105,10 +105,9 @@ def test_leftmost_takes_one_when_zero_branch_is_too_heavy(canonical_mixture):
 
 def test_leftmost_is_monotone_under_stage_growth(canonical_mixture):
     from semilab.counterexample import alpha_stage
-    stages = sl.StageApproximation(canonical_mixture, rule=sl.PARTIAL_SUM)
     prev = None
     for t in range(1, 6):
-        alpha_t = alpha_stage(stages, t)
+        alpha_t = alpha_stage(canonical_mixture, t)
         if prev is not None:
             # lexicographic: padded with the next stage's own symbols
             assert prev.symbols <= alpha_t.symbols[:len(prev)] or \
@@ -157,6 +156,23 @@ def test_stage_tables_validate_and_shrink_tolerance():
             assert eps <= prev_eps
         assert eps >= f.eps_limit
         prev_eps = eps
+
+
+@pytest.mark.parametrize("functional", [
+    ConstantFunctional(F(1, 10)), IndicatorFunctional(F(1, 64)),
+], ids=["constant", "indicator"])
+@pytest.mark.parametrize("mu", [
+    sl.BernoulliEnv(F(2, 3)),
+    sl.MarkovEnv(1, {(): [F(1, 2), F(1, 2)], (0,): [F(1, 2), F(1, 2)],
+                   (1,): [F(1), F(0)]}),
+], ids=["bernoulli", "markov-with-a-zero"])
+def test_mubar_tables_match_evaluation_from_the_root(mu, functional):
+    # each support string is reached by a stepped cursor clone; the oracle
+    # evaluates every one from the root
+    for n in range(1, 11):
+        values, expectation = oracles.e2i_mubar_prefixes(mu, functional, n)
+        assert expectation <= functional.eps(n)
+        assert e2i_build_mubar(mu, functional, n).values == values
 
 
 def test_overweight_functional_is_rejected():
