@@ -163,6 +163,16 @@ def _rationals(value, path: str) -> list[Fraction]:
     return [parse_rational(x, f"{path}[{i}]") for i, x in enumerate(_typed(value, list, path))]
 
 
+def _distinct(values: list, path: str) -> list:
+    """values, refused when two are equal: each names a verdict of its own."""
+    seen = {}
+    for i, v in enumerate(values):
+        if v in seen:
+            raise SpecError(f"{path}[{i}]: duplicates {path}[{seen[v]}] (both {v})")
+        seen[v] = i
+    return values
+
+
 def _symbols(value, path: str) -> tuple[int, ...]:
     """A string of symbols, one decimal digit each."""
     if not isinstance(value, str) or not re.fullmatch(r"[0-9]*", value):
@@ -365,15 +375,20 @@ class RunResult:
     documents: dict = field(default_factory=dict)
     traces: dict = field(default_factory=dict)
 
+    def add_entry(self, name: str, outcome: str, entry: dict, doc: str = "verdicts"):
+        """Record one outcome as ``doc[name]``; a name already taken raises,
+        so no entry is overwritten while ``outcomes`` counts both."""
+        entries = self.documents.setdefault(doc, {})
+        if name in entries:
+            raise ValueError(f"{doc}: entry {name!r} recorded twice")
+        self.outcomes.append(outcome)
+        entries[name] = entry
+
     def add_verdict(self, name: str, verdict: Verdict, doc: str = "verdicts"):
-        self.outcomes.append(verdict.outcome)
-        self.documents.setdefault(doc, {})[name] = verdict.as_dict()
+        self.add_entry(name, verdict.outcome, verdict.as_dict(), doc)
 
     def add_outcome(self, name: str, outcome: str, detail: dict, doc: str = "verdicts"):
-        self.outcomes.append(outcome)
-        entry = {"outcome": outcome}
-        entry.update(detail)
-        self.documents.setdefault(doc, {})[name] = entry
+        self.add_entry(name, outcome, {"outcome": outcome, **detail}, doc)
 
 
 def _exact_outcome(holds: bool) -> str:
@@ -450,18 +465,17 @@ def run_markov_tail(spec, depth, bits, seed) -> RunResult:
     mix, env_class, weights = _mixture_from(spec)
     mu = _mu_from(spec, env_class)
     w = _w_from(spec, weights)
-    cs = _rationals(spec.get("c", ["1", "2", "4"]), "$.c")
+    cs = _distinct(_rationals(spec.get("c", ["1", "2", "4"]), "$.c"), "$.c")
     if not cs:
         raise SpecError("$.c: empty, so no tail check would run")
     result = RunResult()
     for c, report in zip(cs, markov_tail_checks(mix, mu, depth, w, cs, bits)):
-        result.outcomes.append(report.verdict.outcome)
-        result.documents.setdefault("verdicts", {})[f"tail-c-{c}"] = {
+        result.add_entry(f"tail-c-{c}", report.verdict.outcome, {
             "verdict": report.verdict.as_dict(),
             "exceed_mass": _frac_str(report.exceed_mass),
             "inconclusive_mass": _frac_str(report.inconclusive_mass),
             "threshold": [report.threshold_lo, report.threshold_hi],
-        }
+        })
     return result
 
 
@@ -639,9 +653,11 @@ def run_e2i(spec, depth, bits, seed) -> RunResult:
 
 def run_prop8(spec, depth, bits, seed) -> RunResult:
     env_class, weights = parse_class(spec)
-    k0s = [_class_index(k, env_class, f"$.k0[{i}]")
-           for i, k in enumerate(_typed(spec.get("k0", [1]), list, "$.k0"))]
+    k0s = _distinct([_class_index(k, env_class, f"$.k0[{i}]")
+                     for i, k in enumerate(_typed(spec.get("k0", [1]), list, "$.k0"))], "$.k0")
     ratio_k = _typed(spec.get("ratio_k", list(range(2, len(env_class) + 1))), list, "$.ratio_k")
+    ratio_ks = _distinct([_class_index(k, env_class, f"$.ratio_k[{i}]")
+                          for i, k in enumerate(ratio_k)], "$.ratio_k")
     if not k0s and not ratio_k:
         raise SpecError("$.k0, $.ratio_k: both empty, so no check would run")
     result = RunResult()
@@ -649,9 +665,8 @@ def run_prop8(spec, depth, bits, seed) -> RunResult:
         v = prop8_expected_bound(env_class, weights, k0, depth, bits)
         result.add_verdict(f"expected-bound-k0-{k0}", v)
     ratio_depth = _int_field(spec, "ratio_depth", min(depth, 8))
-    for i, k in enumerate(ratio_k):
-        v = delta_hat_ratio_check(env_class, weights,
-                                  _class_index(k, env_class, f"$.ratio_k[{i}]"), ratio_depth)
+    for k, index in zip(ratio_k, ratio_ks):
+        v = delta_hat_ratio_check(env_class, weights, index, ratio_depth)
         result.add_verdict(f"ratio-bound-k-{k}", v)
     return result
 

@@ -18,8 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from mpmath.libmp import (
-    fone, fzero, mpf_add, mpf_ge, mpf_lt, mpf_shift, mpf_sqrt, mpf_sub, mpi_add, mpi_exp,
-    mpi_mul, mpi_sub, round_ceiling, round_floor,
+    fone, fzero, mpf_ge, mpf_lt, mpf_shift, mpi_add, mpi_exp, mpi_mul, mpi_sub,
 )
 
 from . import intervals
@@ -27,14 +26,19 @@ from .intervals import (
     DEFAULT_PRECISION,
     Verdict,
     abs_bounds,
+    add_pairs,
     compare_le,
     fraction_bounds,
     from_fraction,
+    from_mpf,
     interval_str,
     iv,
     pow_nonneg_bounds,
     precision,
     quotient_bounds,
+    quotient_pairs,
+    sqrt_pair,
+    to_mpf,
 )
 from .envcore import Environment, FiniteString, ZERO, walk_states
 from .errors import NotAMeasureRowError, NotDominatedError, UndefinedPosteriorError
@@ -43,27 +47,38 @@ HALF = Fraction(1, 2)
 
 
 def _sqrt_prod_sum(p: Sequence[Fraction], q: Sequence[Fraction], prec: int) -> tuple:
-    """Raw ``(lo, hi)`` enclosure of sum_i sqrt(p_i q_i) at prec bits; each
-    product is rounded as its integer quotient, never reduced."""
-    lo = hi = fzero
+    """``(lo, hi)`` integer pairs enclosing sum_i sqrt(p_i q_i) at prec bits:
+    each product's unreduced integer quotient rounded outward, its square
+    root rounded outward again, and each sum rounded outward."""
+    lo = hi = (0, 0)
     for pi, qi in zip(p, q):
         if pi and qi:
-            a, b = quotient_bounds(pi.numerator * qi.numerator,
-                                   pi.denominator * qi.denominator, prec)
-            lo = mpf_add(lo, mpf_sqrt(a, prec, round_floor), prec, round_floor)
-            hi = mpf_add(hi, mpf_sqrt(b, prec, round_ceiling), prec, round_ceiling)
+            a, b = quotient_pairs(pi.numerator * qi.numerator,
+                                  pi.denominator * qi.denominator, prec)
+            lo = add_pairs(lo, sqrt_pair(*a, prec, False), prec, False)
+            hi = add_pairs(hi, sqrt_pair(*b, prec, True), prec, True)
     return lo, hi
 
 
 def _hellinger_bounds(p: Sequence[Fraction], q: Sequence[Fraction], prec: int) -> tuple:
-    """Raw ``(lo, hi)`` enclosure of h(p, q) at prec bits, unchecked rows."""
-    r_lo, r_hi = fraction_bounds(sum(p, ZERO) + sum(q, ZERO), prec)
+    """Raw ``(lo, hi)`` enclosure of h(p, q) at prec bits, unchecked rows.
+
+    h = (sum p + sum q) - 2 sum_i sqrt(p_i q_i): the exact rational part is
+    one quotient over an unreduced common denominator, and every step is
+    rounded on integer pairs exactly as the ``mpf_div``, ``mpf_sqrt``,
+    ``mpf_add`` and ``mpf_sub`` chain would round it, so the endpoints are
+    that chain's, boxed into mpf tuples once.
+    """
+    num, den = 0, 1
+    for x in (*p, *q):
+        num, den = num * x.denominator + x.numerator * den, den * x.denominator
+    r_lo, r_hi = quotient_pairs(num, den, prec)
     s_lo, s_hi = _sqrt_prod_sum(p, q, prec)
-    lo = mpf_sub(r_lo, mpf_shift(s_hi, 1), prec, round_floor)
-    hi = mpf_sub(r_hi, mpf_shift(s_lo, 1), prec, round_ceiling)
-    # h >= 0 and h <= sum p + sum q hold exactly; clip the enclosure
-    return (fzero if mpf_lt(lo, fzero) else lo,
-            r_hi if mpf_lt(r_hi, hi) else hi)
+    lo = add_pairs(r_lo, (-s_hi[0], s_hi[1] + 1), prec, False)
+    hi = add_pairs(r_hi, (-s_lo[0], s_lo[1] + 1), prec, True)
+    # h >= 0 holds exactly, so the lower end is clipped at 0; the upper end
+    # never passes r_hi, since r_hi lies on the prec-bit grid and s_lo >= 0
+    return fzero if lo[0] < 0 else to_mpf(lo), to_mpf(hi)
 
 
 def hellinger_step(p: Sequence[Fraction], q: Sequence[Fraction]):
@@ -87,7 +102,7 @@ def bhattacharyya_step(p: Sequence[Fraction], q: Sequence[Fraction]):
         raise NotAMeasureRowError("first row must sum to exactly 1")
     if sum(q, ZERO) > 1:
         raise ValueError("second row exceeds total mass 1")
-    return iv.make_mpf(_sqrt_prod_sum(p, q, iv.prec))
+    return iv.make_mpf(tuple(map(to_mpf, _sqrt_prod_sum(p, q, iv.prec))))
 
 
 def row_inequality_verdicts(p: Sequence[Fraction], q: Sequence[Fraction],
@@ -162,6 +177,14 @@ def hellinger_trace(nu: Environment, mu: Environment, omega: FiniteString, n: in
     return HellingerTrace(steps, hs, cums, ratios, diffs)
 
 
+def _dominated(nu_cur, mu_cur, w: Fraction) -> bool:
+    """nu >= w mu exactly at the cursors' string, from their unreduced
+    integer masses."""
+    nu_num, nu_den = nu_cur.mass_ratio()
+    mu_num, mu_den = mu_cur.mass_ratio()
+    return nu_num * w.denominator * mu_den >= w.numerator * mu_num * nu_den
+
+
 def _support_states(nu: Environment, mu: Environment, n: int, w: Fraction):
     """``walk_states([nu, mu], n)`` over mu's support, checking nu >= w mu
     exactly at every state.
@@ -171,8 +194,7 @@ def _support_states(nu: Environment, mu: Environment, n: int, w: Fraction):
     there.  Raises NotDominatedError at the first state that fails.
     """
     for state in walk_states([nu, mu], n, support=1):
-        nu_cur, mu_cur = state[1]
-        if nu_cur.mass < w * mu_cur.mass:
+        if w and not _dominated(*state[1], w):
             raise NotDominatedError("nu >= w*mu fails on the enumerated support")
         yield state
 
@@ -182,10 +204,11 @@ def _carry(states, root, advance, join):
 
     The root holds ``root``.  A state above depth n hands ``advance(nu_row,
     mu_row, mass, value)`` to each of its children, ``mass`` being the mu-mass
-    of all the strings in the state, and a child reached from several states
-    holds the ``join`` of what they hand it, taken in the walker's fixed
-    state order.  Yields ``(count, mu_mass, value)`` for each state at depth
-    n: its number of strings, the mu-mass of each, and its value.
+    of all the strings in the state as an unreduced integer pair (numerator,
+    denominator), and a child reached from several states holds the ``join``
+    of what they hand it, taken in the walker's fixed state order.  Yields
+    ``(count, mu_mass, value)`` for each state at depth n: its number of
+    strings, the mu-mass of each, and its value.
     """
     level, carried, nxt = 0, {}, {}
     for symbols, (nu_cur, mu_cur), count, key, children in states:
@@ -195,9 +218,10 @@ def _carry(states, root, advance, join):
         if children is None:
             yield count, mu_cur.mass, value
             continue
-        if nu_cur.mass == 0:
+        if not nu_cur.mass_ratio()[0]:
             raise UndefinedPosteriorError("nu vanishes on a mu-support prefix")
-        out = advance(nu_cur.row(), mu_cur.row(), count * mu_cur.mass, value)
+        num, den = mu_cur.mass_ratio()
+        out = advance(nu_cur.row(), mu_cur.row(), (count * num, den), value)
         for child_key, _ in children:
             nxt[child_key] = join(nxt[child_key], out) if child_key in nxt else out
 
@@ -205,6 +229,42 @@ def _carry(states, root, advance, join):
 def _half(x: tuple) -> tuple:
     """x / 2 for a raw interval: exact, so no rounding."""
     return mpf_shift(x[0], -1), mpf_shift(x[1], -1)
+
+
+def _checked_kappa(kappa) -> Fraction:
+    kappa = Fraction(kappa)
+    if not 0 < kappa <= HALF:
+        raise ValueError("kappa must lie in (0, 1/2]")
+    return kappa
+
+
+def _exp_half_sum(nu: Environment, mu: Environment, n: int, w: Fraction, prec: int,
+                  advance) -> dict:
+    """``exp_half_sum``, ``support_size`` and ``support_mass`` of one walk of
+    ``_support_states``: each state carries E_S, and ``advance(nu_row,
+    mu_row, mass, e)`` (as ``_carry`` calls it) gives what it hands each
+    child.  ``advance`` may fold other sums on the way."""
+
+    def join(x, y):
+        return mpi_add(x, y, prec)
+
+    total, size, support_mass = (fzero, fzero), 0, ZERO
+    for count, mass, e in _carry(_support_states(nu, mu, n, w), (fone, fone), advance, join):
+        total = mpi_add(total, mpi_mul(fraction_bounds(mass, prec), e, prec), prec)
+        size += count
+        support_mass += count * mass
+    return {"exp_half_sum": iv.make_mpf(total), "support_size": size,
+            "support_mass": support_mass}
+
+
+def _kappa_advance(kappa: Fraction, symbols, prec: int):
+    """The E_S carry of ``_exp_half_sum`` for the kappa rows alone."""
+
+    def advance(nu_row, mu_row, mass, e):
+        g = _kappa_row(nu_row, mu_row, kappa, symbols, prec)
+        return mpi_mul(e, mpi_exp(_half(g), prec), prec)
+
+    return advance
 
 
 def hellinger_expectations(nu: Environment, mu: Environment, n: int,
@@ -236,44 +296,34 @@ def hellinger_expectations(nu: Environment, mu: Environment, n: int,
     kernels mpmath's interval objects call, so each enclosure is the one
     those objects would give; the sums are boxed only in the result.
     """
-    kappa = Fraction(kappa)
-    if not 0 < kappa <= HALF:
-        raise ValueError("kappa must lie in (0, 1/2]")
+    kappa = _checked_kappa(kappa)
     symbols = mu.alphabet.symbols
     prec = precision_bits
+    w = Fraction(w)
+    if kappa != HALF:
+        return _exp_half_sum(nu, mu, n, w, prec, _kappa_advance(kappa, symbols, prec))
     zero = (fzero, fzero)
-    sums = [zero, zero, ZERO]  # sqrt-ratio sum, Hellinger sum, excess
+    # sqrt-ratio sum, Hellinger sum, excess; the two sums are one object
+    # until the first state whose mu row has a zero adds different terms
+    sums = [zero, zero, ZERO]
 
     def advance(nu_row, mu_row, mass, e):
-        if kappa != HALF:
-            g = _kappa_row(nu_row, mu_row, kappa, symbols, prec)
-            return mpi_mul(e, mpi_exp(_half(g), prec), prec)
         h = _hellinger_bounds(nu_row, mu_row, prec)
-        weight = fraction_bounds(mass, prec)
+        weight = quotient_bounds(*mass, prec)
+        weighted = restricted = mpi_mul(weight, h, prec)
         # restrict to mu-support symbols: E[(sqrt(nu_t/mu_t)-1)^2 | prefix]
         on = [a for a in symbols if mu_row[a]]
-        restricted = h
         if len(on) < len(symbols):
-            restricted = _hellinger_bounds([nu_row[a] for a in on], [mu_row[a] for a in on],
-                                           prec)
-            sums[2] += mass * sum((nu_row[a] for a in symbols if not mu_row[a]), ZERO)
-        sums[0] = mpi_add(sums[0], mpi_mul(weight, restricted, prec), prec)
-        sums[1] = mpi_add(sums[1], mpi_mul(weight, h, prec), prec)
+            restricted = mpi_mul(weight, _hellinger_bounds(
+                [nu_row[a] for a in on], [mu_row[a] for a in on], prec), prec)
+            sums[2] += Fraction(*mass) * sum((nu_row[a] for a in symbols if not mu_row[a]),
+                                            ZERO)
+        shared = sums[0] is sums[1] and restricted is weighted
+        sums[1] = mpi_add(sums[1], weighted, prec)
+        sums[0] = sums[1] if shared else mpi_add(sums[0], restricted, prec)
         return mpi_mul(e, mpi_exp(_half(h), prec), prec)
 
-    def join(x, y):
-        return mpi_add(x, y, prec)
-
-    total, size, support_mass = zero, 0, ZERO
-    for count, mass, e in _carry(_support_states(nu, mu, n, Fraction(w)),
-                                 (fone, fone), advance, join):
-        total = mpi_add(total, mpi_mul(fraction_bounds(mass, prec), e, prec), prec)
-        size += count
-        support_mass += count * mass
-    found = {"exp_half_sum": iv.make_mpf(total), "support_size": size,
-             "support_mass": support_mass}
-    if kappa != HALF:
-        return found
+    found = _exp_half_sum(nu, mu, n, w, prec, advance)
     sqrt_sum, hell_sum, excess = iv.make_mpf(sums[0]), iv.make_mpf(sums[1]), sums[2]
     outcome = intervals.CERTIFIED_HOLDS if excess >= 0 else intervals.CERTIFIED_FAILS
     found.update({
@@ -312,14 +362,16 @@ def expected_exp_half_sum(nu: Environment, mu: Environment, n: int,
                           kappa: Fraction = HALF,
                           precision_bits: int = DEFAULT_PRECISION):
     """Interval for E_mu[exp(half * sum_{t<=n} g_t)] over all mu-support
-    paths: ``hellinger_expectations``' ``exp_half_sum``."""
-    return hellinger_expectations(nu, mu, n, kappa,
-                                  precision_bits=precision_bits)["exp_half_sum"]
+    paths: ``hellinger_expectations``' ``exp_half_sum``, from a walk that
+    forms no other sum."""
+    advance = _kappa_advance(_checked_kappa(kappa), mu.alphabet.symbols, precision_bits)
+    return _exp_half_sum(nu, mu, n, ZERO, precision_bits, advance)["exp_half_sum"]
 
 
 def verify_dominance(nu: Environment, mu: Environment, w: Fraction, depth: int) -> bool:
     """Exact check nu(x) >= w mu(x) on every string of mu's support to depth."""
-    return all(nu_cur.mass >= w * mu_cur.mass for _, (nu_cur, mu_cur), _, _, _
+    w = Fraction(w)
+    return all(_dominated(nu_cur, mu_cur, w) for _, (nu_cur, mu_cur), _, _, _
                in walk_states([nu, mu], depth, support=1))
 
 
@@ -358,11 +410,11 @@ def markov_tail_checks(nu: Environment, mu: Environment, n: int,
     w, cs = Fraction(w), [Fraction(c) for c in cs]
 
     def advance(nu_row, mu_row, mass, cums):
-        h_lo, h_hi = _hellinger_bounds(nu_row, mu_row, prec)
+        h_lo, h_hi = map(from_mpf, _hellinger_bounds(nu_row, mu_row, prec))
         out = Counter()
         for (lo, hi), k in cums.items():
-            out[(mpf_add(lo, h_lo, prec, round_floor),
-                 mpf_add(hi, h_hi, prec, round_ceiling))] += k
+            out[(to_mpf(add_pairs(from_mpf(lo), h_lo, prec, False)),
+                 to_mpf(add_pairs(from_mpf(hi), h_hi, prec, True)))] += k
         return out
 
     with precision(precision_bits):

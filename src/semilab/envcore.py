@@ -132,8 +132,9 @@ class EnvCursor:
     """Stateful walker exposing one posterior row at a time.
 
     The contract every cursor keeps: ``mass`` equals ``_mass`` of the string
-    walked so far, ``row()`` equals ``posterior`` there (where the mass is
-    positive), ``factor(a)`` gives ``row()[a]`` as two integers, ``step(a)``
+    walked so far, ``mass_ratio()`` gives it as two integers, ``row()``
+    equals ``posterior`` there (where the mass is positive), ``factor(a)``
+    gives ``row()[a]`` as two integers, ``step(a)``
     appends one symbol, ``clone()`` returns an
     independent copy, and ``state_key()`` is a hashable sufficient statistic:
     two strings of equal length with equal keys have equal masses on every
@@ -150,6 +151,12 @@ class EnvCursor:
     @property
     def mass(self) -> Fraction:
         return self._mass
+
+    def mass_ratio(self) -> tuple[int, int]:
+        """``mass`` as an integer numerator and a positive denominator, not
+        necessarily in lowest terms."""
+        m = self.mass
+        return m.numerator, m.denominator
 
     def row(self) -> tuple[Fraction, ...]:
         if self._mass == 0:
@@ -189,32 +196,67 @@ class EnvCursor:
         return ZERO if self.mass == 0 else None
 
 
-class _IIDCursor(EnvCursor):
-    """Keyed by the symbol counts; every dead string shares the key None.
+class _CountCursor(EnvCursor):
+    """A cursor whose mass is prod_i p_i^c_i: ``_probs`` holds the p_i,
+    ``_counts`` how often a step drew each, and ``_dead`` is set once a step
+    drew a p_i of 0.
 
-    The mass is a function of the counts, so it is formed only when asked
-    for, from the counts added since it was last formed: one power per
-    symbol instead of one growing product per step."""
+    The mass is a function of the counts, so each of its two forms is formed
+    only when asked for, from the counts added since it was last formed: one
+    power per probability instead of one growing product per step.  ``mass``
+    is the reduced Fraction, reduced factor by factor; ``mass_ratio`` is
+    the integers prod_i n_i^c_i over prod_i d_i^c_i (p_i = n_i / d_i),
+    formed with no gcd at all, which is all the walks read."""
 
-    def __init__(self, env: Environment, row: tuple[Fraction, ...]):
-        self._env = env
-        self._row = row
-        self._zero = tuple(p == 0 for p in row)
+    def _start(self, probs: tuple[Fraction, ...]) -> None:
+        self._probs = probs
         self._dead = False
-        self._counts = (0,) * len(row)
-        self._mass = ONE  # the mass at the counts _mass_counts
-        self._mass_counts = self._counts
+        self._counts = (0,) * len(probs)
+        self._mass, self._mass_counts = ONE, self._counts
+        self._ratio, self._ratio_counts = (1, 1), self._counts
+
+    def _count(self, i: int) -> None:
+        counts = self._counts
+        self._counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
 
     @property
     def mass(self) -> Fraction:
         if self._mass_counts is not self._counts:
             m = ZERO if self._dead else self._mass
             if m:
-                for p, c, c0 in zip(self._row, self._counts, self._mass_counts):
+                for p, c, c0 in zip(self._probs, self._counts, self._mass_counts):
                     if c != c0:
                         m = m * (p if c - c0 == 1 else p ** (c - c0))
             self._mass, self._mass_counts = m, self._counts
         return self._mass
+
+    def mass_ratio(self) -> tuple[int, int]:
+        if self._ratio_counts is self._counts:
+            return self._ratio
+        num, den = (0, 1) if self._dead else self._ratio
+        if num:
+            for p, c, c0 in zip(self._probs, self._counts, self._ratio_counts):
+                if c != c0:
+                    k = c - c0
+                    num *= p.numerator if k == 1 else p.numerator ** k
+                    den *= p.denominator if k == 1 else p.denominator ** k
+        self._ratio, self._ratio_counts = (num, den), self._counts
+        return self._ratio
+
+    def clone(self) -> "_CountCursor":
+        if self._ratio_counts is not self._counts:
+            self.mass_ratio()  # form it once here rather than once in every clone
+        return super().clone()
+
+
+class _IIDCursor(_CountCursor):
+    """Keyed by the symbol counts; every dead string shares the key None."""
+
+    def __init__(self, env: Environment, row: tuple[Fraction, ...]):
+        self._env = env
+        self._row = row
+        self._zero = tuple(p == 0 for p in row)
+        self._start(row)
 
     def row(self) -> tuple[Fraction, ...]:
         if self._dead:
@@ -224,12 +266,7 @@ class _IIDCursor(EnvCursor):
     def step(self, a: int) -> None:
         if self._zero[a]:
             self._dead = True
-        counts = self._counts
-        self._counts = counts[:a] + (counts[a] + 1,) + counts[a + 1:]
-
-    def clone(self) -> "_IIDCursor":
-        self.mass  # form the mass once here rather than once in every clone
-        return super().clone()
+        self._count(a)
 
     def state_key(self):
         return None if self._dead else self._counts
@@ -345,17 +382,17 @@ class MarkovEnv(Environment):
         }
 
 
-class _MarkovCursor(EnvCursor):
-    """Keyed by the transition counts plus the current context."""
+class _MarkovCursor(_CountCursor):
+    """Keyed by the transition counts plus the current context; every dead
+    string shares the key None."""
 
     def __init__(self, env: MarkovEnv):
         self._env = env
         self._ctx: tuple[int, ...] = ()
-        self._mass = ONE
         # one count per (context, symbol), in the order of env.transitions
         self._offsets = {ctx: i * env.alphabet.size
                          for i, ctx in enumerate(env.transitions)}
-        self._counts = (0,) * (len(env.transitions) * env.alphabet.size)
+        self._start(tuple(p for row in env.transitions.values() for p in row))
 
     def _transition_row(self) -> tuple[Fraction, ...]:
         # the context is already cut to the order; _row raises when missing
@@ -363,25 +400,24 @@ class _MarkovCursor(EnvCursor):
         return row if row is not None else self._env._row(self._ctx)
 
     def row(self) -> tuple[Fraction, ...]:
-        if self._mass == 0:
+        if self._dead:
             raise UndefinedPosteriorError("zero mass at cursor position")
         return self._transition_row()
 
     def step(self, a: int) -> None:
         ctx = self._ctx
-        if self._mass != 0:
-            self._mass = self._mass * self._transition_row()[a]
-            i = self._offsets[ctx] + a
-            counts = self._counts
-            self._counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
+        if not self._dead:
+            if not self._transition_row()[a]:
+                self._dead = True
+            self._count(self._offsets[ctx] + a)
         ctx = ctx + (a,)
         self._ctx = ctx[1:] if len(ctx) > self._env.order else ctx
 
     def state_key(self):
-        return (self._counts, self._ctx) if self._mass != 0 else None
+        return None if self._dead else (self._counts, self._ctx)
 
     def zero_step_factor_bound(self):
-        if self._mass == 0:
+        if self._dead:
             return ZERO
         # contexts on the all-zeros continuation stabilize at 0^order after
         # ``order`` steps; take the max zero-transition over the whole walk
@@ -516,7 +552,8 @@ class _WrapperCursor(EnvCursor):
 
 class _LeakyCursor(_WrapperCursor):
     """The leak factor depends on the length only, so the mass is formed
-    only when asked for."""
+    only when asked for: the base's ``mass`` times the leak's power, or its
+    ``mass_ratio`` times the powers of the leak's two integers."""
 
     def __init__(self, env: LeakyEnv):
         super().__init__(env)
@@ -527,8 +564,13 @@ class _LeakyCursor(_WrapperCursor):
     def mass(self) -> Fraction:
         return self._inner.mass * self._env.leak ** self._depth
 
+    def mass_ratio(self) -> tuple[int, int]:
+        num, den = self._inner.mass_ratio()
+        leak = self._env.leak
+        return num * leak.numerator ** self._depth, den * leak.denominator ** self._depth
+
     def row(self) -> tuple[Fraction, ...]:
-        if self._inner.mass == 0:
+        if not self._inner.mass_ratio()[0]:
             raise UndefinedPosteriorError("zero mass at cursor position")
         base_row = self._inner.row()
         if base_row is not self._base_row:  # product-form bases repeat rows
@@ -579,13 +621,17 @@ class DecayingEnv(Environment):
 class _DecayingCursor(EnvCursor):
     """Steps in O(1) without forming the exact mass, which at large depths
     is astronomically sized: the mass is multiplied out only when asked for
-    (``mass_interval`` never asks).  The string is kept one byte per symbol."""
+    (``mass_interval`` never asks), the reduced Fraction ``mass`` and the
+    unreduced integers ``mass_ratio`` each from the symbols added since it
+    was last formed.  The string is kept one byte per symbol."""
 
     def __init__(self, env: DecayingEnv):
         self._env = env
         self._symbols = bytearray()
         self._mass = ONE  # the mass of the first _mass_t symbols
         self._mass_t = 0
+        self._ratio = (1, 1)  # the same as integers, of the first _ratio_t
+        self._ratio_t = 0
 
     @property
     def mass(self) -> Fraction:
@@ -596,6 +642,17 @@ class _DecayingCursor(EnvCursor):
                 m = m * (p1 if self._symbols[t - 1] == 1 else 1 - p1)
             self._mass, self._mass_t = m, len(self._symbols)
         return self._mass
+
+    def mass_ratio(self) -> tuple[int, int]:
+        if self._ratio_t < len(self._symbols):
+            num, den = self._ratio
+            beta = self._env.beta
+            for t in range(self._ratio_t + 1, len(self._symbols) + 1):
+                d = 2 * t ** beta
+                num *= 1 if self._symbols[t - 1] == 1 else d - 1
+                den *= d
+            self._ratio, self._ratio_t = (num, den), len(self._symbols)
+        return self._ratio
 
     def row(self) -> tuple[Fraction, ...]:
         p1 = self._env.one_prob(len(self._symbols) + 1)
@@ -609,7 +666,7 @@ class _DecayingCursor(EnvCursor):
         self._symbols.append(a)
 
     def clone(self) -> "_DecayingCursor":
-        self.mass  # multiply out once here rather than once in every clone
+        self.mass_ratio()  # multiply out once here rather than once in every clone
         new = super().clone()
         new._symbols = bytearray(self._symbols)
         return new
@@ -707,7 +764,7 @@ def walk_states(envs: Sequence[Environment], depth: int,
     """
     symbols_range = envs[0].alphabet.symbols
     root = tuple(env.cursor() for env in envs)
-    if support is not None and root[support].mass == 0:
+    if support is not None and not root[support].mass_ratio()[0]:
         return
     level = [((), root, 1, tuple(c.state_key() for c in root))]
     for n in range(depth + 1):
@@ -723,7 +780,7 @@ def walk_states(envs: Sequence[Environment], depth: int,
                 child = tuple(c.clone() for c in cursors)
                 for c in child:
                     c.step(a)
-                if support is not None and child[support].mass == 0:
+                if support is not None and not child[support].mass_ratio()[0]:
                     continue
                 child_key = tuple(c.state_key() for c in child)
                 children.append((child_key, child))

@@ -12,12 +12,12 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Callable, Union
 
 import mpmath
 from mpmath.libmp import (
-    from_man_exp, fzero, mpf_div, mpf_ge, mpf_gt, mpf_le, mpf_neg, mpi_exp, mpi_log, mpi_mul,
-    round_ceiling, round_floor, to_rational,
+    fzero, mpf_ge, mpf_gt, mpf_le, mpf_neg, mpi_exp, mpi_log, mpi_mul, to_rational,
 )
 
 iv = mpmath.iv
@@ -39,19 +39,92 @@ def precision(bits: int):
         iv.prec = old
 
 
-def _exact(n: int) -> tuple:
-    """The integer n as an exact raw mpf, its trailing zero bits shifted out
-    at once (``from_int`` strips them a byte at a time)."""
-    zeros = (n & -n).bit_length() - 1 if n else 0
-    return from_man_exp(n >> zeros, zeros)
+# ------------------------------------------------------------ integer kernels
+#
+# A real m * 2**e is carried as the integer pair (m, e).  Each function below
+# rounds its exact result down, or up when ``up``, to prec significant bits,
+# as the ``libmpf`` function named in its docstring does with round_floor or
+# round_ceiling.  Those round correctly, so both give the same value, and
+# ``to_mpf`` turns the pair into the very tuple ``libmpf`` returns.
+
+def round_pair(m: int, e: int, prec: int, up: bool) -> tuple[int, int]:
+    """m * 2**e rounded to prec bits (``normalize``); m may be negative."""
+    s = m.bit_length() - prec
+    if s > 0:
+        m = -(-m >> s) if up else m >> s
+        e += s
+    return m, e
+
+
+def quotient_pairs(num: int, den: int, prec: int) -> tuple[tuple, tuple]:
+    """num / den rounded down and up (``mpf_div``), num >= 0 and den > 0,
+    from one integer division: a quotient not in lowest terms rounds to the
+    bits of the reduced one."""
+    if not num:
+        return (0, 0), (0, 0)
+    # scaled so that the floor q has prec + 1 or prec + 2 bits
+    k = prec + 1 + den.bit_length() - num.bit_length()
+    q, r = divmod(num << k, den) if k >= 0 else divmod(num, den << -k)
+    s = q.bit_length() - prec
+    lo = q >> s
+    return (lo, s - k), (lo + 1 if r or q & ((1 << s) - 1) else lo, s - k)
+
+
+def sqrt_pair(m: int, e: int, prec: int, up: bool) -> tuple[int, int]:
+    """sqrt(m * 2**e) rounded (``mpf_sqrt``), m >= 0."""
+    if not m:
+        return 0, 0
+    if e & 1:
+        m, e = m << 1, e - 1
+    # scaled so that the integer square root has at least prec + 1 bits
+    j = prec + 1 - (m.bit_length() >> 1)
+    if j > 0:
+        m, e = m << 2 * j, e - 2 * j
+    r = isqrt(m)
+    if up and r * r != m:
+        r += 1
+    return round_pair(r, e >> 1, prec, up)
+
+
+def add_pairs(x: tuple, y: tuple, prec: int, up: bool) -> tuple[int, int]:
+    """x + y rounded (``mpf_add``)."""
+    (a, ea), (b, eb) = x, y
+    if not b:
+        return round_pair(a, ea, prec, up)
+    if not a:
+        return round_pair(b, eb, prec, up)
+    if ea > eb:
+        return round_pair((a << ea - eb) + b, eb, prec, up)
+    return round_pair(a + (b << eb - ea), ea, prec, up)
+
+
+def to_mpf(x: tuple) -> tuple:
+    """The raw mpf tuple of a pair: sign, odd mantissa, exponent, bit count."""
+    m, e = x
+    if not m:
+        return fzero
+    sign = 0
+    if m < 0:
+        sign, m = 1, -m
+    zeros = (m & -m).bit_length() - 1
+    m >>= zeros
+    return sign, m, e + zeros, m.bit_length()
+
+
+def from_mpf(x: tuple) -> tuple[int, int]:
+    """The pair of a finite raw mpf tuple."""
+    sign, m, e, _ = x
+    return -m if sign else m, e
 
 
 def quotient_bounds(num: int, den: int, prec: int) -> tuple:
     """Raw ``(lo, hi)`` mpf endpoints of num / den (den > 0) rounded down and
-    up to prec bits.  ``mpf_div`` rounds correctly, so a quotient not in
-    lowest terms rounds to the bits of the reduced one."""
-    n, d = _exact(num), _exact(den)
-    return mpf_div(n, d, prec, round_floor), mpf_div(n, d, prec, round_ceiling)
+    up to prec bits."""
+    if num < 0:
+        lo, hi = quotient_pairs(-num, den, prec)
+        return to_mpf((-hi[0], hi[1])), to_mpf((-lo[0], lo[1]))
+    lo, hi = quotient_pairs(num, den, prec)
+    return to_mpf(lo), to_mpf(hi)
 
 
 def fraction_bounds(q: Fraction, prec: int) -> tuple:

@@ -202,15 +202,22 @@ class QuasimeasureEnv(Environment):
 
 class _QuasimeasureCursor(_WrapperCursor):
     """Whether a depth survives depends on the depth alone, so the base key
-    is the key."""
+    is the key, and the base's mass is the mass while the depth is alive."""
 
     def __init__(self, env: QuasimeasureEnv):
         super().__init__(env)
         self._depth = 0
-        self._mass = self._inner.mass
+        self._alive = True
+
+    @property
+    def mass(self) -> Fraction:
+        return self._inner.mass if self._alive else ZERO
+
+    def mass_ratio(self) -> tuple[int, int]:
+        return self._inner.mass_ratio() if self._alive else (0, 1)
 
     def row(self) -> tuple[Fraction, ...]:
-        if self._mass == 0:
+        if not self.mass_ratio()[0]:
             raise UndefinedPosteriorError("zero mass at cursor position")
         check_depth(self._env, self._depth + 1)
         if not self._env.alive_at(self._depth + 1):
@@ -221,10 +228,10 @@ class _QuasimeasureCursor(_WrapperCursor):
         check_depth(self._env, self._depth + 1)
         self._inner.step(a)
         self._depth += 1
-        self._mass = self._inner.mass if self._env.alive_at(self._depth) else ZERO
+        self._alive = self._env.alive_at(self._depth)
 
     def zero_step_factor_bound(self):
-        return ZERO if self._mass == 0 else self._inner.zero_step_factor_bound()
+        return ZERO if not self.mass_ratio()[0] else self._inner.zero_step_factor_bound()
 
 
 class MixtureEnv(Environment):
@@ -313,6 +320,11 @@ class MixtureEnv(Environment):
         return _MixtureCursor(self)
 
 
+def _live(ratio: tuple[int, int]) -> Optional[tuple[int, int]]:
+    """A component's mass pair, or None when it is 0."""
+    return ratio if ratio[0] else None
+
+
 def _common_denominator(den: int, term_den: int) -> tuple[int, int, int]:
     """(lcm, lcm // den, lcm // term_den): the running denominator of an
     integer sum and the factors that bring it and a new term onto it."""
@@ -324,30 +336,35 @@ def _common_denominator(den: int, term_den: int) -> tuple[int, int, int]:
 class _MixtureCursor(EnvCursor):
     """Tracks per-component masses so each posterior row costs O(components).
 
-    Components are semimeasures, so one at mass 0 stays there: it is no
-    longer stepped, and its part of the key is None.  The weighted sum
-    ``mass`` is formed only when read: the walker steps many children only
-    for their keys.
+    Each component's mass is held as its cursor's unreduced integer pair
+    (``mass_ratio``), and as None once it is 0.  Components are
+    semimeasures, so one at mass 0 stays there: it is no longer stepped, and
+    its part of the key is None.  The weighted sum is formed only when read:
+    the walker steps many children only for their keys.
     """
 
     def __init__(self, mix: MixtureEnv):
         self._env = mix
         self._weights = mix._weights
         self._cursors = [mix.component(i).cursor() for i in mix.membership()]
-        self._masses = [c.mass for c in self._cursors]
-        self._mass = None  # sum_j w_j m_j, once read
+        self._masses = [_live(c.mass_ratio()) for c in self._cursors]
+        self._ratio = self._mass = None  # sum_j w_j m_j, once read
 
     @property
     def mass(self) -> Fraction:
         if self._mass is None:
+            self._mass = Fraction(*self.mass_ratio())
+        return self._mass
+
+    def mass_ratio(self) -> tuple[int, int]:
+        if self._ratio is None:
             num, den = 0, 1
             for w, m in zip(self._weights, self._masses):
                 if m:
-                    den, scale, term_scale = _common_denominator(
-                        den, w.denominator * m.denominator)
-                    num = num * scale + w.numerator * m.numerator * term_scale
-            self._mass = Fraction(num, den)
-        return self._mass
+                    den, scale, term_scale = _common_denominator(den, w.denominator * m[1])
+                    num = num * scale + w.numerator * m[0] * term_scale
+            self._ratio = num, den
+        return self._ratio
 
     def row(self) -> tuple[Fraction, ...]:
         """sum_j w_j m_j p_j / sum_j w_j m_j in integers: each live term
@@ -361,8 +378,8 @@ class _MixtureCursor(EnvCursor):
             row = cursor.row()
             row_den = lcm(*[p.denominator for p in row])
             den, scale, term_scale = _common_denominator(
-                den, w.denominator * m.denominator * row_den)
-            term_num = w.numerator * m.numerator * term_scale
+                den, w.denominator * m[1] * row_den)
+            term_num = w.numerator * m[0] * term_scale
             nums = [n * scale + term_num * (p.numerator * (row_den // p.denominator))
                     for n, p in zip(nums, row)]
             mass_num = mass_num * scale + term_num * row_den
@@ -375,8 +392,8 @@ class _MixtureCursor(EnvCursor):
         for j, cursor in enumerate(self._cursors):
             if masses[j]:
                 cursor.step(a)
-                masses[j] = cursor.mass
-        self._mass = None
+                masses[j] = _live(cursor.mass_ratio())
+        self._ratio = self._mass = None
 
     def clone(self):
         new = super().clone()
@@ -394,7 +411,7 @@ class _MixtureCursor(EnvCursor):
         # ratio; a component at mass 0 stays there and adds nothing
         bound = ZERO
         for cursor, m in zip(self._cursors, self._masses):
-            if m != 0:
+            if m:
                 b = cursor.zero_step_factor_bound()
                 if b is None:
                     return None
@@ -483,5 +500,5 @@ def stage_cursor(mix: MixtureEnv, t: int) -> EnvCursor:
     cursor = mix.cursor()
     for j, i in enumerate(mix.membership()):
         if i > t:
-            cursor._masses[j] = ZERO
+            cursor._masses[j] = None
     return cursor

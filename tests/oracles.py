@@ -136,6 +136,47 @@ def hellinger_step_iv(p, q):
     return iv.mpf([max(h.a, iv.mpf(0).a), min(h.b, rational.b)])
 
 
+# ------------------------------------- the Hellinger kernel as an mpf chain
+#
+# The kernel as it was written before it ran on integer pairs: every
+# quotient, square root, sum and difference one ``libmpf`` call on raw mpf
+# tuples, each rounded down for the lower end and up for the upper end.
+# The integer kernel must return the very same tuples.
+
+def quotient_bounds_mpf(num, den, prec):
+    """num / den by ``mpf_div`` of the two exact integers."""
+    from mpmath.libmp import from_int, mpf_div, round_ceiling, round_floor
+    n, d = from_int(num), from_int(den)
+    return mpf_div(n, d, prec, round_floor), mpf_div(n, d, prec, round_ceiling)
+
+
+def sqrt_prod_sum_mpf(p, q, prec):
+    """Raw (lo, hi) of sum_i sqrt(p_i q_i), each product's unreduced
+    integer quotient rounded, never reduced."""
+    from mpmath.libmp import fzero, mpf_add, mpf_sqrt, round_ceiling, round_floor
+    lo = hi = fzero
+    for pi, qi in zip(p, q):
+        if pi and qi:
+            a, b = quotient_bounds_mpf(pi.numerator * qi.numerator,
+                                       pi.denominator * qi.denominator, prec)
+            lo = mpf_add(lo, mpf_sqrt(a, prec, round_floor), prec, round_floor)
+            hi = mpf_add(hi, mpf_sqrt(b, prec, round_ceiling), prec, round_ceiling)
+    return lo, hi
+
+
+def hellinger_bounds_mpf(p, q, prec):
+    """Raw (lo, hi) of h(p, q) = (sum p + sum q) - 2 sum sqrt(p_i q_i),
+    clipped to [0, sum p + sum q]."""
+    from mpmath.libmp import fzero, mpf_lt, mpf_shift, mpf_sub, round_ceiling, round_floor
+    r = sum(p, Fraction(0)) + sum(q, Fraction(0))
+    r_lo, r_hi = quotient_bounds_mpf(r.numerator, r.denominator, prec)
+    s_lo, s_hi = sqrt_prod_sum_mpf(p, q, prec)
+    lo = mpf_sub(r_lo, mpf_shift(s_hi, 1), prec, round_floor)
+    hi = mpf_sub(r_hi, mpf_shift(s_lo, 1), prec, round_ceiling)
+    return (fzero if mpf_lt(lo, fzero) else lo,
+            r_hi if mpf_lt(r_hi, hi) else hi)
+
+
 # ------------------------------------- expectation folds through ctx_iv
 #
 # The merged-walk folds as they were written before they ran on raw libmpi

@@ -10,6 +10,7 @@ from semilab.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
+    RunResult,
     main,
     parse_class,
     parse_env_spec,
@@ -18,6 +19,7 @@ from semilab.cli import (
     run_w_vs_d,
 )
 from semilab.errors import SpecError
+from semilab.intervals import CERTIFIED_HOLDS, Verdict
 
 from conftest import FIXTURES
 
@@ -670,3 +672,36 @@ def test_leftmost_alpha_walks_the_mixture_along_alpha_once(monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["envelope"]["alpha"] == str(alpha)
     assert out["envelope"]["violations"] == []
+
+
+_TWO_BERNOULLI = {"class": [{"kind": "bernoulli", "p": "1/4"}, {"kind": "bernoulli", "p": "1/2"}],
+                  "mu_index": 2}
+
+
+@pytest.mark.parametrize("subcommand, extra, error", [
+    ("markov-tail", {"c": ["1", "2/2"]}, "$.c[1]: duplicates $.c[0] (both 1)"),
+    ("markov-tail", {"c": ["1/2", "2", "2/4"]}, "$.c[2]: duplicates $.c[0] (both 1/2)"),
+    ("prop8", {"k0": [1, 1]}, "$.k0[1]: duplicates $.k0[0] (both 1)"),
+    ("prop8", {"k0": [2, "2"]}, "$.k0[1]: duplicates $.k0[0] (both 2)"),
+    ("prop8", {"ratio_k": [2, 2]}, "$.ratio_k[1]: duplicates $.ratio_k[0] (both 2)"),
+], ids=["tail-c", "tail-c-later", "prop8-k0", "prop8-k0-string", "prop8-ratio-k"])
+def test_repeated_check_labels_exit_one(subcommand, extra, error, tmp_path, capsys):
+    # each value names its own entry in verdicts.json; a repeat would
+    # overwrite one while manifest.json counted both
+    code = run_cli(subcommand, "--spec", json.dumps({**_TWO_BERNOULLI, **extra}),
+                   "--depth", "4", "--out", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "verdicts.json").exists()
+
+
+def test_run_result_refuses_a_repeated_name():
+    result = RunResult()
+    result.add_outcome("check", CERTIFIED_HOLDS, {})
+    for add in (lambda: result.add_outcome("check", CERTIFIED_HOLDS, {}),
+                lambda: result.add_verdict("check", Verdict(CERTIFIED_HOLDS, "0", "0", "1", "1",
+                                                            128))):
+        with pytest.raises(ValueError, match="'check' recorded twice"):
+            add()
+    assert result.outcomes == [CERTIFIED_HOLDS]
+    result.add_outcome("check", CERTIFIED_HOLDS, {}, doc="report")  # another document

@@ -148,6 +148,14 @@ def test_cursor_mass_and_row_match_direct_evaluation(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_cursor_mass_ratio_is_the_mass(kind):
+    env = KINDS[kind]()
+    for symbols, cursor in _cursors(env, _depth(env, 6)).items():
+        num, den = cursor.mass_ratio()
+        assert den > 0 and F(num, den) == env._mass(symbols), symbols
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_equal_state_keys_have_equal_futures(kind):
     env = KINDS[kind]()
     depth = _depth(env, 6)
