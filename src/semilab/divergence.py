@@ -303,9 +303,7 @@ def hellinger_expectations(nu: Environment, mu: Environment, n: int,
     if kappa != HALF:
         return _exp_half_sum(nu, mu, n, w, prec, _kappa_advance(kappa, symbols, prec))
     zero = (fzero, fzero)
-    # sqrt-ratio sum, Hellinger sum, excess; the two sums are one object
-    # until the first state whose mu row has a zero adds different terms
-    sums = [zero, zero, ZERO]
+    sums = [zero, zero, ZERO]  # sqrt-ratio sum, Hellinger sum, excess
 
     def advance(nu_row, mu_row, mass, e):
         h = _hellinger_bounds(nu_row, mu_row, prec)
@@ -318,9 +316,8 @@ def hellinger_expectations(nu: Environment, mu: Environment, n: int,
                 [nu_row[a] for a in on], [mu_row[a] for a in on], prec), prec)
             sums[2] += Fraction(*mass) * sum((nu_row[a] for a in symbols if not mu_row[a]),
                                             ZERO)
-        shared = sums[0] is sums[1] and restricted is weighted
+        sums[0] = mpi_add(sums[0], restricted, prec)
         sums[1] = mpi_add(sums[1], weighted, prec)
-        sums[0] = sums[1] if shared else mpi_add(sums[0], restricted, prec)
         return mpi_mul(e, mpi_exp(_half(h), prec), prec)
 
     found = _exp_half_sum(nu, mu, n, w, prec, advance)

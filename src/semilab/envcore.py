@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -201,52 +202,50 @@ class _CountCursor(EnvCursor):
     ``_counts`` how often a step drew each, and ``_dead`` is set once a step
     drew a p_i of 0.
 
-    The mass is a function of the counts, so each of its two forms is formed
-    only when asked for, from the counts added since it was last formed: one
-    power per probability instead of one growing product per step.  ``mass``
-    is the reduced Fraction, reduced factor by factor; ``mass_ratio`` is
-    the integers prod_i n_i^c_i over prod_i d_i^c_i (p_i = n_i / d_i),
-    formed with no gcd at all, which is all the walks read."""
+    The mass is formed only when asked for, from the indices drawn since it
+    was last formed (``_pending``): one power per probability instead of one
+    growing product per step.  ``mass_ratio`` is the integers
+    prod_i n_i^c_i over prod_i d_i^c_i (p_i = n_i / d_i), formed with no gcd
+    at all, which is all the walks read; ``mass`` is that pair reduced."""
 
     def _start(self, probs: tuple[Fraction, ...]) -> None:
         self._probs = probs
         self._dead = False
         self._counts = (0,) * len(probs)
-        self._mass, self._mass_counts = ONE, self._counts
-        self._ratio, self._ratio_counts = (1, 1), self._counts
+        self._ratio = (1, 1)  # the mass before the _pending draws
+        self._pending: list[int] = []
+        self._mass, self._mass_counts = ONE, self._counts  # reduced, at those counts
 
     def _count(self, i: int) -> None:
         counts = self._counts
         self._counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
+        self._pending.append(i)
 
     @property
     def mass(self) -> Fraction:
         if self._mass_counts is not self._counts:
-            m = ZERO if self._dead else self._mass
-            if m:
-                for p, c, c0 in zip(self._probs, self._counts, self._mass_counts):
-                    if c != c0:
-                        m = m * (p if c - c0 == 1 else p ** (c - c0))
-            self._mass, self._mass_counts = m, self._counts
+            self._mass, self._mass_counts = Fraction(*self.mass_ratio()), self._counts
         return self._mass
 
     def mass_ratio(self) -> tuple[int, int]:
-        if self._ratio_counts is self._counts:
-            return self._ratio
-        num, den = (0, 1) if self._dead else self._ratio
-        if num:
-            for p, c, c0 in zip(self._probs, self._counts, self._ratio_counts):
-                if c != c0:
-                    k = c - c0
+        pending = self._pending
+        if pending:
+            num, den = (0, 1) if self._dead else self._ratio
+            if num:
+                drawn = ((pending[0], 1),) if len(pending) == 1 else Counter(pending).items()
+                for i, k in drawn:
+                    p = self._probs[i]
                     num *= p.numerator if k == 1 else p.numerator ** k
                     den *= p.denominator if k == 1 else p.denominator ** k
-        self._ratio, self._ratio_counts = (num, den), self._counts
+            self._ratio = num, den
+            pending.clear()
         return self._ratio
 
     def clone(self) -> "_CountCursor":
-        if self._ratio_counts is not self._counts:
-            self.mass_ratio()  # form it once here rather than once in every clone
-        return super().clone()
+        self.mass_ratio()  # form it once here rather than once in every clone
+        new = super().clone()
+        new._pending = []
+        return new
 
 
 class _IIDCursor(_CountCursor):
@@ -601,8 +600,13 @@ class DecayingEnv(Environment):
         self.alphabet = BINARY
         self.declared_class = MEASURE
 
+    def step_factor(self, t: int, a: int) -> tuple[int, int]:
+        """mu(a | x_{<t}) as an integer numerator and denominator."""
+        den = 2 * t ** self.beta
+        return (1, den) if a == 1 else (den - 1, den)
+
     def one_prob(self, t: int) -> Fraction:
-        return Fraction(1, 2 * t ** self.beta)
+        return Fraction(*self.step_factor(t, 1))
 
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
         m = ONE
@@ -621,36 +625,30 @@ class DecayingEnv(Environment):
 class _DecayingCursor(EnvCursor):
     """Steps in O(1) without forming the exact mass, which at large depths
     is astronomically sized: the mass is multiplied out only when asked for
-    (``mass_interval`` never asks), the reduced Fraction ``mass`` and the
-    unreduced integers ``mass_ratio`` each from the symbols added since it
-    was last formed.  The string is kept one byte per symbol."""
+    (``mass_interval`` never asks), as the unreduced integers ``mass_ratio``
+    from the symbols added since it was last formed, and ``mass`` is that
+    pair reduced.  The string is kept one byte per symbol."""
 
     def __init__(self, env: DecayingEnv):
         self._env = env
         self._symbols = bytearray()
-        self._mass = ONE  # the mass of the first _mass_t symbols
-        self._mass_t = 0
-        self._ratio = (1, 1)  # the same as integers, of the first _ratio_t
+        self._ratio = (1, 1)  # the mass of the first _ratio_t symbols
         self._ratio_t = 0
+        self._mass, self._mass_t = ONE, 0  # reduced, of the first _mass_t
 
     @property
     def mass(self) -> Fraction:
         if self._mass_t < len(self._symbols):
-            m = self._mass
-            for t in range(self._mass_t + 1, len(self._symbols) + 1):
-                p1 = self._env.one_prob(t)
-                m = m * (p1 if self._symbols[t - 1] == 1 else 1 - p1)
-            self._mass, self._mass_t = m, len(self._symbols)
+            self._mass, self._mass_t = Fraction(*self.mass_ratio()), len(self._symbols)
         return self._mass
 
     def mass_ratio(self) -> tuple[int, int]:
         if self._ratio_t < len(self._symbols):
             num, den = self._ratio
-            beta = self._env.beta
             for t in range(self._ratio_t + 1, len(self._symbols) + 1):
-                d = 2 * t ** beta
-                num *= 1 if self._symbols[t - 1] == 1 else d - 1
-                den *= d
+                f_num, f_den = self._env.step_factor(t, self._symbols[t - 1])
+                num *= f_num
+                den *= f_den
             self._ratio, self._ratio_t = (num, den), len(self._symbols)
         return self._ratio
 
@@ -659,8 +657,7 @@ class _DecayingCursor(EnvCursor):
         return (1 - p1, p1)
 
     def factor(self, a: int) -> tuple[int, int]:
-        den = 2 * (len(self._symbols) + 1) ** self._env.beta
-        return (1, den) if a == 1 else (den - 1, den)
+        return self._env.step_factor(len(self._symbols) + 1, a)
 
     def step(self, a: int) -> None:
         self._symbols.append(a)
