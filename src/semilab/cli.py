@@ -84,19 +84,6 @@ from .randomness import (
 
 DEFAULT_PRECISION_ENV = "SEMILAB_PRECISION"
 
-SUBCOMMANDS = (
-    "verify-hellinger-bounds",
-    "markov-tail",
-    "chain-lemma",
-    "quasimeasure",
-    "w-vs-d",
-    "deficiency",
-    "leftmost-alpha",
-    "e2i",
-    "prop8",
-    "counterexample",
-)
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILS = 2
@@ -293,8 +280,12 @@ def _parse_derived(d: dict, path: str) -> Environment:
     raise SpecError(f"{path}: unknown derived kind {derived!r}")
 
 
-def _cross_check(env: Environment, path: str, depth: int = 4) -> None:
-    report = validate(env, depth)
+#: the depth to which the parser validates every environment of a spec
+CROSS_CHECK_DEPTH = 4
+
+
+def _cross_check(env: Environment, path: str) -> None:
+    report = validate(env, CROSS_CHECK_DEPTH)
     if not report.is_semimeasure:
         raise SpecError(
             f"{path}: node inequality fails at {report.first_defect_node}")
@@ -479,19 +470,17 @@ def run_markov_tail(spec, depth, bits, seed) -> RunResult:
     return result
 
 
-def _random_vector(stream: BitStream, dim: int, substochastic: bool,
-                   resolution_bits: int = 16) -> list[Fraction]:
-    # positive integers normalized by their (optionally padded) total give an
-    # exact probability row; an extra slack cell makes it strictly substochastic
-    cells = dim + 1 if substochastic else dim
+def _random_vector(stream: BitStream, dim: int) -> list[Fraction]:
+    # positive 16-bit integers normalized by their total give an exact
+    # probability row
     draws = []
-    for _ in range(cells):
+    for _ in range(dim):
         n = 0
-        for _ in range(resolution_bits):
+        for _ in range(16):
             n = (n << 1) | stream.next_bit()
         draws.append(n + 1)
     total = sum(draws)
-    return [Fraction(d, total) for d in draws[:dim]]
+    return [Fraction(d, total) for d in draws]
 
 
 def run_chain_lemma(spec, depth, bits, seed) -> RunResult:
@@ -511,11 +500,11 @@ def run_chain_lemma(spec, depth, bits, seed) -> RunResult:
     stream = BitStream(seed)
     counts = {CERTIFIED_HOLDS: 0, CERTIFIED_FAILS: 0, INCONCLUSIVE: 0}
     for _ in range(trials):
-        p, r, q = (_random_vector(stream, dim, substochastic=False) for _ in range(3))
+        p, r, q = (_random_vector(stream, dim) for _ in range(3))
         for beta in betas:
             v = chain_inequality([p, r, q], beta, bits, rhs_scale)
             counts[v.outcome] += 1
-        chain = [_random_vector(stream, dim, substochastic=False) for _ in range(m)]
+        chain = [_random_vector(stream, dim) for _ in range(m)]
         v = chain_inequality(chain, None, bits, rhs_scale)
         counts[v.outcome] += 1
     outcome = (CERTIFIED_FAILS if counts[CERTIFIED_FAILS]
@@ -561,7 +550,7 @@ def run_w_vs_d(spec, depth, bits, seed) -> RunResult:
     max_late = Fraction(0)
     w_cur, d_cur = w_mix.cursor(), d_mix.cursor()
     for t, a in enumerate(omega.symbols, start=1):
-        if w_cur.mass == 0 or d_cur.mass == 0:
+        if not w_cur.mass_ratio()[0] or not d_cur.mass_ratio()[0]:
             raise UndefinedPosteriorError(f"zero mass at {omega.prefix(t - 1)}")
         diff = max(abs(p - q) for p, q in zip(w_cur.row(), d_cur.row()))
         rows.append((t, _frac_str(diff), _frac_str(diff)))
@@ -635,17 +624,15 @@ def run_e2i(spec, depth, bits, seed) -> RunResult:
     mubar = None
     for stage in range(1, n + 1):
         mubar = e2i_build_mubar(mu, functional, stage)
-        report = validate(mubar, stage)
         result.add_outcome(f"mubar-{stage}-semimeasure",
-                           _exact_outcome(report.is_semimeasure),
+                           _exact_outcome(mubar.first_defect() is None),
                            {"stage": stage})
     extended = EnvClass(list(env_class.envs) + [mubar])
     ext_weights = default_weights(len(extended))
     m_ext = MixtureEnv(extended, ext_weights, RAW)
     count = _int_field(spec, "count", 1, 1)
-    stream_seed = seed
     for j in range(count):
-        omega, _ = sample(mu, n, stream_seed + j, with_likelihood=False)
+        omega, _ = sample(mu, n, (seed + j) % 2 ** 64, with_likelihood=False)
         report = e2i_individual_bound(m_ext, functional, mu, omega, n)
         result.add_verdict(f"individual-bound-{j}", report.deficiency_verdict)
     return result
@@ -707,6 +694,7 @@ RUNNERS = {
     "prop8": run_prop8,
     "counterexample": run_counterexample,
 }
+SUBCOMMANDS = tuple(RUNNERS)
 
 DEFAULT_DEPTHS = {
     "verify-hellinger-bounds": 10,

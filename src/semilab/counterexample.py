@@ -115,8 +115,10 @@ class _SpineCursor(EnvCursor):
     def __init__(self, env: NuLimitEnv):
         self._env = env
         self._k = 0
-        self._mass = env._mass(())
-        self._key = "spine" if self._mass else None
+        # every spine mass is a multiple of 2^-len(alpha_prefix)
+        den = 2 ** len(env.alpha_prefix)
+        self._ratio = int(env._mass(()) * den), den
+        self._key = "spine" if self._ratio[0] else None
 
     def row(self) -> tuple[Fraction, ...]:
         if self._key is None:
@@ -127,7 +129,8 @@ class _SpineCursor(EnvCursor):
             return HALF, HALF
         if self._env.alpha_symbol(self._k + 1) == 0:
             return ONE, ZERO
-        below = Fraction(1, 2 ** (self._k + 1)) / self._mass
+        num, den = self._ratio
+        below = Fraction(den, 2 ** (self._k + 1) * num)
         return below, 1 - below
 
     def step(self, a: int) -> None:
@@ -136,12 +139,13 @@ class _SpineCursor(EnvCursor):
             return
         spine = self._env.alpha_symbol(k)
         if k - 1 == self._env.horizon or (self._key == "spine" and a > spine):
-            self._key, self._mass = None, ZERO  # past the horizon, or above
+            self._key, self._ratio = None, (0, 1)  # past the horizon, or above
         elif self._key == "below" or a < spine:
-            self._key, self._mass = "below", Fraction(1, 2 ** k)
+            self._key, self._ratio = "below", (1, 2 ** k)
         elif spine:  # along a 1 of alpha: the string below it leaves the tail
-            self._mass -= Fraction(1, 2 ** k)
-            if not self._mass:
+            num, den = self._ratio
+            self._ratio = num - (den >> k), den
+            if not self._ratio[0]:
                 self._key = None
 
     def state_key(self):

@@ -152,9 +152,9 @@ def hellinger_trace(nu: Environment, mu: Environment, omega: FiniteString, n: in
         nu_cur, mu_cur = nu.cursor(), mu.cursor()
         for t in range(1, n + 1):
             a = omega.symbols[t - 1]
-            if mu_cur.mass == 0:
+            if not mu_cur.mass_ratio()[0]:
                 raise UndefinedPosteriorError(f"mu has zero mass at step {t}")
-            if nu_cur.mass == 0:
+            if not nu_cur.mass_ratio()[0]:
                 raise UndefinedPosteriorError(f"nu has zero mass at step {t}")
             mu_row = mu_cur.row()
             nu_row = nu_cur.row()

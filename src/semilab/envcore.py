@@ -132,11 +132,11 @@ class Environment:
 class EnvCursor:
     """Stateful walker exposing one posterior row at a time.
 
-    The contract every cursor keeps: ``mass`` equals ``_mass`` of the string
-    walked so far, ``mass_ratio()`` gives it as two integers, ``row()``
-    equals ``posterior`` there (where the mass is positive), ``factor(a)``
-    gives ``row()[a]`` as two integers, ``step(a)``
-    appends one symbol, ``clone()`` returns an
+    The contract every cursor keeps: ``mass_ratio()`` is the mass, ``_mass``
+    of the string walked so far as two integers, and ``mass`` is that pair
+    reduced, which only this class defines; ``row()`` equals ``posterior``
+    there (where the mass is positive), ``factor(a)`` gives ``row()[a]`` as
+    two integers, ``step(a)`` appends one symbol, ``clone()`` returns an
     independent copy, and ``state_key()`` is a hashable sufficient statistic:
     two strings of equal length with equal keys have equal masses on every
     common extension.  The generic implementation re-evaluates masses and
@@ -144,26 +144,40 @@ class EnvCursor:
     override for O(1) steps and keys that merge.
     """
 
+    def __new__(cls, *args):
+        # ``mass``'s cache (the reduced mass and the pair it came from)
+        # exists on every cursor from construction on: set later, on some
+        # instances of a kind only, it slowed CPython 3.11's reads of the
+        # kind's other attributes
+        self = super().__new__(cls)
+        self._mass = self._mass_of = None
+        return self
+
     def __init__(self, env: Environment):
         self._env = env
         self._symbols: tuple[int, ...] = ()
-        self._mass = env._mass(())
+        self._ratio = env._mass(()).as_integer_ratio()
 
     @property
     def mass(self) -> Fraction:
+        """``mass_ratio()`` reduced, once per pair: a kind's pair stays the
+        same object until the mass changes."""
+        ratio = self.mass_ratio()
+        if ratio is not self._mass_of:
+            self._mass, self._mass_of = Fraction(*ratio), ratio
         return self._mass
 
     def mass_ratio(self) -> tuple[int, int]:
-        """``mass`` as an integer numerator and a positive denominator, not
+        """The mass as an integer numerator and a positive denominator, not
         necessarily in lowest terms."""
-        m = self.mass
-        return m.numerator, m.denominator
+        return self._ratio
 
     def row(self) -> tuple[Fraction, ...]:
-        if self._mass == 0:
+        if not self.mass_ratio()[0]:
             raise UndefinedPosteriorError("zero mass at cursor position")
+        mass = self.mass
         return tuple(
-            self._env._mass(self._symbols + (a,)) / self._mass
+            self._env._mass(self._symbols + (a,)) / mass
             for a in self._env.alphabet.symbols
         )
 
@@ -175,7 +189,7 @@ class EnvCursor:
 
     def step(self, a: int) -> None:
         self._symbols = self._symbols + (a,)
-        self._mass = self._env._mass(self._symbols)
+        self._ratio = self._env._mass(self._symbols).as_integer_ratio()
 
     def clone(self) -> "EnvCursor":
         new = object.__new__(type(self))
@@ -194,7 +208,7 @@ class EnvCursor:
         an override (decaying, whose append-0 factor tends to 1, table and
         the generic derived kinds) certify nothing at positive mass.
         """
-        return ZERO if self.mass == 0 else None
+        return ZERO if not self.mass_ratio()[0] else None
 
 
 class _CountCursor(EnvCursor):
@@ -206,7 +220,7 @@ class _CountCursor(EnvCursor):
     was last formed (``_pending``): one power per probability instead of one
     growing product per step.  ``mass_ratio`` is the integers
     prod_i n_i^c_i over prod_i d_i^c_i (p_i = n_i / d_i), formed with no gcd
-    at all, which is all the walks read; ``mass`` is that pair reduced."""
+    at all, and the same object until a step draws again."""
 
     def _start(self, probs: tuple[Fraction, ...]) -> None:
         self._probs = probs
@@ -214,18 +228,11 @@ class _CountCursor(EnvCursor):
         self._counts = (0,) * len(probs)
         self._ratio = (1, 1)  # the mass before the _pending draws
         self._pending: list[int] = []
-        self._mass, self._mass_counts = ONE, self._counts  # reduced, at those counts
 
     def _count(self, i: int) -> None:
         counts = self._counts
         self._counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
         self._pending.append(i)
-
-    @property
-    def mass(self) -> Fraction:
-        if self._mass_counts is not self._counts:
-            self._mass, self._mass_counts = Fraction(*self.mass_ratio()), self._counts
-        return self._mass
 
     def mass_ratio(self) -> tuple[int, int]:
         pending = self._pending
@@ -472,26 +479,26 @@ class _DeterministicCursor(EnvCursor):
     def __init__(self, env: DeterministicEnv):
         self._env = env
         self._t = 0
-        self._mass = ONE
+        self._ratio = (1, 1)
 
     def row(self) -> tuple[Fraction, ...]:
-        if self._mass == 0:
+        if not self.mass_ratio()[0]:
             raise UndefinedPosteriorError("zero mass at cursor position")
         target = self._env.target_symbol(self._t)
         return tuple(ONE if a == target else ZERO for a in self._env.alphabet.symbols)
 
     def step(self, a: int) -> None:
-        if self._mass != 0 and a != self._env.target_symbol(self._t):
-            self._mass = ZERO
+        if self.mass_ratio()[0] and a != self._env.target_symbol(self._t):
+            self._ratio = (0, 1)
         self._t += 1
 
     def state_key(self):
-        return self._t if self._mass != 0 else None
+        return self._t if self.mass_ratio()[0] else None
 
     def zero_step_factor_bound(self):
         # appending 0 where the target demands 1 kills the mass immediately;
         # a target continuing with 0 keeps ratio 1, never certifiable below 1
-        if self._mass == 0 or self._env.target_symbol(self._t) != 0:
+        if not self.mass_ratio()[0] or self._env.target_symbol(self._t) != 0:
             return ZERO
         return None
 
@@ -551,22 +558,22 @@ class _WrapperCursor(EnvCursor):
 
 class _LeakyCursor(_WrapperCursor):
     """The leak factor depends on the length only, so the mass is formed
-    only when asked for: the base's ``mass`` times the leak's power, or its
-    ``mass_ratio`` times the powers of the leak's two integers."""
+    only when asked for, once per position: the base's ``mass_ratio`` times
+    the powers of the leak's two integers."""
 
     def __init__(self, env: LeakyEnv):
         super().__init__(env)
         self._depth = 0
         self._base_row = self._row = None
-
-    @property
-    def mass(self) -> Fraction:
-        return self._inner.mass * self._env.leak ** self._depth
+        self._ratio = None
 
     def mass_ratio(self) -> tuple[int, int]:
-        num, den = self._inner.mass_ratio()
-        leak = self._env.leak
-        return num * leak.numerator ** self._depth, den * leak.denominator ** self._depth
+        if self._ratio is None:
+            num, den = self._inner.mass_ratio()
+            leak = self._env.leak
+            self._ratio = (num * leak.numerator ** self._depth,
+                           den * leak.denominator ** self._depth)
+        return self._ratio
 
     def row(self) -> tuple[Fraction, ...]:
         if not self._inner.mass_ratio()[0]:
@@ -580,6 +587,7 @@ class _LeakyCursor(_WrapperCursor):
     def step(self, a: int) -> None:
         self._inner.step(a)
         self._depth += 1
+        self._ratio = None
 
     def zero_step_factor_bound(self):
         inner = self._inner.zero_step_factor_bound()
@@ -626,21 +634,14 @@ class _DecayingCursor(EnvCursor):
     """Steps in O(1) without forming the exact mass, which at large depths
     is astronomically sized: the mass is multiplied out only when asked for
     (``mass_interval`` never asks), as the unreduced integers ``mass_ratio``
-    from the symbols added since it was last formed, and ``mass`` is that
-    pair reduced.  The string is kept one byte per symbol."""
+    from the symbols added since it was last formed.  The string is kept
+    one byte per symbol."""
 
     def __init__(self, env: DecayingEnv):
         self._env = env
         self._symbols = bytearray()
         self._ratio = (1, 1)  # the mass of the first _ratio_t symbols
         self._ratio_t = 0
-        self._mass, self._mass_t = ONE, 0  # reduced, of the first _mass_t
-
-    @property
-    def mass(self) -> Fraction:
-        if self._mass_t < len(self._symbols):
-            self._mass, self._mass_t = Fraction(*self.mass_ratio()), len(self._symbols)
-        return self._mass
 
     def mass_ratio(self) -> tuple[int, int]:
         if self._ratio_t < len(self._symbols):

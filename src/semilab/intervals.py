@@ -184,12 +184,10 @@ def pow_nonneg(x, e: Fraction):
     return iv.make_mpf(pow_nonneg_bounds(x._mpi_, e, iv.prec))
 
 
-def interval_str(x, digits: int = 30) -> tuple[str, str]:
+def interval_str(x) -> tuple[str, str]:
+    """The endpoints of x printed to 30 significant digits."""
     lo, hi = x._mpi_
-    return (
-        mpmath.libmp.to_str(lo, digits),
-        mpmath.libmp.to_str(hi, digits),
-    )
+    return mpmath.libmp.to_str(lo, 30), mpmath.libmp.to_str(hi, 30)
 
 
 CERTIFIED_HOLDS = "certified-holds"

@@ -209,10 +209,6 @@ class _QuasimeasureCursor(_WrapperCursor):
         self._depth = 0
         self._alive = True
 
-    @property
-    def mass(self) -> Fraction:
-        return self._inner.mass if self._alive else ZERO
-
     def mass_ratio(self) -> tuple[int, int]:
         return self._inner.mass_ratio() if self._alive else (0, 1)
 
@@ -348,13 +344,7 @@ class _MixtureCursor(EnvCursor):
         self._weights = mix._weights
         self._cursors = [mix.component(i).cursor() for i in mix.membership()]
         self._masses = [_live(c.mass_ratio()) for c in self._cursors]
-        self._ratio = self._mass = None  # sum_j w_j m_j, once read
-
-    @property
-    def mass(self) -> Fraction:
-        if self._mass is None:
-            self._mass = Fraction(*self.mass_ratio())
-        return self._mass
+        self._ratio = None  # sum_j w_j m_j, once read
 
     def mass_ratio(self) -> tuple[int, int]:
         if self._ratio is None:
@@ -393,7 +383,7 @@ class _MixtureCursor(EnvCursor):
             if masses[j]:
                 cursor.step(a)
                 masses[j] = _live(cursor.mass_ratio())
-        self._ratio = self._mass = None
+        self._ratio = None
 
     def clone(self):
         new = super().clone()
@@ -444,9 +434,14 @@ class NormalizedEnv(Environment):
 
 
 class _NormalizedCursor(_WrapperCursor):
-    @property
-    def mass(self):
-        return self._inner.mass / self._env.total
+    _ratio_of = None  # the base's pair ``_ratio`` was divided from
+
+    def mass_ratio(self) -> tuple[int, int]:
+        ratio, total = self._inner.mass_ratio(), self._env.total
+        if ratio is not self._ratio_of:
+            self._ratio = ratio[0] * total.denominator, ratio[1] * total.numerator
+            self._ratio_of = ratio
+        return self._ratio
 
 
 def normalize(mix: MixtureEnv) -> Environment:

@@ -263,7 +263,7 @@ def e2i_build_mubar(mu: Environment, f: EnumerableFunctional, n: int) -> MuBarEn
             for a in mu.alphabet.symbols:
                 child = cursor.clone()
                 child.step(a)
-                if child.mass != 0:
+                if child.mass_ratio()[0]:
                     v += rec(symbols + (a,), child)
         if v != 0:
             values[symbols] = v

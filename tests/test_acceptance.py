@@ -105,8 +105,9 @@ def test_criterion_04_random_row_sandwich(capsys):
     fails = inconclusive = retry_fails = retry_open = 0
     for _ in range(1000):
         dim = 2 + (stream.next_bit() << 1 | stream.next_bit())  # 2..5
-        p = _random_vector(stream, dim, substochastic=False)
-        q = _random_vector(stream, dim, substochastic=True)
+        p = _random_vector(stream, dim)
+        # a probability row with its last cell dropped is strictly substochastic
+        q = _random_vector(stream, dim + 1)[:dim]
         for v in row_inequality_verdicts(p, q, 128):
             if v.outcome == CERTIFIED_FAILS:
                 fails += 1
@@ -125,14 +126,12 @@ def test_criterion_05_chain_trials(capsys):
     fails = 0
     for _ in range(1000):
         dim = 2 + stream.next_bit()
-        p, r, q = (_random_vector(stream, dim, substochastic=False)
-                   for _ in range(3))
+        p, r, q = (_random_vector(stream, dim) for _ in range(3))
         for beta in (F(1, 4), F(1), F(4)):
             v = sl.chain_inequality([p, r, q], beta, 128)
             fails += v.outcome == CERTIFIED_FAILS
         m = 2 + (stream.next_bit() << 1 | stream.next_bit())  # 2..5 <= 6
-        chain = [_random_vector(stream, dim, substochastic=False)
-                 for _ in range(m)]
+        chain = [_random_vector(stream, dim) for _ in range(m)]
         fails += sl.chain_inequality(chain, None, 128).outcome == CERTIFIED_FAILS
     ok = fails == 0
     report(capsys, "criterion 5: 1000 triangle and telescoping chain trials",

@@ -524,6 +524,19 @@ def test_seed_outside_64_bits_exits_one(seed, capsys):
     _assert_one_line_error(code, capsys)
 
 
+def test_e2i_wraps_its_per_draw_seeds_at_two_to_the_64(capsys):
+    # the j-th omega is drawn with seed (seed + j) mod 2^64, so the top seed
+    # runs and its later draws are those of seeds 0, 1, ...
+    spec = str(FIXTURES / "e2i_indicator.json")
+    verdicts = []
+    for seed in (2 ** 64 - 1, 0):
+        assert run_cli("e2i", "--spec", spec, "--seed", str(seed)) == EXIT_OK
+        verdicts.append(json.loads(capsys.readouterr().out))
+    top, zero = verdicts
+    for j in range(1, 5):
+        assert top[f"individual-bound-{j}"] == zero[f"individual-bound-{j - 1}"]
+
+
 POINT_MASS_MU = json.dumps({"class": [{"kind": "deterministic", "prefix": "", "period": "0"},
                                       {"kind": "decaying", "beta": 2}],
                             "weights": ["1/2", "1/4"], "mu_index": 1})

@@ -161,6 +161,21 @@ def test_stage_tables_validate_and_shrink_tolerance():
 @pytest.mark.parametrize("functional", [
     ConstantFunctional(F(1, 10)), IndicatorFunctional(F(1, 64)),
 ], ids=["constant", "indicator"])
+@pytest.mark.parametrize("p", [F(1, 2), F(3, 4)])
+def test_mubar_first_defect_matches_validate(p, functional):
+    # e2i certifies each stage's table from its stored entries
+    # (``first_defect``); the walk over every string must agree
+    mu = sl.BernoulliEnv(p)
+    for n in range(1, 11):
+        mubar = e2i_build_mubar(mu, functional, n)
+        report = sl.validate(mubar, n)
+        assert mubar.first_defect() == report.first_defect_node
+        assert report.is_semimeasure == (mubar.first_defect() is None)
+
+
+@pytest.mark.parametrize("functional", [
+    ConstantFunctional(F(1, 10)), IndicatorFunctional(F(1, 64)),
+], ids=["constant", "indicator"])
 @pytest.mark.parametrize("mu", [
     sl.BernoulliEnv(F(2, 3)),
     sl.MarkovEnv(1, {(): [F(1, 2), F(1, 2)], (0,): [F(1, 2), F(1, 2)],

@@ -4,9 +4,12 @@ is renamed or deleted, and no other test would notice."""
 
 import importlib
 import importlib.util
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+
+import semilab as sl
 
 TRACING = Path(__file__).parent.parent / "bench" / "tracing.py"
 
@@ -39,6 +42,20 @@ def test_traced_target_resolves(span, module, path):
 @pytest.mark.parametrize("module, cls", tracing.CURSORS)
 def test_traced_cursor_class_resolves(module, cls):
     assert isinstance(getattr(_module(module), cls, None), type)
+
+
+@pytest.mark.parametrize("module, cls", tracing.CURSORS)
+def test_traced_cursor_keeps_its_reduced_mass_where_the_tracer_reads_it(module, cls):
+    # the tracer sizes ``envcore.fraction_bits_max`` from ``_mass``
+    cls = getattr(_module(module), cls)
+    envs = (sl.TableEnv(2, {(): F(1), (1,): F(1, 3)}), sl.BernoulliEnv(F(1, 3)),
+            sl.DecayingEnv(2))
+    env = next(env for env in envs if type(env.cursor()) is cls)
+    cursor = env.cursor()
+    cursor.step(1)
+    mass = cursor.mass
+    assert isinstance(mass, F) and mass == env._mass((1,)) != 1
+    assert cursor.__dict__["_mass"] is mass
 
 
 @pytest.mark.parametrize("name", ["mass_interval", "sample"])

@@ -155,6 +155,31 @@ def test_cursor_mass_ratio_is_the_mass(kind):
         assert den > 0 and F(num, den) == env._mass(symbols), symbols
 
 
+def test_only_the_base_cursor_defines_mass():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    classes = set(subclasses(envcore.EnvCursor))
+    assert {"_CountCursor", "_MixtureCursor", "_SpineCursor"} <= {c.__name__ for c in classes}
+    assert [c.__name__ for c in classes if "mass" in vars(c)] == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mass_is_reduced_once_per_position(kind):
+    """Two reads of ``mass`` at one position give one object, and after a
+    step the new position's mass."""
+    env = KINDS[kind]()
+    for x in _strings(env, _depth(env, 6)):
+        cursor = env.cursor()
+        for k in range(len(x) + 1):
+            mass = cursor.mass
+            assert mass == env._mass(x.symbols[:k]) and cursor.mass is mass, (x, k)
+            if k < len(x):
+                cursor.step(x.symbols[k])
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_equal_state_keys_have_equal_futures(kind):
     env = KINDS[kind]()
