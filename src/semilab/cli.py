@@ -60,6 +60,7 @@ from .intervals import (
     precision,
 )
 from .mixtures import (
+    DEFAULT_QUASI_DEPTH_CAP,
     EnvClass,
     MEASURES_ONLY,
     MixtureEnv,
@@ -249,7 +250,7 @@ def _parse_derived(d: dict, path: str) -> Environment:
     if derived == "quasimeasure":
         return QuasimeasureEnv(
             parse_environment(_require(d, "base", path), path + ".base"),
-            _parse_int(d.get("depth_cap", 24), path + ".depth_cap"))
+            _parse_int(d.get("depth_cap", DEFAULT_QUASI_DEPTH_CAP), path + ".depth_cap"))
     if derived == "normalized":
         base = parse_environment(_require(d, "base", path), path + ".base")
         return NormalizedEnv(base, _declared_class(d, base.declared_class, path))
@@ -314,25 +315,30 @@ def parse_class(d, path: str = "$") -> tuple[EnvClass, WeightScheme]:
     return EnvClass(envs), weights
 
 
+def _decode_spec(source: Union[str, Path]):
+    """Decode a spec given as inline JSON (text starting with ``{`` or ``[``)
+    or as the path of a JSON file; errors name the file."""
+    text = str(source)
+    if text.lstrip().startswith(("{", "[")):
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"inline JSON: {exc}") from None
+    try:
+        return json.loads(Path(text).read_text())
+    except OSError as exc:
+        raise SpecError(f"cannot read spec {text!r}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{text}: {exc}") from None
+
+
 def parse_env_spec(source: Union[str, Path, dict, list]):
     """Parse a spec document into an Environment or an (EnvClass, weights) pair.
 
     Accepts a path, an inline JSON string, or an already-decoded object.
     """
     if isinstance(source, (str, Path)):
-        text = str(source)
-        if text.lstrip().startswith(("{", "[")):
-            try:
-                source = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise SpecError(f"inline JSON: {exc}") from None
-        else:
-            try:
-                source = json.loads(Path(text).read_text())
-            except OSError as exc:
-                raise SpecError(f"cannot read spec {text!r}: {exc}") from None
-            except json.JSONDecodeError as exc:
-                raise SpecError(f"{text}: {exc}") from None
+        source = _decode_spec(source)
     if isinstance(source, list) or (isinstance(source, dict) and "class" in source):
         return parse_class(source)
     if isinstance(source, dict):
@@ -405,6 +411,9 @@ def _mu_from(spec: dict, env_class: EnvClass) -> Environment:
         return env_class.env(_class_index(spec["mu_index"], env_class, "$.mu_index"))
     if "mu" in spec:
         env = parse_environment(spec["mu"], "$.mu")
+        if env.alphabet.size != env_class.alphabet.size:
+            raise SpecError(f"$.mu: alphabet size {env.alphabet.size} differs from the "
+                            f"class's {env_class.alphabet.size}")
         _cross_check(env, "$.mu")
         return env
     raise SpecError("spec needs mu_index or mu")
@@ -651,7 +660,7 @@ def run_prop8(spec, depth, bits, seed) -> RunResult:
     for k0 in k0s:
         v = prop8_expected_bound(env_class, weights, k0, depth, bits)
         result.add_verdict(f"expected-bound-k0-{k0}", v)
-    ratio_depth = _int_field(spec, "ratio_depth", min(depth, 8))
+    ratio_depth = _int_field(spec, "ratio_depth", min(depth, 8), least=0)
     for k, index in zip(ratio_k, ratio_ks):
         v = delta_hat_ratio_check(env_class, weights, index, ratio_depth)
         result.add_verdict(f"ratio-bound-k-{k}", v)
@@ -818,12 +827,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    spec_text = args.spec
     try:
         bits = _precision_bits(args.precision)
-        if not spec_text.lstrip().startswith(("{", "[")):
-            spec_text = Path(args.spec).read_text()
-        spec = json.loads(spec_text)
+        spec = _decode_spec(args.spec)
         if not isinstance(spec, dict):
             spec = {"class": spec}
         started = time.monotonic()
@@ -838,7 +844,7 @@ def main(argv=None) -> int:
             for fname in sorted(payloads):
                 sys.stdout.write(payloads[fname])
         return exit_code_for(result.outcomes)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InconclusiveConfigurationError as exc:

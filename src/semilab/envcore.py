@@ -9,10 +9,9 @@ No floating point enters evaluation, validation, enumeration or sampling.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -522,29 +521,70 @@ class LeakyEnv(Environment):
             return ZERO
         return b * self.leak ** len(symbols)
 
+    def depth_factor(self, n: int) -> tuple[int, int]:
+        return self.leak.numerator ** n, self.leak.denominator ** n
+
+    def row_factor(self, n: int) -> Fraction:
+        return self.leak
+
+    def row_factor_bound(self) -> Fraction:
+        return self.leak
+
     def cursor(self) -> EnvCursor:
-        return _LeakyCursor(self)
+        return _ScaledCursor(self)
 
     def spec(self) -> dict:
         return {"kind": "leaky", "base": self.base.spec(), "leak": _frac_str(self.leak)}
 
 
-class _WrapperCursor(EnvCursor):
-    """The cursor of an environment derived from one base (``env.base``):
-    it steps the base's cursor, whose key is the key, and by default
-    passes ``row``, ``step`` and ``zero_step_factor_bound`` through."""
+class _ScaledCursor(EnvCursor):
+    """The cursor of an environment that is a base environment (``env.base``)
+    times a factor of the string's length alone: the leaky, normalized and
+    quasimeasure kinds.  The kind states ``depth_factor(n)``, the factor at
+    depth n as an integer pair; ``row_factor(n)``, the factor of the step
+    from depth n, which is 0 exactly where ``depth_factor(n + 1)`` is; and
+    ``row_factor_bound()``, a bound on every row factor.
+
+    The base's key is the key.  The mass is formed once per position, when
+    read; a row is scaled once per base row and passed through where the
+    factor is 1, so product-form rows keep their identity.  ``row`` tells a
+    mass of 0 by the last row factor and by the base's row, which raises
+    there, not by the depth factor: for a leak that is a power, which
+    ``mass_interval``, stepping by rows alone, never forms.
+    """
 
     def __init__(self, env: Environment):
         self._env = env
         self._inner = env.base.cursor()
+        self._depth = 0
+        self._ratio = self._base_row = self._row = self._row_factor = None
+
+    def mass_ratio(self) -> tuple[int, int]:
+        if self._ratio is None:
+            num, den = self._env.depth_factor(self._depth)
+            ratio = self._inner.mass_ratio() if num else (0, 1)
+            self._ratio = ratio if num == den else (ratio[0] * num, ratio[1] * den)
+        return self._ratio
 
     def row(self) -> tuple[Fraction, ...]:
-        return self._inner.row()
+        n, env = self._depth, self._env
+        if n and not env.row_factor(n - 1):
+            raise UndefinedPosteriorError("zero mass at cursor position")
+        base_row = self._inner.row()  # raises where the base's mass is 0
+        check_depth(env, n + 1)
+        factor = env.row_factor(n)
+        if base_row is not self._base_row or factor is not self._row_factor:
+            self._base_row, self._row_factor = base_row, factor
+            self._row = base_row if factor == 1 else tuple(p * factor for p in base_row)
+        return self._row
 
     def step(self, a: int) -> None:
+        check_depth(self._env, self._depth + 1)
         self._inner.step(a)
+        self._depth += 1
+        self._ratio = None
 
-    def clone(self) -> "_WrapperCursor":
+    def clone(self) -> "_ScaledCursor":
         new = super().clone()
         new._inner = self._inner.clone()
         return new
@@ -553,47 +593,13 @@ class _WrapperCursor(EnvCursor):
         return self._inner.state_key()
 
     def zero_step_factor_bound(self):
-        return self._inner.zero_step_factor_bound()
-
-
-class _LeakyCursor(_WrapperCursor):
-    """The leak factor depends on the length only, so the mass is formed
-    only when asked for, once per position: the base's ``mass_ratio`` times
-    the powers of the leak's two integers."""
-
-    def __init__(self, env: LeakyEnv):
-        super().__init__(env)
-        self._depth = 0
-        self._base_row = self._row = None
-        self._ratio = None
-
-    def mass_ratio(self) -> tuple[int, int]:
-        if self._ratio is None:
-            num, den = self._inner.mass_ratio()
-            leak = self._env.leak
-            self._ratio = (num * leak.numerator ** self._depth,
-                           den * leak.denominator ** self._depth)
-        return self._ratio
-
-    def row(self) -> tuple[Fraction, ...]:
-        if not self._inner.mass_ratio()[0]:
-            raise UndefinedPosteriorError("zero mass at cursor position")
-        base_row = self._inner.row()
-        if base_row is not self._base_row:  # product-form bases repeat rows
-            self._base_row = base_row
-            self._row = tuple(p * self._env.leak for p in base_row)
-        return self._row
-
-    def step(self, a: int) -> None:
-        self._inner.step(a)
-        self._depth += 1
-        self._ratio = None
-
-    def zero_step_factor_bound(self):
+        if not self.mass_ratio()[0]:
+            return ZERO
         inner = self._inner.zero_step_factor_bound()
+        scale = self._env.row_factor_bound()
         if inner is None:
-            return self._env.leak if self._env.leak <= HALF else None
-        return inner * self._env.leak
+            return scale if scale <= HALF else None
+        return inner * scale
 
 
 class DecayingEnv(Environment):
@@ -760,6 +766,9 @@ def walk_states(envs: Sequence[Environment], depth: int,
     ``children``; a semimeasure's extensions of such a string have mass 0
     too, so this drops whole subtrees.
     """
+    if len({env.alphabet.size for env in envs}) > 1:
+        raise SemilabError("cannot walk environments over different alphabets (sizes "
+                           + ", ".join(str(env.alphabet.size) for env in envs) + ")")
     symbols_range = envs[0].alphabet.symbols
     root = tuple(env.cursor() for env in envs)
     if support is not None and not root[support].mass_ratio()[0]:

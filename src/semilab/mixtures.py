@@ -23,7 +23,7 @@ from .envcore import (
     ZERO,
     ONE,
     _frac_str,
-    _WrapperCursor,
+    _ScaledCursor,
     check_depth,
     validate,
     walk_states,
@@ -192,42 +192,21 @@ class QuasimeasureEnv(Environment):
             return ZERO
         return self.base._mass(symbols)
 
+    def depth_factor(self, n: int) -> tuple[int, int]:
+        return (1, 1) if self.alive_at(n) else (0, 1)
+
+    def row_factor(self, n: int) -> Fraction:
+        return ONE if self.alive_at(n + 1) else ZERO
+
+    def row_factor_bound(self) -> Fraction:
+        return ONE
+
     def cursor(self) -> EnvCursor:
-        return _QuasimeasureCursor(self)
+        return _ScaledCursor(self)
 
     def spec(self) -> dict:
         return {"kind": "derived", "derived": "quasimeasure",
                 "base": self.base.spec(), "depth_cap": self.depth_cap}
-
-
-class _QuasimeasureCursor(_WrapperCursor):
-    """Whether a depth survives depends on the depth alone, so the base key
-    is the key, and the base's mass is the mass while the depth is alive."""
-
-    def __init__(self, env: QuasimeasureEnv):
-        super().__init__(env)
-        self._depth = 0
-        self._alive = True
-
-    def mass_ratio(self) -> tuple[int, int]:
-        return self._inner.mass_ratio() if self._alive else (0, 1)
-
-    def row(self) -> tuple[Fraction, ...]:
-        if not self.mass_ratio()[0]:
-            raise UndefinedPosteriorError("zero mass at cursor position")
-        check_depth(self._env, self._depth + 1)
-        if not self._env.alive_at(self._depth + 1):
-            return (ZERO,) * self._env.alphabet.size
-        return self._inner.row()
-
-    def step(self, a: int) -> None:
-        check_depth(self._env, self._depth + 1)
-        self._inner.step(a)
-        self._depth += 1
-        self._alive = self._env.alive_at(self._depth)
-
-    def zero_step_factor_bound(self):
-        return ZERO if not self.mass_ratio()[0] else self._inner.zero_step_factor_bound()
 
 
 class MixtureEnv(Environment):
@@ -429,19 +408,17 @@ class NormalizedEnv(Environment):
         return {"kind": "derived", "derived": "normalized",
                 "base": self.base.spec(), "declared_class": self.declared_class}
 
+    def depth_factor(self, n: int) -> tuple[int, int]:
+        return self.total.denominator, self.total.numerator
+
+    def row_factor(self, n: int) -> Fraction:
+        return ONE
+
+    def row_factor_bound(self) -> Fraction:
+        return ONE
+
     def cursor(self) -> EnvCursor:
-        return _NormalizedCursor(self)
-
-
-class _NormalizedCursor(_WrapperCursor):
-    _ratio_of = None  # the base's pair ``_ratio`` was divided from
-
-    def mass_ratio(self) -> tuple[int, int]:
-        ratio, total = self._inner.mass_ratio(), self._env.total
-        if ratio is not self._ratio_of:
-            self._ratio = ratio[0] * total.denominator, ratio[1] * total.numerator
-            self._ratio_of = ratio
-        return self._ratio
+        return _ScaledCursor(self)
 
 
 def normalize(mix: MixtureEnv) -> Environment:

@@ -65,7 +65,6 @@ class DeficiencyTrace:
     sup_ratio: Fraction
     d_bounds: tuple[str, str]
     diverging: bool
-    ceiling: Fraction
 
     def to_csv(self) -> str:
         lines = ["n,ratio_num,ratio_den,log2_lo,log2_hi"]
@@ -81,12 +80,11 @@ def _log2_interval(q: Fraction):
 
 
 def deficiency_trace(m_ref: Environment, mu: Environment, omega: FiniteString,
-                     n: int, precision_bits: int = DEFAULT_PRECISION,
-                     ceiling: Fraction = DEFAULT_CEILING) -> DeficiencyTrace:
+                     n: int, precision_bits: int = DEFAULT_PRECISION) -> DeficiencyTrace:
     """Ratios M_ref(omega_{1:k}) / mu(omega_{1:k}) for k = 0..n, exactly.
 
     The supremum d is reported as a log2 enclosure of the exact maximal
-    ratio; the diverging flag marks ratios beyond the configured ceiling.
+    ratio; the diverging flag marks ratios beyond ``DEFAULT_CEILING``.
     Both masses come from one cursor walk along omega each.
     """
     if n > len(omega):
@@ -111,8 +109,7 @@ def deficiency_trace(m_ref: Environment, mu: Environment, omega: FiniteString,
         log2_bounds=logs,
         sup_ratio=sup_ratio,
         d_bounds=d_bounds,
-        diverging=sup_ratio > ceiling,
-        ceiling=ceiling,
+        diverging=sup_ratio > DEFAULT_CEILING,
     )
 
 

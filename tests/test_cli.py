@@ -223,6 +223,14 @@ def test_missing_file_exits_one(capsys):
     assert code == EXIT_USAGE
 
 
+def test_truncated_spec_file_error_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"class":\n')
+    code = run_cli("prop8", "--spec", str(bad))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {bad}: Expecting value: line 2 column 1 (char 10)\n"
+
+
 # ------------------------------------------------------------------- outputs
 
 def test_output_directory_and_manifest(tmp_path, capsys):
@@ -508,6 +516,23 @@ def test_dominance_failure_exits_one_with_its_message(subcommand, extra, message
     code = run_cli(subcommand, "--spec", spec, "--depth", "4")
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("subcommand", ["markov-tail", "verify-hellinger-bounds", "w-vs-d"])
+def test_inline_mu_over_another_alphabet_exits_one(subcommand, capsys):
+    spec = json.dumps({"class": BERN3[:2], "w": "1/1000",
+                       "mu": {"kind": "categorical", "probs": ["1/3"] * 3}})
+    code = run_cli(subcommand, "--spec", spec, "--depth", "4", "--seed", "1")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "error: $.mu: alphabet size 3 differs from the class's 2\n"
+
+
+def test_prop8_negative_ratio_depth_exits_one(capsys):
+    spec = json.dumps({"class": BERN3[:2], "k0": [], "ratio_depth": -1})
+    code = run_cli("prop8", "--spec", spec)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: $.ratio_depth: -1 must be >= 0\n"
 
 
 def test_inline_mu_without_dominance_constant_exits_one(capsys):

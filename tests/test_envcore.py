@@ -255,6 +255,31 @@ def test_zero_step_bounds_by_environment_kind():
     leaky = sl.LeakyEnv(sl.BernoulliEnv(F(1, 2)), F(1, 2))
     assert leaky.cursor().zero_step_factor_bound() == F(1, 4)
     assert sl.DecayingEnv(2).cursor().zero_step_factor_bound() is None
+    # a leak certifies a bound over a base with none only when it is <= 1/2
+    assert sl.LeakyEnv(sl.DecayingEnv(2), F(3, 4)).cursor().zero_step_factor_bound() is None
+    assert sl.LeakyEnv(sl.DecayingEnv(2), F(1, 2)).cursor().zero_step_factor_bound() == F(1, 2)
+    normalized = sl.NormalizedEnv(leaky, sl.STRICT_SEMIMEASURE)
+    assert normalized.cursor().zero_step_factor_bound() == F(1, 4)
+    quasi = sl.QuasimeasureEnv(leaky, 8)
+    cursor = quasi.cursor()
+    for _ in range(quasi.cutoff_depth()):
+        cursor.step(0)
+    assert cursor.zero_step_factor_bound() == 0
+
+
+@pytest.mark.parametrize("derive", [
+    lambda base: sl.LeakyEnv(base, F(1, 2)),
+    lambda base: sl.NormalizedEnv(base, sl.STRICT_SEMIMEASURE),
+], ids=["leaky", "normalized"])
+def test_scaled_cursor_stops_at_the_base_depth(derive):
+    env = derive(sl.TableEnv(2, {(): F(1), (0,): F(1, 2), (0, 0): F(1, 4)}))
+    cursor = env.cursor()
+    cursor.step(0)
+    cursor.step(0)
+    with pytest.raises(DepthExceededError):
+        cursor.row()
+    with pytest.raises(DepthExceededError):
+        cursor.step(0)
 
 
 # the kinds of the cursor-contract tests (every base kind, quasimeasures, a

@@ -12,6 +12,7 @@ from semilab.errors import (
 )
 from semilab.intervals import CERTIFIED_HOLDS
 from semilab.randomness import (
+    DEFAULT_CEILING,
     ConstantFunctional,
     IndicatorFunctional,
     deficiency_trace,
@@ -64,10 +65,12 @@ def test_deficiency_divergence_flag():
         sl.EnvClass([sl.DeterministicEnv([], [0]), sl.uniform_measure()]),
         sl.default_weights(2), sl.RAW)
     mu = sl.uniform_measure()
-    omega = sl.FiniteString(sl.BINARY, (0,) * 12)
-    trace = deficiency_trace(m, mu, omega, 12, ceiling=F(100))
+    # M(0^n) / lambda(0^n) > 2^(n-1): past DEFAULT_CEILING = 2^64 from n = 66 on
+    omega = sl.FiniteString(sl.BINARY, (0,) * 70)
+    assert not deficiency_trace(m, mu, omega, 60).diverging
+    trace = deficiency_trace(m, mu, omega, 70)
     assert trace.diverging
-    assert trace.sup_ratio > 100
+    assert trace.sup_ratio > DEFAULT_CEILING
 
 
 def test_deficiency_outside_support_is_an_error(bern3_mixture):

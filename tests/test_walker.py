@@ -166,6 +166,17 @@ def test_only_the_base_cursor_defines_mass():
     assert [c.__name__ for c in classes if "mass" in vars(c)] == []
 
 
+def test_scaled_kinds_share_one_cursor():
+    kinds = ("leaky", "leaky-markov", "normalized", "quasimeasure", "quasimeasure-table")
+    assert len({type(KINDS[kind]().cursor()) for kind in kinds}) == 1
+
+
+def test_walk_refuses_environments_over_different_alphabets():
+    envs = [sl.BernoulliEnv(F(1, 2)), sl.CategoricalIIDEnv([F(1, 3)] * 3)]
+    with pytest.raises(SemilabError, match="different alphabets"):
+        next(walk_states(envs, 2))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_mass_is_reduced_once_per_position(kind):
     """Two reads of ``mass`` at one position give one object, and after a
