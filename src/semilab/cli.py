@@ -114,21 +114,23 @@ def _require(d: dict, key: str, path: str):
     return d[key]
 
 
-def _parse_int(value, path: str) -> int:
-    """A JSON integer (not a bool) or a decimal-digit string; int() truncates floats."""
+def _parse_int(value, path: str, least: Optional[int] = None) -> int:
+    """A JSON integer (not a bool) or a decimal-digit string, refused below
+    ``least``; int() truncates floats."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
-        return int(value)
-    raise SpecError(f"{path}: expected an integer, got {value!r}")
+        number = value
+    elif isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        number = int(value)
+    else:
+        raise SpecError(f"{path}: expected an integer, got {value!r}")
+    if least is not None and number < least:
+        raise SpecError(f"{path}: {number} must be >= {least}")
+    return number
 
 
 def _int_field(spec: dict, key: str, default, least: Optional[int] = None) -> int:
     """The integer field ``key`` of a run spec, refused below ``least``."""
-    value = _parse_int(spec.get(key, default), f"$.{key}")
-    if least is not None and value < least:
-        raise SpecError(f"$.{key}: {value} must be >= {least}")
-    return value
+    return _parse_int(spec.get(key, default), f"$.{key}", least)
 
 
 def _declared_class(d: dict, default: str, path: str) -> str:
@@ -207,7 +209,7 @@ def parse_environment(d: dict, path: str = "$") -> Environment:
             return DecayingEnv(_parse_int(_require(d, "beta", path), path + ".beta"))
         if kind == "table":
             return _checked_table(TableEnv(
-                _parse_int(_require(d, "depth", path), path + ".depth"),
+                _parse_int(_require(d, "depth", path), path + ".depth", least=0),
                 _table_values(d, path), _alphabet(d, path),
                 _declared_class(d, STRICT_SEMIMEASURE, path)), path)
         if kind == "derived":
@@ -244,13 +246,14 @@ def _parse_derived(d: dict, path: str) -> Environment:
         env_class, weights = parse_class(
             {"class": _require(d, "environments", path), "weights": d.get("weights")},
             path)
-        k, cap = (None if d.get(f) is None else _parse_int(d[f], f"{path}.{f}")
-                  for f in ("k", "quasi_depth_cap"))
+        k, cap = (None if d.get(f) is None else _parse_int(d[f], f"{path}.{f}", least)
+                  for f, least in (("k", None), ("quasi_depth_cap", 2)))
         return MixtureEnv(env_class, weights, d.get("mode", RAW), k=k, quasi_depth_cap=cap)
     if derived == "quasimeasure":
         return QuasimeasureEnv(
             parse_environment(_require(d, "base", path), path + ".base"),
-            _parse_int(d.get("depth_cap", DEFAULT_QUASI_DEPTH_CAP), path + ".depth_cap"))
+            _parse_int(d.get("depth_cap", DEFAULT_QUASI_DEPTH_CAP), path + ".depth_cap",
+                       least=2))
     if derived == "normalized":
         base = parse_environment(_require(d, "base", path), path + ".base")
         return NormalizedEnv(base, _declared_class(d, base.declared_class, path))
@@ -276,7 +279,8 @@ def _parse_derived(d: dict, path: str) -> Environment:
     if derived == "mubar":
         return _checked_table(MuBarEnv(
             _table_values(d, path),
-            _parse_int(_require(d, "depth", path), path + ".depth"), _alphabet(d, path),
+            _parse_int(_require(d, "depth", path), path + ".depth", least=0),
+            _alphabet(d, path),
             _parse_int(_require(d, "stage", path), path + ".stage")), path)
     raise SpecError(f"{path}: unknown derived kind {derived!r}")
 
@@ -399,10 +403,10 @@ def _mixture_from(spec: dict, mode: str = RAW) -> tuple[MixtureEnv, EnvClass, We
     return MixtureEnv(env_class, weights, mode), env_class, weights
 
 
-def _class_index(value, env_class: EnvClass, path: str) -> int:
+def _class_index(value, env_class: EnvClass, path: str, least: int = 1) -> int:
     i = _parse_int(value, path)
-    if not 1 <= i <= len(env_class):
-        raise SpecError(f"{path}: index {i} outside 1..{len(env_class)}")
+    if not least <= i <= len(env_class):
+        raise SpecError(f"{path}: index {i} outside {least}..{len(env_class)}")
     return i
 
 
@@ -553,8 +557,8 @@ def run_w_vs_d(spec, depth, bits, seed) -> RunResult:
     mu = _mu_from(spec, env_class)
     w_mix = MixtureEnv(env_class, weights, QUASI, quasi_depth_cap=max(depth + 1, 2))
     d_mix = MixtureEnv(env_class, weights, MEASURES_ONLY)
+    stable_from = _int_field(spec, "stable_from", 3, least=1)
     omega, _ = sample(mu, depth, seed, with_likelihood=False)
-    stable_from = _int_field(spec, "stable_from", 3)
     rows = []
     max_late = Fraction(0)
     w_cur, d_cur = w_mix.cursor(), d_mix.cursor()
@@ -652,7 +656,7 @@ def run_prop8(spec, depth, bits, seed) -> RunResult:
     k0s = _distinct([_class_index(k, env_class, f"$.k0[{i}]")
                      for i, k in enumerate(_typed(spec.get("k0", [1]), list, "$.k0"))], "$.k0")
     ratio_k = _typed(spec.get("ratio_k", list(range(2, len(env_class) + 1))), list, "$.ratio_k")
-    ratio_ks = _distinct([_class_index(k, env_class, f"$.ratio_k[{i}]")
+    ratio_ks = _distinct([_class_index(k, env_class, f"$.ratio_k[{i}]", least=2)
                           for i, k in enumerate(ratio_k)], "$.ratio_k")
     if not k0s and not ratio_k:
         raise SpecError("$.k0, $.ratio_k: both empty, so no check would run")

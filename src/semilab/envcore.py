@@ -135,12 +135,15 @@ class EnvCursor:
     of the string walked so far as two integers, and ``mass`` is that pair
     reduced, which only this class defines; ``row()`` equals ``posterior``
     there (where the mass is positive), ``factor(a)`` gives ``row()[a]`` as
-    two integers, ``step(a)`` appends one symbol, ``clone()`` returns an
-    independent copy, and ``state_key()`` is a hashable sufficient statistic:
-    two strings of equal length with equal keys have equal masses on every
-    common extension.  The generic implementation re-evaluates masses and
-    keys by the whole string, so it never merges; product-form environments
-    override for O(1) steps and keys that merge.
+    two integers, ``step(a)`` appends one symbol, ``run_ratio(run)`` steps
+    over a run of symbols and returns the product of their factors as two
+    integers, ``clone()`` returns an independent copy, and ``state_key()``
+    is a hashable sufficient statistic: two strings of equal length with
+    equal keys have equal masses on every common extension.  The generic
+    implementation re-evaluates masses and keys by the whole string, so it
+    never merges; product-form environments override for O(1) steps and
+    keys that merge, and the decaying and count cursors for runs multiplied
+    out at once.
     """
 
     def __new__(cls, *args):
@@ -189,6 +192,19 @@ class EnvCursor:
     def step(self, a: int) -> None:
         self._symbols = self._symbols + (a,)
         self._ratio = self._env._mass(self._symbols).as_integer_ratio()
+
+    def run_ratio(self, run: Sequence[int]) -> tuple[int, int]:
+        """Step over ``run`` from a position of positive mass and return
+        the product of the run's ``factor(a)`` values, not necessarily in
+        lowest terms, or (0, 1) when one of them is 0; the cursor ends past
+        the whole run either way."""
+        num = den = 1
+        for a in run:
+            if num:
+                f_num, f_den = self.factor(a)
+                num, den = (num * f_num, den * f_den) if f_num else (0, 1)
+            self.step(a)
+        return num, den
 
     def clone(self) -> "EnvCursor":
         new = object.__new__(type(self))
@@ -246,6 +262,21 @@ class _CountCursor(EnvCursor):
             self._ratio = num, den
             pending.clear()
         return self._ratio
+
+    def run_ratio(self, run: Sequence[int]) -> tuple[int, int]:
+        """One power per probability the run drew: its count after the run
+        less its count before."""
+        before = self._counts
+        for a in run:
+            self.step(a)
+        if self._dead:
+            return 0, 1
+        num = den = 1
+        for p, old, new in zip(self._probs, before, self._counts):
+            if new != old:
+                num *= p.numerator ** (new - old)
+                den *= p.denominator ** (new - old)
+        return num, den
 
     def clone(self) -> "_CountCursor":
         self.mass_ratio()  # form it once here rather than once in every clone
@@ -619,6 +650,14 @@ class DecayingEnv(Environment):
         den = 2 * t ** self.beta
         return (1, den) if a == 1 else (den - 1, den)
 
+    def run_factor(self, t: int, run: Sequence[int]) -> tuple[int, int]:
+        """The product of ``step_factor`` over ``run`` placed after t
+        symbols, as the same integers: (prod s)^beta 2^k over the run's k
+        positions s, and prod (2 s^beta - 1) over the positions of its 0s."""
+        beta, positions = self.beta, range(t + 1, t + len(run) + 1)
+        num = math.prod([2 * s ** beta - 1 for s, a in zip(positions, run) if not a])
+        return num, math.prod(positions) ** beta << len(run)
+
     def one_prob(self, t: int) -> Fraction:
         return Fraction(*self.step_factor(t, 1))
 
@@ -640,8 +679,9 @@ class _DecayingCursor(EnvCursor):
     """Steps in O(1) without forming the exact mass, which at large depths
     is astronomically sized: the mass is multiplied out only when asked for
     (``mass_interval`` never asks), as the unreduced integers ``mass_ratio``
-    from the symbols added since it was last formed.  The string is kept
-    one byte per symbol."""
+    from the symbols added since it was last formed.  Both it and
+    ``run_ratio`` multiply a run out with one ``DecayingEnv.run_factor``.
+    The string is kept one byte per symbol."""
 
     def __init__(self, env: DecayingEnv):
         self._env = env
@@ -650,14 +690,17 @@ class _DecayingCursor(EnvCursor):
         self._ratio_t = 0
 
     def mass_ratio(self) -> tuple[int, int]:
-        if self._ratio_t < len(self._symbols):
-            num, den = self._ratio
-            for t in range(self._ratio_t + 1, len(self._symbols) + 1):
-                f_num, f_den = self._env.step_factor(t, self._symbols[t - 1])
-                num *= f_num
-                den *= f_den
-            self._ratio, self._ratio_t = (num, den), len(self._symbols)
+        t = self._ratio_t
+        if t < len(self._symbols):
+            num, den = self._env.run_factor(t, self._symbols[t:])
+            self._ratio = self._ratio[0] * num, self._ratio[1] * den
+            self._ratio_t = len(self._symbols)
         return self._ratio
+
+    def run_ratio(self, run: Sequence[int]) -> tuple[int, int]:
+        ratio = self._env.run_factor(len(self._symbols), run)
+        self._symbols.extend(run)
+        return ratio
 
     def row(self) -> tuple[Fraction, ...]:
         p1 = self._env.one_prob(len(self._symbols) + 1)
@@ -892,21 +935,35 @@ class BitStream:
         return self._bits.pop()
 
 
-def _draw_symbol(stream: BitStream, row: Sequence[Fraction]) -> int:
-    """Exact draw from a probability row by dyadic bisection against the CDF,
-    compared in integers scaled to the row's common denominator d."""
+def _draw_table(row: Sequence[Fraction]) -> tuple[int, list[tuple[int, int, int]]]:
+    """The row's common denominator d and its cells: (j, left, right) with
+    [left, right) the CDF interval of symbol j times d, for each symbol of
+    positive probability.  A cell of width 0 can hold no dyadic interval,
+    so a zero-probability symbol is never drawn."""
     d = math.lcm(*(p.denominator for p in row))
-    bounds = [0]
-    for p in row:
-        bounds.append(bounds[-1] + p.numerator * (d // p.denominator))
+    cells, left = [], 0
+    for j, p in enumerate(row):
+        right = left + p.numerator * (d // p.denominator)
+        if right != left:
+            cells.append((j, left, right))
+        left = right
+    return d, cells
+
+
+def _draw_symbol(stream: BitStream, row: Sequence[Fraction],
+                 table: Optional[tuple[int, list]] = None) -> int:
+    """Exact draw from a probability row by dyadic bisection against the CDF
+    (a Knuth-Yao sampler), compared in integers scaled to the row's common
+    denominator d; ``table`` is the row's ``_draw_table``, formed here when
+    not passed."""
+    d, cells = _draw_table(row) if table is None else table
     num, k = 0, 0
     while True:
         # current dyadic interval [num/2^k, (num+1)/2^k), times d 2^k
-        lo, hi = num * d, (num + 1) * d
-        for j in range(len(row)):
-            if bounds[j] << k <= lo and hi <= bounds[j + 1] << k:
-                if row[j] == 0:  # boundary cell of zero width cannot be drawn
-                    raise SemilabError("drew zero-probability cell")
+        lo = num * d
+        hi = lo + d
+        for j, left, right in cells:
+            if left << k <= lo and hi <= right << k:
                 return j
         num = num * 2 + stream.next_bit()
         k += 1
@@ -918,64 +975,70 @@ def sample(env: Environment, length: int, seed: int,
 
     The pseudorandom stream is a pure function of the seed; the draw compares
     exact dyadic randomness against exact posterior CDFs, so no rounding
-    enters symbol selection.  The returned likelihood is the cursor's mass,
-    which by the cursor contract equals eval(env, draw).
+    enters symbol selection.  A row is checked and tabled once per row
+    object, and product-form cursors repeat their row objects.  The returned
+    likelihood is the cursor's mass, which by the cursor contract equals
+    eval(env, draw).
     """
     if env.declared_class != MEASURE:
         raise NotAMeasureError("sampling requires a declared (and valid) measure")
     stream = BitStream(seed)
     cursor = env.cursor()
     symbols = []
-    checked = None
+    checked = table = None
     for _ in range(length):
         row = cursor.row()
-        if row is not checked:  # product-form cursors repeat their rows
+        if row is not checked:
             if sum(row) != 1:
                 raise NotAMeasureError("posterior row does not sum to 1")
-            checked = row
-        a = _draw_symbol(stream, row)
+            checked, table = row, _draw_table(row)
+        a = _draw_symbol(stream, row, table)
         symbols.append(a)
         cursor.step(a)
     return (FiniteString(env.alphabet, tuple(symbols)),
             cursor.mass if with_likelihood else None)
 
 
-#: a block's exact product enters the interval once its denominator has
-#: this many bits; rows of mixtures, already larger, each make one block
+#: the denominator size, in bits, that ``mass_interval`` sizes its runs to;
+#: a mixture's rows, already larger, make one run per symbol
 _BLOCK_BITS = 4096
+
+
+def _next_run(length: int, bits: int) -> int:
+    """The length of the run after one of ``length`` symbols whose
+    denominator had ``bits`` bits: as many symbols as fill _BLOCK_BITS at
+    that rate, at most twice as many, at least one."""
+    return max(1, min(2 * length, length * _BLOCK_BITS // bits))
 
 
 def mass_interval(env: Environment, x: FiniteString, precision_bits: int = 64):
     """Certified interval for eval(env, x), usable at depths where the exact
     rational would be astronomically large (e.g. decaying environments at
-    depth 10^6).  Returns an mpmath interval under the active precision.
+    depth 10^6).  Returns an mpmath interval of ``precision_bits`` bits.
 
-    The integer numerators and denominators of the steps' probabilities
-    (``cursor.factor``) are multiplied exactly over blocks of symbols, and
-    each block enters the interval as one outward-rounded quotient; the
-    cursor never needs its exact mass.
+    The cursor's root mass, then each run of symbols (``cursor.run_ratio``),
+    enters the interval as one outward-rounded quotient of integers, and the
+    quotients are multiplied outward-rounded; the cursor never needs its
+    exact mass.  Runs start at one symbol and are sized by ``_next_run``.
     """
-    from . import intervals
+    from mpmath.libmp import mpi_mul
+
+    from .intervals import iv, quotient_bounds
 
     if x.alphabet.size != env.alphabet.size:
         raise SemilabError("string alphabet does not match environment alphabet")
     check_depth(env, len(x))
-    iv = intervals.iv
-    with intervals.precision(precision_bits):
-        cursor = env.cursor()
-        root = cursor.mass
-        if root == 0:
+    cursor = env.cursor()
+    num, den = cursor.mass_ratio()
+    if not num:
+        return iv.mpf(0)
+    box = quotient_bounds(num, den, precision_bits)
+    symbols, start, length = x.symbols, 0, 1
+    while start < len(symbols):
+        num, den = cursor.run_ratio(symbols[start:start + length])
+        if not num:
             return iv.mpf(0)
-        num, den = root.numerator, root.denominator
-        acc = iv.mpf(1)
-        for a in x.symbols:
-            p_num, p_den = cursor.factor(a)
-            if p_num == 0:
-                return iv.mpf(0)
-            num *= p_num
-            den *= p_den
-            if den.bit_length() > _BLOCK_BITS:
-                acc *= iv.mpf(num) / iv.mpf(den)
-                num = den = 1
-            cursor.step(a)
-        return acc * (iv.mpf(num) / iv.mpf(den))
+        box = mpi_mul(box, quotient_bounds(num, den, precision_bits), precision_bits)
+        start += length
+        length = _next_run(length, den.bit_length())
+    return iv.make_mpf(box)

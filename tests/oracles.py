@@ -560,6 +560,33 @@ def mass_interval_per_step(env, x, precision_bits):
         return acc
 
 
+def mass_interval_blocked(env, x, precision_bits):
+    """eval(env, x) enclosed by the per-symbol loop that ``run_ratio``
+    replaced: ``cursor.factor`` multiplied into the root mass one symbol at a
+    time, and a block boxed with mpmath's interval division each time its
+    denominator passes ``envcore._BLOCK_BITS`` bits."""
+    from semilab import envcore
+    from semilab.intervals import iv, precision
+    with precision(precision_bits):
+        cursor = env.cursor()
+        root = cursor.mass
+        if root == 0:
+            return iv.mpf(0)
+        num, den = root.numerator, root.denominator
+        acc = iv.mpf(1)
+        for a in x.symbols:
+            p_num, p_den = cursor.factor(a)
+            if p_num == 0:
+                return iv.mpf(0)
+            num *= p_num
+            den *= p_den
+            if den.bit_length() > envcore._BLOCK_BITS:
+                acc *= iv.mpf(num) / iv.mpf(den)
+                num = den = 1
+            cursor.step(a)
+        return acc * (iv.mpf(num) / iv.mpf(den))
+
+
 def draw_symbol_fractions(stream, row):
     """The dyadic-bisection draw compared in Fractions times 2^k."""
     bounds = [Fraction(0)]

@@ -292,6 +292,7 @@ def _assert_one_line_error(code, capsys):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 def test_defective_table_with_zero_mass_node_exits_one(capsys):
@@ -369,6 +370,39 @@ def test_non_integer_integer_field_exits_one(member, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+_QUASI_BASE = {"kind": "leaky", "base": {"kind": "bernoulli", "p": "1/2"}, "leak": "1/2"}
+
+
+@pytest.mark.parametrize("member, message", [
+    ({"kind": "derived", "derived": "quasimeasure", "base": _QUASI_BASE, "depth_cap": -1},
+     "$.class[1].depth_cap: -1 must be >= 2"),
+    ({"kind": "derived", "derived": "quasimeasure", "base": _QUASI_BASE, "depth_cap": 1},
+     "$.class[1].depth_cap: 1 must be >= 2"),
+    ({"kind": "derived", "derived": "mixture", "mode": "quasi", "quasi_depth_cap": 1,
+      "environments": [_QUASI_BASE], "weights": ["1/2"]},
+     "$.class[1].quasi_depth_cap: 1 must be >= 2"),
+    ({"kind": "table", "depth": -1, "values": {"": "1/2"}},
+     "$.class[1].depth: -1 must be >= 0"),
+    ({"kind": "derived", "derived": "mubar", "depth": -1, "stage": 1, "values": {"": "1/2"}},
+     "$.class[1].depth: -1 must be >= 0"),
+], ids=["depth-cap-negative", "depth-cap-one", "quasi-depth-cap-one", "table-depth-negative",
+        "mubar-depth-negative"])
+def test_member_field_below_its_schema_minimum_exits_one(member, message, capsys):
+    # refused where it is parsed, not when a run first reaches the depth
+    spec = {"class": [{"kind": "bernoulli", "p": "1/2"}, member], "mu_index": 1}
+    code = run_cli("verify-hellinger-bounds", "--spec", json.dumps(spec), "--depth", "3")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_w_vs_d_stable_from_below_one_exits_one(capsys):
+    spec = json.loads((FIXTURES / "quasi_leaky.json").read_text())
+    spec["stable_from"] = 0
+    code = run_cli("w-vs-d", "--spec", json.dumps(spec), "--seed", "1", "--depth", "3")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: $.stable_from: 0 must be >= 1\n"
+
+
 def test_integer_fields_accept_ints_and_decimal_strings():
     assert parse_environment({"kind": "decaying", "beta": "3"}).beta == 3
     assert parse_environment({"kind": "uniform", "alphabet_size": 3}).alphabet.size == 3
@@ -419,7 +453,8 @@ BERN3 = [{"kind": "bernoulli", "p": p} for p in ("1/4", "1/2", "3/4")]
 def test_class_index_out_of_range_exits_one(subcommand, extra, args, capsys):
     spec = json.dumps({"class": BERN3, **extra})
     code = run_cli(subcommand, "--spec", spec, "--depth", "3", *args)
-    _assert_one_line_error(code, capsys)
+    (field,) = extra
+    assert _assert_one_line_error(code, capsys).startswith(f"error: $.{field}"), field
 
 
 @pytest.mark.parametrize("subcommand, fixture, field, value, message", [

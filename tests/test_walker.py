@@ -810,6 +810,56 @@ def test_cursor_factor_matches_row(kind):
             assert [F(*cursor.factor(a)) for a in env.alphabet.symbols] == list(row)
 
 
+def _walked(env, symbols):
+    cursor = env.cursor()
+    for a in symbols:
+        cursor.step(a)
+    return cursor
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_ratio_is_the_product_of_stepped_factors(kind):
+    """Runs of length 0, 1 and more, from every live position of a few
+    strings, the random one crossing zero factors where the kind has any."""
+    env = KINDS[kind]()
+    n = _depth(env, 6)
+    for x in _strings(env, n):
+        for i in range(n + 1):
+            if not env._mass(x.symbols[:i]):
+                continue
+            for j in sorted({i, i + 1, n} - {n + 1}):
+                run = x.symbols[i:j]
+                ran, stepped = _walked(env, x.symbols[:i]), _walked(env, x.symbols[:i])
+                num, den = ran.run_ratio(run)
+                product = F(1)
+                for a in run:
+                    if product:
+                        product *= F(*stepped.factor(a))
+                    stepped.step(a)
+                if product:
+                    assert den > 0 and F(num, den) == product, (x, i, j)
+                else:
+                    assert (num, den) == (0, 1), (x, i, j)
+                assert product == env._mass(x.symbols[:j]) / env._mass(x.symbols[:i])
+                assert ran.mass == stepped.mass and ran.state_key() == stepped.state_key()
+                if ran.mass and _has_row(env, x.symbols[:j]):
+                    assert ran.row() == stepped.row(), (x, i, j)
+
+
+@pytest.mark.parametrize("beta", [2, 3, 4])
+def test_decaying_run_factor_is_the_product_of_step_factors(beta):
+    env = sl.DecayingEnv(beta)
+    rng = random.Random(beta)
+    for t in (0, 1, 7, 1000):
+        for k in (0, 1, 2, 50):
+            run = tuple(rng.randrange(2) for _ in range(k))
+            num = den = 1
+            for s, a in enumerate(run, start=t + 1):
+                f_num, f_den = env.step_factor(s, a)
+                num, den = num * f_num, den * f_den
+            assert env.run_factor(t, run) == (num, den), (t, run)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_prefix_walks_match_prefix_evaluation(kind):
     env = KINDS[kind]()
@@ -870,20 +920,24 @@ def test_e2i_ratios_match_prefix_evaluation():
 
 
 def _first_block(env, symbols, cap):
-    """The number of symbols mass_interval multiplies into its first block
-    on a string starting with ``symbols`` (at most cap)."""
+    """A run end of mass_interval on a string starting with ``symbols``
+    (at most cap): the last one before the product of the run denominators
+    passes _BLOCK_BITS bits, or the first when the first run does; cap when
+    neither is reached before the string ends or a factor is 0."""
     cursor = env.cursor()
     if cursor.mass == 0:
         return 0  # a dead root: mass_interval reads no factor
-    den = cursor.mass.denominator
-    for k, a in enumerate(islice(symbols, cap), start=1):
-        num, p_den = cursor.factor(a)
+    symbols = islice(symbols, cap)  # drawn lazily: support strings cost per symbol
+    end, length, den = 0, 1, 1
+    while run := tuple(islice(symbols, length)):
+        num, run_den = cursor.run_ratio(run)
         if num == 0:
             break
-        den *= p_den
-        if den.bit_length() > envcore._BLOCK_BITS:
-            return k
-        cursor.step(a)
+        den *= run_den
+        if end and den.bit_length() > envcore._BLOCK_BITS:
+            return end
+        end += len(run)
+        length = envcore._next_run(length, run_den.bit_length())
     return cap
 
 
@@ -905,6 +959,8 @@ def test_mass_interval_contains_exact_mass_around_block_ends(kind, monkeypatch):
             assert lo <= exact <= hi, n
             assert hi - lo <= exact / 2 ** 100, n
             old_lo, old_hi = endpoints(oracles.mass_interval_per_step(env, x, 128))
+            assert lo <= old_hi and old_lo <= hi, n
+            old_lo, old_hi = endpoints(oracles.mass_interval_blocked(env, x, 128))
             assert lo <= old_hi and old_lo <= hi, n
 
 
