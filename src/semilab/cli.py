@@ -171,7 +171,7 @@ def _symbols(value, path: str) -> tuple[int, ...]:
 
 
 def _alphabet(d: dict, path: str) -> Alphabet:
-    return Alphabet(_parse_int(d.get("alphabet_size", 2), path + ".alphabet_size"))
+    return Alphabet(_parse_int(d.get("alphabet_size", 2), path + ".alphabet_size", least=2))
 
 
 def parse_environment(d: dict, path: str = "$") -> Environment:
@@ -192,7 +192,7 @@ def parse_environment(d: dict, path: str = "$") -> Environment:
                 for ctx, row in _typed(_require(d, "transitions", path), dict,
                                        path + ".transitions").items()
             }
-            order = _parse_int(_require(d, "order", path), path + ".order")
+            order = _parse_int(_require(d, "order", path), path + ".order", least=1)
             return MarkovEnv(order, transitions, _alphabet(d, path))
         if kind == "deterministic":
             return DeterministicEnv(
@@ -206,7 +206,7 @@ def parse_environment(d: dict, path: str = "$") -> Environment:
                 parse_rational(_require(d, "leak", path), path + ".leak"),
             )
         if kind == "decaying":
-            return DecayingEnv(_parse_int(_require(d, "beta", path), path + ".beta"))
+            return DecayingEnv(_parse_int(_require(d, "beta", path), path + ".beta", least=2))
         if kind == "table":
             return _checked_table(TableEnv(
                 _parse_int(_require(d, "depth", path), path + ".depth", least=0),
@@ -259,7 +259,7 @@ def _parse_derived(d: dict, path: str) -> Environment:
         return NormalizedEnv(base, _declared_class(d, base.declared_class, path))
     if derived == "nu-stage":
         pivot = FiniteString(BINARY, _symbols(d.get("pivot", ""), path + ".pivot"))
-        return NuLimitEnv(pivot, _parse_int(_require(d, "t", path), path + ".t"))
+        return NuLimitEnv(pivot, _parse_int(_require(d, "t", path), path + ".t", least=0))
     if derived == "nu-limit":
         prefix = _symbols(d.get("alpha_prefix", ""), path + ".alpha_prefix")
         tail = _parse_int(_require(d, "tail_zero_from", path), path + ".tail_zero_from")
@@ -281,7 +281,7 @@ def _parse_derived(d: dict, path: str) -> Environment:
             _table_values(d, path),
             _parse_int(_require(d, "depth", path), path + ".depth", least=0),
             _alphabet(d, path),
-            _parse_int(_require(d, "stage", path), path + ".stage")), path)
+            _parse_int(_require(d, "stage", path), path + ".stage", least=1)), path)
     raise SpecError(f"{path}: unknown derived kind {derived!r}")
 
 
@@ -535,7 +535,7 @@ def run_quasimeasure(spec, depth, bits, seed) -> RunResult:
     for i in range(1, len(env_class) + 1):
         cutoffs[str(i)] = w_mix.component(i).cutoff_depth()
     result.documents["report"] = {"cutoff_depths": cutoffs}
-    equal_from = _int_field(spec, "equal_from", 2)
+    equal_from = _int_field(spec, "equal_from", 2, least=0)
     # tuple order is depth-first order and a state's representative is its
     # smallest string: the least mismatching one is the first a depth-first
     # walk would meet
@@ -633,6 +633,7 @@ def run_e2i(spec, depth, bits, seed) -> RunResult:
     n = _int_field(spec, "stage", depth)
     if n < 1:
         raise SpecError(f"$.stage: {n} must be >= 1 (it defaults to the depth)")
+    count = _int_field(spec, "count", 1, 1)
     result = RunResult()
     mubar = None
     for stage in range(1, n + 1):
@@ -643,7 +644,6 @@ def run_e2i(spec, depth, bits, seed) -> RunResult:
     extended = EnvClass(list(env_class.envs) + [mubar])
     ext_weights = default_weights(len(extended))
     m_ext = MixtureEnv(extended, ext_weights, RAW)
-    count = _int_field(spec, "count", 1, 1)
     for j in range(count):
         omega, _ = sample(mu, n, (seed + j) % 2 ** 64, with_likelihood=False)
         report = e2i_individual_bound(m_ext, functional, mu, omega, n)
@@ -734,9 +734,9 @@ def run_experiment(subcommand: str, spec: dict, depth: Optional[int],
     if subcommand not in RUNNERS:
         raise SpecError(f"unknown subcommand {subcommand!r}")
     if depth is None:
-        depth = _int_field(spec, "depth", DEFAULT_DEPTHS[subcommand])
-    if depth < 0:
-        raise SpecError(f"depth must be >= 0, got {depth}")
+        depth = _int_field(spec, "depth", DEFAULT_DEPTHS[subcommand], least=0)
+    elif depth < 0:
+        raise SpecError(f"--depth: {depth} must be >= 0")
     return RUNNERS[subcommand](spec, depth, precision_bits, seed)
 
 

@@ -22,7 +22,6 @@ from .envcore import (
     Environment,
     FiniteString,
     HALF,
-    ONE,
     STRICT_SEMIMEASURE,
     ZERO,
     _frac_str,
@@ -120,18 +119,19 @@ class _SpineCursor(EnvCursor):
         self._ratio = int(env._mass(()) * den), den
         self._key = "spine" if self._ratio[0] else None
 
-    def row(self) -> tuple[Fraction, ...]:
+    def row_ratio(self) -> tuple[tuple[int, ...], int]:
         if self._key is None:
             raise UndefinedPosteriorError("zero mass at cursor position")
         if self._k == self._env.horizon:
-            return ZERO, ZERO
+            return (0, 0), 1
         if self._key == "below":
-            return HALF, HALF
+            return (1, 1), 2
         if self._env.alpha_symbol(self._k + 1) == 0:
-            return ONE, ZERO
+            return (1, 0), 1
+        # the child below the spine has mass 2^-(k+1), the spine num / den
         num, den = self._ratio
-        below = Fraction(den, 2 ** (self._k + 1) * num)
-        return below, 1 - below
+        spine = 2 ** (self._k + 1) * num
+        return (den, spine - den), spine
 
     def step(self, a: int) -> None:
         k = self._k = self._k + 1

@@ -40,39 +40,37 @@ from .intervals import (
     sqrt_pair,
     to_mpf,
 )
-from .envcore import Environment, FiniteString, ZERO, walk_states
+from .envcore import HALF, Environment, FiniteString, ZERO, row_ratio_of, walk_states
 from .errors import NotAMeasureRowError, NotDominatedError, UndefinedPosteriorError
 
-HALF = Fraction(1, 2)
 
-
-def _sqrt_prod_sum(p: Sequence[Fraction], q: Sequence[Fraction], prec: int) -> tuple:
-    """``(lo, hi)`` integer pairs enclosing sum_i sqrt(p_i q_i) at prec bits:
-    each product's unreduced integer quotient rounded outward, its square
-    root rounded outward again, and each sum rounded outward."""
+def _sqrt_prod_sum(p: tuple, q: tuple, prec: int) -> tuple:
+    """``(lo, hi)`` integer pairs enclosing sum_i sqrt(p_i q_i) at prec bits
+    from ``row_ratio()`` pairs: each p_num q_num / (p_den q_den) rounded
+    outward, its square root rounded outward again, and each sum outward."""
+    (p_nums, p_den), (q_nums, q_den) = p, q
+    den = p_den * q_den
     lo = hi = (0, 0)
-    for pi, qi in zip(p, q):
+    for pi, qi in zip(p_nums, q_nums):
         if pi and qi:
-            a, b = quotient_pairs(pi.numerator * qi.numerator,
-                                  pi.denominator * qi.denominator, prec)
+            a, b = quotient_pairs(pi * qi, den, prec)
             lo = add_pairs(lo, sqrt_pair(*a, prec, False), prec, False)
             hi = add_pairs(hi, sqrt_pair(*b, prec, True), prec, True)
     return lo, hi
 
 
-def _hellinger_bounds(p: Sequence[Fraction], q: Sequence[Fraction], prec: int) -> tuple:
-    """Raw ``(lo, hi)`` enclosure of h(p, q) at prec bits, unchecked rows.
+def _hellinger_bounds(p: tuple, q: tuple, prec: int) -> tuple:
+    """Raw ``(lo, hi)`` enclosure of h(p, q) at prec bits, p and q unchecked
+    rows as ``row_ratio()`` pairs.
 
     h = (sum p + sum q) - 2 sum_i sqrt(p_i q_i): the exact rational part is
-    one quotient over an unreduced common denominator, and every step is
-    rounded on integer pairs exactly as the ``mpf_div``, ``mpf_sqrt``,
-    ``mpf_add`` and ``mpf_sub`` chain would round it, so the endpoints are
-    that chain's, boxed into mpf tuples once.
+    the one quotient (sum p_num q_den + sum q_num p_den) / (p_den q_den),
+    and every step is rounded on integer pairs exactly as the ``mpf_div``,
+    ``mpf_sqrt``, ``mpf_add`` and ``mpf_sub`` chain would round it, so the
+    endpoints are that chain's, boxed into mpf tuples once.
     """
-    num, den = 0, 1
-    for x in (*p, *q):
-        num, den = num * x.denominator + x.numerator * den, den * x.denominator
-    r_lo, r_hi = quotient_pairs(num, den, prec)
+    (p_nums, p_den), (q_nums, q_den) = p, q
+    r_lo, r_hi = quotient_pairs(sum(p_nums) * q_den + sum(q_nums) * p_den, p_den * q_den, prec)
     s_lo, s_hi = _sqrt_prod_sum(p, q, prec)
     lo = add_pairs(r_lo, (-s_hi[0], s_hi[1] + 1), prec, False)
     hi = add_pairs(r_hi, (-s_lo[0], s_lo[1] + 1), prec, True)
@@ -91,7 +89,7 @@ def hellinger_step(p: Sequence[Fraction], q: Sequence[Fraction]):
         raise ValueError("length mismatch")
     if any(v < 0 for v in p) or any(v < 0 for v in q):
         raise ValueError("entries must be nonnegative")
-    return iv.make_mpf(_hellinger_bounds(p, q, iv.prec))
+    return iv.make_mpf(_hellinger_bounds(row_ratio_of(p), row_ratio_of(q), iv.prec))
 
 
 def bhattacharyya_step(p: Sequence[Fraction], q: Sequence[Fraction]):
@@ -102,7 +100,8 @@ def bhattacharyya_step(p: Sequence[Fraction], q: Sequence[Fraction]):
         raise NotAMeasureRowError("first row must sum to exactly 1")
     if sum(q, ZERO) > 1:
         raise ValueError("second row exceeds total mass 1")
-    return iv.make_mpf(tuple(map(to_mpf, _sqrt_prod_sum(p, q, iv.prec))))
+    return iv.make_mpf(tuple(map(to_mpf, _sqrt_prod_sum(row_ratio_of(p), row_ratio_of(q),
+                                                        iv.prec))))
 
 
 def row_inequality_verdicts(p: Sequence[Fraction], q: Sequence[Fraction],
@@ -203,12 +202,12 @@ def _carry(states, root, advance, join):
     """Carry one value per state of ``_support_states``.
 
     The root holds ``root``.  A state above depth n hands ``advance(nu_row,
-    mu_row, mass, value)`` to each of its children, ``mass`` being the mu-mass
-    of all the strings in the state as an unreduced integer pair (numerator,
-    denominator), and a child reached from several states holds the ``join``
-    of what they hand it, taken in the walker's fixed state order.  Yields
-    ``(count, mu_mass, value)`` for each state at depth n: its number of
-    strings, the mu-mass of each, and its value.
+    mu_row, mass, value)`` to each of its children: the cursors'
+    ``row_ratio()`` pairs, and the mu-mass of all the strings in the state
+    as an unreduced integer pair.  A child reached from several states holds
+    the ``join`` of what they hand it, in the walker's fixed state order.
+    Yields ``(count, mu_mass, value)`` for each state at depth n: its number
+    of strings, the mu-mass of each, and its value.
     """
     level, carried, nxt = 0, {}, {}
     for symbols, (nu_cur, mu_cur), count, key, children in states:
@@ -221,7 +220,7 @@ def _carry(states, root, advance, join):
         if not nu_cur.mass_ratio()[0]:
             raise UndefinedPosteriorError("nu vanishes on a mu-support prefix")
         num, den = mu_cur.mass_ratio()
-        out = advance(nu_cur.row(), mu_cur.row(), (count * num, den), value)
+        out = advance(nu_cur.row_ratio(), mu_cur.row_ratio(), (count * num, den), value)
         for child_key, _ in children:
             nxt[child_key] = join(nxt[child_key], out) if child_key in nxt else out
 
@@ -310,12 +309,14 @@ def hellinger_expectations(nu: Environment, mu: Environment, n: int,
         weight = quotient_bounds(*mass, prec)
         weighted = restricted = mpi_mul(weight, h, prec)
         # restrict to mu-support symbols: E[(sqrt(nu_t/mu_t)-1)^2 | prefix]
-        on = [a for a in symbols if mu_row[a]]
+        (nu_nums, nu_den), (mu_nums, mu_den) = nu_row, mu_row
+        on = [a for a in symbols if mu_nums[a]]
         if len(on) < len(symbols):
             restricted = mpi_mul(weight, _hellinger_bounds(
-                [nu_row[a] for a in on], [mu_row[a] for a in on], prec), prec)
-            sums[2] += Fraction(*mass) * sum((nu_row[a] for a in symbols if not mu_row[a]),
-                                            ZERO)
+                (tuple(nu_nums[a] for a in on), nu_den),
+                (tuple(mu_nums[a] for a in on), mu_den), prec), prec)
+            off = sum(nu_nums[a] for a in symbols if not mu_nums[a])
+            sums[2] += Fraction(mass[0] * off, mass[1] * nu_den)
         sums[0] = mpi_add(sums[0], restricted, prec)
         sums[1] = mpi_add(sums[1], weighted, prec)
         return mpi_mul(e, mpi_exp(_half(h), prec), prec)
@@ -341,15 +342,15 @@ def expected_hellinger_sums(nu: Environment, mu: Environment, n: int,
 
 def _kappa_row(nu_row, mu_row, kappa: Fraction, symbols, prec: int) -> tuple:
     """Raw ``(lo, hi)`` enclosure of sum_a |nu_a^kappa - mu_a^kappa|^{1/kappa}
-    at prec bits."""
+    at prec bits, the rows as ``row_ratio()`` pairs."""
     if kappa == HALF:
         return _hellinger_bounds(nu_row, mu_row, prec)
     zero = (fzero, fzero)
     total = zero
     inv = 1 / kappa
     for a in symbols:
-        na, ma = (pow_nonneg_bounds(fraction_bounds(row[a], prec), kappa, prec)
-                  if row[a] else zero for row in (nu_row, mu_row))
+        na, ma = (pow_nonneg_bounds(quotient_bounds(nums[a], den, prec), kappa, prec)
+                  if nums[a] else zero for nums, den in (nu_row, mu_row))
         diff = abs_bounds(mpi_sub(na, ma, prec))
         total = mpi_add(total, pow_nonneg_bounds(diff, inv, prec), prec)
     return total

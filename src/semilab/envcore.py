@@ -27,6 +27,13 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
+def row_ratio_of(row: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """A row of Fractions as integer numerators over their least common
+    denominator: the form of ``EnvCursor.row_ratio()``."""
+    den = math.lcm(*[p.denominator for p in row])
+    return tuple([p.numerator * (den // p.denominator) for p in row]), den
+
+
 @dataclass(frozen=True)
 class Alphabet:
     size: int
@@ -132,18 +139,18 @@ class EnvCursor:
     """Stateful walker exposing one posterior row at a time.
 
     The contract every cursor keeps: ``mass_ratio()`` is the mass, ``_mass``
-    of the string walked so far as two integers, and ``mass`` is that pair
-    reduced, which only this class defines; ``row()`` equals ``posterior``
-    there (where the mass is positive), ``factor(a)`` gives ``row()[a]`` as
-    two integers, ``step(a)`` appends one symbol, ``run_ratio(run)`` steps
-    over a run of symbols and returns the product of their factors as two
-    integers, ``clone()`` returns an independent copy, and ``state_key()``
-    is a hashable sufficient statistic: two strings of equal length with
-    equal keys have equal masses on every common extension.  The generic
-    implementation re-evaluates masses and keys by the whole string, so it
-    never merges; product-form environments override for O(1) steps and
-    keys that merge, and the decaying and count cursors for runs multiplied
-    out at once.
+    of the string walked so far, as two integers, and ``row_ratio()`` the
+    next-symbol row, ``posterior`` there, as integer numerators over one
+    positive denominator (UndefinedPosteriorError at mass 0); only this
+    class reduces them, as ``mass`` and ``row()``.  ``step(a)`` appends one
+    symbol, ``run_ratio(run)`` steps over a run and returns the product of
+    its row entries as two integers, ``clone()`` returns an independent
+    copy, and ``state_key()`` is a hashable sufficient statistic: two
+    strings of equal length with equal keys have equal masses on every
+    common extension.  The generic implementation re-evaluates masses and
+    keys by the whole string, so it never merges; product-form environments
+    override for O(1) steps and keys that merge, and the decaying and count
+    cursors for runs multiplied out at once.
     """
 
     def __new__(cls, *args):
@@ -175,19 +182,18 @@ class EnvCursor:
         return self._ratio
 
     def row(self) -> tuple[Fraction, ...]:
+        """``row_ratio()`` reduced."""
+        nums, den = self.row_ratio()
+        return tuple(Fraction(num, den) for num in nums)
+
+    def row_ratio(self) -> tuple[tuple[int, ...], int]:
+        """The next-symbol row as integer numerators over one positive
+        denominator, not necessarily in lowest terms."""
         if not self.mass_ratio()[0]:
             raise UndefinedPosteriorError("zero mass at cursor position")
         mass = self.mass
-        return tuple(
-            self._env._mass(self._symbols + (a,)) / mass
-            for a in self._env.alphabet.symbols
-        )
-
-    def factor(self, a: int) -> tuple[int, int]:
-        """``row()[a]`` as an integer numerator and denominator, not
-        necessarily in lowest terms."""
-        p = self.row()[a]
-        return p.numerator, p.denominator
+        return row_ratio_of([self._env._mass(self._symbols + (a,)) / mass
+                             for a in self._env.alphabet.symbols])
 
     def step(self, a: int) -> None:
         self._symbols = self._symbols + (a,)
@@ -195,14 +201,14 @@ class EnvCursor:
 
     def run_ratio(self, run: Sequence[int]) -> tuple[int, int]:
         """Step over ``run`` from a position of positive mass and return
-        the product of the run's ``factor(a)`` values, not necessarily in
-        lowest terms, or (0, 1) when one of them is 0; the cursor ends past
-        the whole run either way."""
+        the product of the row entries of the run's symbols, not
+        necessarily in lowest terms, or (0, 1) when one of them is 0; the
+        cursor ends past the whole run either way."""
         num = den = 1
         for a in run:
             if num:
-                f_num, f_den = self.factor(a)
-                num, den = (num * f_num, den * f_den) if f_num else (0, 1)
+                nums, row_den = self.row_ratio()
+                num, den = (num * nums[a], den * row_den) if nums[a] else (0, 1)
             self.step(a)
         return num, den
 
@@ -288,16 +294,16 @@ class _CountCursor(EnvCursor):
 class _IIDCursor(_CountCursor):
     """Keyed by the symbol counts; every dead string shares the key None."""
 
-    def __init__(self, env: Environment, row: tuple[Fraction, ...]):
+    def __init__(self, env: "CategoricalIIDEnv"):
         self._env = env
-        self._row = row
-        self._zero = tuple(p == 0 for p in row)
-        self._start(row)
+        self._row_ratio = env._row_ratio
+        self._zero = tuple(p == 0 for p in env.probs)
+        self._start(env.probs)
 
-    def row(self) -> tuple[Fraction, ...]:
+    def row_ratio(self) -> tuple[tuple[int, ...], int]:
         if self._dead:
             raise UndefinedPosteriorError("zero mass at cursor position")
-        return self._row
+        return self._row_ratio
 
     def step(self, a: int) -> None:
         if self._zero[a]:
@@ -308,7 +314,7 @@ class _IIDCursor(_CountCursor):
         return None if self._dead else self._counts
 
     def zero_step_factor_bound(self):
-        return ZERO if self._dead else self._row[0]
+        return ZERO if self._dead else self._probs[0]
 
 
 class CategoricalIIDEnv(Environment):
@@ -323,6 +329,7 @@ class CategoricalIIDEnv(Environment):
         if any(p < 0 or p > 1 for p in probs) or sum(probs) != 1:
             raise ValueError("probabilities must be in [0,1] and sum to 1")
         self.probs = probs
+        self._row_ratio = None  # every cursor's row, formed with the first cursor
         self.alphabet = Alphabet(len(probs))
         self.declared_class = MEASURE
 
@@ -335,7 +342,8 @@ class CategoricalIIDEnv(Environment):
         return m
 
     def cursor(self) -> EnvCursor:
-        return _IIDCursor(self, self.probs)
+        self._row_ratio = self._row_ratio or row_ratio_of(self.probs)
+        return _IIDCursor(self)
 
     def spec(self) -> dict:
         return {"kind": "categorical", "probs": [_frac_str(p) for p in self.probs]}
@@ -377,6 +385,7 @@ class MarkovEnv(Environment):
         for ctx, row in self.transitions.items():
             if len(row) != alphabet.size or any(p < 0 for p in row) or sum(row) != 1:
                 raise ValueError(f"invalid transition row at context {ctx}")
+        self._row_ratios = {}  # one row pair per context, formed at its first use
         self.declared_class = MEASURE
         # contexts reachable at positive mass, cut as _MarkovCursor.step cuts
         # them; the search stops at the first one without a row
@@ -394,6 +403,11 @@ class MarkovEnv(Environment):
             return self.transitions[ctx]
         except KeyError:
             raise SemilabError(f"missing transition row for context {ctx}") from None
+
+    def row_ratio(self, ctx: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """The pair of the row at a context cut to the order; ``_row`` raises if none."""
+        pairs = self._row_ratios
+        return pairs.get(ctx) or pairs.setdefault(ctx, row_ratio_of(self._row(ctx)))
 
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
         m = ONE
@@ -430,20 +444,15 @@ class _MarkovCursor(_CountCursor):
                          for i, ctx in enumerate(env.transitions)}
         self._start(tuple(p for row in env.transitions.values() for p in row))
 
-    def _transition_row(self) -> tuple[Fraction, ...]:
-        # the context is already cut to the order; _row raises when missing
-        row = self._env.transitions.get(self._ctx)
-        return row if row is not None else self._env._row(self._ctx)
-
-    def row(self) -> tuple[Fraction, ...]:
+    def row_ratio(self) -> tuple[tuple[int, ...], int]:
         if self._dead:
             raise UndefinedPosteriorError("zero mass at cursor position")
-        return self._transition_row()
+        return self._env.row_ratio(self._ctx)
 
     def step(self, a: int) -> None:
         ctx = self._ctx
         if not self._dead:
-            if not self._transition_row()[a]:
+            if not self._env.row_ratio(ctx)[0][a]:
                 self._dead = True
             self._count(self._offsets[ctx] + a)
         ctx = ctx + (a,)
@@ -511,11 +520,11 @@ class _DeterministicCursor(EnvCursor):
         self._t = 0
         self._ratio = (1, 1)
 
-    def row(self) -> tuple[Fraction, ...]:
+    def row_ratio(self) -> tuple[tuple[int, ...], int]:
         if not self.mass_ratio()[0]:
             raise UndefinedPosteriorError("zero mass at cursor position")
         target = self._env.target_symbol(self._t)
-        return tuple(ONE if a == target else ZERO for a in self._env.alphabet.symbols)
+        return tuple(int(a == target) for a in self._env.alphabet.symbols), 1
 
     def step(self, a: int) -> None:
         if self.mass_ratio()[0] and a != self._env.target_symbol(self._t):
@@ -555,8 +564,8 @@ class LeakyEnv(Environment):
     def depth_factor(self, n: int) -> tuple[int, int]:
         return self.leak.numerator ** n, self.leak.denominator ** n
 
-    def row_factor(self, n: int) -> Fraction:
-        return self.leak
+    def row_factor(self, n: int) -> tuple[int, int]:
+        return self.leak.as_integer_ratio()
 
     def row_factor_bound(self) -> Fraction:
         return self.leak
@@ -572,15 +581,15 @@ class _ScaledCursor(EnvCursor):
     """The cursor of an environment that is a base environment (``env.base``)
     times a factor of the string's length alone: the leaky, normalized and
     quasimeasure kinds.  The kind states ``depth_factor(n)``, the factor at
-    depth n as an integer pair; ``row_factor(n)``, the factor of the step
-    from depth n, which is 0 exactly where ``depth_factor(n + 1)`` is; and
-    ``row_factor_bound()``, a bound on every row factor.
+    depth n, and ``row_factor(n)``, the factor of the step from depth n,
+    which is 0 exactly where ``depth_factor(n + 1)`` is, both as integer
+    pairs; and ``row_factor_bound()``, a bound on every row factor.
 
     The base's key is the key.  The mass is formed once per position, when
-    read; a row is scaled once per base row and passed through where the
-    factor is 1, so product-form rows keep their identity.  ``row`` tells a
-    mass of 0 by the last row factor and by the base's row, which raises
-    there, not by the depth factor: for a leak that is a power, which
+    read; the base's row passes through where the row factor is 1, so
+    product-form rows keep their identity.  ``row_ratio`` tells a mass of 0
+    by the last row factor and by the base's row, which raises there, not
+    by the depth factor: for a leak that is a power, which
     ``mass_interval``, stepping by rows alone, never forms.
     """
 
@@ -588,7 +597,7 @@ class _ScaledCursor(EnvCursor):
         self._env = env
         self._inner = env.base.cursor()
         self._depth = 0
-        self._ratio = self._base_row = self._row = self._row_factor = None
+        self._ratio = None
 
     def mass_ratio(self) -> tuple[int, int]:
         if self._ratio is None:
@@ -597,17 +606,14 @@ class _ScaledCursor(EnvCursor):
             self._ratio = ratio if num == den else (ratio[0] * num, ratio[1] * den)
         return self._ratio
 
-    def row(self) -> tuple[Fraction, ...]:
+    def row_ratio(self) -> tuple[tuple[int, ...], int]:
         n, env = self._depth, self._env
-        if n and not env.row_factor(n - 1):
+        if n and not env.row_factor(n - 1)[0]:
             raise UndefinedPosteriorError("zero mass at cursor position")
-        base_row = self._inner.row()  # raises where the base's mass is 0
+        row = self._inner.row_ratio()  # raises where the base's mass is 0
         check_depth(env, n + 1)
-        factor = env.row_factor(n)
-        if base_row is not self._base_row or factor is not self._row_factor:
-            self._base_row, self._row_factor = base_row, factor
-            self._row = base_row if factor == 1 else tuple(p * factor for p in base_row)
-        return self._row
+        num, den = env.row_factor(n)
+        return row if num == den else (tuple(p * num for p in row[0]), row[1] * den)
 
     def step(self, a: int) -> None:
         check_depth(self._env, self._depth + 1)
@@ -645,27 +651,25 @@ class DecayingEnv(Environment):
         self.alphabet = BINARY
         self.declared_class = MEASURE
 
-    def step_factor(self, t: int, a: int) -> tuple[int, int]:
-        """mu(a | x_{<t}) as an integer numerator and denominator."""
+    def row_ratio(self, t: int) -> tuple[tuple[int, ...], int]:
+        """mu(. | x_{<t}) as integer numerators over one denominator:
+        (2 t^beta - 1, 1) over 2 t^beta."""
         den = 2 * t ** self.beta
-        return (1, den) if a == 1 else (den - 1, den)
+        return (den - 1, 1), den
 
     def run_factor(self, t: int, run: Sequence[int]) -> tuple[int, int]:
-        """The product of ``step_factor`` over ``run`` placed after t
-        symbols, as the same integers: (prod s)^beta 2^k over the run's k
+        """The product of the ``row_ratio`` entries of ``run`` placed after
+        t symbols, as the same integers: (prod s)^beta 2^k over the run's k
         positions s, and prod (2 s^beta - 1) over the positions of its 0s."""
         beta, positions = self.beta, range(t + 1, t + len(run) + 1)
         num = math.prod([2 * s ** beta - 1 for s, a in zip(positions, run) if not a])
         return num, math.prod(positions) ** beta << len(run)
 
-    def one_prob(self, t: int) -> Fraction:
-        return Fraction(*self.step_factor(t, 1))
-
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
         m = ONE
         for t, s in enumerate(symbols, start=1):
-            p1 = self.one_prob(t)
-            m *= p1 if s == 1 else 1 - p1
+            nums, den = self.row_ratio(t)
+            m *= Fraction(nums[s], den)
         return m
 
     def cursor(self) -> EnvCursor:
@@ -702,12 +706,8 @@ class _DecayingCursor(EnvCursor):
         self._symbols.extend(run)
         return ratio
 
-    def row(self) -> tuple[Fraction, ...]:
-        p1 = self._env.one_prob(len(self._symbols) + 1)
-        return (1 - p1, p1)
-
-    def factor(self, a: int) -> tuple[int, int]:
-        return self._env.step_factor(len(self._symbols) + 1, a)
+    def row_ratio(self) -> tuple[tuple[int, ...], int]:
+        return self._env.row_ratio(len(self._symbols) + 1)
 
     def step(self, a: int) -> None:
         self._symbols.append(a)
@@ -935,28 +935,26 @@ class BitStream:
         return self._bits.pop()
 
 
-def _draw_table(row: Sequence[Fraction]) -> tuple[int, list[tuple[int, int, int]]]:
-    """The row's common denominator d and its cells: (j, left, right) with
-    [left, right) the CDF interval of symbol j times d, for each symbol of
-    positive probability.  A cell of width 0 can hold no dyadic interval,
-    so a zero-probability symbol is never drawn."""
-    d = math.lcm(*(p.denominator for p in row))
+def _draw_table(row: tuple[tuple[int, ...], int]) -> tuple[int, list[tuple[int, int, int]]]:
+    """A ``row_ratio()`` pair's denominator d and its cells: (j, left,
+    right) with [left, right) the CDF interval of symbol j times d, for each
+    symbol of positive probability.  A cell of width 0 can hold no dyadic
+    interval, so a zero-probability symbol is never drawn."""
+    nums, d = row
     cells, left = [], 0
-    for j, p in enumerate(row):
-        right = left + p.numerator * (d // p.denominator)
-        if right != left:
-            cells.append((j, left, right))
-        left = right
+    for j, num in enumerate(nums):
+        if num:
+            cells.append((j, left, left + num))
+        left += num
     return d, cells
 
 
 def _draw_symbol(stream: BitStream, row: Sequence[Fraction],
                  table: Optional[tuple[int, list]] = None) -> int:
-    """Exact draw from a probability row by dyadic bisection against the CDF
-    (a Knuth-Yao sampler), compared in integers scaled to the row's common
-    denominator d; ``table`` is the row's ``_draw_table``, formed here when
-    not passed."""
-    d, cells = _draw_table(row) if table is None else table
+    """Exact draw from a probability row of Fractions by dyadic bisection
+    against the CDF (a Knuth-Yao sampler), compared in the integers of the
+    row's ``_draw_table``, which ``table`` passes when already formed."""
+    d, cells = _draw_table(row_ratio_of(row)) if table is None else table
     num, k = 0, 0
     while True:
         # current dyadic interval [num/2^k, (num+1)/2^k), times d 2^k
@@ -975,10 +973,10 @@ def sample(env: Environment, length: int, seed: int,
 
     The pseudorandom stream is a pure function of the seed; the draw compares
     exact dyadic randomness against exact posterior CDFs, so no rounding
-    enters symbol selection.  A row is checked and tabled once per row
-    object, and product-form cursors repeat their row objects.  The returned
-    likelihood is the cursor's mass, which by the cursor contract equals
-    eval(env, draw).
+    enters symbol selection.  A ``row_ratio()`` pair is checked and tabled
+    once per pair object, and product-form cursors repeat their pairs.  The
+    returned likelihood is the cursor's mass, which by the cursor contract
+    equals eval(env, draw).
     """
     if env.declared_class != MEASURE:
         raise NotAMeasureError("sampling requires a declared (and valid) measure")
@@ -987,9 +985,9 @@ def sample(env: Environment, length: int, seed: int,
     symbols = []
     checked = table = None
     for _ in range(length):
-        row = cursor.row()
+        row = cursor.row_ratio()
         if row is not checked:
-            if sum(row) != 1:
+            if sum(row[0]) != row[1]:
                 raise NotAMeasureError("posterior row does not sum to 1")
             checked, table = row, _draw_table(row)
         a = _draw_symbol(stream, row, table)

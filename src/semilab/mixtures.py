@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 from .envcore import (
@@ -195,8 +195,8 @@ class QuasimeasureEnv(Environment):
     def depth_factor(self, n: int) -> tuple[int, int]:
         return (1, 1) if self.alive_at(n) else (0, 1)
 
-    def row_factor(self, n: int) -> Fraction:
-        return ONE if self.alive_at(n + 1) else ZERO
+    def row_factor(self, n: int) -> tuple[int, int]:
+        return self.depth_factor(n + 1)
 
     def row_factor_bound(self) -> Fraction:
         return ONE
@@ -335,26 +335,27 @@ class _MixtureCursor(EnvCursor):
             self._ratio = num, den
         return self._ratio
 
-    def row(self) -> tuple[Fraction, ...]:
+    # kept by name on the class, where a layer tracer patches it
+    row = EnvCursor.row
+
+    def row_ratio(self) -> tuple[tuple[int, ...], int]:
         """sum_j w_j m_j p_j / sum_j w_j m_j in integers: each live term
-        enters as numerators over w_j's and m_j's denominators times its
-        row's least common denominator, and the numerators of the row and of
-        the mass share one running denominator, which cancels."""
+        enters as its row's numerators over w_j's, m_j's and its row's
+        denominators, and the numerators of the row and of the mass share
+        one running denominator, which cancels."""
         nums, mass_num, den = [0] * self._env.alphabet.size, 0, 1
         for w, m, cursor in zip(self._weights, self._masses, self._cursors):
             if not m:
                 continue
-            row = cursor.row()
-            row_den = lcm(*[p.denominator for p in row])
+            row_nums, row_den = cursor.row_ratio()
             den, scale, term_scale = _common_denominator(
                 den, w.denominator * m[1] * row_den)
             term_num = w.numerator * m[0] * term_scale
-            nums = [n * scale + term_num * (p.numerator * (row_den // p.denominator))
-                    for n, p in zip(nums, row)]
+            nums = [n * scale + term_num * p for n, p in zip(nums, row_nums)]
             mass_num = mass_num * scale + term_num * row_den
         if not mass_num:
             raise UndefinedPosteriorError("zero mass at cursor position")
-        return tuple(Fraction(n, mass_num) for n in nums)
+        return tuple(nums), mass_num
 
     def step(self, a: int) -> None:
         masses = self._masses
@@ -411,8 +412,8 @@ class NormalizedEnv(Environment):
     def depth_factor(self, n: int) -> tuple[int, int]:
         return self.total.denominator, self.total.numerator
 
-    def row_factor(self, n: int) -> Fraction:
-        return ONE
+    def row_factor(self, n: int) -> tuple[int, int]:
+        return 1, 1
 
     def row_factor_bound(self) -> Fraction:
         return ONE

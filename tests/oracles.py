@@ -469,11 +469,13 @@ def paths_tree(nu, mu, n, step_term):
 def expected_exp_half_sum_tree(nu, mu, n, kappa):
     """sum over mu-support paths of mu(path) * exp(half * sum_t g_t)."""
     from semilab.divergence import _kappa_row
+    from semilab.envcore import row_ratio_of
     from semilab.intervals import from_fraction, iv
     total = iv.mpf(0)
     for mu_mass, cum in paths_tree(
             nu, mu, n,
-            lambda p, q: iv.make_mpf(_kappa_row(p, q, kappa, mu.alphabet.symbols, iv.prec))):
+            lambda p, q: iv.make_mpf(_kappa_row(row_ratio_of(p), row_ratio_of(q), kappa,
+                                                mu.alphabet.symbols, iv.prec))):
         total += from_fraction(mu_mass) * iv.exp(cum / 2)
     return total
 
@@ -562,9 +564,9 @@ def mass_interval_per_step(env, x, precision_bits):
 
 def mass_interval_blocked(env, x, precision_bits):
     """eval(env, x) enclosed by the per-symbol loop that ``run_ratio``
-    replaced: ``cursor.factor`` multiplied into the root mass one symbol at a
-    time, and a block boxed with mpmath's interval division each time its
-    denominator passes ``envcore._BLOCK_BITS`` bits."""
+    replaced: each symbol's ``cursor.row_ratio()`` entry multiplied into the
+    root mass one symbol at a time, and a block boxed with mpmath's interval
+    division each time its denominator passes ``envcore._BLOCK_BITS`` bits."""
     from semilab import envcore
     from semilab.intervals import iv, precision
     with precision(precision_bits):
@@ -575,7 +577,8 @@ def mass_interval_blocked(env, x, precision_bits):
         num, den = root.numerator, root.denominator
         acc = iv.mpf(1)
         for a in x.symbols:
-            p_num, p_den = cursor.factor(a)
+            nums, p_den = cursor.row_ratio()
+            p_num = nums[a]
             if p_num == 0:
                 return iv.mpf(0)
             num *= p_num

@@ -109,8 +109,13 @@ def test_leaky_rejects_leak_outside_unit_interval():
 
 def test_decaying_step_probabilities():
     env = sl.DecayingEnv(3)
-    assert env.one_prob(1) == F(1, 2)
-    assert env.one_prob(2) == F(1, 16)
+
+    def one_prob(t):
+        nums, den = env.row_ratio(t)
+        return F(nums[1], den)
+
+    assert one_prob(1) == F(1, 2)
+    assert one_prob(2) == F(1, 16)
     assert env.eval(sl.FiniteString.parse("00")) == F(1, 2) * F(15, 16)
     assert sl.validate(env, 4).is_measure_to_depth
 

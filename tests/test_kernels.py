@@ -5,7 +5,8 @@ Every step of ``divergence._hellinger_bounds`` rounds on integer
 that the chain of ``mpf_div``, ``mpf_sqrt``, ``mpf_add`` and ``mpf_sub``
 (``oracles.hellinger_bounds_mpf``) gives, at every precision, for rows
 with zeros, all-zero rows, substochastic rows and numerators of hundreds of
-bits.  So do the primitives one by one, and the adder the markov-tail
+bits, whether the rows come reduced or unreduced, over one denominator or
+two.  So do the primitives one by one, and the adder the markov-tail
 ``Counter`` sums its enclosures with.
 """
 
@@ -18,8 +19,9 @@ from mpmath.libmp import (
 )
 
 from semilab import divergence
+from semilab.envcore import row_ratio_of
 from semilab.intervals import (
-    add_pairs, from_mpf, quotient_bounds, quotient_pairs, sqrt_pair, to_mpf,
+    add_pairs, from_mpf, precision, quotient_bounds, quotient_pairs, sqrt_pair, to_mpf,
 )
 
 import oracles
@@ -53,21 +55,38 @@ def row_pairs(draw):
 
 
 ZERO_ROW, HALVES = [F(0), F(0)], [F(1, 2), F(1, 2)]
+SCALES = st.one_of(st.integers(1, 8), st.integers(1, 2 ** 300))
+
+
+def _scaled(row, k):
+    """A row's ``row_ratio_of`` pair with numerators and denominator times k."""
+    nums, den = row_ratio_of(row)
+    return tuple(num * k for num in nums), den * k
 
 
 @settings(max_examples=200, deadline=None)
-@given(PRECISIONS, row_pairs())
-@example(128, (ZERO_ROW, ZERO_ROW))
-@example(128, (ZERO_ROW, HALVES))
-@example(64, (HALVES, HALVES))
-@example(64, ([F(1), F(0), F(0)], [F(0), F(0), F(1)]))
-@example(256, ([F(1, 3), F(2, 3)], [F(1, 3), F(2, 3)]))
-@example(128, ([F(1, 2 ** 600), F(0)], [F(1), F(0)]))
-def test_hellinger_kernel_returns_the_mpf_chain_tuples(prec, rows):
+@given(PRECISIONS, row_pairs(), SCALES, SCALES)
+@example(128, (ZERO_ROW, ZERO_ROW), 1, 1)
+@example(128, (ZERO_ROW, HALVES), 3, 1)
+@example(64, (HALVES, HALVES), 1, 6)
+@example(64, ([F(1), F(0), F(0)], [F(0), F(0), F(1)]), 2, 5)
+@example(256, ([F(1, 3), F(2, 3)], [F(1, 3), F(2, 3)]), 7, 7)
+@example(128, ([F(1, 2 ** 600), F(0)], [F(1), F(0)]), 1, 2 ** 300)
+def test_hellinger_kernel_returns_the_mpf_chain_tuples(prec, rows, k_p, k_q):
+    """Each drawn row enters reduced (``row_ratio_of``) and unreduced, times
+    a drawn k, with the two rows over different denominators."""
     p, q = rows
-    assert divergence._hellinger_bounds(p, q, prec) == oracles.hellinger_bounds_mpf(p, q, prec)
-    assert (tuple(map(to_mpf, divergence._sqrt_prod_sum(p, q, prec)))
-            == oracles.sqrt_prod_sum_mpf(p, q, prec))
+    want = oracles.hellinger_bounds_mpf(p, q, prec)
+    want_sqrt = oracles.sqrt_prod_sum_mpf(p, q, prec)
+    with precision(prec):
+        want_kappa = oracles.kappa_row_iv(p, q, F(1, 4), range(len(p)))._mpi_
+    p_pair, q_pair = _scaled(p, k_p), _scaled(q, k_q)
+    if p_pair[1] == q_pair[1]:
+        q_pair = _scaled(q, 2 * k_q)
+    for pair in ((row_ratio_of(p), row_ratio_of(q)), (p_pair, q_pair)):
+        assert divergence._hellinger_bounds(*pair, prec) == want
+        assert tuple(map(to_mpf, divergence._sqrt_prod_sum(*pair, prec))) == want_sqrt
+        assert divergence._kappa_row(*pair, F(1, 4), range(len(p)), prec) == want_kappa
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,7 +140,7 @@ def test_sums_round_as_mpf_add(prec, a, ea, b, eb):
 def test_tail_sums_add_as_mpf_add(prec, rows, starts):
     """The markov-tail carry adds each cumulative enclosure and one step's
     enclosure on integer pairs, into canonical tuples, as ``mpf_add`` did."""
-    h_lo, h_hi = divergence._hellinger_bounds(*rows, prec)
+    h_lo, h_hi = divergence._hellinger_bounds(*map(row_ratio_of, rows), prec)
     for man, exp in starts:
         lo = _mpf(man, exp, prec)
         hi = mpf_add(lo, _mpf(1, exp, prec), prec, round_ceiling)
@@ -134,4 +153,5 @@ def test_zero_numerators_give_exact_zeros():
     assert quotient_pairs(0, 5, 64) == ((0, 0), (0, 0))
     assert to_mpf((0, 17)) == fzero
     assert sqrt_pair(0, 0, 64, True) == (0, 0)
-    assert divergence._hellinger_bounds(ZERO_ROW, ZERO_ROW, 64) == (fzero, fzero)
+    zero_row = row_ratio_of(ZERO_ROW)
+    assert divergence._hellinger_bounds(zero_row, zero_row, 64) == (fzero, fzero)

@@ -25,7 +25,7 @@ from semilab.cli import (
     run_verify_hellinger_bounds,
 )
 from semilab.envcore import walk_states
-from semilab.errors import DepthExceededError, SemilabError
+from semilab.errors import DepthExceededError, SemilabError, UndefinedPosteriorError
 from semilab.intervals import endpoints, from_fraction, iv, precision
 from semilab.randomness import delta_hat_ratio_check
 
@@ -155,15 +155,31 @@ def test_cursor_mass_ratio_is_the_mass(kind):
         assert den > 0 and F(num, den) == env._mass(symbols), symbols
 
 
-def test_only_the_base_cursor_defines_mass():
-    def subclasses(cls):
-        for sub in cls.__subclasses__():
-            yield sub
-            yield from subclasses(sub)
+def _cursor_subclasses(cls=envcore.EnvCursor):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _cursor_subclasses(sub)
 
-    classes = set(subclasses(envcore.EnvCursor))
+
+def test_only_the_base_cursor_defines_mass():
+    """Every kind states ``mass_ratio()`` and ``row_ratio()``; only the base
+    reduces them.  The mixture cursor keeps the base's ``row`` under its own
+    name, and ``factor`` is gone."""
+    classes = set(_cursor_subclasses())
     assert {"_CountCursor", "_MixtureCursor", "_SpineCursor"} <= {c.__name__ for c in classes}
     assert [c.__name__ for c in classes if "mass" in vars(c)] == []
+    assert [c.__name__ for c in classes
+            if "row" in vars(c) and c is not mixtures._MixtureCursor] == []
+    assert mixtures._MixtureCursor.row is envcore.EnvCursor.row
+    assert [c.__name__ for c in {envcore.EnvCursor, *classes} if "factor" in vars(c)] == []
+
+
+def test_kinds_cover_every_cursor_class():
+    """A cursor class with no subclass of its own is a kind's cursor, and
+    KINDS holds an environment of that kind, so the contract tests above
+    reach its ``row_ratio``."""
+    leaves = {c for c in _cursor_subclasses() if not c.__subclasses__()}
+    assert leaves | {envcore.EnvCursor} <= {type(make().cursor()) for make in KINDS.values()}
 
 
 def test_scaled_kinds_share_one_cursor():
@@ -784,7 +800,7 @@ def _support_symbols(env, seed):
     cursor = env.cursor()
     alive = cursor.mass != 0
     while True:
-        choices = [a for a in env.alphabet.symbols if cursor.factor(a)[0]] if alive else []
+        choices = [a for a in env.alphabet.symbols if cursor.row_ratio()[0][a]] if alive else []
         a = rng.choice(choices) if choices else 0
         alive = bool(choices)
         if alive:
@@ -803,11 +819,20 @@ def _strings(env, length):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_cursor_factor_matches_row(kind):
+    """Each symbol's factor, its ``row_ratio()`` numerator over the row's
+    positive denominator, is that symbol's entry of the posterior row; at
+    mass 0 there is no row."""
     env = KINDS[kind]()
     for symbols, cursor in _cursors(env, _depth(env, 5)).items():
-        if cursor.mass > 0 and _has_row(env, symbols):
-            row = cursor.row()
-            assert [F(*cursor.factor(a)) for a in env.alphabet.symbols] == list(row)
+        if not _has_row(env, symbols):
+            continue
+        if cursor.mass == 0:
+            with pytest.raises(UndefinedPosteriorError):
+                cursor.row_ratio()
+            continue
+        nums, den = cursor.row_ratio()
+        assert den > 0 and len(nums) == env.alphabet.size, symbols
+        assert tuple(F(num, den) for num in nums) == oracles.posterior_row(env, symbols)
 
 
 def _walked(env, symbols):
@@ -834,7 +859,8 @@ def test_run_ratio_is_the_product_of_stepped_factors(kind):
                 product = F(1)
                 for a in run:
                     if product:
-                        product *= F(*stepped.factor(a))
+                        nums, row_den = stepped.row_ratio()
+                        product *= F(nums[a], row_den)
                     stepped.step(a)
                 if product:
                     assert den > 0 and F(num, den) == product, (x, i, j)
@@ -855,8 +881,8 @@ def test_decaying_run_factor_is_the_product_of_step_factors(beta):
             run = tuple(rng.randrange(2) for _ in range(k))
             num = den = 1
             for s, a in enumerate(run, start=t + 1):
-                f_num, f_den = env.step_factor(s, a)
-                num, den = num * f_num, den * f_den
+                nums, row_den = env.row_ratio(s)
+                num, den = num * nums[a], den * row_den
             assert env.run_factor(t, run) == (num, den), (t, run)
 
 
