@@ -63,6 +63,7 @@ from .mixtures import (
     DEFAULT_QUASI_DEPTH_CAP,
     EnvClass,
     MEASURES_ONLY,
+    MODES,
     MixtureEnv,
     NormalizedEnv,
     QUASI,
@@ -133,12 +134,22 @@ def _int_field(spec: dict, key: str, default, least: Optional[int] = None) -> in
     return _parse_int(spec.get(key, default), f"$.{key}", least)
 
 
-def _declared_class(d: dict, default: str, path: str) -> str:
-    value = d.get("declared_class", default)
-    if value not in (MEASURE, STRICT_SEMIMEASURE):
-        raise SpecError(f"{path}.declared_class: expected {MEASURE!r} or "
-                        f"{STRICT_SEMIMEASURE!r}, got {value!r}")
+def _enum(d: dict, key: str, values, path: str, default=None):
+    """The field ``key`` of the object at ``path``, one of ``values``;
+    required when no default is given."""
+    value = _require(d, key, path) if default is None else d.get(key, default)
+    if value not in values:
+        *rest, last = map(repr, values)
+        raise SpecError(f"{path}.{key}: expected {', '.join(rest)} or {last}, got {value!r}")
     return value
+
+
+ENV_KINDS = ("bernoulli", "categorical", "uniform", "markov", "deterministic", "leaky",
+             "decaying", "table", "derived")
+DERIVED_KINDS = ("mixture", "quasimeasure", "normalized", "nu-stage", "nu-limit",
+                 "contaminated", "mubar")
+DECLARED_CLASSES = (MEASURE, STRICT_SEMIMEASURE)
+FUNCTIONALS = {"indicator": IndicatorFunctional, "constant": ConstantFunctional}
 
 
 def _typed(value, kind: type, path: str):
@@ -177,7 +188,7 @@ def _alphabet(d: dict, path: str) -> Alphabet:
 def parse_environment(d: dict, path: str = "$") -> Environment:
     if not isinstance(d, dict):
         raise SpecError(f"{path}: environment spec must be an object")
-    kind = _require(d, "kind", path)
+    kind = _enum(d, "kind", ENV_KINDS, path)
     try:
         if kind == "bernoulli":
             return BernoulliEnv(parse_rational(_require(d, "p", path), path + ".p"))
@@ -211,14 +222,12 @@ def parse_environment(d: dict, path: str = "$") -> Environment:
             return _checked_table(TableEnv(
                 _parse_int(_require(d, "depth", path), path + ".depth", least=0),
                 _table_values(d, path), _alphabet(d, path),
-                _declared_class(d, STRICT_SEMIMEASURE, path)), path)
-        if kind == "derived":
-            return _parse_derived(d, path)
+                _enum(d, "declared_class", DECLARED_CLASSES, path, STRICT_SEMIMEASURE)), path)
+        return _parse_derived(d, path)
     except SpecError:
         raise
     except (ValueError, SemilabError) as exc:
         raise SpecError(f"{path}: {exc}") from None
-    raise SpecError(f"{path}: unknown environment kind {kind!r}")
 
 
 def _table_values(d: dict, path: str) -> dict[tuple[int, ...], Fraction]:
@@ -241,14 +250,15 @@ def _checked_table(table: TableEnv, path: str) -> TableEnv:
 
 
 def _parse_derived(d: dict, path: str) -> Environment:
-    derived = _require(d, "derived", path)
+    derived = _enum(d, "derived", DERIVED_KINDS, path)
     if derived == "mixture":
         env_class, weights = parse_class(
             {"class": _require(d, "environments", path), "weights": d.get("weights")},
             path)
         k, cap = (None if d.get(f) is None else _parse_int(d[f], f"{path}.{f}", least)
                   for f, least in (("k", None), ("quasi_depth_cap", 2)))
-        return MixtureEnv(env_class, weights, d.get("mode", RAW), k=k, quasi_depth_cap=cap)
+        return MixtureEnv(env_class, weights, _enum(d, "mode", MODES, path, RAW),
+                          k=k, quasi_depth_cap=cap)
     if derived == "quasimeasure":
         return QuasimeasureEnv(
             parse_environment(_require(d, "base", path), path + ".base"),
@@ -256,7 +266,8 @@ def _parse_derived(d: dict, path: str) -> Environment:
                        least=2))
     if derived == "normalized":
         base = parse_environment(_require(d, "base", path), path + ".base")
-        return NormalizedEnv(base, _declared_class(d, base.declared_class, path))
+        return NormalizedEnv(base, _enum(d, "declared_class", DECLARED_CLASSES, path,
+                                         base.declared_class))
     if derived == "nu-stage":
         pivot = FiniteString(BINARY, _symbols(d.get("pivot", ""), path + ".pivot"))
         return NuLimitEnv(pivot, _parse_int(_require(d, "t", path), path + ".t", least=0))
@@ -276,13 +287,11 @@ def _parse_derived(d: dict, path: str) -> Environment:
         if not 0 < gamma < 1:
             raise SpecError(f"{path}.gamma: {gamma} outside (0, 1)")
         return contaminate(nu, m, gamma)
-    if derived == "mubar":
-        return _checked_table(MuBarEnv(
-            _table_values(d, path),
-            _parse_int(_require(d, "depth", path), path + ".depth", least=0),
-            _alphabet(d, path),
-            _parse_int(_require(d, "stage", path), path + ".stage", least=1)), path)
-    raise SpecError(f"{path}: unknown derived kind {derived!r}")
+    return _checked_table(MuBarEnv(
+        _table_values(d, path),
+        _parse_int(_require(d, "depth", path), path + ".depth", least=0),
+        _alphabet(d, path),
+        _parse_int(_require(d, "stage", path), path + ".stage", least=1)), path)
 
 
 #: the depth to which the parser validates every environment of a spec
@@ -558,7 +567,7 @@ def run_w_vs_d(spec, depth, bits, seed) -> RunResult:
     w_mix = MixtureEnv(env_class, weights, QUASI, quasi_depth_cap=max(depth + 1, 2))
     d_mix = MixtureEnv(env_class, weights, MEASURES_ONLY)
     stable_from = _int_field(spec, "stable_from", 3, least=1)
-    omega, _ = sample(mu, depth, seed, with_likelihood=False)
+    omega, _ = sample(mu, depth, seed)
     rows = []
     max_late = Fraction(0)
     w_cur, d_cur = w_mix.cursor(), d_mix.cursor()
@@ -580,14 +589,14 @@ def run_w_vs_d(spec, depth, bits, seed) -> RunResult:
 
 
 def run_deficiency(spec, depth, bits, seed) -> RunResult:
-    mix, env_class, weights = _mixture_from(spec, mode=spec.get("mode", RAW))
+    mix, env_class, weights = _mixture_from(spec, mode=_enum(spec, "mode", MODES, "$", RAW))
     mu = _mu_from(spec, env_class)
     if "omega" in spec:
         omega = FiniteString(env_class.alphabet, _symbols(spec["omega"], "$.omega"))
     else:
         if seed is None:
             raise SpecError("sampling omega requires --seed")
-        omega, _ = sample(mu, depth, seed, with_likelihood=False)
+        omega, _ = sample(mu, depth, seed)
     trace = deficiency_trace(mix, mu, omega, min(depth, len(omega)), bits)
     result = RunResult()
     result.traces["deficiency"] = PlotSeries(
@@ -602,7 +611,7 @@ def run_deficiency(spec, depth, bits, seed) -> RunResult:
 
 
 def run_leftmost_alpha(spec, depth, bits, seed) -> RunResult:
-    mix, env_class, weights = _mixture_from(spec, mode=spec.get("mode", RAW))
+    mix, env_class, weights = _mixture_from(spec, mode=_enum(spec, "mode", MODES, "$", RAW))
     # leftmost_random compares M(alpha_{1:k}) with 2^-k exactly at every k
     # and raises on the first violation, so the envelope holds once it returns
     alpha = leftmost_random(mix, depth)
@@ -616,12 +625,7 @@ def _functional_from(spec: dict):
     f = _typed(spec.get("functional", {"kind": "indicator", "eps": "1/64"}), dict,
                "$.functional")
     eps = parse_rational(f.get("eps", "1/64"), "$.functional.eps")
-    kind = f.get("kind", "indicator")
-    if kind == "indicator":
-        return IndicatorFunctional(eps)
-    if kind == "constant":
-        return ConstantFunctional(eps)
-    raise SpecError(f"unknown functional kind {kind!r}")
+    return FUNCTIONALS[_enum(f, "kind", tuple(FUNCTIONALS), "$.functional", "indicator")](eps)
 
 
 def run_e2i(spec, depth, bits, seed) -> RunResult:
@@ -645,7 +649,7 @@ def run_e2i(spec, depth, bits, seed) -> RunResult:
     ext_weights = default_weights(len(extended))
     m_ext = MixtureEnv(extended, ext_weights, RAW)
     for j in range(count):
-        omega, _ = sample(mu, n, (seed + j) % 2 ** 64, with_likelihood=False)
+        omega, _ = sample(mu, n, (seed + j) % 2 ** 64)
         report = e2i_individual_bound(m_ext, functional, mu, omega, n)
         result.add_verdict(f"individual-bound-{j}", report.deficiency_verdict)
     return result
@@ -695,32 +699,20 @@ def run_counterexample(spec, depth, bits, seed) -> RunResult:
     return result
 
 
+#: each subcommand's runner and its default depth
 RUNNERS = {
-    "verify-hellinger-bounds": run_verify_hellinger_bounds,
-    "markov-tail": run_markov_tail,
-    "chain-lemma": run_chain_lemma,
-    "quasimeasure": run_quasimeasure,
-    "w-vs-d": run_w_vs_d,
-    "deficiency": run_deficiency,
-    "leftmost-alpha": run_leftmost_alpha,
-    "e2i": run_e2i,
-    "prop8": run_prop8,
-    "counterexample": run_counterexample,
+    "verify-hellinger-bounds": (run_verify_hellinger_bounds, 10),
+    "markov-tail": (run_markov_tail, 10),
+    "chain-lemma": (run_chain_lemma, 0),
+    "quasimeasure": (run_quasimeasure, 8),
+    "w-vs-d": (run_w_vs_d, 8),
+    "deficiency": (run_deficiency, 16),
+    "leftmost-alpha": (run_leftmost_alpha, 64),
+    "e2i": (run_e2i, 6),
+    "prop8": (run_prop8, 10),
+    "counterexample": (run_counterexample, 24),
 }
 SUBCOMMANDS = tuple(RUNNERS)
-
-DEFAULT_DEPTHS = {
-    "verify-hellinger-bounds": 10,
-    "markov-tail": 10,
-    "chain-lemma": 0,
-    "quasimeasure": 8,
-    "w-vs-d": 8,
-    "deficiency": 16,
-    "leftmost-alpha": 64,
-    "e2i": 6,
-    "prop8": 10,
-    "counterexample": 24,
-}
 
 
 def run_experiment(subcommand: str, spec: dict, depth: Optional[int],
@@ -733,11 +725,12 @@ def run_experiment(subcommand: str, spec: dict, depth: Optional[int],
     """
     if subcommand not in RUNNERS:
         raise SpecError(f"unknown subcommand {subcommand!r}")
+    runner, default_depth = RUNNERS[subcommand]
     if depth is None:
-        depth = _int_field(spec, "depth", DEFAULT_DEPTHS[subcommand], least=0)
+        depth = _int_field(spec, "depth", default_depth, least=0)
     elif depth < 0:
         raise SpecError(f"--depth: {depth} must be >= 0")
-    return RUNNERS[subcommand](spec, depth, precision_bits, seed)
+    return runner(spec, depth, precision_bits, seed)
 
 
 # --------------------------------------------------------------------- output

@@ -238,11 +238,15 @@ def _checked_kappa(kappa) -> Fraction:
 
 
 def _exp_half_sum(nu: Environment, mu: Environment, n: int, w: Fraction, prec: int,
-                  advance) -> dict:
+                  term) -> dict:
     """``exp_half_sum``, ``support_size`` and ``support_mass`` of one walk of
-    ``_support_states``: each state carries E_S, and ``advance(nu_row,
-    mu_row, mass, e)`` (as ``_carry`` calls it) gives what it hands each
-    child.  ``advance`` may fold other sums on the way."""
+    ``_support_states``: each state carries E_S and hands each child
+    E_S * exp(g / 2), g the raw enclosure ``term(nu_row, mu_row, mass)``
+    (the arguments ``_carry`` hands ``advance``).  ``term`` may fold other
+    sums on the way."""
+
+    def advance(nu_row, mu_row, mass, e):
+        return mpi_mul(e, mpi_exp(_half(term(nu_row, mu_row, mass)), prec), prec)
 
     def join(x, y):
         return mpi_add(x, y, prec)
@@ -254,16 +258,6 @@ def _exp_half_sum(nu: Environment, mu: Environment, n: int, w: Fraction, prec: i
         support_mass += count * mass
     return {"exp_half_sum": iv.make_mpf(total), "support_size": size,
             "support_mass": support_mass}
-
-
-def _kappa_advance(kappa: Fraction, symbols, prec: int):
-    """The E_S carry of ``_exp_half_sum`` for the kappa rows alone."""
-
-    def advance(nu_row, mu_row, mass, e):
-        g = _kappa_row(nu_row, mu_row, kappa, symbols, prec)
-        return mpi_mul(e, mpi_exp(_half(g), prec), prec)
-
-    return advance
 
 
 def hellinger_expectations(nu: Environment, mu: Environment, n: int,
@@ -300,11 +294,12 @@ def hellinger_expectations(nu: Environment, mu: Environment, n: int,
     prec = precision_bits
     w = Fraction(w)
     if kappa != HALF:
-        return _exp_half_sum(nu, mu, n, w, prec, _kappa_advance(kappa, symbols, prec))
+        return _exp_half_sum(nu, mu, n, w, prec, lambda nu_row, mu_row, _:
+                             _kappa_row(nu_row, mu_row, kappa, symbols, prec))
     zero = (fzero, fzero)
     sums = [zero, zero, ZERO]  # sqrt-ratio sum, Hellinger sum, excess
 
-    def advance(nu_row, mu_row, mass, e):
+    def term(nu_row, mu_row, mass):
         h = _hellinger_bounds(nu_row, mu_row, prec)
         weight = quotient_bounds(*mass, prec)
         weighted = restricted = mpi_mul(weight, h, prec)
@@ -319,9 +314,9 @@ def hellinger_expectations(nu: Environment, mu: Environment, n: int,
             sums[2] += Fraction(mass[0] * off, mass[1] * nu_den)
         sums[0] = mpi_add(sums[0], restricted, prec)
         sums[1] = mpi_add(sums[1], weighted, prec)
-        return mpi_mul(e, mpi_exp(_half(h), prec), prec)
+        return h
 
-    found = _exp_half_sum(nu, mu, n, w, prec, advance)
+    found = _exp_half_sum(nu, mu, n, w, prec, term)
     sqrt_sum, hell_sum, excess = iv.make_mpf(sums[0]), iv.make_mpf(sums[1]), sums[2]
     outcome = intervals.CERTIFIED_HOLDS if excess >= 0 else intervals.CERTIFIED_FAILS
     found.update({
@@ -362,8 +357,10 @@ def expected_exp_half_sum(nu: Environment, mu: Environment, n: int,
     """Interval for E_mu[exp(half * sum_{t<=n} g_t)] over all mu-support
     paths: ``hellinger_expectations``' ``exp_half_sum``, from a walk that
     forms no other sum."""
-    advance = _kappa_advance(_checked_kappa(kappa), mu.alphabet.symbols, precision_bits)
-    return _exp_half_sum(nu, mu, n, ZERO, precision_bits, advance)["exp_half_sum"]
+    kappa, symbols = _checked_kappa(kappa), mu.alphabet.symbols
+    found = _exp_half_sum(nu, mu, n, ZERO, precision_bits, lambda nu_row, mu_row, _:
+                          _kappa_row(nu_row, mu_row, kappa, symbols, precision_bits))
+    return found["exp_half_sum"]
 
 
 def verify_dominance(nu: Environment, mu: Environment, w: Fraction, depth: int) -> bool:

@@ -542,18 +542,40 @@ class _DeterministicCursor(EnvCursor):
         return None
 
 
-class LeakyEnv(Environment):
+class _ScaledEnv(Environment):
+    """A base environment (``base``) times a factor of the string's length
+    alone, stepped by one ``_ScaledCursor``: the leaky, normalized and
+    quasimeasure kinds.  Each states ``depth_factor(n)``, the factor at
+    depth n, as an integer pair.  ``row_factor(n)``, the factor of the step
+    from depth n, which is 0 exactly where ``depth_factor(n + 1)`` is, and
+    ``row_factor_bound()``, a bound on every row factor, are 1 unless the
+    kind states them."""
+
+    def __init__(self, base: Environment, declared_class: str):
+        self.base = base
+        self.alphabet = base.alphabet
+        self.declared_class = declared_class
+        self.max_depth = base.max_depth
+
+    def row_factor(self, n: int) -> tuple[int, int]:
+        return 1, 1
+
+    def row_factor_bound(self) -> Fraction:
+        return ONE
+
+    def cursor(self) -> EnvCursor:
+        return _ScaledCursor(self)
+
+
+class LeakyEnv(_ScaledEnv):
     """Scales a base environment by leak**len(x): a strict semimeasure."""
 
     def __init__(self, base: Environment, leak: Fraction):
         leak = Fraction(leak)
         if not 0 < leak < 1:
             raise ValueError("leak must be in (0,1)")
-        self.base = base
+        super().__init__(base, STRICT_SEMIMEASURE)
         self.leak = leak
-        self.alphabet = base.alphabet
-        self.declared_class = STRICT_SEMIMEASURE
-        self.max_depth = base.max_depth
 
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
         b = self.base._mass(symbols)
@@ -570,20 +592,13 @@ class LeakyEnv(Environment):
     def row_factor_bound(self) -> Fraction:
         return self.leak
 
-    def cursor(self) -> EnvCursor:
-        return _ScaledCursor(self)
-
     def spec(self) -> dict:
         return {"kind": "leaky", "base": self.base.spec(), "leak": _frac_str(self.leak)}
 
 
 class _ScaledCursor(EnvCursor):
-    """The cursor of an environment that is a base environment (``env.base``)
-    times a factor of the string's length alone: the leaky, normalized and
-    quasimeasure kinds.  The kind states ``depth_factor(n)``, the factor at
-    depth n, and ``row_factor(n)``, the factor of the step from depth n,
-    which is 0 exactly where ``depth_factor(n + 1)`` is, both as integer
-    pairs; and ``row_factor_bound()``, a bound on every row factor.
+    """The cursor of a ``_ScaledEnv``: its base's cursor, scaled by the
+    kind's depth and row factors.
 
     The base's key is the key.  The mass is formed once per position, when
     read; the base's row passes through where the row factor is 1, so
@@ -593,7 +608,7 @@ class _ScaledCursor(EnvCursor):
     ``mass_interval``, stepping by rows alone, never forms.
     """
 
-    def __init__(self, env: Environment):
+    def __init__(self, env: _ScaledEnv):
         self._env = env
         self._inner = env.base.cursor()
         self._depth = 0
@@ -949,12 +964,11 @@ def _draw_table(row: tuple[tuple[int, ...], int]) -> tuple[int, list[tuple[int, 
     return d, cells
 
 
-def _draw_symbol(stream: BitStream, row: Sequence[Fraction],
-                 table: Optional[tuple[int, list]] = None) -> int:
-    """Exact draw from a probability row of Fractions by dyadic bisection
-    against the CDF (a Knuth-Yao sampler), compared in the integers of the
-    row's ``_draw_table``, which ``table`` passes when already formed."""
-    d, cells = _draw_table(row_ratio_of(row)) if table is None else table
+def _draw_symbol(stream: BitStream, table: tuple[int, list]) -> int:
+    """Exact draw from a probability row by dyadic bisection against the
+    CDF (a Knuth-Yao sampler), compared in the integers of the row's
+    ``_draw_table``."""
+    d, cells = table
     num, k = 0, 0
     while True:
         # current dyadic interval [num/2^k, (num+1)/2^k), times d 2^k
@@ -967,8 +981,7 @@ def _draw_symbol(stream: BitStream, row: Sequence[Fraction],
         k += 1
 
 
-def sample(env: Environment, length: int, seed: int,
-           with_likelihood: bool = True) -> tuple[FiniteString, Optional[Fraction]]:
+def sample(env: Environment, length: int, seed: int) -> tuple[FiniteString, Fraction]:
     """Draw a string of the given length from a measure, reproducibly.
 
     The pseudorandom stream is a pure function of the seed; the draw compares
@@ -990,11 +1003,10 @@ def sample(env: Environment, length: int, seed: int,
             if sum(row[0]) != row[1]:
                 raise NotAMeasureError("posterior row does not sum to 1")
             checked, table = row, _draw_table(row)
-        a = _draw_symbol(stream, row, table)
+        a = _draw_symbol(stream, table)
         symbols.append(a)
         cursor.step(a)
-    return (FiniteString(env.alphabet, tuple(symbols)),
-            cursor.mass if with_likelihood else None)
+    return FiniteString(env.alphabet, tuple(symbols)), cursor.mass
 
 
 #: the denominator size, in bits, that ``mass_interval`` sizes its runs to;

@@ -23,7 +23,7 @@ from .envcore import (
     ZERO,
     ONE,
     _frac_str,
-    _ScaledCursor,
+    _ScaledEnv,
     check_depth,
     validate,
     walk_states,
@@ -40,6 +40,7 @@ RAW = "raw"
 QUASI = "quasi"
 MEASURES_ONLY = "measures-only"
 NORMALIZED_MEASURES_ONLY = "normalized-measures-only"
+MODES = (RAW, QUASI, MEASURES_ONLY, NORMALIZED_MEASURES_ONLY)
 
 CERTIFICATION_DEPTH = 10
 DEFAULT_QUASI_DEPTH_CAP = 24
@@ -122,15 +123,13 @@ class EnvClass:
         return [e.spec() for e in self.envs]
 
 
-class QuasimeasureEnv(Environment):
+class QuasimeasureEnv(_ScaledEnv):
     """Truncation of a semimeasure: depth-n values survive only while the
     total depth-n mass exceeds 1 - 1/n (strictly); zero afterwards."""
 
     def __init__(self, base: Environment, depth_cap: int = DEFAULT_QUASI_DEPTH_CAP):
-        self.base = base
+        super().__init__(base, base.declared_class)
         self.depth_cap = depth_cap
-        self.alphabet = base.alphabet
-        self.declared_class = base.declared_class
         self.max_depth = depth_cap if base.max_depth is None else min(depth_cap, base.max_depth)
         # per level n: (total depth-n mass of the base, alive at n)
         self._totals: list[tuple[Fraction, bool]] = [(base._mass(()), True)]
@@ -198,12 +197,6 @@ class QuasimeasureEnv(Environment):
     def row_factor(self, n: int) -> tuple[int, int]:
         return self.depth_factor(n + 1)
 
-    def row_factor_bound(self) -> Fraction:
-        return ONE
-
-    def cursor(self) -> EnvCursor:
-        return _ScaledCursor(self)
-
     def spec(self) -> dict:
         return {"kind": "derived", "derived": "quasimeasure",
                 "base": self.base.spec(), "depth_cap": self.depth_cap}
@@ -222,7 +215,7 @@ class MixtureEnv(Environment):
                  quasi_depth_cap: Optional[int] = None):
         if len(weights) != len(env_class):
             raise ValueError("one weight per class member required")
-        if mode not in (RAW, QUASI, MEASURES_ONLY, NORMALIZED_MEASURES_ONLY):
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         measures_only = mode in (MEASURES_ONLY, NORMALIZED_MEASURES_ONLY)
         if k is not None and not measures_only:
@@ -234,12 +227,14 @@ class MixtureEnv(Environment):
         self.mode = mode
         self.alphabet = env_class.alphabet
         self._membership = tuple(range(1, len(env_class) + 1))
+        # the environments the mode mixes, formed once
+        self._components = env_class.envs
         depths = []
         if mode == QUASI:
             if quasi_depth_cap is None:
                 quasi_depth_cap = DEFAULT_QUASI_DEPTH_CAP
             self.quasi_depth_cap = quasi_depth_cap
-            self._quasi = [QuasimeasureEnv(e, quasi_depth_cap) for e in env_class.envs]
+            self._components = [QuasimeasureEnv(e, quasi_depth_cap) for e in env_class.envs]
             depths.append(quasi_depth_cap)
         if measures_only:
             self.k = len(env_class) if k is None else k
@@ -267,9 +262,8 @@ class MixtureEnv(Environment):
 
     def component(self, i: int) -> Environment:
         """The environment the mode actually mixes at index i."""
-        if self.mode == QUASI:
-            return self._quasi[i - 1]
-        return self.env_class.env(i)
+        self.env_class.env(i)  # refuses an index outside the class
+        return self._components[i - 1]
 
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
         total = ZERO
@@ -295,11 +289,6 @@ class MixtureEnv(Environment):
         return _MixtureCursor(self)
 
 
-def _live(ratio: tuple[int, int]) -> Optional[tuple[int, int]]:
-    """A component's mass pair, or None when it is 0."""
-    return ratio if ratio[0] else None
-
-
 def _common_denominator(den: int, term_den: int) -> tuple[int, int, int]:
     """(lcm, lcm // den, lcm // term_den): the running denominator of an
     integer sum and the factors that bring it and a new term onto it."""
@@ -311,25 +300,27 @@ def _common_denominator(den: int, term_den: int) -> tuple[int, int, int]:
 class _MixtureCursor(EnvCursor):
     """Tracks per-component masses so each posterior row costs O(components).
 
-    Each component's mass is held as its cursor's unreduced integer pair
-    (``mass_ratio``), and as None once it is 0.  Components are
-    semimeasures, so one at mass 0 stays there: it is no longer stepped, and
-    its part of the key is None.  The weighted sum is formed only when read:
-    the walker steps many children only for their keys.
+    Each live component's cursor is held, and its mass read as the cursor's
+    unreduced integer pair (``mass_ratio``); a component at mass 0 is held
+    as None.  Components are semimeasures, so one at mass 0 stays there: it
+    is no longer stepped, and its part of the key is None.  The weighted sum
+    is formed only when read: the walker steps many children only for their
+    keys.
     """
 
     def __init__(self, mix: MixtureEnv):
         self._env = mix
         self._weights = mix._weights
-        self._cursors = [mix.component(i).cursor() for i in mix.membership()]
-        self._masses = [_live(c.mass_ratio()) for c in self._cursors]
+        cursors = [mix.component(i).cursor() for i in mix.membership()]
+        self._cursors = [c if c.mass_ratio()[0] else None for c in cursors]
         self._ratio = None  # sum_j w_j m_j, once read
 
     def mass_ratio(self) -> tuple[int, int]:
         if self._ratio is None:
             num, den = 0, 1
-            for w, m in zip(self._weights, self._masses):
-                if m:
+            for w, cursor in zip(self._weights, self._cursors):
+                if cursor:
+                    m = cursor.mass_ratio()
                     den, scale, term_scale = _common_denominator(den, w.denominator * m[1])
                     num = num * scale + w.numerator * m[0] * term_scale
             self._ratio = num, den
@@ -344,9 +335,10 @@ class _MixtureCursor(EnvCursor):
         denominators, and the numerators of the row and of the mass share
         one running denominator, which cancels."""
         nums, mass_num, den = [0] * self._env.alphabet.size, 0, 1
-        for w, m, cursor in zip(self._weights, self._masses, self._cursors):
-            if not m:
+        for w, cursor in zip(self._weights, self._cursors):
+            if not cursor:
                 continue
+            m = cursor.mass_ratio()
             row_nums, row_den = cursor.row_ratio()
             den, scale, term_scale = _common_denominator(
                 den, w.denominator * m[1] * row_den)
@@ -358,30 +350,28 @@ class _MixtureCursor(EnvCursor):
         return tuple(nums), mass_num
 
     def step(self, a: int) -> None:
-        masses = self._masses
-        for j, cursor in enumerate(self._cursors):
-            if masses[j]:
+        cursors = self._cursors
+        for j, cursor in enumerate(cursors):
+            if cursor:
                 cursor.step(a)
-                masses[j] = _live(cursor.mass_ratio())
+                if not cursor.mass_ratio()[0]:
+                    cursors[j] = None
         self._ratio = None
 
     def clone(self):
         new = super().clone()
-        new._cursors = [c.clone() if m else c
-                        for c, m in zip(self._cursors, self._masses)]
-        new._masses = list(self._masses)
+        new._cursors = [c and c.clone() for c in self._cursors]
         return new
 
     def state_key(self):
-        return tuple(c.state_key() if m else None
-                     for c, m in zip(self._cursors, self._masses))
+        return tuple(c and c.state_key() for c in self._cursors)
 
     def zero_step_factor_bound(self):
         # a weighted sum's per-step ratio is bounded by the max component
         # ratio; a component at mass 0 stays there and adds nothing
         bound = ZERO
-        for cursor, m in zip(self._cursors, self._masses):
-            if m:
+        for cursor in self._cursors:
+            if cursor:
                 b = cursor.zero_step_factor_bound()
                 if b is None:
                     return None
@@ -389,18 +379,15 @@ class _MixtureCursor(EnvCursor):
         return bound
 
 
-class NormalizedEnv(Environment):
+class NormalizedEnv(_ScaledEnv):
     """base(x) / base(empty); a measure when the base has measure nodes."""
 
     def __init__(self, base: Environment, declared_class: str):
         total = base._mass(())
         if total == 0:
             raise NormalizationError("cannot normalize zero total mass")
-        self.base = base
+        super().__init__(base, declared_class)
         self.total = total
-        self.alphabet = base.alphabet
-        self.declared_class = declared_class
-        self.max_depth = base.max_depth
 
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
         return self.base._mass(symbols) / self.total
@@ -411,15 +398,6 @@ class NormalizedEnv(Environment):
 
     def depth_factor(self, n: int) -> tuple[int, int]:
         return self.total.denominator, self.total.numerator
-
-    def row_factor(self, n: int) -> tuple[int, int]:
-        return 1, 1
-
-    def row_factor_bound(self) -> Fraction:
-        return ONE
-
-    def cursor(self) -> EnvCursor:
-        return _ScaledCursor(self)
 
 
 def normalize(mix: MixtureEnv) -> Environment:
@@ -473,5 +451,5 @@ def stage_cursor(mix: MixtureEnv, t: int) -> EnvCursor:
     cursor = mix.cursor()
     for j, i in enumerate(mix.membership()):
         if i > t:
-            cursor._masses[j] = None
+            cursor._cursors[j] = None
     return cursor

@@ -100,9 +100,8 @@ def deficiency_trace(m_ref: Environment, mu: Environment, omega: FiniteString,
             lengths.append(k)
             ratios.append(ratio)
             logs.append(interval_str(_log2_interval(ratio)) if ratio > 0 else ("-inf", "-inf"))
-        sup_ratio = max(ratios)
-        d_bounds = (interval_str(_log2_interval(sup_ratio))
-                    if sup_ratio > 0 else ("-inf", "-inf"))
+    sup_ratio = max(ratios)
+    d_bounds = logs[ratios.index(sup_ratio)]
     return DeficiencyTrace(
         prefix_lengths=lengths,
         ratios=ratios,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semilab as sl
-from semilab.envcore import BitStream, _draw_symbol
+from semilab.envcore import BitStream, _draw_symbol, _draw_table, row_ratio_of
 from semilab.errors import (
     DepthExceededError,
     NotAMeasureError,
@@ -204,7 +204,7 @@ def test_sampling_requires_a_measure():
 def test_draw_matches_distribution_statistically():
     stream = BitStream(123)
     row = (F(1, 4), F(3, 4))
-    draws = [_draw_symbol(stream, row) for _ in range(2000)]
+    draws = [_draw_symbol(stream, _draw_table(row_ratio_of(row))) for _ in range(2000)]
     freq = sum(draws) / len(draws)
     assert 0.70 < freq < 0.80
 
@@ -212,7 +212,7 @@ def test_draw_matches_distribution_statistically():
 def test_draw_never_returns_zero_probability_symbol():
     stream = BitStream(9)
     row = (F(0), F(1))
-    assert all(_draw_symbol(stream, row) == 1 for _ in range(50))
+    assert all(_draw_symbol(stream, _draw_table(row_ratio_of(row))) == 1 for _ in range(50))
 
 
 def test_bitstream_is_a_pure_function_of_seed():

@@ -1,8 +1,10 @@
 """The schemas in ``schemas/`` are the spec contract: every integer field
-with a schema ``minimum``, set one below it on a spec that reads it, exits 1
-with one line that names the field's JSON path.  The cases are keyed by the
-schemas' own fields, so a minimum added to a schema without a case here
-fails ``test_every_schema_minimum_has_a_case``."""
+with a schema ``minimum``, set one below it on a spec that reads it, and
+every field with a schema ``enum``, set to a value outside it, exits 1 with
+one line that names the field's JSON path.  The cases are keyed by the
+schemas' own fields, so a minimum or an enum added to a schema without a
+case here fails ``test_every_schema_minimum_has_a_case`` or
+``test_every_schema_enum_has_a_case``."""
 
 import json
 from pathlib import Path
@@ -110,3 +112,59 @@ def test_one_below_the_schema_minimum_exits_one_naming_the_field(owner, field, c
     path = f"{entry}.{field}" + ("[0]" if field in ARRAYS else "")
     assert code == EXIT_USAGE, err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+
+def _schema_enums() -> set:
+    """(owner, field) for every field with an enum: owner is "environment"
+    for the field every environment has, the kind whose rule holds the
+    field, or "experiment"; a field of an object field is named by its
+    dotted path."""
+    found = set()
+    env = json.loads((SCHEMAS / "environment.schema.json").read_text())
+    found |= {("environment", f) for f, sub in env["properties"].items() if "enum" in sub}
+    for rule in env["allOf"]:
+        kind = rule["if"]["properties"]["kind"]["const"]
+        found |= {(kind, f) for f, sub in rule["then"].get("properties", {}).items()
+                  if "enum" in sub}
+    experiment = json.loads((SCHEMAS / "experiment.schema.json").read_text())
+    for field, sub in experiment["properties"].items():
+        if "enum" in sub:
+            found.add(("experiment", field))
+        for inner, inner_sub in sub.get("properties", {}).items():
+            if "enum" in inner_sub:
+                found.add(("experiment", f"{field}.{inner}"))
+    return found
+
+
+MIXTURE = {"kind": "derived", "derived": "mixture", "environments": [BERN], "weights": ["1/2"]}
+
+#: (owner, field) -> f(value): (subcommand, spec, CLI arguments, the JSON
+#: path of the entry that holds the field)
+ENUM_CASES = {
+    ("environment", "kind"): lambda v: _member({"kind": v}),
+    ("table", "declared_class"): lambda v: _member(
+        {"kind": "table", "depth": 1, "values": {"": "1/2"}, "declared_class": v}),
+    ("derived", "derived"): lambda v: _member({"kind": "derived", "derived": v}),
+    ("derived", "mode"): lambda v: _member({**MIXTURE, "mode": v}),
+    ("derived", "declared_class"): lambda v: _member(
+        {"kind": "derived", "derived": "normalized", "base": BERN, "declared_class": v}),
+    ("experiment", "mode"): lambda v: (
+        "deficiency", {"class": BERN3, "mu_index": 1, "mode": v},
+        ("--depth", "3", "--seed", "1"), "$"),
+    ("experiment", "functional.kind"): lambda v: (
+        "e2i", {"class": BERN3, "mu_index": 1, "functional": {"kind": v}},
+        ("--depth", "2", "--seed", "1"), "$"),
+}
+
+
+def test_every_schema_enum_has_a_case():
+    assert _schema_enums() == set(ENUM_CASES)
+
+
+@pytest.mark.parametrize("owner, field", sorted(ENUM_CASES), ids=lambda x: x)
+def test_a_value_outside_the_schema_enum_exits_one_naming_the_field(owner, field, capsys):
+    subcommand, spec, args, entry = ENUM_CASES[owner, field]("bogus")
+    code = main([subcommand, "--spec", json.dumps(spec), *args])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE, err
+    assert err.startswith(f"error: {entry}.{field}: ") and err.count("\n") == 1, err

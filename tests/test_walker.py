@@ -185,6 +185,11 @@ def test_kinds_cover_every_cursor_class():
 def test_scaled_kinds_share_one_cursor():
     kinds = ("leaky", "leaky-markov", "normalized", "quasimeasure", "quasimeasure-table")
     assert len({type(KINDS[kind]().cursor()) for kind in kinds}) == 1
+    # the kinds subclass one base below Environment, and only it defines cursor
+    mros = [type(KINDS[kind]()).__mro__ for kind in kinds]
+    (base,) = set.intersection(*map(set, mros)) - set(sl.Environment.__mro__)
+    for kind, mro in zip(kinds, mros):
+        assert [c for c in mro[:mro.index(base) + 1] if "cursor" in vars(c)] == [base], kind
 
 
 def test_walk_refuses_environments_over_different_alphabets():
@@ -273,7 +278,7 @@ def test_mixture_cursor_with_a_component_dead_at_depth_two():
     cursor = mix.cursor()
     cursor.step(0)
     cursor.step(0)
-    assert [bool(m) for m in cursor._masses] == [True, False, True]
+    assert [bool(c) for c in cursor._cursors] == [True, False, True]
 
 
 def test_mixture_cursor_along_a_long_string():
