@@ -45,6 +45,7 @@ from .envcore import (
     uniform_measure,
     validate,
     walk_states,
+    walk_string,
 )
 from .errors import (InconclusiveConfigurationError, NotDominatedError, SemilabError,
                      SpecError, UndefinedPosteriorError)
@@ -570,16 +571,13 @@ def run_w_vs_d(spec, depth, bits, seed) -> RunResult:
     omega, _ = sample(mu, depth, seed)
     rows = []
     max_late = Fraction(0)
-    w_cur, d_cur = w_mix.cursor(), d_mix.cursor()
-    for t, a in enumerate(omega.symbols, start=1):
+    for t, (w_cur, d_cur) in zip(range(1, len(omega) + 1), walk_string([w_mix, d_mix], omega)):
         if not w_cur.mass_ratio()[0] or not d_cur.mass_ratio()[0]:
             raise UndefinedPosteriorError(f"zero mass at {omega.prefix(t - 1)}")
         diff = max(abs(p - q) for p, q in zip(w_cur.row(), d_cur.row()))
         rows.append((t, _frac_str(diff), _frac_str(diff)))
         if t >= stable_from:
             max_late = max(max_late, diff)
-        w_cur.step(a)
-        d_cur.step(a)
     result = RunResult()
     result.traces["w-vs-d"] = PlotSeries(("t", "maxdiff_lo", "maxdiff_hi"), rows)
     result.add_outcome("posterior-coincidence", _exact_outcome(max_late == 0),

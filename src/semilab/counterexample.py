@@ -25,6 +25,7 @@ from .envcore import (
     STRICT_SEMIMEASURE,
     ZERO,
     _frac_str,
+    walk_string,
 )
 from .errors import (
     InconclusiveConfigurationError,
@@ -279,20 +280,19 @@ def verify_nonconvergence(mprime: MixtureEnv, alpha: FiniteString,
     positions = []
     flagged = [n for n in range(1, min(n_max, len(alpha) - 1) + 1)
                if alpha.symbols[n - 1] == 0 and alpha.symbols[n] == 1]
-    nu, env = nu_env.cursor(), mprime.cursor()
-    k = 0
+    if not flagged:
+        raise InconclusiveConfigurationError(
+            f"no 01-position in alpha up to horizon {n_max}")
+    # the masses of nu and M' at alpha_{<n} and alpha_{1:n}, n flagged
+    wanted = {k for n in flagged for k in (n - 1, n)}
+    masses = {k: (nu.mass, env.mass) for k, (nu, env)
+              in enumerate(walk_string([nu_env, mprime], alpha.prefix(flagged[-1])))
+              if k in wanted}
     for n in flagged:
-        for a in alpha.symbols[k:n - 1]:
-            nu.step(a)
-            env.step(a)
-        nu_before, denom = nu.mass, env.mass
-        nu.step(0)
-        env.step(0)
-        k = n
-        nu_at = nu.mass
+        (nu_before, denom), (nu_at, mass) = masses[n - 1], masses[n]
         if denom == 0:
             raise SemilabError(f"contaminated mixture vanishes at alpha_{{<{n}}}")
-        post = env.mass / denom
+        post = mass / denom
         certified = (
             nu_before == nu_at
             and nu_at >= Fraction(1, 2 ** (n + 1))
@@ -308,9 +308,6 @@ def verify_nonconvergence(mprime: MixtureEnv, alpha: FiniteString,
             gap=post - HALF,
             certified=certified,
         ))
-    if not positions:
-        raise InconclusiveConfigurationError(
-            f"no 01-position in alpha up to horizon {n_max}")
     return NonconvergenceReport(
         gamma=gamma,
         class_spec=m.env_class.spec(),

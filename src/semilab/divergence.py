@@ -40,7 +40,7 @@ from .intervals import (
     sqrt_pair,
     to_mpf,
 )
-from .envcore import HALF, Environment, FiniteString, ZERO, row_ratio_of, walk_states
+from .envcore import HALF, Environment, FiniteString, ZERO, row_ratio_of, walk_states, walk_string
 from .errors import NotAMeasureRowError, NotDominatedError, UndefinedPosteriorError
 
 
@@ -148,9 +148,9 @@ def hellinger_trace(nu: Environment, mu: Environment, omega: FiniteString, n: in
     steps, hs, cums, ratios, diffs = [], [], [], [], []
     with precision(precision_bits):
         cum = iv.mpf(0)
-        nu_cur, mu_cur = nu.cursor(), mu.cursor()
-        for t in range(1, n + 1):
-            a = omega.symbols[t - 1]
+        # the symbols come first, so the walk takes no step past the last row
+        walk = zip(omega.symbols[:n], walk_string([nu, mu], omega.prefix(n)))
+        for t, (a, (nu_cur, mu_cur)) in enumerate(walk, start=1):
             if not mu_cur.mass_ratio()[0]:
                 raise UndefinedPosteriorError(f"mu has zero mass at step {t}")
             if not nu_cur.mass_ratio()[0]:
@@ -171,8 +171,6 @@ def hellinger_trace(nu: Environment, mu: Environment, omega: FiniteString, n: in
             cums.append(cum)
             ratios.append(ratio)
             diffs.append(off)
-            nu_cur.step(a)
-            mu_cur.step(a)
     return HellingerTrace(steps, hs, cums, ratios, diffs)
 
 
@@ -184,24 +182,14 @@ def _dominated(nu_cur, mu_cur, w: Fraction) -> bool:
     return nu_num * w.denominator * mu_den >= w.numerator * mu_num * nu_den
 
 
-def _support_states(nu: Environment, mu: Environment, n: int, w: Fraction):
-    """``walk_states([nu, mu], n)`` over mu's support, checking nu >= w mu
-    exactly at every state.
+def _carry(nu: Environment, mu: Environment, n: int, w: Fraction, root, advance, join):
+    """Carry one value per state of ``walk_states([nu, mu], n)`` over mu's
+    support, checking nu >= w mu exactly at every state.
 
-    Strings of mu-mass 0 are neither yielded nor expanded: every expectation
+    Strings of mu-mass 0 are neither visited nor expanded: every expectation
     skips them, their extensions have mu-mass 0 too, and nu >= w * 0 holds
-    there.  Raises NotDominatedError at the first state that fails.
-    """
-    for state in walk_states([nu, mu], n, support=1):
-        if w and not _dominated(*state[1], w):
-            raise NotDominatedError("nu >= w*mu fails on the enumerated support")
-        yield state
-
-
-def _carry(states, root, advance, join):
-    """Carry one value per state of ``_support_states``.
-
-    The root holds ``root``.  A state above depth n hands ``advance(nu_row,
+    there.  Raises NotDominatedError at the first state that fails.  The
+    root holds ``root``.  A state above depth n hands ``advance(nu_row,
     mu_row, mass, value)`` to each of its children: the cursors'
     ``row_ratio()`` pairs, and the mu-mass of all the strings in the state
     as an unreduced integer pair.  A child reached from several states holds
@@ -210,7 +198,10 @@ def _carry(states, root, advance, join):
     of strings, the mu-mass of each, and its value.
     """
     level, carried, nxt = 0, {}, {}
+    states = walk_states([nu, mu], n, support=1)
     for symbols, (nu_cur, mu_cur), count, key, children in states:
+        if w and not _dominated(nu_cur, mu_cur, w):
+            raise NotDominatedError("nu >= w*mu fails on the enumerated support")
         if len(symbols) > level:
             level, carried, nxt = len(symbols), nxt, {}
         value = carried[key] if symbols else root
@@ -239,8 +230,8 @@ def _checked_kappa(kappa) -> Fraction:
 
 def _exp_half_sum(nu: Environment, mu: Environment, n: int, w: Fraction, prec: int,
                   term) -> dict:
-    """``exp_half_sum``, ``support_size`` and ``support_mass`` of one walk of
-    ``_support_states``: each state carries E_S and hands each child
+    """``exp_half_sum``, ``support_size`` and ``support_mass`` of one
+    ``_carry``: each state carries E_S and hands each child
     E_S * exp(g / 2), g the raw enclosure ``term(nu_row, mu_row, mass)``
     (the arguments ``_carry`` hands ``advance``).  ``term`` may fold other
     sums on the way."""
@@ -252,7 +243,7 @@ def _exp_half_sum(nu: Environment, mu: Environment, n: int, w: Fraction, prec: i
         return mpi_add(x, y, prec)
 
     total, size, support_mass = (fzero, fzero), 0, ZERO
-    for count, mass, e in _carry(_support_states(nu, mu, n, w), (fone, fone), advance, join):
+    for count, mass, e in _carry(nu, mu, n, w, (fone, fone), advance, join):
         total = mpi_add(total, mpi_mul(fraction_bounds(mass, prec), e, prec), prec)
         size += count
         support_mass += count * mass
@@ -418,8 +409,8 @@ def markov_tail_checks(nu: Environment, mu: Environment, n: int,
         thresholds = [(log_inv_w + from_fraction(c))._mpi_ for c in cs]
         exceed = [ZERO] * len(cs)
         unknown = [ZERO] * len(cs)
-        for _, mass, cums in _carry(_support_states(nu, mu, n, w),
-                                    Counter({(fzero, fzero): 1}), advance, Counter.__add__):
+        for _, mass, cums in _carry(nu, mu, n, w, Counter({(fzero, fzero): 1}), advance,
+                                    Counter.__add__):
             for (lo, hi), k in cums.items():
                 for i, (t_lo, t_hi) in enumerate(thresholds):
                     if mpf_ge(lo, t_hi):

@@ -894,17 +894,26 @@ def check_depth(env: Environment, n: int) -> None:
             f"environment stores depth <= {env.max_depth}, queried at {n}")
 
 
-def prefix_masses(env: Environment, x: FiniteString) -> Iterator[Fraction]:
-    """Yield eval(env, x_{1:k}) for k = 0..len(x), stepping one cursor once
-    per symbol instead of evaluating every prefix from the root."""
-    if x.alphabet.size != env.alphabet.size:
-        raise SemilabError("string alphabet does not match environment alphabet")
-    check_depth(env, len(x))
-    cursor = env.cursor()
-    yield cursor.mass
+def walk_string(envs: Sequence[Environment], x: FiniteString) -> Iterator[tuple]:
+    """The string twin of ``walk_states``: yield one cursor per environment
+    at x_{1:k}, k = 0..len(x), each stepped once per symbol, after checking
+    x's alphabet and length (``check_depth``) against every environment.
+    The tuple yielded belongs to the walk and is valid until the next one."""
+    for env in envs:
+        if x.alphabet.size != env.alphabet.size:
+            raise SemilabError("string alphabet does not match environment alphabet")
+        check_depth(env, len(x))
+    cursors = tuple(env.cursor() for env in envs)
+    yield cursors
     for a in x.symbols:
-        cursor.step(a)
-        yield cursor.mass
+        for c in cursors:
+            c.step(a)
+        yield cursors
+
+
+def prefix_masses(env: Environment, x: FiniteString) -> Iterator[Fraction]:
+    """Yield eval(env, x_{1:k}) for k = 0..len(x), from one ``walk_string``."""
+    return (cursor.mass for cursor, in walk_string([env], x))
 
 
 def enumerate_support(env: Environment, depth: int) -> Iterator[tuple[FiniteString, Fraction]]:
@@ -1026,19 +1035,17 @@ def mass_interval(env: Environment, x: FiniteString, precision_bits: int = 64):
     rational would be astronomically large (e.g. decaying environments at
     depth 10^6).  Returns an mpmath interval of ``precision_bits`` bits.
 
-    The cursor's root mass, then each run of symbols (``cursor.run_ratio``),
-    enters the interval as one outward-rounded quotient of integers, and the
-    quotients are multiplied outward-rounded; the cursor never needs its
-    exact mass.  Runs start at one symbol and are sized by ``_next_run``.
+    The mass of ``walk_string``'s root cursor, then each run of symbols
+    (``cursor.run_ratio``), enters the interval as one outward-rounded
+    quotient of integers, and the quotients are multiplied outward-rounded;
+    the cursor never needs its exact mass.  Runs start at one symbol and
+    are sized by ``_next_run``.
     """
     from mpmath.libmp import mpi_mul
 
     from .intervals import iv, quotient_bounds
 
-    if x.alphabet.size != env.alphabet.size:
-        raise SemilabError("string alphabet does not match environment alphabet")
-    check_depth(env, len(x))
-    cursor = env.cursor()
+    cursor, = next(walk_string([env], x))
     num, den = cursor.mass_ratio()
     if not num:
         return iv.mpf(0)

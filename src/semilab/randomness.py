@@ -25,6 +25,7 @@ from .envcore import (
     check_depth,
     prefix_masses,
     walk_states,
+    walk_string,
 )
 from .errors import (
     HypothesisFailedError,
@@ -85,18 +86,17 @@ def deficiency_trace(m_ref: Environment, mu: Environment, omega: FiniteString,
 
     The supremum d is reported as a log2 enclosure of the exact maximal
     ratio; the diverging flag marks ratios beyond ``DEFAULT_CEILING``.
-    Both masses come from one cursor walk along omega each.
+    Both masses come from one ``walk_string`` along omega.
     """
     if n > len(omega):
         raise ValueError("n exceeds the provided sequence length")
     prefix = omega.prefix(n)
     lengths, ratios, logs = [], [], []
     with precision(precision_bits):
-        for k, (mu_mass, m_mass) in enumerate(zip(prefix_masses(mu, prefix),
-                                                  prefix_masses(m_ref, prefix))):
-            if mu_mass == 0:
+        for k, (mu_cur, m_cur) in enumerate(walk_string([mu, m_ref], prefix)):
+            if not mu_cur.mass_ratio()[0]:
                 raise UndefinedPosteriorError(f"mu vanishes on prefix of length {k}")
-            ratio = m_mass / mu_mass
+            ratio = m_cur.mass / mu_cur.mass
             lengths.append(k)
             ratios.append(ratio)
             logs.append(interval_str(_log2_interval(ratio)) if ratio > 0 else ("-inf", "-inf"))
@@ -301,13 +301,16 @@ def e2i_individual_bound(m_ref_ext: MixtureEnv, f: EnumerableFunctional,
     if index is None or index not in m_ref_ext.membership():
         raise NotDominatedError("stage-n table environment not registered in the mixture")
     w = m_ref_ext.weights.weight(index)
+    if n > len(omega):
+        raise ValueError("n exceeds the provided sequence length")
     prefix = omega.prefix(n)
-    mu_masses = list(prefix_masses(mu, prefix))
-    if mu_masses[-1] == 0:
-        raise UndefinedPosteriorError("omega outside mu-support")
+    ratios = []
+    for mu_cur, m_cur in walk_string([mu, m_ref_ext], prefix):
+        if not mu_cur.mass_ratio()[0]:
+            raise UndefinedPosteriorError("omega outside mu-support")
+        ratios.append(m_cur.mass / mu_cur.mass)
     f_val = f.value(n, prefix.symbols)
     eps_n = f.eps(n)
-    ratios = [m / u for m, u in zip(prefix_masses(m_ref_ext, prefix), mu_masses)]
     ratio = ratios[-1]
     sup_ratio = max(ratios)
     return E2IBoundReport(
