@@ -186,9 +186,36 @@ def _alphabet(d: dict, path: str) -> Alphabet:
     return Alphabet(_parse_int(d.get("alphabet_size", 2), path + ".alphabet_size", least=2))
 
 
+#: the deepest nesting of environment specs the parser accepts, a spec with
+#: no nested environment being one level: cursors and walks recurse per level
+MAX_NESTING = 64
+
+#: the fields of each kind (a derived one by its ``derived`` name) that hold
+#: nested environment specs
+NESTED_FIELDS = {"leaky": ("base",), "quasimeasure": ("base",), "normalized": ("base",),
+                 "contaminated": ("nu", "m"), "mixture": ("environments",)}
+
+
+def _nesting(d) -> int:
+    """The levels of environment specs in d, counted without recursion and
+    only up to the first beyond MAX_NESTING."""
+    deepest, todo = 0, [(d, 1)]
+    while todo and deepest <= MAX_NESTING:
+        d, level = todo.pop()
+        deepest = max(deepest, level)
+        kind = d.get("derived") if d.get("kind") == "derived" else d.get("kind")
+        for key in NESTED_FIELDS.get(kind, ()) if isinstance(kind, str) else ():
+            value = d.get(key)
+            todo += [(e, level + 1) for e in (value if isinstance(value, list) else [value])
+                     if isinstance(e, dict)]
+    return deepest
+
+
 def parse_environment(d: dict, path: str = "$") -> Environment:
     if not isinstance(d, dict):
         raise SpecError(f"{path}: environment spec must be an object")
+    if _nesting(d) > MAX_NESTING:
+        raise SpecError(f"{path}: environment specs nest deeper than {MAX_NESTING} levels")
     kind = _enum(d, "kind", ENV_KINDS, path)
     try:
         if kind == "bernoulli":
@@ -336,13 +363,13 @@ def _decode_spec(source: Union[str, Path]):
     if text.lstrip().startswith(("{", "[")):
         try:
             return json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SpecError(f"inline JSON: {exc}") from None
     try:
         return json.loads(Path(text).read_text())
     except OSError as exc:
         raise SpecError(f"cannot read spec {text!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecError(f"{text}: {exc}") from None
 
 
@@ -711,6 +738,8 @@ RUNNERS = {
     "counterexample": (run_counterexample, 24),
 }
 SUBCOMMANDS = tuple(RUNNERS)
+#: the subcommands that read a run-level ``mode``; every other refuses one
+MODE_READERS = ("deficiency", "leftmost-alpha")
 
 
 def run_experiment(subcommand: str, spec: dict, depth: Optional[int],
@@ -723,6 +752,9 @@ def run_experiment(subcommand: str, spec: dict, depth: Optional[int],
     """
     if subcommand not in RUNNERS:
         raise SpecError(f"unknown subcommand {subcommand!r}")
+    if "mode" in spec and subcommand not in MODE_READERS:
+        raise SpecError(f"$.mode: {subcommand} reads no run-level mode; only "
+                        + " and ".join(MODE_READERS) + " do")
     runner, default_depth = RUNNERS[subcommand]
     if depth is None:
         depth = _int_field(spec, "depth", default_depth, least=0)

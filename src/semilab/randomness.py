@@ -76,10 +76,6 @@ class DeficiencyTrace:
         return "\n".join(lines) + "\n"
 
 
-def _log2_interval(q: Fraction):
-    return iv.log(from_fraction(q)) / iv.log(iv.mpf(2))
-
-
 def deficiency_trace(m_ref: Environment, mu: Environment, omega: FiniteString,
                      n: int, precision_bits: int = DEFAULT_PRECISION) -> DeficiencyTrace:
     """Ratios M_ref(omega_{1:k}) / mu(omega_{1:k}) for k = 0..n, exactly.
@@ -93,13 +89,15 @@ def deficiency_trace(m_ref: Environment, mu: Environment, omega: FiniteString,
     prefix = omega.prefix(n)
     lengths, ratios, logs = [], [], []
     with precision(precision_bits):
+        ln2 = iv.log(iv.mpf(2))
         for k, (mu_cur, m_cur) in enumerate(walk_string([mu, m_ref], prefix)):
             if not mu_cur.mass_ratio()[0]:
                 raise UndefinedPosteriorError(f"mu vanishes on prefix of length {k}")
             ratio = m_cur.mass / mu_cur.mass
             lengths.append(k)
             ratios.append(ratio)
-            logs.append(interval_str(_log2_interval(ratio)) if ratio > 0 else ("-inf", "-inf"))
+            logs.append(interval_str(iv.log(from_fraction(ratio)) / ln2) if ratio > 0
+                        else ("-inf", "-inf"))
     sup_ratio = max(ratios)
     d_bounds = logs[ratios.index(sup_ratio)]
     return DeficiencyTrace(
@@ -244,28 +242,30 @@ def e2i_build_mubar(mu: Environment, f: EnumerableFunctional, n: int) -> MuBarEn
     eps_n = f.eps(n)
     if eps_n <= 0:
         raise ValueError("eps_n must be positive")
-    # leaf layer
     values: dict[tuple[int, ...], Fraction] = {}
     expectation = ZERO
-
-    def rec(symbols: tuple[int, ...], cursor: EnvCursor) -> Fraction:
-        nonlocal expectation
+    # a depth-first walk without recursion: one frame per string on the
+    # current path, [symbols, cursor, next symbol to expand, value so far]
+    stack = [[(), mu.cursor(), 0, ZERO]]
+    while stack:
+        frame = stack[-1]
+        symbols, cursor, a, v = frame
         if len(symbols) == n:
             term = cursor.mass * f.value(n, symbols)
             expectation += term
             v = term / eps_n
-        else:
-            v = ZERO
-            for a in mu.alphabet.symbols:
-                child = cursor.clone()
-                child.step(a)
-                if child.mass_ratio()[0]:
-                    v += rec(symbols + (a,), child)
+        elif a < mu.alphabet.size:
+            frame[2] = a + 1
+            child = cursor.clone()
+            child.step(a)
+            if child.mass_ratio()[0]:
+                stack.append([symbols + (a,), child, 0, ZERO])
+            continue
+        stack.pop()
         if v != 0:
             values[symbols] = v
-        return v
-
-    rec((), mu.cursor())
+            if stack:
+                stack[-1][3] += v
     if expectation > eps_n:
         raise HypothesisFailedError(
             f"E_mu[F_n] = {expectation} exceeds eps_n = {eps_n}")

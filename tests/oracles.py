@@ -505,7 +505,11 @@ def deficiency_trace_prefixes(m_ref, mu, omega, n, precision_bits=128):
     re-evaluated."""
     from semilab.errors import UndefinedPosteriorError
     from semilab.intervals import interval_str, precision
-    from semilab.randomness import _log2_interval
+    from semilab.intervals import from_fraction, iv
+
+    def _log2_interval(q):
+        return iv.log(from_fraction(q)) / iv.log(iv.mpf(2))
+
     ratios, logs = [], []
     with precision(precision_bits):
         for k in range(n + 1):

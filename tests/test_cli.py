@@ -10,6 +10,7 @@ from semilab.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_NESTING,
     RunResult,
     main,
     parse_class,
@@ -778,3 +779,66 @@ def test_run_result_refuses_a_repeated_name():
             add()
     assert result.outcomes == [CERTIFIED_HOLDS]
     result.add_outcome("check", CERTIFIED_HOLDS, {}, doc="report")  # another document
+
+
+@pytest.mark.parametrize("subcommand, fixture, mode", [
+    ("verify-hellinger-bounds", "bern3_mix", "bogus"),
+    ("markov-tail", "bern3_mix", "quasi"),
+    ("chain-lemma", "chain_trials", "raw"),
+    ("quasimeasure", "quasi_leaky", "raw"),
+    ("w-vs-d", "quasi_leaky", "measures-only"),
+    ("e2i", "e2i_indicator", "raw"),
+    ("prop8", "bern3_default_weights", "raw"),
+    ("counterexample", "counterexample_canonical", "raw"),
+])
+def test_run_level_mode_is_refused_where_it_is_not_read(subcommand, fixture, mode, capsys):
+    spec = {**json.loads((FIXTURES / f"{fixture}.json").read_text()), "mode": mode}
+    code = run_cli(subcommand, "--spec", json.dumps(spec), "--depth", "3", "--seed", "1")
+    assert _assert_one_line_error(code, capsys) == (
+        f"error: $.mode: {subcommand} reads no run-level mode; "
+        "only deficiency and leftmost-alpha do\n")
+
+
+def _nested_leaky(levels):
+    spec = {"kind": "bernoulli", "p": "1/2"}
+    for _ in range(levels - 1):
+        spec = {"kind": "leaky", "base": spec, "leak": "1/2"}
+    return spec
+
+
+def _nested_mixture(levels):
+    spec = {"kind": "bernoulli", "p": "1/2"}
+    for _ in range(levels - 1):
+        spec = {"kind": "derived", "derived": "mixture", "environments": [spec]}
+    return spec
+
+
+@pytest.mark.parametrize("nest", [_nested_leaky, _nested_mixture])
+@pytest.mark.parametrize("subcommand", ["verify-hellinger-bounds", "quasimeasure",
+                                        "deficiency"])
+def test_nesting_up_to_the_limit_runs_and_beyond_it_exits_one(nest, subcommand, capsys):
+    for levels, refused in ((MAX_NESTING, False), (MAX_NESTING + 1, True), (350, True)):
+        spec = {"class": [{"kind": "bernoulli", "p": "1/2"}, nest(levels)],
+                "mu_index": 1, "w": "1/4"}
+        code = run_cli(subcommand, "--spec", json.dumps(spec), "--depth", "3", "--seed", "1")
+        if refused:
+            assert _assert_one_line_error(code, capsys) == (
+                f"error: $.class[1]: environment specs nest deeper than {MAX_NESTING} "
+                "levels\n")
+        else:
+            assert code != EXIT_USAGE, capsys.readouterr().err
+            assert capsys.readouterr().err == ""
+
+
+def test_nesting_limit_names_the_outermost_entry():
+    with pytest.raises(SpecError, match=r"^\$\.mu: environment specs nest deeper"):
+        parse_environment(_nested_leaky(MAX_NESTING + 1), "$.mu")
+    assert parse_environment(_nested_leaky(MAX_NESTING)).alphabet == sl.BINARY
+
+
+def test_spec_nested_past_the_json_decoder_exits_one(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"class": [' + '{"kind": "leaky", "leak": "1/2", "base": ' * 5000
+                    + '{"kind": "bernoulli", "p": "1/2"}' + "}" * 5000 + "]}")
+    err = _assert_one_line_error(run_cli("deficiency", "--spec", str(path)), capsys)
+    assert err.startswith(f"error: {path}: maximum recursion depth exceeded")

@@ -204,6 +204,14 @@ def test_overweight_functional_is_rejected():
         e2i_build_mubar(mu, TooBig(F(1, 10)), 3)
 
 
+def test_table_construction_walks_a_deep_support_without_recursion():
+    """A point mass on 0^inf has one support string per level; a recursive
+    walk ran out of stack near stage 1000."""
+    mu = sl.DeterministicEnv([], [0])
+    mubar = e2i_build_mubar(mu, ConstantFunctional(F(1, 2)), 2000)
+    assert mubar.values == {(0,) * k: F(1) for k in range(2001)}
+
+
 def test_table_construction_requires_a_measure():
     leaky = sl.LeakyEnv(sl.BernoulliEnv(F(1, 2)), F(1, 2))
     with pytest.raises(SemilabError):
@@ -237,6 +245,14 @@ def test_individual_bound_requires_registered_table():
     plain = sl.MixtureEnv(sl.EnvClass([mu]), sl.default_weights(1), sl.RAW)
     with pytest.raises(NotDominatedError):
         e2i_individual_bound(plain, f, mu, sl.FiniteString.parse("0000"), 4)
+
+
+def test_individual_bound_refuses_a_short_omega():
+    mu = sl.BernoulliEnv(F(1, 2))
+    f = IndicatorFunctional(F(1, 64))
+    m_ext, _ = _extended_mixture(mu, f, 4)
+    with pytest.raises(ValueError, match="n exceeds the provided sequence length"):
+        e2i_individual_bound(m_ext, f, mu, sl.FiniteString.parse("000"), 4)
 
 
 # --------------------------------------------------------- posterior mixtures

@@ -24,7 +24,7 @@ from semilab.cli import (
     parse_class, parse_environment, run_experiment, run_markov_tail, run_quasimeasure,
     run_verify_hellinger_bounds,
 )
-from semilab.envcore import walk_states
+from semilab.envcore import walk_states, walk_string
 from semilab.errors import DepthExceededError, SemilabError, UndefinedPosteriorError
 from semilab.intervals import endpoints, from_fraction, iv, precision
 from semilab.randomness import delta_hat_ratio_check
@@ -196,6 +196,61 @@ def test_walk_refuses_environments_over_different_alphabets():
     envs = [sl.BernoulliEnv(F(1, 2)), sl.CategoricalIIDEnv([F(1, 3)] * 3)]
     with pytest.raises(SemilabError, match="different alphabets"):
         next(walk_states(envs, 2))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_walk_string_cursors_are_fresh_cursors_stepped_there(kind):
+    """At each prefix of x the walk's cursors have the mass pairs and state
+    keys of fresh cursors stepped to it, one tuple per prefix."""
+    env = KINDS[kind]()
+    envs = [env, sl.uniform_measure(env.alphabet)]
+    for x in _strings(env, _depth(env, 6)):
+        prefixes = 0
+        for k, cursors in enumerate(walk_string(envs, x)):
+            for e, cursor in zip(envs, cursors):
+                fresh = e.cursor()
+                for a in x.symbols[:k]:
+                    fresh.step(a)
+                assert cursor.mass_ratio() == fresh.mass_ratio(), (x, k)
+                assert cursor.state_key() == fresh.state_key(), (x, k)
+            prefixes += 1
+        assert prefixes == len(x) + 1
+
+
+def test_walk_string_checks_the_string_at_the_first_next():
+    bernoulli, table = sl.BernoulliEnv(F(1, 2)), _table()
+    walk = walk_string([bernoulli], sl.FiniteString(sl.Alphabet(3), (2,)))
+    with pytest.raises(SemilabError, match="alphabet"):
+        next(walk)
+    walk = walk_string([bernoulli, table],
+                       sl.FiniteString(sl.BINARY, (0,) * (table.max_depth + 1)))
+    with pytest.raises(DepthExceededError):
+        next(walk)
+
+
+def test_hellinger_trace_refuses_environments_over_different_alphabets(monkeypatch):
+    def row_read(*rows):
+        raise AssertionError("a row was read")
+
+    monkeypatch.setattr(divergence, "hellinger_step", row_read)
+    nu, mu = sl.BernoulliEnv(F(1, 2)), sl.CategoricalIIDEnv([F(1, 3)] * 3)
+    with pytest.raises(SemilabError, match="alphabet"):
+        divergence.hellinger_trace(nu, mu, sl.FiniteString.parse("0101"), 4)
+
+
+def test_hellinger_trace_takes_no_step_past_its_last_row(monkeypatch):
+    steps = []
+    step = envcore._IIDCursor.step
+
+    def counting_step(cursor, a):
+        steps.append(a)
+        step(cursor, a)
+
+    monkeypatch.setattr(envcore._IIDCursor, "step", counting_step)
+    nu, mu = sl.BernoulliEnv(F(1, 3)), sl.BernoulliEnv(F(1, 2))
+    trace = divergence.hellinger_trace(nu, mu, sl.FiniteString.parse("011010"), 4)
+    assert trace.steps == [1, 2, 3, 4]
+    assert steps == [0, 0, 1, 1, 1, 1]  # each cursor, symbol by symbol, to the 4th row
 
 
 @pytest.mark.parametrize("kind", KINDS)
