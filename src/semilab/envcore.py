@@ -913,7 +913,7 @@ def walk_string(envs: Sequence[Environment], x: FiniteString) -> Iterator[tuple]
 
 def prefix_masses(env: Environment, x: FiniteString) -> Iterator[Fraction]:
     """Yield eval(env, x_{1:k}) for k = 0..len(x), from one ``walk_string``."""
-    return (cursor.mass for cursor, in walk_string([env], x))
+    return (cursor.mass for (cursor,) in walk_string([env], x))
 
 
 def enumerate_support(env: Environment, depth: int) -> Iterator[tuple[FiniteString, Fraction]]:
@@ -1045,7 +1045,7 @@ def mass_interval(env: Environment, x: FiniteString, precision_bits: int = 64):
 
     from .intervals import iv, quotient_bounds
 
-    cursor, = next(walk_string([env], x))
+    (cursor,) = next(walk_string([env], x))
     num, den = cursor.mass_ratio()
     if not num:
         return iv.mpf(0)

@@ -830,12 +830,6 @@ def test_nesting_up_to_the_limit_runs_and_beyond_it_exits_one(nest, subcommand, 
             assert capsys.readouterr().err == ""
 
 
-def test_nesting_limit_names_the_outermost_entry():
-    with pytest.raises(SpecError, match=r"^\$\.mu: environment specs nest deeper"):
-        parse_environment(_nested_leaky(MAX_NESTING + 1), "$.mu")
-    assert parse_environment(_nested_leaky(MAX_NESTING)).alphabet == sl.BINARY
-
-
 def test_spec_nested_past_the_json_decoder_exits_one(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text('{"class": [' + '{"kind": "leaky", "leak": "1/2", "base": ' * 5000
