@@ -95,7 +95,6 @@ from .randomness import (
     EnumerableFunctional,
     IndicatorFunctional,
     MuBarEnv,
-    Prop8Report,
     deficiency_trace,
     delta_hat_ratio_check,
     e2i_build_mubar,
@@ -103,7 +102,6 @@ from .randomness import (
     envelope_violations,
     leftmost_random,
     prop8_expected_bound,
-    prop8_trace,
 )
 from .counterexample import (
     NonconvergenceReport,

@@ -143,8 +143,6 @@ class HellingerTrace:
 def hellinger_trace(nu: Environment, mu: Environment, omega: FiniteString, n: int,
                     precision_bits: int = DEFAULT_PRECISION) -> HellingerTrace:
     """Per-step h_t(nu, mu | omega_{<t}) plus on/off-sequence diagnostics."""
-    if n > len(omega):
-        raise ValueError("n exceeds the provided sequence length")
     steps, hs, cums, ratios, diffs = [], [], [], [], []
     with precision(precision_bits):
         cum = iv.mpf(0)

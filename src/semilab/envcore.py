@@ -90,6 +90,8 @@ class FiniteString:
         return FiniteString(self.alphabet, self.symbols + (a,))
 
     def prefix(self, n: int) -> "FiniteString":
+        if n > len(self.symbols):
+            raise ValueError("n exceeds the provided sequence length")
         return FiniteString(self.alphabet, self.symbols[:n])
 
     def __str__(self) -> str:
@@ -746,6 +748,13 @@ class TableEnv(Environment):
         self.depth = depth
         self.alphabet = alphabet
         self.values = {tuple(k): Fraction(v) for k, v in values.items()}
+        for key in self.values:  # every key names a string _mass can be asked for
+            if len(key) > depth:
+                raise ValueError(f"table key {''.join(map(str, key))} is longer than "
+                                 f"the depth {depth}")
+            if key and not 0 <= min(key) <= max(key) < alphabet.size:
+                raise ValueError(f"table key {''.join(map(str, key))} holds a symbol "
+                                 f"outside alphabet of size {alphabet.size}")
         self.declared_class = declared_class
         self.max_depth = depth
 
@@ -765,8 +774,6 @@ class TableEnv(Environment):
         size = self.alphabet.size
         nodes = set()
         for key, value in self.values.items():
-            if len(key) > self.depth or any(not 0 <= s < size for s in key):
-                continue  # never queried
             if key:
                 nodes.add(key[:-1])
             if value < 0 and len(key) < self.depth:

@@ -229,13 +229,11 @@ class MixtureEnv(Environment):
         self._membership = tuple(range(1, len(env_class) + 1))
         # the environments the mode mixes, formed once
         self._components = env_class.envs
-        depths = []
         if mode == QUASI:
             if quasi_depth_cap is None:
                 quasi_depth_cap = DEFAULT_QUASI_DEPTH_CAP
             self.quasi_depth_cap = quasi_depth_cap
             self._components = [QuasimeasureEnv(e, quasi_depth_cap) for e in env_class.envs]
-            depths.append(quasi_depth_cap)
         if measures_only:
             self.k = len(env_class) if k is None else k
             self._membership = env_class.measure_indices(self.k)
@@ -251,10 +249,9 @@ class MixtureEnv(Environment):
         self.declared_class = (
             MEASURE if all(env_class.is_measure(i) for i in self._membership)
             and sum(self._weights) == 1 else STRICT_SEMIMEASURE)
-        depths += [env_class.env(i).max_depth for i in self._membership
-                   if env_class.env(i).max_depth is not None]
-        if depths:
-            self.max_depth = min(depths)
+        # a quasimeasure component's depth is the least of its cap and its base's
+        depths = [self.component(i).max_depth for i in self._membership]
+        self.max_depth = min((d for d in depths if d is not None), default=None)
 
     def membership(self) -> tuple[int, ...]:
         """J_k for measures-only modes; all indices otherwise."""

@@ -47,7 +47,6 @@ from .intervals import (
 )
 from .mixtures import (
     NORMALIZED_MEASURES_ONLY,
-    RAW,
     EnvClass,
     MixtureEnv,
     WeightScheme,
@@ -84,8 +83,6 @@ def deficiency_trace(m_ref: Environment, mu: Environment, omega: FiniteString,
     ratio; the diverging flag marks ratios beyond ``DEFAULT_CEILING``.
     Both masses come from one ``walk_string`` along omega.
     """
-    if n > len(omega):
-        raise ValueError("n exceeds the provided sequence length")
     prefix = omega.prefix(n)
     lengths, ratios, logs = [], [], []
     with precision(precision_bits):
@@ -301,8 +298,6 @@ def e2i_individual_bound(m_ref_ext: MixtureEnv, f: EnumerableFunctional,
     if index is None or index not in m_ref_ext.membership():
         raise NotDominatedError("stage-n table environment not registered in the mixture")
     w = m_ref_ext.weights.weight(index)
-    if n > len(omega):
-        raise ValueError("n exceeds the provided sequence length")
     prefix = omega.prefix(n)
     ratios = []
     for mu_cur, m_cur in walk_string([mu, m_ref_ext], prefix):
@@ -321,45 +316,6 @@ def e2i_individual_bound(m_ref_ext: MixtureEnv, f: EnumerableFunctional,
         weight=w,
         ratio=ratio,
         sup_ratio=sup_ratio,
-    )
-
-
-@dataclass
-class Prop8Report:
-    k0: int
-    sum_h_mu: tuple[str, str]
-    sum_h_d: tuple[str, str]
-    deficiency: DeficiencyTrace
-    trace_mu: divergence.HellingerTrace
-    trace_d: divergence.HellingerTrace
-
-
-def prop8_trace(env_class: EnvClass, weights: WeightScheme, k0: int,
-                omega: FiniteString, n: int,
-                precision_bits: int = DEFAULT_PRECISION) -> Prop8Report:
-    """Hellinger sums of the normalized k0-mixture against mu and against the
-    normalized full measures-only mixture, paired with the deficiency trace.
-
-    Purely diagnostic pairing: with explicit weights the complexity-based
-    constants of the original statement do not transfer, so nothing about
-    their exact values is asserted here.
-    """
-    if not env_class.is_measure(k0):
-        raise InvalidK0Error(f"index {k0} is not a validated measure")
-    mu = env_class.env(k0)
-    delta_hat = MixtureEnv(env_class, weights, NORMALIZED_MEASURES_ONLY, k=k0)
-    d_hat = MixtureEnv(env_class, weights, NORMALIZED_MEASURES_ONLY)
-    m_ref = MixtureEnv(env_class, weights, RAW)
-    trace_mu = divergence.hellinger_trace(delta_hat, mu, omega, n, precision_bits)
-    trace_d = divergence.hellinger_trace(delta_hat, d_hat, omega, n, precision_bits)
-    deficiency = deficiency_trace(m_ref, mu, omega, n, precision_bits)
-    return Prop8Report(
-        k0=k0,
-        sum_h_mu=interval_str(trace_mu.cumulative[-1]) if trace_mu.cumulative else ("0", "0"),
-        sum_h_d=interval_str(trace_d.cumulative[-1]) if trace_d.cumulative else ("0", "0"),
-        deficiency=deficiency,
-        trace_mu=trace_mu,
-        trace_d=trace_d,
     )
 
 

@@ -21,7 +21,6 @@ from semilab.randomness import (
     e2i_individual_bound,
     leftmost_random,
     prop8_expected_bound,
-    prop8_trace,
 )
 
 import oracles
@@ -283,13 +282,3 @@ def test_truncation_ratio_is_one_when_member_is_not_a_measure(quasi_class):
     assert v.outcome == CERTIFIED_HOLDS
     # dropping a non-measure changes nothing: worst ratio is exactly 1
     assert v.lhs_lo == "1/1"
-
-
-def test_diagnostic_trace_bundles_all_three_series(bern3_class):
-    ws = sl.default_weights(3)
-    omega, _ = sl.sample(bern3_class.env(1), 6, seed=9)
-    report = prop8_trace(bern3_class, ws, 1, omega, 6)
-    assert report.k0 == 1
-    assert len(report.trace_mu.steps) == 6
-    assert len(report.trace_d.steps) == 6
-    assert len(report.deficiency.ratios) == 7
