@@ -575,10 +575,12 @@ def run_quasimeasure(spec, depth, bits, seed) -> RunResult:
     equal_from = _int_field(spec, "equal_from", 2, least=0)
     # tuple order is depth-first order and a state's representative is its
     # smallest string: the least mismatching one is the first a depth-first
-    # walk would meet
-    mismatch = min((symbols
-                    for symbols, (w, d), _, _, _ in walk_states([w_mix, d_mix], depth)
-                    if len(symbols) >= equal_from and w.mass != d.mass), default=None)
+    # walk would meet; W = D is tested on the masses' integer pairs
+    masses = ((symbols, w.mass_ratio(), d.mass_ratio())
+              for symbols, (w, d), _, _, _ in walk_states([w_mix, d_mix], depth)
+              if len(symbols) >= equal_from)
+    mismatch = min((symbols for symbols, (w_num, w_den), (d_num, d_den) in masses
+                    if w_num * d_den != d_num * w_den), default=None)
     if mismatch is not None:
         mismatch = "".join(map(str, mismatch))
     result.add_outcome("w-equals-d", _exact_outcome(mismatch is None),
@@ -617,7 +619,11 @@ def run_deficiency(spec, depth, bits, seed) -> RunResult:
     mix, env_class, weights = _mixture_from(spec, mode=_enum(spec, "mode", MODES, "$", RAW))
     mu = _mu_from(spec, env_class)
     if "omega" in spec:
-        omega = FiniteString(env_class.alphabet, _symbols(spec["omega"], "$.omega"))
+        symbols = _symbols(spec["omega"], "$.omega")
+        try:
+            omega = FiniteString(env_class.alphabet, symbols)
+        except ValueError as exc:
+            raise SpecError(f"$.omega: {exc}") from None
     else:
         if seed is None:
             raise SpecError("sampling omega requires --seed")

@@ -102,6 +102,18 @@ MEASURE = "measure"
 STRICT_SEMIMEASURE = "strict-semimeasure"
 
 
+def _check_keys(keys, what: str, limit: str, longest: int, alphabet: Alphabet) -> None:
+    """Refuse a key that no string reaches: one longer than ``longest`` (the
+    ``limit``) or holding a symbol outside the alphabet."""
+    for key in keys:
+        if len(key) > longest:
+            raise ValueError(f"{what} {''.join(map(str, key))} is longer than the "
+                             f"{limit} {longest}")
+        if key and not 0 <= min(key) <= max(key) < alphabet.size:
+            raise ValueError(f"{what} {''.join(map(str, key))} holds a symbol outside "
+                             f"alphabet of size {alphabet.size}")
+
+
 class Environment:
     """An exactly evaluable semimeasure over a finite alphabet."""
 
@@ -384,6 +396,7 @@ class MarkovEnv(Environment):
         self.transitions = {
             tuple(k): tuple(Fraction(p) for p in v) for k, v in transitions.items()
         }
+        _check_keys(self.transitions, "transition context", "order", order, alphabet)
         for ctx, row in self.transitions.items():
             if len(row) != alphabet.size or any(p < 0 for p in row) or sum(row) != 1:
                 raise ValueError(f"invalid transition row at context {ctx}")
@@ -748,13 +761,7 @@ class TableEnv(Environment):
         self.depth = depth
         self.alphabet = alphabet
         self.values = {tuple(k): Fraction(v) for k, v in values.items()}
-        for key in self.values:  # every key names a string _mass can be asked for
-            if len(key) > depth:
-                raise ValueError(f"table key {''.join(map(str, key))} is longer than "
-                                 f"the depth {depth}")
-            if key and not 0 <= min(key) <= max(key) < alphabet.size:
-                raise ValueError(f"table key {''.join(map(str, key))} holds a symbol "
-                                 f"outside alphabet of size {alphabet.size}")
+        _check_keys(self.values, "table key", "depth", depth, alphabet)
         self.declared_class = declared_class
         self.max_depth = depth
 

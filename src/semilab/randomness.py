@@ -23,7 +23,6 @@ from .envcore import (
     ZERO,
     _frac_str,
     check_depth,
-    prefix_masses,
     walk_states,
     walk_string,
 )
@@ -110,26 +109,28 @@ def deficiency_trace(m_ref: Environment, mu: Environment, omega: FiniteString,
 def leftmost_symbols(cursor: EnvCursor) -> Iterator[tuple[int, EnvCursor]]:
     """Yield (alpha_k, cursor at alpha_{1:k}) for k = 1, 2, ... along the
     leftmost sequence alpha with M(alpha_{1:k}) <= 2^{-k} at every k, M the
-    binary semimeasure whose ``mass`` the root cursor given reads, one
+    binary semimeasure whose mass the root cursor given reads, one
     symbol per step asked for.
 
     alpha_k = 0 when M(alpha_{<k} 0) <= 2^{-k} (ties take the 0-branch),
-    else alpha_k = 1; comparisons are exact rationals.  One cursor walks
-    alpha: a clone stepped by 0 is the candidate.  The cursor yielded is
-    the walk's own, valid until the next symbol is asked for.
+    else alpha_k = 1; each comparison is exact, num 2^k <= den on the
+    cursor's ``mass_ratio()``.  One cursor walks alpha: a clone stepped by 0
+    is the candidate.  The cursor yielded is the walk's own, valid until the
+    next symbol is asked for.
     """
     k = 0
     while True:
         k += 1
-        bound = Fraction(1, 2 ** k)
         candidate = cursor.clone()
         candidate.step(0)
-        if candidate.mass <= bound:
+        num, den = candidate.mass_ratio()
+        if num << k <= den:
             cursor, a = candidate, 0
         else:
             cursor.step(1)
             a = 1
-        if cursor.mass > bound:
+            num, den = cursor.mass_ratio()
+        if num << k > den:
             raise SemilabError(
                 f"postcondition M(alpha_{{1:{k}}}) <= 2^-{k} failed; "
                 "input is not a semimeasure")
@@ -147,9 +148,10 @@ def leftmost_random(m: Environment, n: int) -> FiniteString:
 
 
 def envelope_violations(m: Environment, x: FiniteString) -> list[int]:
-    """Every k >= 1 with M(x_{1:k}) > 2^{-k}, from one cursor walk along x."""
-    return [k for k, mass in enumerate(prefix_masses(m, x))
-            if k >= 1 and mass > Fraction(1, 2 ** k)]
+    """Every k >= 1 with M(x_{1:k}) > 2^{-k}, from one ``walk_string``
+    along x, compared as num 2^k > den on the cursor's ``mass_ratio()``."""
+    masses = (cursor.mass_ratio() for (cursor,) in walk_string([m], x))
+    return [k for k, (num, den) in enumerate(masses) if k >= 1 and num << k > den]
 
 
 def _exact_verdict(lhs: Fraction, rhs: Fraction) -> Verdict:

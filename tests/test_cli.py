@@ -351,7 +351,40 @@ def test_member_spec_outside_its_domain_exits_one(spec, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("key, message", [
+    ("00", "$.class[0]: table key 00 is longer than the depth 1"),
+    ("2", "$.class[0]: table key 2 holds a symbol outside alphabet of size 2"),
+], ids=["one-deeper", "symbol-equal-to-size"])
+def test_table_key_no_query_reaches_exits_one(key, message, capsys):
+    # such an entry was dropped silently, and the run went on to exit 0
+    table = {"kind": "table", "depth": 1, "values": {"": "1", "0": "1/2", "1": "1/2", key: "1"}}
+    spec = {"class": [table], "mu_index": 1, "omega": "0"}
+    code = run_cli("deficiency", "--spec", json.dumps(spec), "--depth", "1")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_omega_outside_the_alphabet_names_its_field(capsys):
+    spec = {"class": [{"kind": "bernoulli", "p": "1/2"}], "mu_index": 1, "omega": "0120"}
+    code = run_cli("deficiency", "--spec", json.dumps(spec), "--depth", "4")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: $.omega: symbol 2 outside alphabet of size 2\n"
+
+
 _HALVES = {"": ["1/2", "1/2"], "0": ["1/2", "1/2"], "1": ["1/2", "1/2"]}
+
+
+@pytest.mark.parametrize("ctx, message", [
+    ("00", "$.class[0]: transition context 00 is longer than the order 1"),
+    ("7", "$.class[0]: transition context 7 holds a symbol outside alphabet of size 2"),
+], ids=["longer-than-order", "symbol-outside-alphabet"])
+def test_markov_context_no_string_reaches_exits_one(ctx, message, capsys):
+    # such a row was never read, and the run went on to exit 0
+    member = {"kind": "markov", "order": 1, "transitions": {**_HALVES, ctx: ["1", "0"]}}
+    spec = {"class": [member], "mu_index": 1}
+    code = run_cli("verify-hellinger-bounds", "--spec", json.dumps(spec), "--depth", "3")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("member, message", [

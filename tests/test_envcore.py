@@ -41,6 +41,13 @@ def test_string_rejects_out_of_range_symbols():
         sl.FiniteString(sl.BINARY, (0, 2))
 
 
+def test_prefix_refuses_a_length_its_string_does_not_have():
+    a = sl.FiniteString.parse("010")
+    assert a.prefix(3) == a
+    with pytest.raises(ValueError, match="n exceeds the provided sequence length"):
+        a.prefix(4)
+
+
 def test_empty_string_prints_placeholder():
     assert str(sl.FiniteString.empty()) == "<empty>"
 
@@ -125,6 +132,33 @@ def test_table_env_depth_guard():
     assert env.eval(sl.FiniteString.parse("0")) == F(1, 2)
     with pytest.raises(DepthExceededError):
         env.eval(sl.FiniteString.parse("00"))
+
+
+@pytest.mark.parametrize("depth, size, key, message", [
+    (1, 2, (0, 0), "table key 00 is longer than the depth 1"),
+    (1, 2, (2,), "table key 2 holds a symbol outside alphabet of size 2"),
+    (2, 3, (0, 3), "table key 03 holds a symbol outside alphabet of size 3"),
+], ids=["one-deeper", "binary-symbol-2", "ternary-symbol-3"])
+def test_table_env_refuses_a_key_it_cannot_serve(depth, size, key, message):
+    alphabet = sl.Alphabet(size)
+    served = (size - 1,) * depth  # as deep and as large as a key may be
+    assert sl.TableEnv(depth, {(): F(1), served: F(0)}, alphabet).values[served] == 0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sl.TableEnv(depth, {(): F(1), key: F(0)}, alphabet)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sl.MuBarEnv({key: F(0)}, depth, alphabet, 1)
+
+
+@pytest.mark.parametrize("ctx, message", [
+    ((0, 0), "transition context 00 is longer than the order 1"),
+    ((7,), "transition context 7 holds a symbol outside alphabet of size 2"),
+], ids=["longer-than-order", "symbol-outside-alphabet"])
+def test_markov_env_refuses_a_context_no_string_reaches(ctx, message):
+    halves = [F(1, 2), F(1, 2)]
+    rows = {(): halves, (0,): halves, (1,): halves}
+    assert sl.MarkovEnv(1, rows).rows_sum_to_one
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sl.MarkovEnv(1, {**rows, ctx: halves})
 
 
 def test_validation_detects_node_defect():

@@ -216,6 +216,39 @@ def test_mixture_refuses_an_option_its_mode_ignores(bern3_class, mode, option):
         sl.MixtureEnv(bern3_class, sl.default_weights(3), mode, **option)
 
 
+def _tables_class():
+    """A member of unbounded depth, a measure table stored to depth 3 and a
+    strict table stored to depth 2."""
+    uniform = {(): F(1), (0,): F(1, 2), (1,): F(1, 2)}
+    uniform.update({(a, b): F(1, 4) for a in (0, 1) for b in (0, 1)})
+    uniform.update({(a, b, c): F(1, 8) for a in (0, 1) for b in (0, 1) for c in (0, 1)})
+    return sl.EnvClass([sl.BernoulliEnv(F(1, 2)), sl.TableEnv(3, uniform, sl.BINARY, sl.MEASURE),
+                        sl.TableEnv(2, {(): F(1), (0,): F(1, 2)})])
+
+
+def _leaky_class():
+    return sl.EnvClass([sl.BernoulliEnv(F(1, 2)),
+                        sl.LeakyEnv(sl.BernoulliEnv(F(1, 2)), F(1, 2))])
+
+
+@pytest.mark.parametrize("make, mode, option, expected", [
+    (_tables_class, sl.RAW, {}, 2),
+    (_tables_class, sl.QUASI, {"quasi_depth_cap": 8}, 2),  # tables shallower than the cap
+    (_leaky_class, sl.QUASI, {"quasi_depth_cap": 8}, 8),
+    (_leaky_class, sl.QUASI, {}, sl.mixtures.DEFAULT_QUASI_DEPTH_CAP),
+    (_leaky_class, sl.RAW, {}, None),
+    (_tables_class, sl.MEASURES_ONLY, {}, 3),
+    (_tables_class, sl.MEASURES_ONLY, {"k": 1}, None),
+    (_tables_class, sl.NORMALIZED_MEASURES_ONLY, {}, 3),
+])
+def test_mixture_depth_is_the_least_depth_of_what_it_mixes(make, mode, option, expected):
+    env_class = make()
+    mix = sl.MixtureEnv(env_class, sl.default_weights(len(env_class)), mode, **option)
+    depths = [mix.component(i).max_depth for i in mix.membership()]
+    assert mix.max_depth == min((d for d in depths if d is not None), default=None)
+    assert mix.max_depth == expected
+
+
 def test_truncated_mixture_prefix_k(bern3_class):
     ws = sl.default_weights(3)
     d2 = sl.MixtureEnv(bern3_class, ws, sl.MEASURES_ONLY, k=2)

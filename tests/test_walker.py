@@ -644,6 +644,22 @@ def test_quasimeasure_first_mismatch_matches_tree_reference(members, equal_from,
         w_mix, d_mix, equal_from, depth) == expected
 
 
+@pytest.mark.parametrize("kind", [k for k in KINDS if KINDS[k]().alphabet.size == 2])
+def test_quasimeasure_first_mismatch_matches_tree_reference_on_every_kind(kind):
+    # the runner compares W and D as cross-multiplied integer pairs, the
+    # reference as exact rationals
+    depth = 5
+    members = [{"kind": "bernoulli", "p": "1/2"}, KINDS[kind]().spec()]
+    env_class, weights = parse_class({"class": members, "weights": ["1/4", "1/4"]})
+    w_mix = sl.MixtureEnv(env_class, weights, sl.QUASI, quasi_depth_cap=depth)
+    d_mix = sl.MixtureEnv(env_class, weights, sl.MEASURES_ONLY)
+    for equal_from in (1, 2, 3):
+        spec = {"class": members, "weights": ["1/4", "1/4"], "equal_from": equal_from}
+        doc = run_quasimeasure(spec, depth, 64, None).documents["verdicts"]["w-equals-d"]
+        assert doc["first_mismatch"] == oracles.first_mismatch_tree(
+            w_mix, d_mix, equal_from, depth), equal_from
+
+
 # ------------------------------------------- expectations vs the tree
 
 def _dominated_pair(kind):
