@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -219,9 +220,7 @@ def test_mixture_refuses_an_option_its_mode_ignores(bern3_class, mode, option):
 def _tables_class():
     """A member of unbounded depth, a measure table stored to depth 3 and a
     strict table stored to depth 2."""
-    uniform = {(): F(1), (0,): F(1, 2), (1,): F(1, 2)}
-    uniform.update({(a, b): F(1, 4) for a in (0, 1) for b in (0, 1)})
-    uniform.update({(a, b, c): F(1, 8) for a in (0, 1) for b in (0, 1) for c in (0, 1)})
+    uniform = {x: F(1, 2 ** n) for n in range(4) for x in product((0, 1), repeat=n)}
     return sl.EnvClass([sl.BernoulliEnv(F(1, 2)), sl.TableEnv(3, uniform, sl.BINARY, sl.MEASURE),
                         sl.TableEnv(2, {(): F(1), (0,): F(1, 2)})])
 
