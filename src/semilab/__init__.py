@@ -12,7 +12,6 @@ from .errors import (
     HypothesisFailedError,
     InconclusiveConfigurationError,
     InvalidK0Error,
-    NeedsLargerTMaxError,
     NormalizationError,
     NotAMeasureError,
     NotAMeasureRowError,
@@ -99,7 +98,6 @@ from .randomness import (
     delta_hat_ratio_check,
     e2i_build_mubar,
     e2i_individual_bound,
-    envelope_violations,
     leftmost_random,
     prop8_expected_bound,
 )

@@ -21,9 +21,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from . import __version__
-from .counterexample import (
-    NuLimitEnv, build_mprime, contaminate, nu_limit, verify_nonconvergence,
-)
+from .counterexample import NuLimitEnv, contaminate, verify_nonconvergence
 from .divergence import HALF, chain_inequality, hellinger_expectations, markov_tail_checks
 from .envcore import (
     Alphabet,
@@ -624,11 +622,13 @@ def run_deficiency(spec, depth, bits, seed) -> RunResult:
             omega = FiniteString(env_class.alphabet, symbols)
         except ValueError as exc:
             raise SpecError(f"$.omega: {exc}") from None
+        if len(omega) < depth:
+            raise SpecError(f"$.omega: {len(omega)} symbols, fewer than the depth {depth}")
     else:
         if seed is None:
             raise SpecError("sampling omega requires --seed")
         omega, _ = sample(mu, depth, seed)
-    trace = deficiency_trace(mix, mu, omega, min(depth, len(omega)), bits)
+    trace = deficiency_trace(mix, mu, omega, depth, bits)
     result = RunResult()
     result.traces["deficiency"] = PlotSeries(
         ("n", "log2_ratio_lo", "log2_ratio_hi"),
@@ -709,17 +709,11 @@ def run_prop8(spec, depth, bits, seed) -> RunResult:
 def run_counterexample(spec, depth, bits, seed) -> RunResult:
     env_class, weights = parse_class(spec)
     gamma = parse_rational(spec.get("gamma", "1/9"), "$.gamma")
-    mix = MixtureEnv(env_class, weights, RAW)
+    if depth < 2:
+        raise SpecError(f"--depth: {depth} must be >= 2, for a 01-position spans two")
     result = RunResult()
     try:
-        nu = nu_limit(mix, depth)
-        mprime = build_mprime(nu, mix, gamma)
-        # the leftmost alpha, read off nu: nu_limit stops at a certificate
-        # that every later append-0 step at most halves M's mass, so past
-        # alpha_prefix the leftmost walk would read 0 at every k
-        alpha = FiniteString(mix.alphabet,
-                             tuple(nu.alpha_symbol(k) for k in range(1, depth + 1)))
-        report = verify_nonconvergence(mprime, alpha, depth)
+        report = verify_nonconvergence(MixtureEnv(env_class, weights, RAW), gamma, depth)
     except InconclusiveConfigurationError as exc:
         result.add_outcome("nonconvergence", INCONCLUSIVE, {"reason": str(exc)},
                            doc="report")

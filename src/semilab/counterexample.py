@@ -1,17 +1,18 @@
 """Non-convergence counterexample: a mixture whose posterior provably stays
 away from the true uniform posterior on a uniformly random sequence.
 
-The ingredients: alpha is the leftmost sequence kept below the uniform
-envelope by the mixture M; nu piles mass 2^{-t} on every length-t string
-lexicographically below alpha; the contaminated mixture (1-gamma) nu + gamma M,
-a raw mixture of the two, still dominates every class member yet its posterior
-exceeds 2/3 at each 01-position of alpha.  Everything is exact rational
-arithmetic, including the limit values of nu on the alpha-spine, which are
-certified via an all-zero tail of alpha.
+alpha is the leftmost sequence kept below the uniform envelope by the
+mixture M; nu piles mass 2^{-t} on every length-t string lexicographically
+below alpha; the contaminated mixture (1-gamma) nu + gamma M, a raw mixture
+of the two, still dominates every class member yet its posterior exceeds
+2/3 at each 01-position of alpha.  A run to horizon N takes nu_N, the nu of
+alpha_{1:N} followed by zeros, in exact rational arithmetic; the posteriors
+it reports are lower ends of the limit's (``verify_nonconvergence``).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -25,17 +26,15 @@ from .envcore import (
     STRICT_SEMIMEASURE,
     ZERO,
     _frac_str,
-    walk_string,
 )
 from .errors import (
     InconclusiveConfigurationError,
-    NeedsLargerTMaxError,
     SemilabError,
     UndefinedPosteriorError,
 )
 from .mixtures import RAW, EnvClass, MixtureEnv, WeightScheme, stage_cursor
 from .divergence import verify_dominance
-from .randomness import envelope_violations, leftmost_symbols
+from .randomness import leftmost_random, leftmost_symbols
 
 GAMMA_UPPER = Fraction(1, 5)
 DOMINANCE_DEPTH = 4
@@ -56,14 +55,16 @@ def alpha_stage(m: MixtureEnv, t: int) -> FiniteString:
 class NuLimitEnv(Environment):
     """The counterexample semimeasure in closed form, exact at every depth.
 
-    alpha is ``alpha_prefix`` followed by zeros (the limit's certified
-    all-zero tail).  A length-k string strictly below alpha_{1:k} has mass
-    2^{-k}, one strictly above has mass 0, and alpha_{1:k} itself carries
-    the dyadic tail sum_{j>k, alpha_j=1} 2^{-j}.  Node sums are exact
-    equalities, so the normalization by the root mass is a proper measure
-    whenever the root mass is positive.  With ``horizon`` t every depth past
-    t has mass 0: this is the stage-t semimeasure, mass 2^{-t} on each
-    length-t string below the pivot ``alpha_prefix`` (of length t).
+    alpha is ``alpha_prefix`` followed by zeros: the limit nu when the
+    leftmost alpha is 0 past the prefix, else the limit with the tail of
+    alpha past the prefix dropped (``nu_limit``).  A length-k string
+    strictly below alpha_{1:k} has mass 2^{-k}, one strictly above has mass
+    0, and alpha_{1:k} itself carries the dyadic tail
+    sum_{j>k, alpha_j=1} 2^{-j}.  Node sums are exact equalities, so the
+    normalization by the root mass is a proper measure whenever the root
+    mass is positive.  With ``horizon`` t every depth past t has mass 0: this
+    is the stage-t semimeasure, mass 2^{-t} on each length-t string below
+    the pivot ``alpha_prefix`` (of length t).
     """
 
     def __init__(self, alpha_prefix: FiniteString, horizon: Optional[int] = None):
@@ -76,9 +77,7 @@ class NuLimitEnv(Environment):
 
     def alpha_symbol(self, j: int) -> int:
         """j-th symbol (1-based) of the full alpha, zero past the prefix."""
-        if j <= len(self.alpha_prefix):
-            return self.alpha_prefix.symbols[j - 1]
-        return 0
+        return self.alpha_prefix.symbols[j - 1] if j <= len(self.alpha_prefix) else 0
 
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
         k = len(symbols)
@@ -153,27 +152,11 @@ class _SpineCursor(EnvCursor):
         return self._key
 
 
-def nu_limit(m: MixtureEnv, t_max: int) -> NuLimitEnv:
-    """The limiting counterexample semimeasure of the mixture, certified exact.
-
-    Walks alpha step by step (``leftmost_symbols``); once the walk's mixture
-    cursor certifies that every further append-0 step at most halves the
-    mass, the envelope inequality forces all remaining alpha symbols to 0,
-    making every limit value a finite sum.
-    """
-    if m.alphabet.size != 2:
-        raise SemilabError("construction requires binary alphabet")
-    alpha = leftmost_symbols(m.cursor())
-    symbols, cursor = [], m.cursor()
-    while True:
-        bound = cursor.zero_step_factor_bound()
-        if bound is not None and bound <= HALF:
-            return NuLimitEnv(FiniteString(m.alphabet, tuple(symbols)))
-        if len(symbols) == t_max:
-            raise NeedsLargerTMaxError(
-                f"no all-zero tail certificate found within horizon {t_max}")
-        a, cursor = next(alpha)
-        symbols.append(a)
+def nu_limit(m: MixtureEnv, n: int) -> NuLimitEnv:
+    """nu_n: the counterexample semimeasure of the first n symbols of M's
+    leftmost alpha (``leftmost_random``), which is the limit nu with the tail
+    of alpha past n dropped, and the limit itself when alpha is 0 past n."""
+    return NuLimitEnv(leftmost_random(m, n))
 
 
 def contaminate(nu: Environment, m: MixtureEnv, gamma: Fraction) -> MixtureEnv:
@@ -205,6 +188,16 @@ def build_mprime(nu: Environment, m: MixtureEnv, gamma: Fraction) -> MixtureEnv:
     return env
 
 
+def _exact_str(q: Fraction, field: str) -> str:
+    """q as "num/den", refused by the report field's name past Python's
+    int-to-text limit (``sys.get_int_max_str_digits``), which stays as it is."""
+    try:
+        return _frac_str(q)
+    except ValueError:
+        raise SemilabError(f"{field}: exact value past Python's limit of "
+                           f"{sys.get_int_max_str_digits()} digits per integer") from None
+
+
 @dataclass(frozen=True)
 class PositionReport:
     n: int
@@ -215,16 +208,13 @@ class PositionReport:
     gap: Fraction
     certified: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "nu_values": {"before": _frac_str(self.nu_before),
-                          "at": _frac_str(self.nu_at)},
-            "mprime_posterior": _frac_str(self.mprime_posterior),
-            "bound": _frac_str(self.bound),
-            "gap": _frac_str(self.gap),
-            "certified": self.certified,
-        }
+    def as_dict(self, path: str) -> dict:
+        before, at, post, bound, gap = (_exact_str(q, f"{path}.{field}") for q, field in (
+            (self.nu_before, "nu_values.before"), (self.nu_at, "nu_values.at"),
+            (self.mprime_posterior, "mprime_posterior"), (self.bound, "bound"), (self.gap, "gap")))
+        return {"n": self.n, "nu_values": {"before": before, "at": at},
+                "mprime_posterior": post, "bound": bound, "gap": gap,
+                "certified": self.certified}
 
 
 @dataclass(frozen=True)
@@ -244,74 +234,58 @@ class NonconvergenceReport:
             "gamma": _frac_str(self.gamma),
             "class": self.class_spec,
             "alpha_prefix": self.alpha_prefix,
-            "positions": [p.as_dict() for p in self.positions],
+            "positions": [p.as_dict(f"$.positions[{i}]")
+                          for i, p in enumerate(self.positions)],
             "counts": {"positions": len(self.positions), "horizon": self.horizon},
         }
 
 
-def verify_nonconvergence(mprime: MixtureEnv, alpha: FiniteString,
+def verify_nonconvergence(m: MixtureEnv, gamma: Fraction,
                           n_max: int) -> NonconvergenceReport:
-    """Certify the posterior gap at every 01-position of alpha up to n_max.
+    """Certify the posterior gap of M' = (1-gamma) nu_N + gamma M at every
+    01-position n < N = n_max of M's leftmost alpha, read off one walk
+    (``leftmost_symbols``, whose postcondition is the 2^{-k} envelope).
 
-    M' = (1-gamma) nu + gamma M is read as ``contaminate`` builds it: a raw
-    mixture of nu and the mixture M with weights 1-gamma and gamma.  At
-    each n with alpha_n = 0, alpha_{n+1} = 1 the exact chain is checked: nu
-    is flat across the step (nu(alpha_{<n}) = nu(alpha_{1:n})), the spine
-    value is at least 2^{-n-1}, and the contaminated posterior of the next
-    symbol is at least (1-gamma)/(1+3gamma) > 1/2, the uniform posterior.
-    One nu cursor and one M' cursor walk alpha up to the last such n.
+    nu_N = ``NuLimitEnv(alpha_{1:N})`` in closed form: its spine value at
+    alpha_{1:k} is the sum of 2^{-j} over the 1s alpha_j, k < j <= N.  M' is
+    formed from the walk's own ``mass_ratio()`` pairs; it dominates each
+    member, M' >= gamma w_i nu_i, as an identity of raw mixtures with
+    nonnegative masses, so no dominance walk runs.  At each n the chain
+    is checked exactly: nu is flat across the step, its value is at least
+    2^{-n-1}, and the posterior of alpha_n is at least (1-gamma)/(1+3gamma)
+    > 1/2.  The limit nu adds one unknown t in [0, 2^{-N}] to both spine
+    values; the first two checks hold for every t, and the posterior never
+    decreases in t as M(alpha_{1:n}) <= M(alpha_{<n}), so the reported
+    values, at t = 0, are lower ends for the limit.
     """
-    if not (isinstance(mprime, MixtureEnv) and mprime.mode == RAW
-            and len(mprime.env_class) == 2
-            and isinstance(mprime.env_class.env(2), MixtureEnv)
-            and sum(mprime.weights.weights) == 1):
-        raise SemilabError("expected M' = (1-gamma) nu + gamma M: a raw mixture of nu "
-                           "and a mixture M with weights summing to 1")
-    (nu_env, m), gamma = mprime.env_class.envs, mprime.weights.weight(2)
-    if mprime.alphabet.size != 2:
-        raise SemilabError("verification requires binary alphabet")
-    if len(alpha) < min(n_max + 1, 2):
-        raise ValueError("alpha too short for the requested horizon")
-    # envelope invariant of the construction, checked up front
-    violations = envelope_violations(m, alpha.prefix(min(n_max, len(alpha))))
-    if violations:
-        raise SemilabError(f"alpha violates the 2^-k envelope at k={violations[0]}")
-    bound = (1 - gamma) / (1 + 3 * gamma)
-    positions = []
-    flagged = [n for n in range(1, min(n_max, len(alpha) - 1) + 1)
-               if alpha.symbols[n - 1] == 0 and alpha.symbols[n] == 1]
+    gamma = Fraction(gamma)
+    if not 0 < gamma < GAMMA_UPPER:
+        raise ValueError(f"gamma must lie strictly in (0, {GAMMA_UPPER})")
+    if m.alphabet.size != 2:
+        raise SemilabError("construction requires binary alphabet")
+    # (n, M(alpha_{<n}), M(alpha_{1:n})) at each 01-position n
+    cursor = m.cursor()
+    alpha, last, flagged = [], (None, cursor.mass_ratio()), []
+    for a, cursor in islice(leftmost_symbols(cursor), n_max):
+        if a and alpha and not alpha[-1]:
+            flagged.append((len(alpha), *last))
+        alpha.append(a)
+        last = last[1], cursor.mass_ratio()
     if not flagged:
         raise InconclusiveConfigurationError(
             f"no 01-position in alpha up to horizon {n_max}")
-    # the masses of nu and M' at alpha_{<n} and alpha_{1:n}, n flagged
-    wanted = {k for n in flagged for k in (n - 1, n)}
-    masses = {k: (nu.mass, env.mass) for k, (nu, env)
-              in enumerate(walk_string([nu_env, mprime], alpha.prefix(flagged[-1])))
-              if k in wanted}
-    for n in flagged:
-        (nu_before, denom), (nu_at, mass) = masses[n - 1], masses[n]
-        if denom == 0:
-            raise SemilabError(f"contaminated mixture vanishes at alpha_{{<{n}}}")
-        post = mass / denom
-        certified = (
-            nu_before == nu_at
-            and nu_at >= Fraction(1, 2 ** (n + 1))
-            and post >= bound
-            and post > HALF
-        )
+    # 2^N nu_N(alpha_{1:k}) is alpha_{k+1..N} read as a binary number
+    digits, scale = int("".join(map(str, alpha)), 2), 1 << n_max
+    g, h = gamma.as_integer_ratio()
+    bound = (1 - gamma) / (1 + 3 * gamma)
+    positions = []
+    for n, (before_num, before_den), (at_num, at_den) in flagged:
+        nu_before, nu_at = (digits & ((1 << (n_max - k)) - 1) for k in (n - 1, n))
+        # h M' = (h - g) nu + g M, and h cancels from the posterior
+        post = Fraction(((h - g) * nu_at * at_den + g * at_num * scale) * before_den,
+                        ((h - g) * nu_before * before_den + g * before_num * scale) * at_den)
         positions.append(PositionReport(
-            n=n,
-            nu_before=nu_before,
-            nu_at=nu_at,
-            mprime_posterior=post,
-            bound=bound,
-            gap=post - HALF,
-            certified=certified,
-        ))
-    return NonconvergenceReport(
-        gamma=gamma,
-        class_spec=m.env_class.spec(),
-        alpha_prefix=str(alpha) if len(alpha) else "",
-        positions=tuple(positions),
-        horizon=n_max,
-    )
+            n, Fraction(nu_before, scale), Fraction(nu_at, scale), post, bound, post - HALF,
+            nu_before == nu_at and nu_at << (n + 1) >= scale and post >= bound and post > HALF))
+    return NonconvergenceReport(gamma, m.env_class.spec(), "".join(map(str, alpha)),
+                                tuple(positions), n_max)

@@ -90,6 +90,8 @@ class FiniteString:
         return FiniteString(self.alphabet, self.symbols + (a,))
 
     def prefix(self, n: int) -> "FiniteString":
+        if n < 0:
+            raise ValueError(f"prefix length {n} is negative")
         if n > len(self.symbols):
             raise ValueError("n exceeds the provided sequence length")
         return FiniteString(self.alphabet, self.symbols[:n])
@@ -234,17 +236,6 @@ class EnvCursor:
     def state_key(self):
         return self._symbols
 
-    def zero_step_factor_bound(self) -> Optional[Fraction]:
-        """Upper bound on sup_k nu(x 0^{k+1}) / nu(x 0^k), x the string
-        walked so far, or None.
-
-        Returns None when no bound below 1 can be certified.  A dead
-        environment (zero mass at x) stays dead, bound 0.  The kinds without
-        an override (decaying, whose append-0 factor tends to 1, table and
-        the generic derived kinds) certify nothing at positive mass.
-        """
-        return ZERO if not self.mass_ratio()[0] else None
-
 
 class _CountCursor(EnvCursor):
     """A cursor whose mass is prod_i p_i^c_i: ``_probs`` holds the p_i,
@@ -326,9 +317,6 @@ class _IIDCursor(_CountCursor):
 
     def state_key(self):
         return None if self._dead else self._counts
-
-    def zero_step_factor_bound(self):
-        return ZERO if self._dead else self._probs[0]
 
 
 class CategoricalIIDEnv(Environment):
@@ -476,17 +464,6 @@ class _MarkovCursor(_CountCursor):
     def state_key(self):
         return None if self._dead else (self._counts, self._ctx)
 
-    def zero_step_factor_bound(self):
-        if self._dead:
-            return ZERO
-        # contexts on the all-zeros continuation stabilize at 0^order after
-        # ``order`` steps; take the max zero-transition over the whole walk
-        bound, ctx, order = ZERO, self._ctx, self._env.order
-        for _ in range(order + 1):
-            bound = max(bound, self._env._row(ctx)[0])
-            ctx = (ctx + (0,))[-order:]
-        return bound
-
 
 class DeterministicEnv(Environment):
     """Point mass on an eventually periodic infinite target sequence."""
@@ -549,22 +526,14 @@ class _DeterministicCursor(EnvCursor):
     def state_key(self):
         return self._t if self.mass_ratio()[0] else None
 
-    def zero_step_factor_bound(self):
-        # appending 0 where the target demands 1 kills the mass immediately;
-        # a target continuing with 0 keeps ratio 1, never certifiable below 1
-        if not self.mass_ratio()[0] or self._env.target_symbol(self._t) != 0:
-            return ZERO
-        return None
-
 
 class _ScaledEnv(Environment):
     """A base environment (``base``) times a factor of the string's length
     alone, stepped by one ``_ScaledCursor``: the leaky, normalized and
     quasimeasure kinds.  Each states ``depth_factor(n)``, the factor at
     depth n, as an integer pair.  ``row_factor(n)``, the factor of the step
-    from depth n, which is 0 exactly where ``depth_factor(n + 1)`` is, and
-    ``row_factor_bound()``, a bound on every row factor, are 1 unless the
-    kind states them."""
+    from depth n, which is 0 exactly where ``depth_factor(n + 1)`` is, is 1
+    unless the kind states it."""
 
     def __init__(self, base: Environment, declared_class: str):
         self.base = base
@@ -574,9 +543,6 @@ class _ScaledEnv(Environment):
 
     def row_factor(self, n: int) -> tuple[int, int]:
         return 1, 1
-
-    def row_factor_bound(self) -> Fraction:
-        return ONE
 
     def cursor(self) -> EnvCursor:
         return _ScaledCursor(self)
@@ -603,9 +569,6 @@ class LeakyEnv(_ScaledEnv):
 
     def row_factor(self, n: int) -> tuple[int, int]:
         return self.leak.as_integer_ratio()
-
-    def row_factor_bound(self) -> Fraction:
-        return self.leak
 
     def spec(self) -> dict:
         return {"kind": "leaky", "base": self.base.spec(), "leak": _frac_str(self.leak)}
@@ -658,15 +621,6 @@ class _ScaledCursor(EnvCursor):
 
     def state_key(self):
         return self._inner.state_key()
-
-    def zero_step_factor_bound(self):
-        if not self.mass_ratio()[0]:
-            return ZERO
-        inner = self._inner.zero_step_factor_bound()
-        scale = self._env.row_factor_bound()
-        if inner is None:
-            return scale if scale <= HALF else None
-        return inner * scale
 
 
 class DecayingEnv(Environment):

@@ -44,10 +44,6 @@ class InvalidK0Error(SemilabError):
     """The designated index k0 does not point at a validated measure."""
 
 
-class NeedsLargerTMaxError(SemilabError):
-    """Stage limit could not be certified at the requested horizon."""
-
-
 class InconclusiveConfigurationError(SemilabError):
     """The configured class is too poor to exhibit the target phenomenon."""
 

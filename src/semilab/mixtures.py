@@ -363,18 +363,6 @@ class _MixtureCursor(EnvCursor):
     def state_key(self):
         return tuple(c and c.state_key() for c in self._cursors)
 
-    def zero_step_factor_bound(self):
-        # a weighted sum's per-step ratio is bounded by the max component
-        # ratio; a component at mass 0 stays there and adds nothing
-        bound = ZERO
-        for cursor in self._cursors:
-            if cursor:
-                b = cursor.zero_step_factor_bound()
-                if b is None:
-                    return None
-                bound = max(bound, b)
-        return bound
-
 
 class NormalizedEnv(_ScaledEnv):
     """base(x) / base(empty); a measure when the base has measure nodes."""

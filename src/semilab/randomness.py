@@ -147,13 +147,6 @@ def leftmost_random(m: Environment, n: int) -> FiniteString:
     return FiniteString(m.alphabet, tuple(a for a, _ in symbols))
 
 
-def envelope_violations(m: Environment, x: FiniteString) -> list[int]:
-    """Every k >= 1 with M(x_{1:k}) > 2^{-k}, from one ``walk_string``
-    along x, compared as num 2^k > den on the cursor's ``mass_ratio()``."""
-    masses = (cursor.mass_ratio() for (cursor,) in walk_string([m], x))
-    return [k for k, (num, den) in enumerate(masses) if k >= 1 and num << k > den]
-
-
 def _exact_verdict(lhs: Fraction, rhs: Fraction) -> Verdict:
     outcome = CERTIFIED_HOLDS if lhs <= rhs else CERTIFIED_FAILS
     return Verdict(outcome, _frac_str(lhs), _frac_str(lhs),

@@ -13,7 +13,7 @@ import pytest
 
 import semilab as sl
 from semilab.cli import _random_vector, emit_results, run_experiment
-from semilab.counterexample import build_mprime, nu_limit, verify_nonconvergence
+from semilab.counterexample import nu_limit, verify_nonconvergence
 from semilab.divergence import (
     expected_exp_half_sum,
     expected_hellinger_sums,
@@ -164,9 +164,7 @@ def test_criterion_07_envelope_to_64(capsys, bern3_mixture, canonical_mixture,
 
 def test_criterion_08_nonconvergence(capsys, canonical_mixture):
     nu = nu_limit(canonical_mixture, 16)
-    cm = build_mprime(nu, canonical_mixture, F(1, 9))
-    alpha = leftmost_random(canonical_mixture, 16)
-    rep = verify_nonconvergence(cm, alpha, 15)
+    rep = verify_nonconvergence(canonical_mixture, F(1, 9), 15)
     # independent rational check of the first flagged posterior: blend the
     # known component masses by hand and divide
     gamma = F(1, 9)

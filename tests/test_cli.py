@@ -371,6 +371,14 @@ def test_omega_outside_the_alphabet_names_its_field(capsys):
     assert capsys.readouterr().err == "error: $.omega: symbol 2 outside alphabet of size 2\n"
 
 
+def test_omega_shorter_than_the_depth_exits_one(capsys):
+    # the trace ran over omega's 2 symbols and exited 0, where 8 were asked for
+    spec = {"class": [{"kind": "bernoulli", "p": "1/2"}], "mu_index": 1, "omega": "01"}
+    code = run_cli("deficiency", "--spec", json.dumps(spec), "--depth", "8")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: $.omega: 2 symbols, fewer than the depth 8\n"
+
+
 _HALVES = {"": ["1/2", "1/2"], "0": ["1/2", "1/2"], "1": ["1/2", "1/2"]}
 
 

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 import semilab as sl
-from semilab.cli import parse_class, run_counterexample
+from semilab.cli import main, run_counterexample
 from semilab.counterexample import (
+    NonconvergenceReport,
     NuLimitEnv,
+    PositionReport,
     alpha_stage,
     build_mprime,
     contaminate,
@@ -15,11 +17,7 @@ from semilab.counterexample import (
     verify_nonconvergence,
 )
 from semilab.envcore import walk_states
-from semilab.errors import (
-    InconclusiveConfigurationError,
-    NeedsLargerTMaxError,
-    SemilabError,
-)
+from semilab.errors import InconclusiveConfigurationError, SemilabError
 from semilab.randomness import leftmost_random
 
 import oracles
@@ -47,6 +45,11 @@ def test_stage_pivots_nondecreasing_with_partial_sums(canonical_mixture):
         assert a.symbols <= b.symbols[:len(a)] or a.symbols < b.symbols
 
 
+def _decaying_pair():
+    return sl.MixtureEnv(sl.EnvClass([sl.uniform_measure(), sl.DecayingEnv(2)]),
+                         sl.WeightScheme((F(1, 2), F(1, 4))), sl.RAW)
+
+
 def _five_members():
     return sl.MixtureEnv(sl.EnvClass([
         sl.DeterministicEnv([], [0]), sl.BernoulliEnv(F(1, 3)), sl.DecayingEnv(2),
@@ -54,11 +57,8 @@ def _five_members():
         sl.default_weights(5), sl.RAW)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: sl.MixtureEnv(sl.EnvClass([sl.uniform_measure(), sl.DecayingEnv(2)]),
-                          sl.WeightScheme((F(1, 2), F(1, 4))), sl.RAW),
-    _five_members,
-], ids=["two-members", "five-members"])
+@pytest.mark.parametrize("build", [_decaying_pair, _five_members],
+                         ids=["two-members", "five-members"])
 def test_stage_pivots_match_the_stage_eval_oracle_to_128(build):
     m = build()
     # from the final stage on the partial sum is M itself, so every later
@@ -72,8 +72,7 @@ def test_stage_pivots_match_the_stage_eval_oracle_to_128(build):
 def test_stage_pivot_walks_cursors_not_prefixes(monkeypatch):
     # the class of the limit test: no member is evaluated from the root at a
     # nonempty string, so the pivot costs one cursor step per symbol
-    m = sl.MixtureEnv(sl.EnvClass([sl.uniform_measure(), sl.DecayingEnv(2)]),
-                      sl.WeightScheme((F(1, 2), F(1, 4))), sl.RAW)
+    m = _decaying_pair()
     expected = [_alpha_stage_by_prefixes(m, t) for t in (1, 2, 5, 16)]
     calls = []
     for cls in (sl.CategoricalIIDEnv, sl.DecayingEnv):
@@ -205,49 +204,14 @@ def test_limit_for_all_zero_pivot_vanishes():
     assert nu.eval(sl.FiniteString.parse("0000")) == 0
 
 
-def test_limit_requires_certifiable_tail():
-    # a decaying-step measure never certifies a halving zero-step, so the
-    # limit cannot be frozen at any finite horizon
-    m = sl.MixtureEnv(sl.EnvClass([sl.DecayingEnv(2)]),
-                      sl.WeightScheme((F(1),)), sl.RAW)
-    with pytest.raises(NeedsLargerTMaxError):
-        nu_limit(m, 12)
-
-
-def test_limit_reads_its_certificate_from_the_walk_cursor(monkeypatch):
-    # the decaying member never certifies, so the walk runs to the horizon;
-    # no member is evaluated from the root at any nonempty string
-    m = sl.MixtureEnv(sl.EnvClass([sl.uniform_measure(), sl.DecayingEnv(2)]),
-                      sl.WeightScheme((F(1, 2), F(1, 4))), sl.RAW)
-    calls = []
-    for cls in (sl.CategoricalIIDEnv, sl.DecayingEnv):
-        def recording_mass(env, symbols, _mass=cls._mass):
-            if symbols:
-                calls.append(symbols)
-            return _mass(env, symbols)
-
-        monkeypatch.setattr(cls, "_mass", recording_mass)
-    with pytest.raises(NeedsLargerTMaxError, match="within horizon 64"):
-        nu_limit(m, 64)
-    assert calls == []
-
-
-def test_limit_stops_at_its_certificate(canonical_mixture, monkeypatch):
-    from semilab.mixtures import _MixtureCursor
-    steps = []
-    step = _MixtureCursor.step
-
-    def counting_step(cursor, a):
-        steps.append(a)
-        step(cursor, a)
-
-    monkeypatch.setattr(_MixtureCursor, "step", counting_step)
-    nu = nu_limit(canonical_mixture, 10 ** 4)
-    k = nu.spec()["tail_zero_from"]
-    assert k == len(nu.alpha_prefix) < 10
-    # the candidate 0-step plus at most one 1-step per symbol of alpha
-    assert len(steps) <= 2 * k
-    assert nu.alpha_prefix == leftmost_random(canonical_mixture, k)
+def test_limit_is_nu_of_the_leftmost_prefix_on_a_class_whose_alpha_never_ends_in_zeros():
+    # the decaying member keeps alpha from turning to all zeros, so nu_limit
+    # drops alpha's tail past n instead of refusing
+    m = _decaying_pair()
+    nu = nu_limit(m, 64)
+    assert nu.alpha_prefix == leftmost_random(m, 64)
+    assert any(nu.alpha_prefix.symbols[32:])
+    assert sl.validate(nu, 6).is_semimeasure
 
 
 # --------------------------------------------------------------- composition
@@ -292,10 +256,7 @@ def test_contaminated_mixture_still_dominates_components(canonical_mixture,
 # -------------------------------------------------------------- verification
 
 def test_posterior_gap_certified_on_canonical_class(canonical_mixture):
-    nu = nu_limit(canonical_mixture, 16)
-    cm = build_mprime(nu, canonical_mixture, F(1, 9))
-    alpha = leftmost_random(canonical_mixture, 16)
-    report = verify_nonconvergence(cm, alpha, 15)
+    report = verify_nonconvergence(canonical_mixture, F(1, 9), 15)
     assert report.all_certified
     assert len(report.positions) == 1
     p = report.positions[0]
@@ -307,33 +268,32 @@ def test_posterior_gap_certified_on_canonical_class(canonical_mixture):
 
 
 def test_verification_report_serializes(canonical_mixture):
-    nu = nu_limit(canonical_mixture, 16)
-    cm = build_mprime(nu, canonical_mixture, F(1, 9))
-    alpha = leftmost_random(canonical_mixture, 16)
-    d = verify_nonconvergence(cm, alpha, 15).as_dict()
+    d = verify_nonconvergence(canonical_mixture, F(1, 9), 15).as_dict()
     assert d["gamma"] == "1/9"
     assert d["alpha_prefix"].startswith("0100")
     assert d["counts"]["positions"] == 1
     assert d["positions"][0]["mprime_posterior"] == "20/23"
 
 
+def test_verification_refuses_gamma_outside_its_range(canonical_mixture):
+    for gamma in (F(0), F(1, 5), F(1, 2)):
+        with pytest.raises(ValueError, match="gamma must lie strictly in"):
+            verify_nonconvergence(canonical_mixture, gamma, 16)
+
+
 def test_degenerate_class_is_reported_inconclusive():
     m = sl.MixtureEnv(sl.EnvClass([sl.uniform_measure()]),
                       sl.WeightScheme((F(1),)), sl.RAW)
-    nu = nu_limit(m, 8)
-    cm = build_mprime(nu, m, F(1, 9))
-    alpha = leftmost_random(m, 8)
-    with pytest.raises(InconclusiveConfigurationError):
-        verify_nonconvergence(cm, alpha, 8)
+    with pytest.raises(InconclusiveConfigurationError,
+                       match="no 01-position in alpha up to horizon 8"):
+        verify_nonconvergence(m, F(1, 9), 8)
 
 
 def test_verification_steps_cursors_not_prefixes(canonical_mixture, monkeypatch):
-    # nu, M' and every member are read through cursors walked along alpha;
-    # none is evaluated from the root at a nonempty string
-    nu = nu_limit(canonical_mixture, 64)
-    cm = build_mprime(nu, canonical_mixture, F(1, 9))
-    alpha = leftmost_random(canonical_mixture, 64)
-    expected = verify_nonconvergence(cm, alpha, 63)
+    # M and every member are read through the one leftmost walk's cursors,
+    # and nu in closed form; none is evaluated from the root at a nonempty
+    # string
+    expected = verify_nonconvergence(canonical_mixture, F(1, 9), 63)
     calls = []
     for cls in (NuLimitEnv, sl.MixtureEnv, sl.CategoricalIIDEnv, sl.DeterministicEnv):
         def recording_mass(env, symbols, _mass=cls._mass):
@@ -342,22 +302,84 @@ def test_verification_steps_cursors_not_prefixes(canonical_mixture, monkeypatch)
             return _mass(env, symbols)
 
         monkeypatch.setattr(cls, "_mass", recording_mass)
-    assert verify_nonconvergence(cm, alpha, 63) == expected
+    assert verify_nonconvergence(canonical_mixture, F(1, 9), 63) == expected
     assert calls == []
 
 
-def test_verification_matches_evaluation_from_the_root(canonical_mixture):
-    # alpha = 0101...: eight 01-positions, each checked against four
-    # evaluations from the root, as the report was formed before
-    nu = nu_limit(canonical_mixture, 16)
-    cm = build_mprime(nu, canonical_mixture, F(1, 9))
-    alpha = sl.FiniteString.parse("01" * 8)
-    report = verify_nonconvergence(cm, alpha, 15)
-    assert [p.n for p in report.positions] == list(range(1, 16, 2))
+def test_verification_matches_evaluation_from_the_root(bern3_mixture):
+    # the bern3 alpha holds many 01-positions, each checked against four
+    # evaluations from the root of nu_16 and of M' = (1-gamma) nu_16 + gamma M
+    nu = nu_limit(bern3_mixture, 16)
+    cm = contaminate(nu, bern3_mixture, F(1, 9))
+    report = verify_nonconvergence(bern3_mixture, F(1, 9), 16)
+    assert len(report.positions) >= 4
     for p in report.positions:
-        before, at = alpha.prefix(p.n - 1), alpha.prefix(p.n)
+        before, at = nu.alpha_prefix.prefix(p.n - 1), nu.alpha_prefix.prefix(p.n)
         assert (p.nu_before, p.nu_at) == (nu.eval(before), nu.eval(at))
         assert p.mprime_posterior == cm.eval(at) / cm.eval(before)
+
+
+ORACLE_CLASSES = {
+    "canonical": lambda: sl.MixtureEnv(
+        sl.EnvClass([sl.uniform_measure(), sl.DeterministicEnv([], [0]),
+                     sl.DeterministicEnv([1], [0])]),
+        sl.WeightScheme((F(1, 2), F(1, 4), F(1, 8))), sl.RAW),
+    "bern3": lambda: sl.MixtureEnv(
+        sl.EnvClass([sl.BernoulliEnv(F(k, 4)) for k in (1, 2, 3)]),
+        sl.WeightScheme((F(1, 3),) * 3), sl.RAW),
+    "uniform-decaying": _decaying_pair,
+}
+
+
+@pytest.mark.parametrize("depth", [2, 17, 64])
+@pytest.mark.parametrize("name", ORACLE_CLASSES)
+def test_every_report_field_matches_the_prefix_oracle(name, depth):
+    """Each position recomputed from alpha by ``leftmost_random_prefixes``,
+    nu_N by ``NuLimitEnv._mass`` and M by ``_mass``, all from the root; and
+    each reported posterior is the lower end over the unknown tail of the
+    limit nu, at most the posterior with the tail at 2^-N."""
+    m, gamma = ORACLE_CLASSES[name](), F(1, 7)
+    alpha = oracles.leftmost_random_prefixes(m, depth)
+    nu = NuLimitEnv(sl.FiniteString(sl.BINARY, alpha))
+    bound, tail = (1 - gamma) / (1 + 3 * gamma), F(1, 2 ** depth)
+
+    def posterior(before, at, t):
+        return (((1 - gamma) * (nu._mass(at) + t) + gamma * m._mass(at))
+                / ((1 - gamma) * (nu._mass(before) + t) + gamma * m._mass(before)))
+
+    expected = []
+    for n in range(1, depth):
+        if alpha[n - 1:n + 1] == (0, 1):
+            before, at = alpha[:n - 1], alpha[:n]
+            post = posterior(before, at, 0)
+            assert post <= posterior(before, at, tail)
+            expected.append(PositionReport(
+                n=n, nu_before=nu._mass(before), nu_at=nu._mass(at),
+                mprime_posterior=post, bound=bound, gap=post - F(1, 2),
+                certified=(nu._mass(before) == nu._mass(at)
+                           and nu._mass(at) >= F(1, 2 ** (n + 1))
+                           and post >= bound and post > F(1, 2))))
+    if not expected:
+        with pytest.raises(InconclusiveConfigurationError):
+            verify_nonconvergence(m, gamma, depth)
+        return
+    report = verify_nonconvergence(m, gamma, depth)
+    assert report == NonconvergenceReport(
+        gamma=gamma, class_spec=m.env_class.spec(),
+        alpha_prefix="".join(map(str, alpha)), positions=tuple(expected),
+        horizon=depth)
+    assert report.all_certified
+
+
+@pytest.mark.parametrize("name", ["bern3", "uniform-decaying"])
+def test_contaminated_mixture_dominates_every_member_on_the_oracle_tree(name):
+    # M' >= gamma w_i nu_i is an identity of raw mixtures with nonnegative
+    # masses, which the run relies on instead of a dominance walk
+    m, gamma = ORACLE_CLASSES[name](), F(1, 9)
+    cm = contaminate(nu_limit(m, 16), m, gamma)
+    for i in m.membership():
+        assert oracles.dominates_tree(cm, m.env_class.env(i),
+                                      gamma * m.weights.weight(i), 8)
 
 
 @pytest.mark.parametrize("nu", [
@@ -382,57 +404,70 @@ def test_contaminated_walk_keeps_two_states_per_level(canonical_mixture):
     assert all(count <= 2 * (n + 1) for n, count in levels.items())
 
 
-def test_verification_rejects_envelope_violations(canonical_mixture):
-    nu = nu_limit(canonical_mixture, 16)
-    cm = build_mprime(nu, canonical_mixture, F(1, 9))
-    # the 0-spine point mass keeps M(00) = 3/8 above the 1/4 envelope
-    bogus = sl.FiniteString.parse("0011")
-    with pytest.raises(SemilabError):
-        verify_nonconvergence(cm, bogus, 3)
+def test_verification_rejects_envelope_violations():
+    # no semimeasure puts mass 3/4 on both children of the root, so the
+    # leftmost walk's postcondition M(alpha_1) <= 1/2 fails at k = 1
+    bad = sl.TableEnv(1, {(): F(1), (0,): F(3, 4), (1,): F(3, 4)})
+    m = sl.MixtureEnv(sl.EnvClass([bad]), sl.WeightScheme((F(1),)), sl.RAW)
+    with pytest.raises(SemilabError, match="postcondition M\\(alpha_\\{1:1\\}\\) <= 2\\^-1 "
+                                           "failed; input is not a semimeasure"):
+        verify_nonconvergence(m, F(1, 9), 8)
 
 
-@pytest.mark.parametrize("build", [
-    lambda nu, m: m,
-    lambda nu, m: contaminate(nu, m, F(1, 9)).env_class.env(1),
-    lambda nu, m: sl.MixtureEnv(sl.EnvClass([nu, sl.uniform_measure()]),
-                                sl.WeightScheme((F(8, 9), F(1, 9))), sl.RAW),
-    lambda nu, m: sl.MixtureEnv(sl.EnvClass([nu, m]),
-                                sl.WeightScheme((F(1, 2), F(1, 9))), sl.RAW),
-    lambda nu, m: sl.MixtureEnv(sl.EnvClass([nu, m]),
-                                sl.WeightScheme((F(8, 9), F(1, 9))), sl.QUASI),
-], ids=["the-mixture", "nu", "m-not-a-mixture",
-        "weights-short-of-1", "not-raw"])
-def test_verification_refuses_a_mixture_that_is_not_mprime(canonical_mixture, build):
-    nu = nu_limit(canonical_mixture, 16)
-    alpha = leftmost_random(canonical_mixture, 16)
-    with pytest.raises(SemilabError, match="expected M'"):
-        verify_nonconvergence(build(nu, canonical_mixture), alpha, 15)
-
-
-def test_counterexample_run_walks_m_only_in_nu_limit_and_the_envelope_check(monkeypatch):
-    # the run reads alpha off nu instead of walking M along it a third time:
-    # M's own cursor (not the one inside M', which steps with M') steps only
-    # in nu_limit and, once per symbol, in verify_nonconvergence's envelope check
+def test_counterexample_run_walks_m_once(monkeypatch):
+    # one leftmost walk of M: a candidate 0-step per symbol of alpha, plus a
+    # 1-step on each 1; no second walk, no dominance walk and no M' cursor
     from semilab.mixtures import _MixtureCursor
     spec = json.loads((FIXTURES / "counterexample_canonical.json").read_text())
     depth = 512
-    steps, nested = [], [0]
+    steps = []
     step = _MixtureCursor.step
 
     def recording_step(cursor, a):
-        if not nested[0] and not isinstance(cursor._env.env_class.env(1), NuLimitEnv):
-            steps.append(a)
-        nested[0] += 1
-        try:
-            step(cursor, a)
-        finally:
-            nested[0] -= 1
+        steps.append(a)
+        step(cursor, a)
 
     monkeypatch.setattr(_MixtureCursor, "step", recording_step)
-    nu_limit(sl.MixtureEnv(*parse_class(spec), sl.RAW), depth)
-    in_nu_limit = len(steps)
-    assert 0 < in_nu_limit < depth
-    steps.clear()
     result = run_counterexample(spec, depth, 128, None)
     assert result.outcomes == [sl.CERTIFIED_HOLDS]
-    assert len(steps) == in_nu_limit + depth
+    ones = result.documents["report"]["alpha_prefix"].count("1")
+    assert len(steps) == depth + ones <= 2 * depth
+
+
+def test_counterexample_run_on_bern3_certifies_every_position():
+    # bern3's alpha never turns to all zeros: 378 01-positions by depth 1024
+    spec = json.loads((FIXTURES / "bern3_mix.json").read_text())
+    result = run_counterexample(spec, 1024, 128, None)
+    assert result.outcomes == [sl.CERTIFIED_HOLDS]
+    positions = result.documents["report"]["positions"]
+    assert len(positions) == 378
+    assert all(p["certified"] for p in positions)
+    assert min(F(p["mprime_posterior"]) for p in positions) >= F(2, 3)
+
+
+@pytest.mark.parametrize("depth", ["0", "1"])
+def test_counterexample_below_two_symbols_exits_one(depth, capsys):
+    code = main(["counterexample", "--spec", str(FIXTURES / "counterexample_canonical.json"),
+                 "--depth", depth])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: --depth: {depth} must be >= 2")
+
+
+def test_counterexample_gamma_outside_its_range_exits_one(capsys):
+    spec = {"class": [{"kind": "uniform"}], "gamma": "1/5"}
+    assert main(["counterexample", "--spec", json.dumps(spec)]) == 1
+    assert capsys.readouterr().err == "error: gamma must lie strictly in (0, 1/5)\n"
+
+
+def test_report_past_the_integer_text_limit_names_its_field(capsys):
+    # a decaying member with beta = 16 gives posteriors whose integers pass
+    # Python's 4300-digit int-to-text limit by depth 256; the limit is left
+    # as it is, since it also guards int(text) in spec parsing
+    spec = {"class": [{"kind": "uniform"}, {"kind": "decaying", "beta": 16}],
+            "weights": ["1/2", "1/4"]}
+    assert main(["counterexample", "--spec", json.dumps(spec), "--depth", "256"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: $.positions[3].mprime_posterior: exact value past "
+                          "Python's limit of")

@@ -1,5 +1,5 @@
-"""Every demo runs to the end: demo 02 drives ``nu_limit`` and the
-counterexample construction, demo 03 the CLI with artifacts on disk."""
+"""Every demo runs to the end: demo 02 drives ``verify_nonconvergence`` and
+the counterexample construction, demo 03 the CLI with artifacts on disk."""
 
 import runpy
 from pathlib import Path

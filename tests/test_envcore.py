@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,6 @@ from semilab.errors import (
 )
 
 import oracles
-from test_walker import KINDS
 
 F = Fraction
 
@@ -46,6 +44,12 @@ def test_prefix_refuses_a_length_its_string_does_not_have():
     assert a.prefix(3) == a
     with pytest.raises(ValueError, match="n exceeds the provided sequence length"):
         a.prefix(4)
+
+
+def test_prefix_refuses_a_negative_length():
+    # a negative n would slice from the end: "0110".prefix(-1) read as "011"
+    with pytest.raises(ValueError, match="prefix length -1 is negative"):
+        sl.FiniteString.parse("0110").prefix(-1)
 
 
 def test_empty_string_prints_placeholder():
@@ -285,27 +289,6 @@ def test_mass_interval_decaying_fast_path_agrees_with_exact():
     assert hi - lo < F(1, 10 ** 20)
 
 
-# ------------------------------------------------- zero-step factor bounds
-
-def test_zero_step_bounds_by_environment_kind():
-    assert sl.BernoulliEnv(F(1, 3)).cursor().zero_step_factor_bound() == F(2, 3)
-    assert sl.DeterministicEnv([], [0]).cursor().zero_step_factor_bound() is None
-    assert sl.DeterministicEnv([1], [0]).cursor().zero_step_factor_bound() == 0
-    leaky = sl.LeakyEnv(sl.BernoulliEnv(F(1, 2)), F(1, 2))
-    assert leaky.cursor().zero_step_factor_bound() == F(1, 4)
-    assert sl.DecayingEnv(2).cursor().zero_step_factor_bound() is None
-    # a leak certifies a bound over a base with none only when it is <= 1/2
-    assert sl.LeakyEnv(sl.DecayingEnv(2), F(3, 4)).cursor().zero_step_factor_bound() is None
-    assert sl.LeakyEnv(sl.DecayingEnv(2), F(1, 2)).cursor().zero_step_factor_bound() == F(1, 2)
-    normalized = sl.NormalizedEnv(leaky, sl.STRICT_SEMIMEASURE)
-    assert normalized.cursor().zero_step_factor_bound() == F(1, 4)
-    quasi = sl.QuasimeasureEnv(leaky, 8)
-    cursor = quasi.cursor()
-    for _ in range(quasi.cutoff_depth()):
-        cursor.step(0)
-    assert cursor.zero_step_factor_bound() == 0
-
-
 @pytest.mark.parametrize("derive", [
     lambda base: sl.LeakyEnv(base, F(1, 2)),
     lambda base: sl.NormalizedEnv(base, sl.STRICT_SEMIMEASURE),
@@ -319,29 +302,6 @@ def test_scaled_cursor_stops_at_the_base_depth(derive):
         cursor.row()
     with pytest.raises(DepthExceededError):
         cursor.step(0)
-
-
-# the kinds of the cursor-contract tests (every base kind, quasimeasures, a
-# mixture in each of the four modes), plus a leak over a base with no bound
-BOUND_KINDS = dict(KINDS, **{
-    "leaky-decaying": lambda: sl.LeakyEnv(sl.DecayingEnv(2), F(1, 2))})
-
-
-@pytest.mark.parametrize("kind", BOUND_KINDS)
-def test_zero_step_bound_actually_bounds_step_ratios(kind):
-    env = BOUND_KINDS[kind]()
-    depth = 4 if env.max_depth is None else min(4, env.max_depth)
-    for n in range(depth + 1):
-        for x in product(env.alphabet.symbols, repeat=n):
-            cursor = env.cursor()
-            for a in x:
-                cursor.step(a)
-            bound = cursor.zero_step_factor_bound()
-            if bound is None:
-                continue
-            steps = 8 if env.max_depth is None else min(8, env.max_depth - n)
-            for k in range(steps):
-                assert env._mass(x + (0,) * (k + 1)) <= bound * env._mass(x + (0,) * k), (x, k)
 
 
 def test_validation_checks_zero_mass_nodes():

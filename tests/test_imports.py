@@ -55,14 +55,26 @@ TREES = {p: ast.parse(p.read_text()) for p in NAMING}
 NAMED = {p: _named(tree) for p, tree in TREES.items()}
 
 
+def _definitions(tree: ast.Module):
+    """Every module-level function and class, and every method of those
+    classes except the dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_definition_is_named_outside_itself(path):
-    # every module-level function and class is named somewhere outside its
-    # own definition, so a helper cannot quietly outlive its last caller
+    # every module-level function and class, and every method, is named
+    # somewhere outside its own definition, so a helper cannot quietly
+    # outlive its last caller
     elsewhere = {name for p, named in NAMED.items() if p != path for _, name in named}
     dead = []
-    for node in TREES[path].body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in elsewhere \
+    for node in _definitions(TREES[path]):
+        if node.name not in elsewhere \
                 and not any(name == node.name and not node.lineno <= line <= node.end_lineno
                             for line, name in NAMED[path]):
             dead.append(f"line {node.lineno}: {node.name}")

@@ -12,6 +12,7 @@ two.  So do the primitives one by one, and the adder the markov-tail
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (
@@ -98,6 +99,17 @@ def test_quotients_round_as_mpf_div(prec, num, den):
     assert quotient_bounds(num, den, prec) == oracles.quotient_bounds_mpf(num, den, prec)
     # and an unreduced quotient rounds to the reduced one's bits
     assert quotient_bounds(num * 12, den * 12, prec) == quotient_bounds(num, den, prec)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_exact_quotients_past_the_precision_are_enclosed(prec):
+    """An exact quotient with prec + 1 or prec + 2 significant bits leaves
+    low bits in the floor q with a remainder of 0: the upper end must still
+    round up past them."""
+    for num, den in ((2 ** (prec + 1) + 1, 1), (2 ** prec + 1, 2), (2 ** prec + 1, 1),
+                     (3 * 2 ** (prec - 1) + 1, 2 ** (prec + 2)), (2 ** (prec + 1) + 3, 2 ** 40)):
+        (lo, lo_exp), (hi, hi_exp) = quotient_pairs(num, den, prec)
+        assert lo * F(2) ** lo_exp <= F(num, den) <= hi * F(2) ** hi_exp, (num, den)
 
 
 def _mpf(man, exp, prec):
