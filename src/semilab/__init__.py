@@ -53,7 +53,6 @@ from .envcore import (
     ValidationReport,
     enumerate_support,
     mass_interval,
-    prefix_masses,
     sample,
     uniform_measure,
     validate,

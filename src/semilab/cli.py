@@ -278,9 +278,7 @@ def _checked_table(table: TableEnv, path: str) -> TableEnv:
 def _parse_derived(d: dict, path: str) -> Environment:
     derived = _enum(d, "derived", DERIVED_KINDS, path)
     if derived == "mixture":
-        env_class, weights = parse_class(
-            {"class": _require(d, "environments", path), "weights": d.get("weights")},
-            path)
+        env_class, weights = parse_class(d, path, "environments")
         k, cap = (None if d.get(f) is None else _parse_int(d[f], f"{path}.{f}", least)
                   for f, least in (("k", None), ("quasi_depth_cap", 2)))
         return MixtureEnv(env_class, weights, _enum(d, "mode", MODES, path, RAW),
@@ -333,22 +331,22 @@ def _cross_check(env: Environment, path: str) -> None:
         raise SpecError(f"{path}: declared a measure but node sums fall short")
 
 
-def parse_class(d, path: str = "$") -> tuple[EnvClass, WeightScheme]:
+def parse_class(d, path: str = "$", members: str = "class") -> tuple[EnvClass, WeightScheme]:
+    """The class in d[members] with d's weights; errors name their JSON path."""
     if isinstance(d, list):
-        d = {"class": d}
-    entries = _require(d, "class", path)
+        d = {members: d}
+    entries = _require(d, members, path)
     if not isinstance(entries, list) or not entries:
-        raise SpecError(f"{path}.class: must be a nonempty array")
+        raise SpecError(f"{path}.{members}: must be a nonempty array")
     envs = []
     for i, entry in enumerate(entries):
-        env = parse_environment(entry, f"{path}.class[{i}]")
-        _cross_check(env, f"{path}.class[{i}]")
+        env = parse_environment(entry, f"{path}.{members}[{i}]")
+        _cross_check(env, f"{path}.{members}[{i}]")
         envs.append(env)
-    raw_weights = d.get("weights")
-    if raw_weights is None:
+    if "weights" not in d:
         weights = default_weights(len(envs))
     else:
-        weights = WeightScheme(tuple(_rationals(raw_weights, path + ".weights")))
+        weights = WeightScheme(tuple(_rationals(d["weights"], path + ".weights")))
         if len(weights) != len(envs):
             raise SpecError(f"{path}.weights: expected {len(envs)} entries")
     return EnvClass(envs), weights
@@ -601,7 +599,9 @@ def run_w_vs_d(spec, depth, bits, seed) -> RunResult:
     for t, (w_cur, d_cur) in zip(range(1, len(omega) + 1), walk_string([w_mix, d_mix], omega)):
         if not w_cur.mass_ratio()[0] or not d_cur.mass_ratio()[0]:
             raise UndefinedPosteriorError(f"zero mass at {omega.prefix(t - 1)}")
-        diff = max(abs(p - q) for p, q in zip(w_cur.row(), d_cur.row()))
+        (w_nums, w_den), (d_nums, d_den) = w_cur.row_ratio(), d_cur.row_ratio()
+        diff = Fraction(max(abs(p * d_den - q * w_den) for p, q in zip(w_nums, d_nums)),
+                        w_den * d_den)
         rows.append((t, _frac_str(diff), _frac_str(diff)))
         if t >= stable_from:
             max_late = max(max_late, diff)

@@ -159,6 +159,13 @@ def nu_limit(m: MixtureEnv, n: int) -> NuLimitEnv:
     return NuLimitEnv(leftmost_random(m, n))
 
 
+def _checked_gamma(gamma) -> Fraction:
+    gamma = Fraction(gamma)
+    if not 0 < gamma < GAMMA_UPPER:
+        raise ValueError(f"gamma must lie strictly in (0, {GAMMA_UPPER})")
+    return gamma
+
+
 def contaminate(nu: Environment, m: MixtureEnv, gamma: Fraction) -> MixtureEnv:
     """M' = (1-gamma) nu + gamma M, exactly: the raw mixture of nu and M with
     weights 1-gamma and gamma, so gamma must lie in (0, 1)."""
@@ -173,10 +180,7 @@ def build_mprime(nu: Environment, m: MixtureEnv, gamma: Fraction) -> MixtureEnv:
     ``DOMINANCE_DEPTH``, exactly) to dominate every class member with
     constant gamma * weight_i, so it inherits the mixture's universality role.
     """
-    gamma = Fraction(gamma)
-    if not 0 < gamma < GAMMA_UPPER:
-        raise ValueError(f"gamma must lie strictly in (0, {GAMMA_UPPER})")
-    env = contaminate(nu, m, gamma)
+    env = contaminate(nu, m, _checked_gamma(gamma))
     depth = DOMINANCE_DEPTH
     if env.max_depth is not None:
         depth = min(depth, env.max_depth)
@@ -186,16 +190,6 @@ def build_mprime(nu: Environment, m: MixtureEnv, gamma: Fraction) -> MixtureEnv:
             raise SemilabError(
                 f"dominance with constant gamma*eps_{i} fails to depth {depth}")
     return env
-
-
-def _exact_str(q: Fraction, field: str) -> str:
-    """q as "num/den", refused by the report field's name past Python's
-    int-to-text limit (``sys.get_int_max_str_digits``), which stays as it is."""
-    try:
-        return _frac_str(q)
-    except ValueError:
-        raise SemilabError(f"{field}: exact value past Python's limit of "
-                           f"{sys.get_int_max_str_digits()} digits per integer") from None
 
 
 @dataclass(frozen=True)
@@ -208,10 +202,13 @@ class PositionReport:
     gap: Fraction
     certified: bool
 
-    def as_dict(self, path: str) -> dict:
-        before, at, post, bound, gap = (_exact_str(q, f"{path}.{field}") for q, field in (
-            (self.nu_before, "nu_values.before"), (self.nu_at, "nu_values.at"),
-            (self.mprime_posterior, "mprime_posterior"), (self.bound, "bound"), (self.gap, "gap")))
+    def exact_fields(self) -> tuple[tuple[str, Fraction], ...]:
+        return (("nu_values.before", self.nu_before), ("nu_values.at", self.nu_at),
+                ("mprime_posterior", self.mprime_posterior), ("bound", self.bound),
+                ("gap", self.gap))
+
+    def as_dict(self) -> dict:
+        before, at, post, bound, gap = (_frac_str(q) for _, q in self.exact_fields())
         return {"n": self.n, "nu_values": {"before": before, "at": at},
                 "mprime_posterior": post, "bound": bound, "gap": gap,
                 "certified": self.certified}
@@ -234,8 +231,7 @@ class NonconvergenceReport:
             "gamma": _frac_str(self.gamma),
             "class": self.class_spec,
             "alpha_prefix": self.alpha_prefix,
-            "positions": [p.as_dict(f"$.positions[{i}]")
-                          for i, p in enumerate(self.positions)],
+            "positions": [p.as_dict() for p in self.positions],
             "counts": {"positions": len(self.positions), "horizon": self.horizon},
         }
 
@@ -258,9 +254,7 @@ def verify_nonconvergence(m: MixtureEnv, gamma: Fraction,
     decreases in t as M(alpha_{1:n}) <= M(alpha_{<n}), so the reported
     values, at t = 0, are lower ends for the limit.
     """
-    gamma = Fraction(gamma)
-    if not 0 < gamma < GAMMA_UPPER:
-        raise ValueError(f"gamma must lie strictly in (0, {GAMMA_UPPER})")
+    gamma = _checked_gamma(gamma)
     if m.alphabet.size != 2:
         raise SemilabError("construction requires binary alphabet")
     # (n, M(alpha_{<n}), M(alpha_{1:n})) at each 01-position n
@@ -277,15 +271,24 @@ def verify_nonconvergence(m: MixtureEnv, gamma: Fraction,
     # 2^N nu_N(alpha_{1:k}) is alpha_{k+1..N} read as a binary number
     digits, scale = int("".join(map(str, alpha)), 2), 1 << n_max
     g, h = gamma.as_integer_ratio()
+    # post >= bound > 1/2 is forced: no input tells it from post >= bound / 2
     bound = (1 - gamma) / (1 + 3 * gamma)
+    # an integer prints in at most limit digits (no limit at 0) iff it is below 10^limit
+    limit = sys.get_int_max_str_digits()
+    cap = 10 ** limit
     positions = []
     for n, (before_num, before_den), (at_num, at_den) in flagged:
         nu_before, nu_at = (digits & ((1 << (n_max - k)) - 1) for k in (n - 1, n))
         # h M' = (h - g) nu + g M, and h cancels from the posterior
         post = Fraction(((h - g) * nu_at * at_den + g * at_num * scale) * before_den,
                         ((h - g) * nu_before * before_den + g * before_num * scale) * at_den)
-        positions.append(PositionReport(
+        position = PositionReport(
             n, Fraction(nu_before, scale), Fraction(nu_at, scale), post, bound, post - HALF,
-            nu_before == nu_at and nu_at << (n + 1) >= scale and post >= bound and post > HALF))
+            nu_before == nu_at and nu_at << (n + 1) >= scale and post >= bound)
+        for field, q in position.exact_fields():
+            if limit and max(abs(q.numerator), q.denominator) >= cap:
+                raise SemilabError(f"$.positions[{len(positions)}].{field}: exact value past "
+                                   f"Python's limit of {limit} digits per integer")
+        positions.append(position)
     return NonconvergenceReport(gamma, m.env_class.spec(), "".join(map(str, alpha)),
                                 tuple(positions), n_max)

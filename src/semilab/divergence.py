@@ -142,8 +142,10 @@ class HellingerTrace:
 
 def hellinger_trace(nu: Environment, mu: Environment, omega: FiniteString, n: int,
                     precision_bits: int = DEFAULT_PRECISION) -> HellingerTrace:
-    """Per-step h_t(nu, mu | omega_{<t}) plus on/off-sequence diagnostics."""
-    steps, hs, cums, ratios, diffs = [], [], [], [], []
+    """Per-step h_t(nu, mu | omega_{<t}) plus on/off-sequence diagnostics,
+    each computed on the cursors' ``row_ratio()`` pairs as in the walks (h by
+    ``_hellinger_bounds``) and stored as one value: a ``Fraction`` or an interval."""
+    hs, cums, ratios, diffs = [], [], [], []
     with precision(precision_bits):
         cum = iv.mpf(0)
         # the symbols come first, so the walk takes no step past the last row
@@ -153,23 +155,19 @@ def hellinger_trace(nu: Environment, mu: Environment, omega: FiniteString, n: in
                 raise UndefinedPosteriorError(f"mu has zero mass at step {t}")
             if not nu_cur.mass_ratio()[0]:
                 raise UndefinedPosteriorError(f"nu has zero mass at step {t}")
-            mu_row = mu_cur.row()
-            nu_row = nu_cur.row()
-            h = hellinger_step(nu_row, mu_row)
+            nu_row, mu_row = nu_cur.row_ratio(), mu_cur.row_ratio()
+            h = iv.make_mpf(_hellinger_bounds(nu_row, mu_row, iv.prec))
             cum = cum + h
-            if mu_row[a] == 0:
+            (nu_nums, nu_den), (mu_nums, mu_den) = nu_row, mu_row
+            if not mu_nums[a]:
                 raise UndefinedPosteriorError(f"mu posterior zero on-sequence at step {t}")
-            ratio = nu_row[a] / mu_row[a]
-            off = max(
-                (abs(nu_row[b] - mu_row[b]) for b in nu.alphabet.symbols if b != a),
-                default=ZERO,
-            )
-            steps.append(t)
+            off = max((abs(nu_nums[b] * mu_den - mu_nums[b] * nu_den)
+                       for b in nu.alphabet.symbols if b != a), default=0)
             hs.append(h)
             cums.append(cum)
-            ratios.append(ratio)
-            diffs.append(off)
-    return HellingerTrace(steps, hs, cums, ratios, diffs)
+            ratios.append(Fraction(nu_nums[a] * mu_den, nu_den * mu_nums[a]))
+            diffs.append(Fraction(off, nu_den * mu_den))
+    return HellingerTrace(list(range(1, n + 1)), hs, cums, ratios, diffs)
 
 
 def _dominated(nu_cur, mu_cur, w: Fraction) -> bool:
@@ -307,6 +305,7 @@ def hellinger_expectations(nu: Environment, mu: Environment, n: int,
 
     found = _exp_half_sum(nu, mu, n, w, prec, term)
     sqrt_sum, hell_sum, excess = iv.make_mpf(sums[0]), iv.make_mpf(sums[1]), sums[2]
+    # excess sums nonnegative terms, so no input tells ">= 0" from ">= -1" here
     outcome = intervals.CERTIFIED_HOLDS if excess >= 0 else intervals.CERTIFIED_FAILS
     found.update({
         "sqrt_ratio_sum": sqrt_sum,

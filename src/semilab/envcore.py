@@ -879,11 +879,6 @@ def walk_string(envs: Sequence[Environment], x: FiniteString) -> Iterator[tuple]
         yield cursors
 
 
-def prefix_masses(env: Environment, x: FiniteString) -> Iterator[Fraction]:
-    """Yield eval(env, x_{1:k}) for k = 0..len(x), from one ``walk_string``."""
-    return (cursor.mass for (cursor,) in walk_string([env], x))
-
-
 def enumerate_support(env: Environment, depth: int) -> Iterator[tuple[FiniteString, Fraction]]:
     """Yield the nonzero-mass strings of exactly the given length, in order."""
     if depth < 0:

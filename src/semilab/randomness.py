@@ -74,30 +74,35 @@ class DeficiencyTrace:
         return "\n".join(lines) + "\n"
 
 
+def _mass_ratios(m_ref: Environment, mu: Environment, omega: FiniteString,
+                 n: int) -> Iterator[Fraction]:
+    """M_ref(omega_{1:k}) / mu(omega_{1:k}) for k = 0..n, one ``Fraction`` each
+    from the cursors' ``mass_ratio()`` pairs along one ``walk_string``."""
+    for k, (mu_cur, m_cur) in enumerate(walk_string([mu, m_ref], omega.prefix(n))):
+        mu_num, mu_den = mu_cur.mass_ratio()
+        if not mu_num:
+            raise UndefinedPosteriorError(f"mu vanishes on prefix of length {k}")
+        m_num, m_den = m_cur.mass_ratio()
+        yield Fraction(m_num * mu_den, m_den * mu_num)
+
+
 def deficiency_trace(m_ref: Environment, mu: Environment, omega: FiniteString,
                      n: int, precision_bits: int = DEFAULT_PRECISION) -> DeficiencyTrace:
     """Ratios M_ref(omega_{1:k}) / mu(omega_{1:k}) for k = 0..n, exactly.
 
     The supremum d is reported as a log2 enclosure of the exact maximal
     ratio; the diverging flag marks ratios beyond ``DEFAULT_CEILING``.
-    Both masses come from one ``walk_string`` along omega.
+    The ratios come from one walk along omega (``_mass_ratios``).
     """
-    prefix = omega.prefix(n)
-    lengths, ratios, logs = [], [], []
+    ratios = list(_mass_ratios(m_ref, mu, omega, n))
     with precision(precision_bits):
         ln2 = iv.log(iv.mpf(2))
-        for k, (mu_cur, m_cur) in enumerate(walk_string([mu, m_ref], prefix)):
-            if not mu_cur.mass_ratio()[0]:
-                raise UndefinedPosteriorError(f"mu vanishes on prefix of length {k}")
-            ratio = m_cur.mass / mu_cur.mass
-            lengths.append(k)
-            ratios.append(ratio)
-            logs.append(interval_str(iv.log(from_fraction(ratio)) / ln2) if ratio > 0
-                        else ("-inf", "-inf"))
+        logs = [interval_str(iv.log(from_fraction(ratio)) / ln2) if ratio > 0
+                else ("-inf", "-inf") for ratio in ratios]
     sup_ratio = max(ratios)
     d_bounds = logs[ratios.index(sup_ratio)]
     return DeficiencyTrace(
-        prefix_lengths=lengths,
+        prefix_lengths=list(range(n + 1)),
         ratios=ratios,
         log2_bounds=logs,
         sup_ratio=sup_ratio,
@@ -293,13 +298,8 @@ def e2i_individual_bound(m_ref_ext: MixtureEnv, f: EnumerableFunctional,
     if index is None or index not in m_ref_ext.membership():
         raise NotDominatedError("stage-n table environment not registered in the mixture")
     w = m_ref_ext.weights.weight(index)
-    prefix = omega.prefix(n)
-    ratios = []
-    for mu_cur, m_cur in walk_string([mu, m_ref_ext], prefix):
-        if not mu_cur.mass_ratio()[0]:
-            raise UndefinedPosteriorError("omega outside mu-support")
-        ratios.append(m_cur.mass / mu_cur.mass)
-    f_val = f.value(n, prefix.symbols)
+    ratios = list(_mass_ratios(m_ref_ext, mu, omega, n))
+    f_val = f.value(n, omega.prefix(n).symbols)
     eps_n = f.eps(n)
     ratio = ratios[-1]
     sup_ratio = max(ratios)
@@ -342,7 +342,9 @@ def delta_hat_ratio_check(env_class: EnvClass, weights: WeightScheme, k: int,
     bound = 1 + weights.weight(k) / weights.weight(o)
     prev = MixtureEnv(env_class, weights, NORMALIZED_MEASURES_ONLY, k=k - 1)
     curr = MixtureEnv(env_class, weights, NORMALIZED_MEASURES_ONLY, k=k)
-    worst = max((p.mass / c.mass
-                 for _, (p, c), _, _, _ in walk_states([prev, curr], depth)
-                 if c.mass != 0), default=ZERO)
-    return _exact_verdict(worst, bound)
+    worst = 0, 1  # the largest p/c, compared on the unreduced mass pairs
+    for _, (p, c), _, _, _ in walk_states([prev, curr], depth):
+        (p_num, p_den), (c_num, c_den) = p.mass_ratio(), c.mass_ratio()
+        if c_num and p_num * c_den * worst[1] > worst[0] * p_den * c_num:
+            worst = p_num * c_den, p_den * c_num
+    return _exact_verdict(Fraction(*worst), bound)

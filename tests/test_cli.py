@@ -351,6 +351,35 @@ def test_member_spec_outside_its_domain_exits_one(spec, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("environments, message", [
+    ([{"kind": "uniform"}, {"kind": "bernoulli", "p": "3/2"}],
+     "$.class[0].environments[1]: probabilities must be in [0,1] and sum to 1"),
+    ([], "$.class[0].environments: must be a nonempty array"),
+    ([{"kind": "uniform"}, {"kind": "table", "depth": 1, "values": {"": "1/2", "0": "1/2",
+                                                                    "1": "1/2"}}],
+     "$.class[0].environments[1]: node inequality fails at <empty>"),
+], ids=["bad-member", "empty", "table-defect"])
+def test_mixture_members_are_named_by_their_json_path(environments, message, capsys):
+    spec = {"class": [{"kind": "derived", "derived": "mixture", "environments": environments}]}
+    code = run_cli("quasimeasure", "--spec", json.dumps(spec), "--depth", "2")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"class": [{"kind": "uniform"}], "weights": None},
+     "$.weights: expected an array, got None"),
+    ({"class": [{"kind": "derived", "derived": "mixture", "environments": [{"kind": "uniform"}],
+                 "weights": None}]},
+     "$.class[0].weights: expected an array, got None"),
+], ids=["class", "mixture"])
+def test_null_weights_are_refused_as_the_schema_refuses_them(spec, message, capsys):
+    # omitted weights take the default scheme; null is not an array of weights
+    code = run_cli("verify-hellinger-bounds", "--spec", json.dumps(spec), "--depth", "2")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("key, message", [
     ("00", "$.class[0]: table key 00 is longer than the depth 1"),
     ("2", "$.class[0]: table key 2 holds a symbol outside alphabet of size 2"),

@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -471,3 +472,40 @@ def test_report_past_the_integer_text_limit_names_its_field(capsys):
     assert err.count("\n") == 1
     assert err.startswith("error: $.positions[3].mprime_posterior: exact value past "
                           "Python's limit of")
+
+
+def test_a_position_past_the_integer_text_limit_is_refused_as_it_is_formed(monkeypatch):
+    # at 640 digits, the least limit Python takes, the first position whose
+    # integers do not print is found at the default limit from the report's
+    # own text; under the lower limit the run stops at that position
+    spec = {"class": [{"kind": "uniform"}, {"kind": "decaying", "beta": 2}],
+            "weights": ["1/2", "1/4"]}
+    m = sl.MixtureEnv(*sl.cli.parse_class(spec), sl.RAW)
+    fields = ("nu_values.before", "nu_values.at", "mprime_posterior", "bound", "gap")
+    report = verify_nonconvergence(m, F(1, 9), 512).as_dict()["positions"]
+    first = next((i, field) for i, position in enumerate(report) for field in fields
+                 if max(map(len, _field(position, field).split("/"))) > 640)
+    assert 0 < first[0] < len(report) - 1
+    formed = []
+
+    def recorded(n, *fields):
+        formed.append(n)
+        return PositionReport(n, *fields)
+
+    monkeypatch.setattr(sl.counterexample, "PositionReport", recorded)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(SemilabError) as err:
+            verify_nonconvergence(m, F(1, 9), 512)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(err.value) == (f"$.positions[{first[0]}].{first[1]}: exact value past "
+                              "Python's limit of 640 digits per integer")
+    assert formed == [p["n"] for p in report[:first[0] + 1]]
+
+
+def _field(position: dict, field: str) -> str:
+    for name in field.split("."):
+        position = position[name]
+    return position

@@ -189,6 +189,40 @@ def test_trace_with_decaying_mu_matches_reference():
         assert oracles.interval_contains(trace.h_intervals[i], ref)
 
 
+TRACE_MEMBERS = {
+    "iid": lambda: sl.BernoulliEnv(F(1, 3)),
+    "markov": lambda: sl.MarkovEnv(1, {(): [F(1, 2), F(1, 2)], (0,): [F(2, 5), F(3, 5)],
+                                       (1,): [F(3, 4), F(1, 4)]}),
+    "decaying": lambda: sl.DecayingEnv(2),
+    "leaky": lambda: sl.LeakyEnv(sl.BernoulliEnv(F(1, 2)), F(1, 3)),
+}
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("kind", TRACE_MEMBERS)
+def test_trace_is_the_step_on_reduced_posterior_rows_bit_for_bit(kind, bits):
+    # nu mixes all four kinds; mu is the one named.  Every value equals the
+    # one formed from the reduced rows Environment.posterior gives
+    members = [make() for make in TRACE_MEMBERS.values()]
+    nu = sl.MixtureEnv(sl.EnvClass(members), sl.WeightScheme((F(1, 4),) * 4), sl.RAW)
+    mu = members[list(TRACE_MEMBERS).index(kind)]
+    omega = sl.FiniteString.parse("0110100111010010" * 2 + "01101001")
+    n = len(omega)
+    trace = hellinger_trace(nu, mu, omega, n, bits)
+    with precision(bits):
+        cum = from_fraction(0)
+        for t in range(1, n + 1):
+            x, a = omega.prefix(t - 1), omega.symbols[t - 1]
+            nu_row, mu_row = nu.posterior(x), mu.posterior(x)
+            h = hellinger_step(nu_row, mu_row)
+            cum = cum + h
+            assert trace.h_intervals[t - 1]._mpi_ == h._mpi_, t
+            assert trace.cumulative[t - 1]._mpi_ == cum._mpi_, t
+            assert trace.on_ratio[t - 1] == nu_row[a] / mu_row[a], t
+            assert trace.off_maxdiff[t - 1] == abs(nu_row[1 - a] - mu_row[1 - a]), t
+    assert trace.steps == list(range(1, n + 1))
+
+
 # ---------------------------------------------------------------- expectations
 
 def test_expected_sums_match_reference(bern3_mixture, bern3_class):

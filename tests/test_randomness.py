@@ -246,6 +246,18 @@ def test_individual_bound_requires_registered_table():
         e2i_individual_bound(plain, f, mu, sl.FiniteString.parse("0000"), 4)
 
 
+def test_individual_bound_refuses_omega_outside_mu_support_as_the_deficiency_does():
+    # mu = Bernoulli(1) vanishes on every string holding a 0
+    mu = sl.BernoulliEnv(F(1))
+    f = ConstantFunctional(F(1, 64))
+    m_ext, _ = _extended_mixture(mu, f, 4)
+    omega = sl.FiniteString.parse("1101")
+    for call in (lambda: e2i_individual_bound(m_ext, f, mu, omega, 4),
+                 lambda: deficiency_trace(m_ext, mu, omega, 4)):
+        with pytest.raises(UndefinedPosteriorError, match="^mu vanishes on prefix of length 3$"):
+            call()
+
+
 def test_individual_bound_refuses_a_short_omega():
     mu = sl.BernoulliEnv(F(1, 2))
     f = IndicatorFunctional(F(1, 64))

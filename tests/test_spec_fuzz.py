@@ -9,12 +9,17 @@ make a run exponential.
 """
 
 import contextlib
+import functools
 import io
 import json
+from pathlib import Path
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semilab import cli
 from semilab.cli import SUBCOMMANDS, main
 
 from conftest import FIXTURES
@@ -78,3 +83,71 @@ def test_mutated_fixture_specs_exit_cleanly(args):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().splitlines()) <= 1
+
+
+class _Recorded(dict):
+    """A decoded JSON object that records the keys a run reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def items(self):
+        self.read.update(dict.keys(self))
+        return super().items()
+
+
+def _read_part(node):
+    """The fields of a recorded spec that the run read."""
+    if isinstance(node, _Recorded):
+        return {k: _read_part(v) for k, v in dict.items(node) if k in node.read}
+    if isinstance(node, list):
+        return [_read_part(v) for v in node]
+    return node
+
+
+@functools.cache
+def _experiment_validator():
+    """experiment.schema.json, with the environment and rational schemas as
+    its registry."""
+    jsonschema = pytest.importorskip("jsonschema")
+    referencing = pytest.importorskip("referencing")
+    schemas = Path(__file__).parent.parent / "schemas"
+    registry = referencing.Registry().with_resources(
+        (schema["$id"], referencing.Resource.from_contents(schema))
+        for schema in (json.loads((schemas / name).read_text())
+                       for name in ("environment.schema.json", "rational.schema.json")))
+    schema = json.loads((schemas / "experiment.schema.json").read_text())
+    return jsonschema.Draft202012Validator(schema, registry=registry)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mutated_runs())
+def test_every_field_a_run_reads_matches_the_experiment_schema(args):
+    # a field no subcommand run reads is ignored, as the schema's own
+    # description says, so the part of the spec the run read is validated
+    validator = _experiment_validator()
+    decoded = []
+
+    def decode(source):
+        decoded.append(json.loads(str(source), object_hook=_Recorded))
+        return decoded[-1]
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_decode_spec", decode), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    if code in (0, 2, 3):
+        validator.validate(_read_part(decoded[0]))

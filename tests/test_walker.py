@@ -232,7 +232,7 @@ def test_hellinger_trace_refuses_environments_over_different_alphabets(monkeypat
     def row_read(*rows):
         raise AssertionError("a row was read")
 
-    monkeypatch.setattr(divergence, "hellinger_step", row_read)
+    monkeypatch.setattr(divergence, "_hellinger_bounds", row_read)
     nu, mu = sl.BernoulliEnv(F(1, 2)), sl.CategoricalIIDEnv([F(1, 3)] * 3)
     with pytest.raises(SemilabError, match="alphabet"):
         divergence.hellinger_trace(nu, mu, sl.FiniteString.parse("0101"), 4)
@@ -967,7 +967,7 @@ def test_prefix_walks_match_prefix_evaluation(kind):
     env = KINDS[kind]()
     strings = _strings(env, _length(env))
     for x in strings:
-        assert list(sl.prefix_masses(env, x)) == [
+        assert [cursor.mass for (cursor,) in walk_string([env], x)] == [
             env.eval(x.prefix(k)) for k in range(len(x) + 1)]
     # env as the reference mixture, and as mu under (env + uniform) / 2,
     # along a string on its support
@@ -1000,7 +1000,7 @@ def test_walks_past_the_stored_depth_raise_as_evaluation_does():
     # the table member dies on 1^k, where the mixture cursor stops stepping it
     env = _mixture(_table_class(), sl.RAW)
     x = sl.FiniteString(sl.BINARY, (1,) * 6)
-    for call in (lambda: list(sl.prefix_masses(env, x)),
+    for call in (lambda: list(walk_string([env], x)),
                  lambda: sl.leftmost_random(env, 6),
                  lambda: sl.mass_interval(env, x),
                  lambda: env.eval(x)):
