@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import not_
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -62,9 +63,12 @@ class FiniteString:
     symbols: tuple[int, ...]
 
     def __post_init__(self):
-        for s in self.symbols:
-            if not 0 <= s < self.alphabet.size:
-                raise ValueError(f"symbol {s} outside alphabet of size {self.alphabet.size}")
+        # the set test runs in C; the loop runs only to name the symbol refused
+        if not frozenset(range(self.alphabet.size)).issuperset(self.symbols):
+            for s in self.symbols:
+                if not 0 <= s < self.alphabet.size:
+                    raise ValueError(
+                        f"symbol {s} outside alphabet of size {self.alphabet.size}")
 
     @classmethod
     def parse(cls, text: str, alphabet: Alphabet = BINARY) -> "FiniteString":
@@ -159,14 +163,16 @@ class EnvCursor:
     next-symbol row, ``posterior`` there, as integer numerators over one
     positive denominator (UndefinedPosteriorError at mass 0); only this
     class reduces them, as ``mass`` and ``row()``.  ``step(a)`` appends one
-    symbol, ``run_ratio(run)`` steps over a run and returns the product of
-    its row entries as two integers, ``clone()`` returns an independent
-    copy, and ``state_key()`` is a hashable sufficient statistic: two
-    strings of equal length with equal keys have equal masses on every
-    common extension.  The generic implementation re-evaluates masses and
-    keys by the whole string, so it never merges; product-form environments
-    override for O(1) steps and keys that merge, and the decaying and count
-    cursors for runs multiplied out at once.
+    symbol, ``child(a)`` returns a new cursor one symbol further and leaves
+    this one as it is, ``run_ratio(run)`` steps over a run and returns the
+    product of its row entries as two integers, ``clone()`` returns an
+    independent copy, and ``state_key()`` is a hashable sufficient
+    statistic: two strings of equal length with equal keys have equal
+    masses on every common extension.  The generic implementation
+    re-evaluates masses and keys by the whole string, so it never merges;
+    product-form environments override for O(1) steps and keys that merge,
+    the decaying and count cursors for runs multiplied out at once, and
+    the kinds the path-tree walks step most build a child directly.
     """
 
     def __new__(cls, *args):
@@ -215,6 +221,13 @@ class EnvCursor:
         self._symbols = self._symbols + (a,)
         self._ratio = self._env._mass(self._symbols).as_integer_ratio()
 
+    def child(self, a: int) -> "EnvCursor":
+        """A new cursor at the string walked so far plus a, raising what
+        ``step(a)`` raises; this cursor is left unchanged."""
+        new = self.clone()
+        new.step(a)
+        return new
+
     def run_ratio(self, run: Sequence[int]) -> tuple[int, int]:
         """Step over ``run`` from a position of positive mass and return
         the product of the row entries of the run's symbols, not
@@ -242,36 +255,42 @@ class _CountCursor(EnvCursor):
     ``_counts`` how often a step drew each, and ``_dead`` is set once a step
     drew a p_i of 0.
 
-    The mass is formed only when asked for, from the indices drawn since it
-    was last formed (``_pending``): one power per probability instead of one
-    growing product per step.  ``mass_ratio`` is the integers
-    prod_i n_i^c_i over prod_i d_i^c_i (p_i = n_i / d_i), formed with no gcd
-    at all, and the same object until a step draws again."""
+    ``step`` only counts: the mass is formed when asked for, from the counts
+    drawn since it was last formed (``_ratio_counts``), one power per
+    probability instead of one growing product per step.  ``child`` forms
+    its child's mass at once, the parent's times the p_i drawn.
+    ``mass_ratio`` is the integers prod_i n_i^c_i over prod_i d_i^c_i
+    (p_i = n_i / d_i), formed with no gcd at all, and the same object until
+    a step draws again."""
 
     def _start(self, probs: tuple[Fraction, ...]) -> None:
         self._probs = probs
         self._dead = False
-        self._counts = (0,) * len(probs)
-        self._ratio = (1, 1)  # the mass before the _pending draws
-        self._pending: list[int] = []
+        self._counts = self._ratio_counts = (0,) * len(probs)
+        self._ratio = (1, 1)  # the mass at _ratio_counts
 
     def _count(self, i: int) -> None:
         counts = self._counts
         self._counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
-        self._pending.append(i)
+
+    def _drawn(self, before: tuple[int, ...]) -> tuple[int, int]:
+        """The product of the p_i drawn since the counts were ``before``."""
+        num = den = 1
+        for p, old, new in zip(self._probs, before, self._counts):
+            if new != old:
+                num *= p.numerator ** (new - old)
+                den *= p.denominator ** (new - old)
+        return num, den
 
     def mass_ratio(self) -> tuple[int, int]:
-        pending = self._pending
-        if pending:
-            num, den = (0, 1) if self._dead else self._ratio
-            if num:
-                drawn = ((pending[0], 1),) if len(pending) == 1 else Counter(pending).items()
-                for i, k in drawn:
-                    p = self._probs[i]
-                    num *= p.numerator if k == 1 else p.numerator ** k
-                    den *= p.denominator if k == 1 else p.denominator ** k
-            self._ratio = num, den
-            pending.clear()
+        counts = self._counts
+        if counts is not self._ratio_counts:
+            if self._dead:
+                self._ratio = 0, 1
+            else:
+                num, den = self._drawn(self._ratio_counts)
+                self._ratio = self._ratio[0] * num, self._ratio[1] * den
+            self._ratio_counts = counts
         return self._ratio
 
     def run_ratio(self, run: Sequence[int]) -> tuple[int, int]:
@@ -280,19 +299,19 @@ class _CountCursor(EnvCursor):
         before = self._counts
         for a in run:
             self.step(a)
-        if self._dead:
-            return 0, 1
-        num = den = 1
-        for p, old, new in zip(self._probs, before, self._counts):
-            if new != old:
-                num *= p.numerator ** (new - old)
-                den *= p.denominator ** (new - old)
-        return num, den
+        return (0, 1) if self._dead else self._drawn(before)
 
-    def clone(self) -> "_CountCursor":
-        self.mass_ratio()  # form it once here rather than once in every clone
-        new = super().clone()
-        new._pending = []
+    def _child(self, i: int, dead: bool) -> "_CountCursor":
+        """A copy that drew p_i once more, dead if ``dead``, its mass formed."""
+        new = EnvCursor.clone(self)
+        counts = self._counts
+        new._counts = new._ratio_counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
+        if dead:
+            new._dead, new._ratio = True, (0, 1)
+        else:
+            num, den = self.mass_ratio()
+            p = self._probs[i]
+            new._ratio = num * p.numerator, den * p.denominator
         return new
 
 
@@ -314,6 +333,9 @@ class _IIDCursor(_CountCursor):
         if self._zero[a]:
             self._dead = True
         self._count(a)
+
+    def child(self, a: int) -> "_IIDCursor":
+        return self._child(a, self._dead or self._zero[a])
 
     def state_key(self):
         return None if self._dead else self._counts
@@ -460,6 +482,17 @@ class _MarkovCursor(_CountCursor):
             self._count(self._offsets[ctx] + a)
         ctx = ctx + (a,)
         self._ctx = ctx[1:] if len(ctx) > self._env.order else ctx
+
+    def child(self, a: int) -> "_MarkovCursor":
+        ctx = self._ctx
+        if self._dead:
+            new = EnvCursor.clone(self)
+        else:
+            dead = not self._env.row_ratio(ctx)[0][a]  # raises where step does
+            new = self._child(self._offsets[ctx] + a, dead)
+        ctx = ctx + (a,)
+        new._ctx = ctx[1:] if len(ctx) > self._env.order else ctx
+        return new
 
     def state_key(self):
         return None if self._dead else (self._counts, self._ctx)
@@ -614,6 +647,14 @@ class _ScaledCursor(EnvCursor):
         self._depth += 1
         self._ratio = None
 
+    def child(self, a: int) -> "_ScaledCursor":
+        check_depth(self._env, self._depth + 1)
+        new = EnvCursor.clone(self)
+        new._inner = self._inner.child(a)
+        new._depth = self._depth + 1
+        new._ratio = None
+        return new
+
     def clone(self) -> "_ScaledCursor":
         new = super().clone()
         new._inner = self._inner.clone()
@@ -645,9 +686,10 @@ class DecayingEnv(Environment):
         """The product of the ``row_ratio`` entries of ``run`` placed after
         t symbols, as the same integers: (prod s)^beta 2^k over the run's k
         positions s, and prod (2 s^beta - 1) over the positions of its 0s."""
-        beta, positions = self.beta, range(t + 1, t + len(run) + 1)
-        num = math.prod([2 * s ** beta - 1 for s, a in zip(positions, run) if not a])
-        return num, math.prod(positions) ** beta << len(run)
+        beta, k = self.beta, len(run)
+        zeros = compress(range(t + 1, t + k + 1), map(not_, run))
+        num = math.prod([2 * s ** beta - 1 for s in zeros])
+        return num, math.perm(t + k, k) ** beta << k
 
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
         m = ONE
@@ -669,7 +711,9 @@ class _DecayingCursor(EnvCursor):
     (``mass_interval`` never asks), as the unreduced integers ``mass_ratio``
     from the symbols added since it was last formed.  Both it and
     ``run_ratio`` multiply a run out with one ``DecayingEnv.run_factor``.
-    The string is kept one byte per symbol."""
+    ``child`` forms its child's mass at once, the parent's times one row
+    entry: the path-tree walks read the masses of the short strings they
+    build.  The string is kept one byte per symbol."""
 
     def __init__(self, env: DecayingEnv):
         self._env = env
@@ -696,8 +740,16 @@ class _DecayingCursor(EnvCursor):
     def step(self, a: int) -> None:
         self._symbols.append(a)
 
+    def child(self, a: int) -> "_DecayingCursor":
+        t = len(self._symbols)
+        num, den = self.mass_ratio()
+        nums, row_den = self._env.row_ratio(t + 1)
+        new = EnvCursor.clone(self)
+        new._symbols = self._symbols + bytes((a,))
+        new._ratio, new._ratio_t = (num * nums[a], den * row_den), t + 1
+        return new
+
     def clone(self) -> "_DecayingCursor":
-        self.mass_ratio()  # multiply out once here rather than once in every clone
         new = super().clone()
         new._symbols = bytearray(self._symbols)
         return new
@@ -810,9 +862,7 @@ def walk_states(envs: Sequence[Environment], depth: int,
                 continue
             children = []
             for a in symbols_range:
-                child = tuple(c.clone() for c in cursors)
-                for c in child:
-                    c.step(a)
+                child = tuple([c.child(a) for c in cursors])
                 if support is not None and not child[support].mass_ratio()[0]:
                     continue
                 child_key = tuple(c.state_key() for c in child)

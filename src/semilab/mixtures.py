@@ -301,7 +301,7 @@ class _MixtureCursor(EnvCursor):
     unreduced integer pair (``mass_ratio``); a component at mass 0 is held
     as None.  Components are semimeasures, so one at mass 0 stays there: it
     is no longer stepped, and its part of the key is None.  The weighted sum
-    is formed only when read: the walker steps many children only for their
+    is formed only when read: the walker builds many children only for their
     keys.
     """
 
@@ -354,6 +354,13 @@ class _MixtureCursor(EnvCursor):
                 if not cursor.mass_ratio()[0]:
                     cursors[j] = None
         self._ratio = None
+
+    def child(self, a: int) -> "_MixtureCursor":
+        new = EnvCursor.clone(self)
+        children = [c and c.child(a) for c in self._cursors]
+        new._cursors = [c if c and c.mass_ratio()[0] else None for c in children]
+        new._ratio = None
+        return new
 
     def clone(self):
         new = super().clone()

@@ -12,6 +12,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
+from mpmath.libmp import mpi_div, mpi_log, to_str
+
 from . import divergence
 from .envcore import (
     EnvCursor,
@@ -40,9 +42,9 @@ from .intervals import (
     Verdict,
     compare_le,
     from_fraction,
-    interval_str,
     iv,
     precision,
+    quotient_bounds,
 )
 from .mixtures import (
     NORMALIZED_MEASURES_ONLY,
@@ -56,34 +58,49 @@ DEFAULT_CEILING = Fraction(2 ** 64)
 
 @dataclass
 class DeficiencyTrace:
-    """Exact prefix ratios M_ref/mu with their running supremum."""
+    """Exact prefix ratios M_ref/mu with their running supremum; the ratios
+    are kept as unreduced integer pairs and reduced only when read."""
 
     prefix_lengths: list[int]
-    ratios: list[Fraction]
+    ratio_pairs: list[tuple[int, int]]
     log2_bounds: list[tuple[str, str]]
     sup_ratio: Fraction
     d_bounds: tuple[str, str]
     diverging: bool
 
+    @property
+    def ratios(self) -> list[Fraction]:
+        return [Fraction(*pair) for pair in self.ratio_pairs]
+
     def to_csv(self) -> str:
         lines = ["n,ratio_num,ratio_den,log2_lo,log2_hi"]
-        for i, n in enumerate(self.prefix_lengths):
-            r = self.ratios[i]
-            lo, hi = self.log2_bounds[i]
+        for n, r, (lo, hi) in zip(self.prefix_lengths, self.ratios, self.log2_bounds):
             lines.append(f"{n},{r.numerator},{r.denominator},{lo},{hi}")
         return "\n".join(lines) + "\n"
 
 
 def _mass_ratios(m_ref: Environment, mu: Environment, omega: FiniteString,
-                 n: int) -> Iterator[Fraction]:
-    """M_ref(omega_{1:k}) / mu(omega_{1:k}) for k = 0..n, one ``Fraction`` each
+                 n: int) -> Iterator[tuple[int, int]]:
+    """M_ref(omega_{1:k}) / mu(omega_{1:k}) for k = 0..n, each an integer
+    numerator and a positive denominator, not necessarily in lowest terms,
     from the cursors' ``mass_ratio()`` pairs along one ``walk_string``."""
     for k, (mu_cur, m_cur) in enumerate(walk_string([mu, m_ref], omega.prefix(n))):
         mu_num, mu_den = mu_cur.mass_ratio()
         if not mu_num:
             raise UndefinedPosteriorError(f"mu vanishes on prefix of length {k}")
         m_num, m_den = m_cur.mass_ratio()
-        yield Fraction(m_num * mu_den, m_den * mu_num)
+        num, den = m_num * mu_den, m_den * mu_num
+        yield (num, den) if den > 0 else (-num, -den)
+
+
+def _first_max(pairs: list[tuple[int, int]]) -> int:
+    """The index of the first largest of the quotients of ``pairs``, each
+    over a positive denominator, compared by cross-multiplying."""
+    best, (best_num, best_den) = 0, pairs[0]
+    for i, (num, den) in enumerate(pairs):
+        if num * best_den > best_num * den:
+            best, best_num, best_den = i, num, den
+    return best
 
 
 def deficiency_trace(m_ref: Environment, mu: Environment, omega: FiniteString,
@@ -92,21 +109,27 @@ def deficiency_trace(m_ref: Environment, mu: Environment, omega: FiniteString,
 
     The supremum d is reported as a log2 enclosure of the exact maximal
     ratio; the diverging flag marks ratios beyond ``DEFAULT_CEILING``.
-    The ratios come from one walk along omega (``_mass_ratios``).
+    The ratios come from one walk along omega (``_mass_ratios``) as integer
+    pairs: each is boxed as its quotient, and only the supremum is reduced.
     """
-    ratios = list(_mass_ratios(m_ref, mu, omega, n))
-    with precision(precision_bits):
-        ln2 = iv.log(iv.mpf(2))
-        logs = [interval_str(iv.log(from_fraction(ratio)) / ln2) if ratio > 0
-                else ("-inf", "-inf") for ratio in ratios]
-    sup_ratio = max(ratios)
-    d_bounds = logs[ratios.index(sup_ratio)]
+    pairs = list(_mass_ratios(m_ref, mu, omega, n))
+    prec = precision_bits
+    ln2 = mpi_log(quotient_bounds(2, 1, prec), prec)
+    logs = []
+    for num, den in pairs:
+        if num > 0:
+            lo, hi = mpi_div(mpi_log(quotient_bounds(num, den, prec), prec), ln2, prec)
+            logs.append((to_str(lo, 30), to_str(hi, 30)))
+        else:
+            logs.append(("-inf", "-inf"))
+    best = _first_max(pairs)
+    sup_ratio = Fraction(*pairs[best])
     return DeficiencyTrace(
         prefix_lengths=list(range(n + 1)),
-        ratios=ratios,
+        ratio_pairs=pairs,
         log2_bounds=logs,
         sup_ratio=sup_ratio,
-        d_bounds=d_bounds,
+        d_bounds=logs[best],
         diverging=sup_ratio > DEFAULT_CEILING,
     )
 
@@ -119,15 +142,14 @@ def leftmost_symbols(cursor: EnvCursor) -> Iterator[tuple[int, EnvCursor]]:
 
     alpha_k = 0 when M(alpha_{<k} 0) <= 2^{-k} (ties take the 0-branch),
     else alpha_k = 1; each comparison is exact, num 2^k <= den on the
-    cursor's ``mass_ratio()``.  One cursor walks alpha: a clone stepped by 0
-    is the candidate.  The cursor yielded is the walk's own, valid until the
+    cursor's ``mass_ratio()``.  One cursor walks alpha: its child by 0 is
+    the candidate.  The cursor yielded is the walk's own, valid until the
     next symbol is asked for.
     """
     k = 0
     while True:
         k += 1
-        candidate = cursor.clone()
-        candidate.step(0)
+        candidate = cursor.child(0)
         num, den = candidate.mass_ratio()
         if num << k <= den:
             cursor, a = candidate, 0
@@ -231,8 +253,8 @@ def e2i_build_mubar(mu: Environment, f: EnumerableFunctional, n: int) -> MuBarEn
     """mubar_n(x_{1:k}) = eps_n^{-1} sum over extensions of mu * F_n.
 
     The hypothesis E_mu[F_n] <= eps_n is checked exactly by enumeration
-    before the table is built.  Each mu-support string is reached by a clone
-    of its parent's cursor stepped once, not evaluated from the root.
+    before the table is built.  Each mu-support string is reached by a child
+    of its parent's cursor, not evaluated from the root.
     """
     if mu.declared_class != MEASURE:
         raise SemilabError("the construction requires a measure")
@@ -253,8 +275,7 @@ def e2i_build_mubar(mu: Environment, f: EnumerableFunctional, n: int) -> MuBarEn
             v = term / eps_n
         elif a < mu.alphabet.size:
             frame[2] = a + 1
-            child = cursor.clone()
-            child.step(a)
+            child = cursor.child(a)
             if child.mass_ratio()[0]:
                 stack.append([symbols + (a,), child, 0, ZERO])
             continue
@@ -298,11 +319,11 @@ def e2i_individual_bound(m_ref_ext: MixtureEnv, f: EnumerableFunctional,
     if index is None or index not in m_ref_ext.membership():
         raise NotDominatedError("stage-n table environment not registered in the mixture")
     w = m_ref_ext.weights.weight(index)
-    ratios = list(_mass_ratios(m_ref_ext, mu, omega, n))
+    pairs = list(_mass_ratios(m_ref_ext, mu, omega, n))
     f_val = f.value(n, omega.prefix(n).symbols)
     eps_n = f.eps(n)
-    ratio = ratios[-1]
-    sup_ratio = max(ratios)
+    ratio = Fraction(*pairs[-1])
+    sup_ratio = Fraction(*pairs[_first_max(pairs)])
     return E2IBoundReport(
         ratio_verdict=_exact_verdict(f_val, eps_n / w * ratio),
         deficiency_verdict=_exact_verdict(f_val, eps_n / w * sup_ratio),

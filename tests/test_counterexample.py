@@ -416,19 +416,24 @@ def test_verification_rejects_envelope_violations():
 
 
 def test_counterexample_run_walks_m_once(monkeypatch):
-    # one leftmost walk of M: a candidate 0-step per symbol of alpha, plus a
+    # one leftmost walk of M: a candidate 0-child per symbol of alpha, plus a
     # 1-step on each 1; no second walk, no dominance walk and no M' cursor
     from semilab.mixtures import _MixtureCursor
     spec = json.loads((FIXTURES / "counterexample_canonical.json").read_text())
     depth = 512
     steps = []
-    step = _MixtureCursor.step
+    step, child = _MixtureCursor.step, _MixtureCursor.child
 
     def recording_step(cursor, a):
         steps.append(a)
         step(cursor, a)
 
+    def recording_child(cursor, a):
+        steps.append(a)
+        return child(cursor, a)
+
     monkeypatch.setattr(_MixtureCursor, "step", recording_step)
+    monkeypatch.setattr(_MixtureCursor, "child", recording_child)
     result = run_counterexample(spec, depth, 128, None)
     assert result.outcomes == [sl.CERTIFIED_HOLDS]
     ones = result.documents["report"]["alpha_prefix"].count("1")

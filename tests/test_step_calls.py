@@ -3,7 +3,7 @@ walks (``walk_states`` over the path tree, ``walk_string`` along one
 string), the two readers that choose each symbol from the cursor
 (``sample`` and ``leftmost_symbols``), and ``e2i_build_mubar``, which
 visits every support string with no merging.  Every other reader takes its
-cursors from a walker."""
+cursors from a walker.  Building a child (``.child(a)``) is a step."""
 
 import ast
 from pathlib import Path
@@ -14,12 +14,13 @@ WALKERS = {"walk_states", "walk_string", "sample", "leftmost_symbols", "e2i_buil
 
 
 def _step_calls(tree: ast.Module):
-    """(enclosing class and function names, line) of every ``.step(`` call."""
+    """(enclosing class and function names, line) of every ``.step(`` or
+    ``.child(`` call."""
     def visit(node, scopes):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scopes = scopes + [node]
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "step"):
+                and node.func.attr in ("step", "child")):
             yield scopes, node.lineno
         for child in ast.iter_child_nodes(node):
             yield from visit(child, scopes)

@@ -302,7 +302,78 @@ def test_clone_is_independent(kind):
         assert c.state_key() == fresh.state_key()
 
 
-MIXTURES = [kind for kind in KINDS if isinstance(KINDS[kind](), sl.MixtureEnv)]
+def _cursor_state(cursor):
+    """What a reader sees of a cursor: its mass, its key and its row, or
+    the error its row raises."""
+    num, den = cursor.mass_ratio()
+    try:
+        row = cursor.row()
+    except SemilabError as exc:
+        row = type(exc), str(exc)
+    return F(num, den), cursor.state_key(), row
+
+
+def _check_child_is_clone_then_step(cursor, a):
+    """``cursor.child(a)`` raises what a clone stepped by a raises, or
+    reads as it does; either way ``cursor`` reads as before, also after the
+    child is stepped on."""
+    before = _cursor_state(cursor)
+    twin = cursor.clone()
+    try:
+        twin.step(a)
+    except SemilabError as exc:
+        with pytest.raises(type(exc)) as raised:
+            cursor.child(a)
+        assert str(raised.value) == str(exc)
+    else:
+        child = cursor.child(a)
+        assert _cursor_state(child) == _cursor_state(twin)
+        try:
+            child.step(0)
+        except SemilabError:
+            pass
+    assert _cursor_state(cursor) == before
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_child_is_a_clone_stepped_once(kind):
+    """On every string to depth 6, and for tables one symbol past their
+    stored depth, where both raise."""
+    env = KINDS[kind]()
+    for symbols, cursor in _cursors(env, _depth(env, 6)).items():
+        for a in env.alphabet.symbols:
+            _check_child_is_clone_then_step(cursor, a)
+
+
+def _markov_missing_row():
+    # the context (1,) has no row: a step from it raises
+    return sl.MarkovEnv(1, {(): [F(1, 3), F(2, 3)], (0,): [F(2, 5), F(3, 5)]})
+
+
+@pytest.mark.parametrize("make, path, error", [
+    (_table, (0, 0, 1, 1, 0), DepthExceededError),
+    (lambda: sl.QuasimeasureEnv(_table(), 8), (1, 1, 0, 0, 1), DepthExceededError),
+    (lambda: _mixture(_table_class(), sl.RAW), (0, 0, 1, 1, 0), DepthExceededError),
+    (_markov_missing_row, (1,), SemilabError),
+    (lambda: sl.LeakyEnv(_markov_missing_row(), F(1, 2)), (0, 1), SemilabError),
+    (lambda: _mixture(sl.EnvClass([sl.BernoulliEnv(F(1, 2)),
+                                   sl.LeakyEnv(_markov_missing_row(), F(1, 2))]),
+                      sl.RAW), (1,), SemilabError),
+])
+def test_child_raises_what_step_raises(make, path, error):
+    """Past a table's stored depth, and from a Markov context with no row."""
+    cursor = make().cursor()
+    for a in path:
+        cursor.step(a)
+    for a in (0, 1):
+        with pytest.raises(error):
+            cursor.clone().step(a)
+        with pytest.raises(error):
+            cursor.child(a)
+        _check_child_is_clone_then_step(cursor, a)
+
+
+MIXTURES =[kind for kind in KINDS if isinstance(KINDS[kind](), sl.MixtureEnv)]
 
 
 def _check_mixture_walk(mix, symbols):
