@@ -656,6 +656,8 @@ def _functional_from(spec: dict):
     f = _typed(spec.get("functional", {"kind": "indicator", "eps": "1/64"}), dict,
                "$.functional")
     eps = parse_rational(f.get("eps", "1/64"), "$.functional.eps")
+    if eps <= 0:
+        raise SpecError(f"$.functional.eps: {eps} must be > 0")
     return FUNCTIONALS[_enum(f, "kind", tuple(FUNCTIONALS), "$.functional", "indicator")](eps)
 
 
@@ -874,9 +876,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InconclusiveConfigurationError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except (SemilabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,11 +27,7 @@ from .envcore import (
     ZERO,
     _frac_str,
 )
-from .errors import (
-    InconclusiveConfigurationError,
-    SemilabError,
-    UndefinedPosteriorError,
-)
+from .errors import InconclusiveConfigurationError, SemilabError
 from .mixtures import RAW, EnvClass, MixtureEnv, WeightScheme, stage_cursor
 from .divergence import verify_dominance
 from .randomness import leftmost_random, leftmost_symbols
@@ -118,20 +114,6 @@ class _SpineCursor(EnvCursor):
         den = 2 ** len(env.alpha_prefix)
         self._ratio = int(env._mass(()) * den), den
         self._key = "spine" if self._ratio[0] else None
-
-    def row_ratio(self) -> tuple[tuple[int, ...], int]:
-        if self._key is None:
-            raise UndefinedPosteriorError("zero mass at cursor position")
-        if self._k == self._env.horizon:
-            return (0, 0), 1
-        if self._key == "below":
-            return (1, 1), 2
-        if self._env.alpha_symbol(self._k + 1) == 0:
-            return (1, 0), 1
-        # the child below the spine has mass 2^-(k+1), the spine num / den
-        num, den = self._ratio
-        spine = 2 ** (self._k + 1) * num
-        return (den, spine - den), spine
 
     def step(self, a: int) -> None:
         k = self._k = self._k + 1

@@ -168,11 +168,15 @@ class EnvCursor:
     product of its row entries as two integers, ``clone()`` returns an
     independent copy, and ``state_key()`` is a hashable sufficient
     statistic: two strings of equal length with equal keys have equal
-    masses on every common extension.  The generic implementation
-    re-evaluates masses and keys by the whole string, so it never merges;
-    product-form environments override for O(1) steps and keys that merge,
-    the decaying and count cursors for runs multiplied out at once, and
-    the kinds the path-tree walks step most build a child directly.
+    masses on every common extension.
+
+    A kind states only ``mass_ratio()``, ``step(a)`` and ``state_key()``:
+    this class reads the row and the runs off the masses, mu(a | x) =
+    mu(xa) / mu(x), and its own kind re-evaluates masses and keys by the
+    whole string, so it never merges.  A kind overrides ``row_ratio``,
+    ``run_ratio`` or ``child`` only for a faster closed form: the i.i.d.,
+    Markov, decaying, scaled and mixture rows, the count, decaying and
+    scaled runs, and the children the path-tree walks build.
     """
 
     def __new__(cls, *args):
@@ -210,12 +214,15 @@ class EnvCursor:
 
     def row_ratio(self) -> tuple[tuple[int, ...], int]:
         """The next-symbol row as integer numerators over one positive
-        denominator, not necessarily in lowest terms."""
-        if not self.mass_ratio()[0]:
+        denominator, not necessarily in lowest terms: each child's
+        ``mass_ratio()`` over this cursor's, on one lcm of the children's
+        denominators."""
+        num, den = self.mass_ratio()
+        if not num:
             raise UndefinedPosteriorError("zero mass at cursor position")
-        mass = self.mass
-        return row_ratio_of([self._env._mass(self._symbols + (a,)) / mass
-                             for a in self._env.alphabet.symbols])
+        masses = [self.child(a).mass_ratio() for a in self._env.alphabet.symbols]
+        common = math.lcm(*[d for _, d in masses])
+        return tuple([m * (common // d) * den for m, d in masses]), common * num
 
     def step(self, a: int) -> None:
         self._symbols = self._symbols + (a,)
@@ -230,16 +237,14 @@ class EnvCursor:
 
     def run_ratio(self, run: Sequence[int]) -> tuple[int, int]:
         """Step over ``run`` from a position of positive mass and return
-        the product of the row entries of the run's symbols, not
-        necessarily in lowest terms, or (0, 1) when one of them is 0; the
-        cursor ends past the whole run either way."""
-        num = den = 1
+        the product of the row entries of the run's symbols, the mass after
+        the run over the mass before it, not necessarily in lowest terms,
+        or (0, 1) when the mass after is 0."""
+        before_num, before_den = self.mass_ratio()
         for a in run:
-            if num:
-                nums, row_den = self.row_ratio()
-                num, den = (num * nums[a], den * row_den) if nums[a] else (0, 1)
             self.step(a)
-        return num, den
+        num, den = self.mass_ratio()
+        return (num * before_den, den * before_num) if num else (0, 1)
 
     def clone(self) -> "EnvCursor":
         new = object.__new__(type(self))
@@ -545,12 +550,6 @@ class _DeterministicCursor(EnvCursor):
         self._t = 0
         self._ratio = (1, 1)
 
-    def row_ratio(self) -> tuple[tuple[int, ...], int]:
-        if not self.mass_ratio()[0]:
-            raise UndefinedPosteriorError("zero mass at cursor position")
-        target = self._env.target_symbol(self._t)
-        return tuple(int(a == target) for a in self._env.alphabet.symbols), 1
-
     def step(self, a: int) -> None:
         if self.mass_ratio()[0] and a != self._env.target_symbol(self._t):
             self._ratio = (0, 1)
@@ -611,12 +610,12 @@ class _ScaledCursor(EnvCursor):
     """The cursor of a ``_ScaledEnv``: its base's cursor, scaled by the
     kind's depth and row factors.
 
-    The base's key is the key.  The mass is formed once per position, when
-    read; the base's row passes through where the row factor is 1, so
-    product-form rows keep their identity.  ``row_ratio`` tells a mass of 0
-    by the last row factor and by the base's row, which raises there, not
-    by the depth factor: for a leak that is a power, which
-    ``mass_interval``, stepping by rows alone, never forms.
+    Besides the mass, the step and the key it states the row and the run
+    in closed form: the base's row times the row factor, which passes
+    through where the factor is 1, so product-form rows keep their
+    identity, and the base's run times the run's row factors, where a run
+    read off a leaky mass would carry the whole mass.  The base's key is
+    the key; the mass is formed once per position, when read.
     """
 
     def __init__(self, env: _ScaledEnv):
@@ -633,10 +632,10 @@ class _ScaledCursor(EnvCursor):
         return self._ratio
 
     def row_ratio(self) -> tuple[tuple[int, ...], int]:
-        n, env = self._depth, self._env
-        if n and not env.row_factor(n - 1)[0]:
+        if not self.mass_ratio()[0]:
             raise UndefinedPosteriorError("zero mass at cursor position")
-        row = self._inner.row_ratio()  # raises where the base's mass is 0
+        n, env = self._depth, self._env
+        row = self._inner.row_ratio()
         check_depth(env, n + 1)
         num, den = env.row_factor(n)
         return row if num == den else (tuple(p * num for p in row[0]), row[1] * den)
@@ -646,6 +645,17 @@ class _ScaledCursor(EnvCursor):
         self._inner.step(a)
         self._depth += 1
         self._ratio = None
+
+    def run_ratio(self, run: Sequence[int]) -> tuple[int, int]:
+        n, env = self._depth, self._env
+        check_depth(env, n + len(run))
+        num, den = self._inner.run_ratio(run)
+        self._depth += len(run)
+        self._ratio = None
+        for j in range(n, n + len(run)):
+            f_num, f_den = env.row_factor(j)
+            num, den = num * f_num, den * f_den
+        return (num, den) if num else (0, 1)
 
     def child(self, a: int) -> "_ScaledCursor":
         check_depth(self._env, self._depth + 1)
@@ -1032,7 +1042,7 @@ def sample(env: Environment, length: int, seed: int) -> tuple[FiniteString, Frac
 
 
 #: the denominator size, in bits, that ``mass_interval`` sizes its runs to;
-#: a mixture's rows, already larger, make one run per symbol
+#: a run read off a larger mass (a mixture's) is one symbol long
 _BLOCK_BITS = 4096
 
 
@@ -1051,8 +1061,9 @@ def mass_interval(env: Environment, x: FiniteString, precision_bits: int = 64):
     The mass of ``walk_string``'s root cursor, then each run of symbols
     (``cursor.run_ratio``), enters the interval as one outward-rounded
     quotient of integers, and the quotients are multiplied outward-rounded;
-    the cursor never needs its exact mass.  Runs start at one symbol and
-    are sized by ``_next_run``.
+    a cursor with a run kernel (count, decaying, or scaled over those)
+    never forms its exact mass, the others form it at each run's end.  Runs
+    start at one symbol and are sized by ``_next_run``.
     """
     from mpmath.libmp import mpi_mul
 

@@ -85,6 +85,13 @@ MUTANTS = (
     Mutant("wvsd-diff-wrong-denominator", "cli.py",
            "w_den * d_den)", "w_den * w_den)",
            ("tests/test_artifact_identity.py",)),
+    Mutant("derived-row-drops-mass-denominator", "envcore.py",
+           "m * (common // d) * den for", "m * (common // d) for",
+           ("tests/test_walker.py",)),
+    Mutant("derived-run-before-over-after", "envcore.py",
+           "(num * before_den, den * before_num) if num",
+           "(before_num * den, before_den * num) if num",
+           ("tests/test_walker.py",)),
 )
 
 

@@ -504,7 +504,68 @@ def test_e2i_stage_below_one_exits_one(stage, args, capsys):
     assert err.startswith("error: $.stage: ") and err.count("\n") == 1, err
 
 
-BERN3 = [{"kind": "bernoulli", "p": p} for p in ("1/4", "1/2", "3/4")]
+@pytest.mark.parametrize("functional", [
+    {"kind": "indicator", "eps": "0"},
+    {"kind": "constant", "eps": "-1/4"},
+], ids=["indicator-zero", "constant-negative"])
+def test_e2i_functional_eps_not_positive_names_its_field(functional, capsys):
+    spec = {"class": [{"kind": "bernoulli", "p": "1/2"}], "mu_index": 1,
+            "functional": functional}
+    code = run_cli("e2i", "--spec", json.dumps(spec), "--seed", "1", "--depth", "2")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: $.functional.eps: {functional['eps']} must be > 0\n"
+
+
+_HALF = {"kind": "bernoulli", "p": "1/2"}
+#: declared a measure; its node sums hold to the parser's depth 4 and fall
+#: short at level 5, where only a deeper reader finds them
+_SHORT_AT_5 = {"kind": "table", "depth": 6, "declared_class": "measure",
+               "values": {"": "1", "0": "1", "00": "1", "000": "1", "0000": "1",
+                          "00000": "1/2", "000000": "1/2"}}
+
+
+@pytest.mark.parametrize("subcommand, spec, args, message", [
+    ("verify-hellinger-bounds", {"class": [_HALF, _HALF], "weights": ["1/2"]}, (),
+     "$.weights: expected 2 entries"),
+    ("leftmost-alpha", {"class": [_HALF, {"kind": "derived", "derived": "contaminated",
+                                          "nu": _HALF, "m": _HALF, "gamma": "1/9"}]}, (),
+     "$.class[1].m: contaminated mixtures require a mixture base"),
+    ("leftmost-alpha", {"class": [_HALF, {"kind": "table", "depth": 1, "declared_class":
+                                          "measure", "values": {"": "1", "0": "1/2"}}]}, (),
+     "$.class[1]: declared a measure but node sums fall short"),
+    ("chain-lemma", {}, (), "seeded trials require --seed"),
+    ("deficiency", {"class": [_HALF], "mu_index": 1}, (), "sampling omega requires --seed"),
+    ("e2i", {"class": [_HALF], "mu_index": 1}, (), "e2i samples omega and requires --seed"),
+    ("counterexample", {"class": [{"kind": "uniform", "alphabet_size": 3}]}, (),
+     "construction requires binary alphabet"),
+    ("prop8", {"class": [{"kind": "leaky", "base": _HALF, "leak": "1/2"}, _HALF], "k0": [2],
+               "ratio_k": [2]}, (), "J_{k-1} is empty"),
+    ("leftmost-alpha", {"class": [_HALF, {"kind": "categorical", "probs": ["1"]}]}, (),
+     "$.class[1]: need at least two symbols"),
+    ("leftmost-alpha", {"class": [_HALF, {"kind": "markov", "order": 1, "transitions":
+                                          {**_HALVES, "": ["1/2", "1/3"]}}]}, (),
+     "$.class[1]: invalid transition row at context ()"),
+    ("leftmost-alpha", {"class": [_HALF, {"kind": "deterministic", "prefix": "0",
+                                          "period": ""}]}, (),
+     "$.class[1]: period must be nonempty"),
+    ("leftmost-alpha", {"class": [_HALF, {"kind": "deterministic", "prefix": "2",
+                                          "period": "0"}]}, (),
+     "$.class[1]: target symbol outside alphabet"),
+    ("leftmost-alpha", {"class": [_HALF, {"kind": "derived", "derived": "normalized", "base":
+                                          {"kind": "table", "depth": 1, "values": {}}}]}, (),
+     "$.class[1]: cannot normalize zero total mass"),
+    ("deficiency", {"class": [_SHORT_AT_5], "mu_index": 1}, ("--depth", "6", "--seed", "1"),
+     "posterior row does not sum to 1"),
+], ids=["weights-count", "contaminated-base", "measure-falls-short", "chain-seed",
+        "deficiency-seed", "e2i-seed", "ternary-counterexample", "empty-j", "one-symbol",
+        "markov-row", "empty-period", "target-symbol", "normalize-zero", "sampled-row-short"])
+def test_refusal_exits_one_with_its_one_line(subcommand, spec, args, message, capsys):
+    code = run_cli(subcommand, "--spec", json.dumps(spec), *(args or ("--depth", "2")))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+BERN3 =[{"kind": "bernoulli", "p": p} for p in ("1/4", "1/2", "3/4")]
 
 
 @pytest.mark.parametrize("subcommand, extra, args", [

@@ -156,15 +156,17 @@ def test_cursor_mass_ratio_is_the_mass(kind):
 
 
 def _cursor_subclasses(cls=envcore.EnvCursor):
+    """The package's cursor classes below cls (not the tests' own kinds)."""
     for sub in cls.__subclasses__():
-        yield sub
-        yield from _cursor_subclasses(sub)
+        if sub.__module__.startswith("semilab."):
+            yield sub
+            yield from _cursor_subclasses(sub)
 
 
 def test_only_the_base_cursor_defines_mass():
-    """Every kind states ``mass_ratio()`` and ``row_ratio()``; only the base
-    reduces them.  The mixture cursor keeps the base's ``row`` under its own
-    name, and ``factor`` is gone."""
+    """Every kind states ``mass_ratio()``; only the base reduces it and the
+    row.  The mixture cursor keeps the base's ``row`` under its own name,
+    ``factor`` is gone, and only the closed forms state a row or a run."""
     classes = set(_cursor_subclasses())
     assert {"_CountCursor", "_MixtureCursor", "_SpineCursor"} <= {c.__name__ for c in classes}
     assert [c.__name__ for c in classes if "mass" in vars(c)] == []
@@ -172,6 +174,68 @@ def test_only_the_base_cursor_defines_mass():
             if "row" in vars(c) and c is not mixtures._MixtureCursor] == []
     assert mixtures._MixtureCursor.row is envcore.EnvCursor.row
     assert [c.__name__ for c in {envcore.EnvCursor, *classes} if "factor" in vars(c)] == []
+    assert {c.__name__ for c in classes if "row_ratio" in vars(c)} == {
+        "_IIDCursor", "_MarkovCursor", "_DecayingCursor", "_ScaledCursor", "_MixtureCursor"}
+    assert {c.__name__ for c in classes if "run_ratio" in vars(c)} == {
+        "_CountCursor", "_DecayingCursor", "_ScaledCursor"}
+
+
+class _MinimalEnv(sl.Environment):
+    """A strict semimeasure with dead subtrees: (1/3)^#0 (1/2)^#1, and 0
+    on every string holding 11."""
+
+    alphabet = sl.BINARY
+    declared_class = sl.STRICT_SEMIMEASURE
+
+    def _mass(self, symbols):
+        if (1, 1) in zip(symbols, symbols[1:]):
+            return F(0)
+        return F(1, 3) ** symbols.count(0) * F(1, 2) ** symbols.count(1)
+
+    def cursor(self):
+        return _MinimalCursor(self)
+
+
+class _MinimalCursor(envcore.EnvCursor):
+    """States only what every kind must: the mass, the step and the key."""
+
+    def __init__(self, env):
+        self._env, self._text = env, ""
+
+    def mass_ratio(self):
+        return self._env._mass(tuple(map(int, self._text))).as_integer_ratio()
+
+    def step(self, a):
+        self._text += str(a)
+
+    def state_key(self):
+        return self._text
+
+
+def test_a_kind_stating_only_mass_step_and_key_keeps_the_contract():
+    """The base cursor derives the row, the runs and the children from the
+    masses alone, on every string to depth 6."""
+    env = _MinimalEnv()
+    level = [((), env.cursor())]
+    for _ in range(7):
+        children = []
+        for symbols, cursor in level:
+            assert cursor.mass == env._mass(symbols), symbols
+            if cursor.mass:
+                assert cursor.row() == env.posterior(sl.FiniteString(sl.BINARY, symbols))
+            else:
+                with pytest.raises(UndefinedPosteriorError):
+                    cursor.row_ratio()
+            for i in range(len(symbols)):
+                if env._mass(symbols[:i]):
+                    ran = _walked(env, symbols[:i])
+                    num, den = ran.run_ratio(symbols[i:])
+                    assert F(num, den) == env._mass(symbols) / env._mass(symbols[:i])
+                    assert ran.state_key() == cursor.state_key()
+            for a in env.alphabet.symbols:
+                _check_child_is_clone_then_step(cursor, a)
+                children.append((symbols + (a,), cursor.child(a)))
+        level = children
 
 
 def test_kinds_cover_every_cursor_class():
