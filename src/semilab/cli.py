@@ -21,8 +21,9 @@ from pathlib import Path
 from typing import Optional, Union
 
 from . import __version__
-from .counterexample import NuLimitEnv, contaminate, verify_nonconvergence
-from .divergence import HALF, chain_inequality, hellinger_expectations, markov_tail_checks
+from .counterexample import NuLimitEnv, _checked_gamma, contaminate, verify_nonconvergence
+from .divergence import (HALF, _checked_beta, _checked_kappa, chain_inequality,
+                         hellinger_expectations, markov_tail_checks)
 from .envcore import (
     Alphabet,
     BINARY,
@@ -322,8 +323,17 @@ def _parse_derived(d: dict, path: str) -> Environment:
 CROSS_CHECK_DEPTH = 4
 
 
+def _naming(path: str, call, *args):
+    """call(*args), an error it raises refused as one line naming ``path``:
+    the library states each rule once, and the CLI names the field."""
+    try:
+        return call(*args)
+    except (ValueError, SemilabError) as exc:
+        raise SpecError(f"{path}: {exc}") from None
+
+
 def _cross_check(env: Environment, path: str) -> None:
-    report = validate(env, CROSS_CHECK_DEPTH)
+    report = _naming(path, validate, env, CROSS_CHECK_DEPTH)
     if not report.is_semimeasure:
         raise SpecError(
             f"{path}: node inequality fails at {report.first_defect_node}")
@@ -356,17 +366,13 @@ def _decode_spec(source: Union[str, Path]):
     """Decode a spec given as inline JSON (text starting with ``{`` or ``[``)
     or as the path of a JSON file; errors name the file."""
     text = str(source)
-    if text.lstrip().startswith(("{", "[")):
-        try:
-            return json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise SpecError(f"inline JSON: {exc}") from None
+    inline = text.lstrip().startswith(("{", "["))
     try:
-        return json.loads(Path(text).read_text())
+        return json.loads(text if inline else Path(text).read_text())
     except OSError as exc:
         raise SpecError(f"cannot read spec {text!r}: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise SpecError(f"{text}: {exc}") from None
+        raise SpecError(f"{'inline JSON' if inline else text}: {exc}") from None
 
 
 def parse_env_spec(source: Union[str, Path, dict, list]):
@@ -472,7 +478,8 @@ def run_verify_hellinger_bounds(spec, depth, bits, seed) -> RunResult:
     mix, env_class, weights = _mixture_from(spec)
     mu = _mu_from(spec, env_class)
     w = _w_from(spec, weights)
-    kappa = parse_rational(spec["kappa"], "$.kappa") if "kappa" in spec else None
+    kappa = (_naming("$.kappa", _checked_kappa, parse_rational(spec["kappa"], "$.kappa"))
+             if "kappa" in spec else None)
     try:
         found = hellinger_expectations(
             mix, mu, depth, HALF if kappa is None else kappa, w, bits)
@@ -535,14 +542,18 @@ def run_chain_lemma(spec, depth, bits, seed) -> RunResult:
     if "vectors" in spec:
         vectors = [_rationals(v, f"$.vectors[{i}]")
                    for i, v in enumerate(_typed(spec["vectors"], list, "$.vectors"))]
-        beta = parse_rational(spec["beta"], "$.beta") if "beta" in spec else None
-        result.add_verdict("chain", chain_inequality(vectors, beta, bits, rhs_scale))
+        beta = (_naming("$.beta", _checked_beta, parse_rational(spec["beta"], "$.beta"))
+                if "beta" in spec else None)
+        # with beta checked, what chain_inequality refuses is the vectors
+        result.add_verdict("chain", _naming("$.vectors", chain_inequality, vectors, beta,
+                                            bits, rhs_scale))
         return result
     if seed is None:
         raise SpecError("seeded trials require --seed")
     trials, dim, m = (_int_field(spec, *f)
                       for f in (("trials", 100, 1), ("dim", 2, 2), ("m", 6, 2)))
-    betas = _rationals(spec.get("betas", ["1/4", "1", "4"]), "$.betas")
+    betas = [_naming(f"$.betas[{i}]", _checked_beta, b)
+             for i, b in enumerate(_rationals(spec.get("betas", ["1/4", "1", "4"]), "$.betas"))]
     stream = BitStream(seed)
     counts = {CERTIFIED_HOLDS: 0, CERTIFIED_FAILS: 0, INCONCLUSIVE: 0}
     for _ in range(trials):
@@ -710,7 +721,7 @@ def run_prop8(spec, depth, bits, seed) -> RunResult:
 
 def run_counterexample(spec, depth, bits, seed) -> RunResult:
     env_class, weights = parse_class(spec)
-    gamma = parse_rational(spec.get("gamma", "1/9"), "$.gamma")
+    gamma = _naming("$.gamma", _checked_gamma, parse_rational(spec.get("gamma", "1/9"), "$.gamma"))
     if depth < 2:
         raise SpecError(f"--depth: {depth} must be >= 2, for a 01-position spans two")
     result = RunResult()
@@ -873,10 +884,7 @@ def main(argv=None) -> int:
             for fname in sorted(payloads):
                 sys.stdout.write(payloads[fname])
         return exit_code_for(result.outcomes)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SemilabError, ValueError) as exc:
+    except (OSError, SemilabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

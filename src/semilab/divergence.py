@@ -217,6 +217,13 @@ def _half(x: tuple) -> tuple:
     return mpf_shift(x[0], -1), mpf_shift(x[1], -1)
 
 
+def _checked_beta(beta) -> Fraction:
+    beta = Fraction(beta)
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    return beta
+
+
 def _checked_kappa(kappa) -> Fraction:
     kappa = Fraction(kappa)
     if not 0 < kappa <= HALF:
@@ -434,24 +441,22 @@ def chain_inequality(vectors: Sequence[Sequence[Fraction]],
     3 sum_{k=2}^m k^2 h(p^{k-1},p^k).  rhs_scale deliberately rescales the
     right side so falsified bounds exercise the certified-fails path.
     """
-    dims = {len(v) for v in vectors}
-    if len(dims) != 1:
+    if beta is not None:
+        beta = _checked_beta(beta)
+        if len(vectors) != 3:
+            raise ValueError("part (i) takes exactly three vectors p, r, q")
+    elif len(vectors) < 2:
+        raise ValueError("part (ii) needs at least two vectors")
+    if len({len(v) for v in vectors}) != 1:
         raise ValueError("dimension mismatch")
     vectors = [tuple(Fraction(x) for x in v) for v in vectors]
     with precision(precision_bits):
         if beta is not None:
-            beta = Fraction(beta)
-            if beta <= 0:
-                raise ValueError("beta must be positive")
-            if len(vectors) != 3:
-                raise ValueError("part (i) takes exactly three vectors p, r, q")
             p, r, q = vectors
             lhs = hellinger_step(p, q)
             rhs = (from_fraction(1 + beta) * hellinger_step(p, r)
                    + from_fraction(1 + 1 / beta) * hellinger_step(r, q))
         else:
-            if len(vectors) < 2:
-                raise ValueError("part (ii) needs at least two vectors")
             lhs = hellinger_step(vectors[0], vectors[-1])
             rhs = iv.mpf(0)
             for k in range(2, len(vectors) + 1):

@@ -358,7 +358,7 @@ class CategoricalIIDEnv(Environment):
         if any(p < 0 or p > 1 for p in probs) or sum(probs) != 1:
             raise ValueError("probabilities must be in [0,1] and sum to 1")
         self.probs = probs
-        self._row_ratio = None  # every cursor's row, formed with the first cursor
+        self._row_ratio = row_ratio_of(probs)  # every cursor's row
         self.alphabet = Alphabet(len(probs))
         self.declared_class = MEASURE
 
@@ -371,7 +371,6 @@ class CategoricalIIDEnv(Environment):
         return m
 
     def cursor(self) -> EnvCursor:
-        self._row_ratio = self._row_ratio or row_ratio_of(self.probs)
         return _IIDCursor(self)
 
     def spec(self) -> dict:
@@ -782,9 +781,7 @@ class TableEnv(Environment):
         self.max_depth = depth
 
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
-        if len(symbols) > self.depth:
-            raise DepthExceededError(
-                f"table stores depth <= {self.depth}, queried at {len(symbols)}")
+        check_depth(self, len(symbols))
         return self.values.get(symbols, ZERO)
 
     def first_defect(self) -> Optional[FiniteString]:
@@ -943,8 +940,7 @@ def enumerate_support(env: Environment, depth: int) -> Iterator[tuple[FiniteStri
     """Yield the nonzero-mass strings of exactly the given length, in order."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if env.max_depth is not None and depth > env.max_depth:
-        raise DepthExceededError(f"depth {depth} beyond stored depth {env.max_depth}")
+    check_depth(env, depth)
 
     def rec(symbols: tuple[int, ...], mass: Fraction):
         if len(symbols) == depth:

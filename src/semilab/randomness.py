@@ -230,13 +230,8 @@ class MuBarEnv(TableEnv):
     def __init__(self, values: dict[tuple[int, ...], Fraction], depth: int,
                  alphabet, stage: int):
         super().__init__(depth, values, alphabet, STRICT_SEMIMEASURE)
-        self.max_depth = None  # defined at every depth, unlike a table
+        self.max_depth = None  # unlike a table's, its read is 0 past its depth
         self.stage = stage
-
-    def _mass(self, symbols: tuple[int, ...]) -> Fraction:
-        if len(symbols) > self.depth:
-            return ZERO
-        return self.values.get(symbols, ZERO)
 
     def spec(self) -> dict:
         return {

@@ -92,6 +92,13 @@ MUTANTS = (
            "(num * before_den, den * before_num) if num",
            "(before_num * den, before_den * num) if num",
            ("tests/test_walker.py",)),
+    Mutant("check-depth-refuses-the-stored-depth", "envcore.py",
+           "n > env.max_depth:", "n >= env.max_depth:",
+           ("tests/test_depth_rule.py", "tests/test_envcore.py")),
+    Mutant("table-reads-past-its-depth", "envcore.py",
+           "        check_depth(self, len(symbols))\n        return self.values.get(",
+           "        return self.values.get(",
+           ("tests/test_depth_rule.py", "tests/test_envcore.py")),
 )
 
 

@@ -522,6 +522,9 @@ _HALF = {"kind": "bernoulli", "p": "1/2"}
 _SHORT_AT_5 = {"kind": "table", "depth": 6, "declared_class": "measure",
                "values": {"": "1", "0": "1", "00": "1", "000": "1", "0000": "1",
                           "00000": "1/2", "000000": "1/2"}}
+#: order 1, with no row for the context (1,), which the parser's check reaches
+_NO_ROW_AT_1 = {"kind": "markov", "order": 1,
+                "transitions": {"": ["1/2", "1/2"], "0": ["1/2", "1/2"]}}
 
 
 @pytest.mark.parametrize("subcommand, spec, args, message", [
@@ -556,9 +559,30 @@ _SHORT_AT_5 = {"kind": "table", "depth": 6, "declared_class": "measure",
      "$.class[1]: cannot normalize zero total mass"),
     ("deficiency", {"class": [_SHORT_AT_5], "mu_index": 1}, ("--depth", "6", "--seed", "1"),
      "posterior row does not sum to 1"),
+    ("counterexample", {"class": [_HALF], "gamma": "1/5"}, (),
+     "$.gamma: gamma must lie strictly in (0, 1/5)"),
+    ("verify-hellinger-bounds", {"class": [_HALF], "mu_index": 1, "kappa": "3/4"}, (),
+     "$.kappa: kappa must lie in (0, 1/2]"),
+    ("chain-lemma", {"vectors": [["1/2", "1/2"]] * 3, "beta": "0"}, (),
+     "$.beta: beta must be positive"),
+    ("chain-lemma", {"betas": ["1", "-1/2"]}, ("--seed", "1"),
+     "$.betas[1]: beta must be positive"),
+    ("chain-lemma", {"vectors": [["1/2", "1/2"]] * 2, "beta": "1"}, (),
+     "$.vectors: part (i) takes exactly three vectors p, r, q"),
+    ("chain-lemma", {"vectors": []}, (), "$.vectors: part (ii) needs at least two vectors"),
+    ("chain-lemma", {"vectors": [["1/2", "1/2"], ["1"]]}, (), "$.vectors: dimension mismatch"),
+    ("chain-lemma", {"vectors": [["-1/2", "3/2"], ["1/2", "1/2"]]}, (),
+     "$.vectors: entries must be nonnegative"),
+    ("verify-hellinger-bounds", {"class": [_HALF, _NO_ROW_AT_1], "mu_index": 1}, (),
+     "$.class[1]: missing transition row for context (1,)"),
+    ("verify-hellinger-bounds", {"class": [_HALF], "mu": _NO_ROW_AT_1, "w": "1/2"}, (),
+     "$.mu: missing transition row for context (1,)"),
 ], ids=["weights-count", "contaminated-base", "measure-falls-short", "chain-seed",
         "deficiency-seed", "e2i-seed", "ternary-counterexample", "empty-j", "one-symbol",
-        "markov-row", "empty-period", "target-symbol", "normalize-zero", "sampled-row-short"])
+        "markov-row", "empty-period", "target-symbol", "normalize-zero", "sampled-row-short",
+        "gamma-range", "kappa-range", "beta-range", "betas-range", "vectors-count",
+        "vectors-empty", "vectors-lengths", "vectors-negative", "member-row-missing",
+        "mu-row-missing"])
 def test_refusal_exits_one_with_its_one_line(subcommand, spec, args, message, capsys):
     code = run_cli(subcommand, "--spec", json.dumps(spec), *(args or ("--depth", "2")))
     assert code == EXIT_USAGE

@@ -463,7 +463,7 @@ def test_counterexample_below_two_symbols_exits_one(depth, capsys):
 def test_counterexample_gamma_outside_its_range_exits_one(capsys):
     spec = {"class": [{"kind": "uniform"}], "gamma": "1/5"}
     assert main(["counterexample", "--spec", json.dumps(spec)]) == 1
-    assert capsys.readouterr().err == "error: gamma must lie strictly in (0, 1/5)\n"
+    assert capsys.readouterr().err == "error: $.gamma: gamma must lie strictly in (0, 1/5)\n"
 
 
 def test_report_past_the_integer_text_limit_names_its_field(capsys):
