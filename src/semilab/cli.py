@@ -231,7 +231,11 @@ def parse_environment(d: dict, path: str = "$") -> Environment:
                                        path + ".transitions").items()
             }
             order = _parse_int(_require(d, "order", path), path + ".order", least=1)
-            return MarkovEnv(order, transitions, _alphabet(d, path))
+            chain = MarkovEnv(order, transitions, _alphabet(d, path))
+            if chain.missing_context is not None:
+                raise SpecError(f"{path}: reachable transition context "
+                                f"{''.join(map(str, chain.missing_context))} has no row")
+            return chain
         if kind == "deterministic":
             return DeterministicEnv(
                 _symbols(d.get("prefix", ""), path + ".prefix"),

@@ -35,6 +35,17 @@ def row_ratio_of(row: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple([p.numerator * (den // p.denominator) for p in row]), den
 
 
+def _value_cells(rows) -> tuple[tuple[tuple[int, int], ...], list[tuple[int, ...]]]:
+    """The distinct entries of ``rows`` as reduced integer pairs, 0 first
+    whether or not a row holds it and the rest in order of appearance, and
+    each row as the indices of its entries among them: the probability
+    values a ``_CountCursor`` counts."""
+    index = {(0, 1): 0}
+    cells = [tuple([index.setdefault(p.as_integer_ratio(), len(index)) for p in row])
+             for row in rows]
+    return tuple(index), cells
+
+
 @dataclass(frozen=True)
 class Alphabet:
     size: int
@@ -256,41 +267,41 @@ class EnvCursor:
 
 
 class _CountCursor(EnvCursor):
-    """A cursor whose mass is prod_i p_i^c_i: ``_probs`` holds the p_i,
-    ``_counts`` how often a step drew each, and ``_dead`` is set once a step
-    drew a p_i of 0.
+    """A cursor whose mass is prod_v v^c_v over the distinct probability
+    values v its environment's rows hold: ``_values`` holds them as integer
+    pairs, 0 first, and ``_counts`` how often a step drew each, so the
+    string is dead (mass 0) exactly when ``_counts[0]`` is nonzero.  A kind
+    maps each of its cells (a symbol, or a context and a symbol) to the
+    index of its value once, in its environment's constructor
+    (``_value_cells``).  Strings whose draws multiply to the same mass have
+    the same counts, however many cells share a value, so keys built on the
+    counts merge them.
 
     ``step`` only counts: the mass is formed when asked for, from the counts
-    drawn since it was last formed (``_ratio_counts``), one power per
-    probability instead of one growing product per step.  ``child`` forms
-    its child's mass at once, the parent's times the p_i drawn.
-    ``mass_ratio`` is the integers prod_i n_i^c_i over prod_i d_i^c_i
-    (p_i = n_i / d_i), formed with no gcd at all, and the same object until
-    a step draws again."""
+    drawn since it was last formed (``_ratio_counts``), one power per value
+    instead of one growing product per step.  ``child`` forms its child's
+    mass at once, the parent's times the value drawn.  ``mass_ratio`` is the
+    integers prod_v n_v^c_v over prod_v d_v^c_v (v = n_v / d_v), formed with
+    no gcd at all, and the same object until a step draws again."""
 
-    def _start(self, probs: tuple[Fraction, ...]) -> None:
-        self._probs = probs
-        self._dead = False
-        self._counts = self._ratio_counts = (0,) * len(probs)
+    def _start(self, values: tuple[tuple[int, int], ...]) -> None:
+        self._values = values
+        self._counts = self._ratio_counts = (0,) * len(values)
         self._ratio = (1, 1)  # the mass at _ratio_counts
 
-    def _count(self, i: int) -> None:
-        counts = self._counts
-        self._counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
-
     def _drawn(self, before: tuple[int, ...]) -> tuple[int, int]:
-        """The product of the p_i drawn since the counts were ``before``."""
+        """The product of the values drawn since the counts were ``before``."""
         num = den = 1
-        for p, old, new in zip(self._probs, before, self._counts):
+        for (v_num, v_den), old, new in zip(self._values, before, self._counts):
             if new != old:
-                num *= p.numerator ** (new - old)
-                den *= p.denominator ** (new - old)
+                num *= v_num ** (new - old)
+                den *= v_den ** (new - old)
         return num, den
 
     def mass_ratio(self) -> tuple[int, int]:
         counts = self._counts
         if counts is not self._ratio_counts:
-            if self._dead:
+            if counts[0]:
                 self._ratio = 0, 1
             else:
                 num, den = self._drawn(self._ratio_counts)
@@ -299,51 +310,50 @@ class _CountCursor(EnvCursor):
         return self._ratio
 
     def run_ratio(self, run: Sequence[int]) -> tuple[int, int]:
-        """One power per probability the run drew: its count after the run
-        less its count before."""
+        """One power per value the run drew: its count after the run less
+        its count before."""
         before = self._counts
         for a in run:
             self.step(a)
-        return (0, 1) if self._dead else self._drawn(before)
+        return (0, 1) if self._counts[0] else self._drawn(before)
 
-    def _child(self, i: int, dead: bool) -> "_CountCursor":
-        """A copy that drew p_i once more, dead if ``dead``, its mass formed."""
+    def _child(self, i: int) -> "_CountCursor":
+        """A copy that drew value i once more, its mass formed."""
         new = EnvCursor.clone(self)
         counts = self._counts
         new._counts = new._ratio_counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
-        if dead:
-            new._dead, new._ratio = True, (0, 1)
+        if counts[0] or not i:
+            new._ratio = 0, 1
         else:
             num, den = self.mass_ratio()
-            p = self._probs[i]
-            new._ratio = num * p.numerator, den * p.denominator
+            v_num, v_den = self._values[i]
+            new._ratio = num * v_num, den * v_den
         return new
 
 
 class _IIDCursor(_CountCursor):
-    """Keyed by the symbol counts; every dead string shares the key None."""
+    """Keyed by the value counts; every dead string shares the key None."""
 
     def __init__(self, env: "CategoricalIIDEnv"):
         self._env = env
         self._row_ratio = env._row_ratio
-        self._zero = tuple(p == 0 for p in env.probs)
-        self._start(env.probs)
+        self._cells = env._cells
+        self._start(env._values)
 
     def row_ratio(self) -> tuple[tuple[int, ...], int]:
-        if self._dead:
+        if self._counts[0]:
             raise UndefinedPosteriorError("zero mass at cursor position")
         return self._row_ratio
 
     def step(self, a: int) -> None:
-        if self._zero[a]:
-            self._dead = True
-        self._count(a)
+        i, counts = self._cells[a], self._counts
+        self._counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
 
     def child(self, a: int) -> "_IIDCursor":
-        return self._child(a, self._dead or self._zero[a])
+        return self._child(self._cells[a])
 
     def state_key(self):
-        return None if self._dead else self._counts
+        return None if self._counts[0] else self._counts
 
 
 class CategoricalIIDEnv(Environment):
@@ -355,10 +365,13 @@ class CategoricalIIDEnv(Environment):
         probs = tuple(Fraction(p) for p in probs)
         if len(probs) < 2:
             raise ValueError("need at least two symbols")
-        if any(p < 0 or p > 1 for p in probs) or sum(probs) != 1:
+        # every cursor's row; nonnegative numerators summing to the
+        # denominator put each probability in [0, 1]
+        self._row_ratio = nums, den = row_ratio_of(probs)
+        if min(nums) < 0 or sum(nums) != den:
             raise ValueError("probabilities must be in [0,1] and sum to 1")
         self.probs = probs
-        self._row_ratio = row_ratio_of(probs)  # every cursor's row
+        self._values, (self._cells,) = _value_cells([probs])
         self.alphabet = Alphabet(len(probs))
         self.declared_class = MEASURE
 
@@ -411,20 +424,25 @@ class MarkovEnv(Environment):
             tuple(k): tuple(Fraction(p) for p in v) for k, v in transitions.items()
         }
         _check_keys(self.transitions, "transition context", "order", order, alphabet)
+        self._row_ratios = {}  # one row pair per context
         for ctx, row in self.transitions.items():
-            if len(row) != alphabet.size or any(p < 0 for p in row) or sum(row) != 1:
+            self._row_ratios[ctx] = nums, den = row_ratio_of(row)
+            if len(row) != alphabet.size or min(nums) < 0 or sum(nums) != den:
                 raise ValueError(f"invalid transition row at context {ctx}")
-        self._row_ratios = {}  # one row pair per context, formed at its first use
+        values, cells = _value_cells(self.transitions.values())
+        self._values, self._cells = values, dict(zip(self.transitions, cells))
         self.declared_class = MEASURE
         # contexts reachable at positive mass, cut as _MarkovCursor.step cuts
         # them; the search stops at the first one without a row
         seen, todo = {()}, [()]
         while todo and todo[-1] in self.transitions:
             ctx = todo.pop()
-            new = {(ctx + (a,))[-order:] for a, p in enumerate(self.transitions[ctx]) if p}
+            new = {(ctx + (a,))[-order:] for a, i in enumerate(self._cells[ctx]) if i}
             todo += new - seen
             seen |= new
-        self.rows_sum_to_one = not todo
+        #: a context reachable at positive mass that has no row, or None
+        self.missing_context = todo[-1] if todo else None
+        self.rows_sum_to_one = self.missing_context is None
 
     def _row(self, past: tuple[int, ...]) -> tuple[Fraction, ...]:
         ctx = past[-self.order:] if len(past) >= self.order else past
@@ -435,8 +453,7 @@ class MarkovEnv(Environment):
 
     def row_ratio(self, ctx: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         """The pair of the row at a context cut to the order; ``_row`` raises if none."""
-        pairs = self._row_ratios
-        return pairs.get(ctx) or pairs.setdefault(ctx, row_ratio_of(self._row(ctx)))
+        return self._row_ratios.get(ctx) or self._row(ctx)
 
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
         m = ONE
@@ -462,44 +479,40 @@ class MarkovEnv(Environment):
 
 
 class _MarkovCursor(_CountCursor):
-    """Keyed by the transition counts plus the current context; every dead
+    """Keyed by the value counts plus the current context; every dead
     string shares the key None."""
 
     def __init__(self, env: MarkovEnv):
         self._env = env
         self._ctx: tuple[int, ...] = ()
-        # one count per (context, symbol), in the order of env.transitions
-        self._offsets = {ctx: i * env.alphabet.size
-                         for i, ctx in enumerate(env.transitions)}
-        self._start(tuple(p for row in env.transitions.values() for p in row))
+        self._cells = env._cells  # per context, the value index of each symbol
+        self._start(env._values)
 
     def row_ratio(self) -> tuple[tuple[int, ...], int]:
-        if self._dead:
+        if self._counts[0]:
             raise UndefinedPosteriorError("zero mass at cursor position")
         return self._env.row_ratio(self._ctx)
 
     def step(self, a: int) -> None:
-        ctx = self._ctx
-        if not self._dead:
-            if not self._env.row_ratio(ctx)[0][a]:
-                self._dead = True
-            self._count(self._offsets[ctx] + a)
+        ctx, counts = self._ctx, self._counts
+        if not counts[0]:  # past a 0 no row is read: _row raises for a missing one
+            i = (self._cells.get(ctx) or self._env._row(ctx))[a]
+            self._counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
         ctx = ctx + (a,)
         self._ctx = ctx[1:] if len(ctx) > self._env.order else ctx
 
     def child(self, a: int) -> "_MarkovCursor":
         ctx = self._ctx
-        if self._dead:
+        if self._counts[0]:
             new = EnvCursor.clone(self)
         else:
-            dead = not self._env.row_ratio(ctx)[0][a]  # raises where step does
-            new = self._child(self._offsets[ctx] + a, dead)
+            new = self._child((self._cells.get(ctx) or self._env._row(ctx))[a])
         ctx = ctx + (a,)
         new._ctx = ctx[1:] if len(ctx) > self._env.order else ctx
         return new
 
     def state_key(self):
-        return None if self._dead else (self._counts, self._ctx)
+        return None if self._counts[0] else (self._counts, self._ctx)
 
 
 class DeterministicEnv(Environment):

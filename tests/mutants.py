@@ -71,8 +71,8 @@ MUTANTS = (
            equivalent="the off-support excess is a sum of nonnegative terms, so it "
                       "is never below 0"),
     Mutant("deficiency-ratio-inverted", "randomness.py",
-           "yield Fraction(m_num * mu_den, m_den * mu_num)",
-           "yield Fraction(m_num * mu_num, m_den * mu_den)",
+           "num, den = m_num * mu_den, m_den * mu_num",
+           "num, den = m_num * mu_num, m_den * mu_den",
            ("tests/test_walker.py", "tests/test_randomness.py")),
     Mutant("delta-hat-takes-the-least-ratio", "randomness.py",
            "if c_num and p_num * c_den * worst[1] > worst[0] * p_den * c_num:",
@@ -91,6 +91,10 @@ MUTANTS = (
     Mutant("derived-run-before-over-after", "envcore.py",
            "(num * before_den, den * before_num) if num",
            "(before_num * den, before_den * num) if num",
+           ("tests/test_walker.py",)),
+    Mutant("markov-key-drops-context", "envcore.py",
+           "return None if self._counts[0] else (self._counts, self._ctx)",
+           "return None if self._counts[0] else self._counts",
            ("tests/test_walker.py",)),
     Mutant("check-depth-refuses-the-stored-depth", "envcore.py",
            "n > env.max_depth:", "n >= env.max_depth:",

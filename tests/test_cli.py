@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -525,6 +526,11 @@ _SHORT_AT_5 = {"kind": "table", "depth": 6, "declared_class": "measure",
 #: order 1, with no row for the context (1,), which the parser's check reaches
 _NO_ROW_AT_1 = {"kind": "markov", "order": 1,
                 "transitions": {"": ["1/2", "1/2"], "0": ["1/2", "1/2"]}}
+#: order 4, with a row for every context but 1111, which the string 11111
+#: needs: deeper than the parser validates
+_NO_ROW_AT_1111 = {"kind": "markov", "order": 4, "transitions": {
+    "".join(map(str, ctx)): ["1/2", "1/2"]
+    for n in range(5) for ctx in product((0, 1), repeat=n) if ctx != (1, 1, 1, 1)}}
 
 
 @pytest.mark.parametrize("subcommand, spec, args, message", [
@@ -574,15 +580,20 @@ _NO_ROW_AT_1 = {"kind": "markov", "order": 1,
     ("chain-lemma", {"vectors": [["-1/2", "3/2"], ["1/2", "1/2"]]}, (),
      "$.vectors: entries must be nonnegative"),
     ("verify-hellinger-bounds", {"class": [_HALF, _NO_ROW_AT_1], "mu_index": 1}, (),
-     "$.class[1]: missing transition row for context (1,)"),
+     "$.class[1]: reachable transition context 1 has no row"),
     ("verify-hellinger-bounds", {"class": [_HALF], "mu": _NO_ROW_AT_1, "w": "1/2"}, (),
-     "$.mu: missing transition row for context (1,)"),
+     "$.mu: reachable transition context 1 has no row"),
+    ("verify-hellinger-bounds", {"class": [_HALF, _NO_ROW_AT_1111], "mu_index": 1},
+     ("--depth", "6"), "$.class[1]: reachable transition context 1111 has no row"),
+    ("markov-tail", {"class": [_HALF, {"kind": "leaky", "base": _NO_ROW_AT_1111,
+                                       "leak": "1/2"}], "mu_index": 1, "c": ["1"]},
+     ("--depth", "6"), "$.class[1].base: reachable transition context 1111 has no row"),
 ], ids=["weights-count", "contaminated-base", "measure-falls-short", "chain-seed",
         "deficiency-seed", "e2i-seed", "ternary-counterexample", "empty-j", "one-symbol",
         "markov-row", "empty-period", "target-symbol", "normalize-zero", "sampled-row-short",
         "gamma-range", "kappa-range", "beta-range", "betas-range", "vectors-count",
         "vectors-empty", "vectors-lengths", "vectors-negative", "member-row-missing",
-        "mu-row-missing"])
+        "mu-row-missing", "member-deep-row-missing", "base-deep-row-missing"])
 def test_refusal_exits_one_with_its_one_line(subcommand, spec, args, message, capsys):
     code = run_cli(subcommand, "--spec", json.dumps(spec), *(args or ("--depth", "2")))
     assert code == EXIT_USAGE

@@ -43,6 +43,17 @@ def _markov():
     })
 
 
+def _markov_two_values():
+    """Order 1, every row after the first drawn from the values 3/8 and 5/8:
+    the chain whose key must keep its context, since the first symbol is
+    free and the counts say nothing of it."""
+    return sl.MarkovEnv(1, {
+        (): [F(1, 2), F(1, 2)],
+        (0,): [F(3, 8), F(5, 8)],
+        (1,): [F(5, 8), F(3, 8)],
+    })
+
+
 def _markov_order2_with_zeros():
     rows = {(): [F(1, 2), F(1, 2)], (0,): [F(1), F(0)], (1,): [F(1, 4), F(3, 4)]}
     for ctx in product((0, 1), repeat=2):
@@ -81,7 +92,9 @@ KINDS = {
     "bernoulli": lambda: sl.BernoulliEnv(F(1, 3)),
     "bernoulli-dead-branch": lambda: sl.BernoulliEnv(F(0)),
     "categorical": lambda: sl.CategoricalIIDEnv([F(1, 6), F(1, 3), F(1, 2)]),
+    "uniform": lambda: sl.uniform_measure(sl.Alphabet(3)),
     "markov": _markov,
+    "markov-two-values": _markov_two_values,
     "markov-order2-zeros": _markov_order2_with_zeros,
     "leaky": lambda: sl.LeakyEnv(sl.BernoulliEnv(F(1, 4)), F(2, 3)),
     "leaky-markov": lambda: sl.LeakyEnv(_markov(), F(1, 2)),
@@ -504,6 +517,28 @@ def test_walk_merges_states_and_keeps_smallest_representatives():
     assert [len(s) for s, _, _, _, _ in states] == sorted(len(s) for s, _, _, _, _ in states)
 
 
+def _states_per_level(env, depth):
+    sizes = defaultdict(int)
+    for symbols, _, _, _, _ in walk_states([env], depth):
+        sizes[len(symbols)] += 1
+    return [sizes[n] for n in range(depth + 1)]
+
+
+@pytest.mark.parametrize("env", [sl.BernoulliEnv(F(1, 2)), sl.uniform_measure(sl.Alphabet(3))],
+                         ids=["bernoulli-half", "uniform-ternary"])
+def test_cells_of_one_probability_share_one_count(env):
+    """Every string of a length has one mass, so the walk keeps one state
+    per level."""
+    assert _states_per_level(env, 8) == [1] * 9
+
+
+def test_markov_key_counts_values_not_transitions():
+    """After the free first symbol every draw is 3/8 or 5/8: at level n >= 1
+    a state is the number of 3/8s among n - 1 draws and the context, 2n
+    of them, where a count per transition keeps n^2 - n + 2."""
+    assert _states_per_level(_markov_two_values(), 12) == [1] + [2 * n for n in range(1, 13)]
+
+
 # ------------------------------------------------- merged walks vs the tree
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -646,12 +681,20 @@ def test_missing_reachable_context_raises_as_before(make, first_bad_depth):
         sl.validate(env, first_bad_depth)
 
 
+def test_missing_context_is_where_the_reachability_search_stopped():
+    assert _markov_missing_at_depth_1().missing_context == (1,)
+    assert _markov_missing_at_depth_3().missing_context == (0, 1)
+    # its one context without a row is reached only at mass 0
+    assert _markov_missing_behind_zero().missing_context is None
+    assert _markov().missing_context is None
+
+
 def test_certificate_is_set_exactly_for_row_checked_kinds():
     certified = {kind for kind, make in {**KINDS, **MARKOV_GAPS}.items()
                  if make().rows_sum_to_one}
-    assert certified == {"bernoulli", "bernoulli-dead-branch", "categorical", "markov",
-                         "markov-order2-zeros", "decaying", "deterministic",
-                         "markov-missing-behind-zero"}
+    assert certified == {"bernoulli", "bernoulli-dead-branch", "categorical", "uniform",
+                         "markov", "markov-two-values", "markov-order2-zeros", "decaying",
+                         "deterministic", "markov-missing-behind-zero"}
     assert sl.uniform_measure().rows_sum_to_one
     assert sl.uniform_measure(sl.Alphabet(3)).rows_sum_to_one
     # a user-declared measure of any other kind is still walked
