@@ -25,9 +25,7 @@ from .intervals import (
     CERTIFIED_HOLDS,
     DEFAULT_PRECISION,
     INCONCLUSIVE,
-    MAX_PRECISION,
     Verdict,
-    certify_le,
     compare_le,
     endpoints,
     from_fraction,

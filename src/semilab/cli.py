@@ -60,6 +60,7 @@ from .intervals import (
     precision,
 )
 from .mixtures import (
+    CERTIFICATION_DEPTH,
     DEFAULT_QUASI_DEPTH_CAP,
     EnvClass,
     MEASURES_ONLY,
@@ -231,11 +232,7 @@ def parse_environment(d: dict, path: str = "$") -> Environment:
                                        path + ".transitions").items()
             }
             order = _parse_int(_require(d, "order", path), path + ".order", least=1)
-            chain = MarkovEnv(order, transitions, _alphabet(d, path))
-            if chain.missing_context is not None:
-                raise SpecError(f"{path}: reachable transition context "
-                                f"{''.join(map(str, chain.missing_context))} has no row")
-            return chain
+            return MarkovEnv(order, transitions, _alphabet(d, path))
         if kind == "deterministic":
             return DeterministicEnv(
                 _symbols(d.get("prefix", ""), path + ".prefix"),
@@ -273,7 +270,7 @@ def _table_values(d: dict, path: str) -> dict[tuple[int, ...], Fraction]:
 
 
 def _checked_table(table: TableEnv, path: str) -> TableEnv:
-    # every stored level, not only the few levels _cross_check walks
+    # every stored level: the parser walks no strict semimeasure
     defect = table.first_defect()
     if defect is not None:
         raise SpecError(f"{path}: node inequality fails at {defect}")
@@ -323,10 +320,6 @@ def _parse_derived(d: dict, path: str) -> Environment:
         _parse_int(_require(d, "stage", path), path + ".stage", least=1)), path)
 
 
-#: the depth to which the parser validates every environment of a spec
-CROSS_CHECK_DEPTH = 4
-
-
 def _naming(path: str, call, *args):
     """call(*args), an error it raises refused as one line naming ``path``:
     the library states each rule once, and the CLI names the field."""
@@ -337,11 +330,13 @@ def _naming(path: str, call, *args):
 
 
 def _cross_check(env: Environment, path: str) -> None:
-    report = _naming(path, validate, env, CROSS_CHECK_DEPTH)
-    if not report.is_semimeasure:
-        raise SpecError(
-            f"{path}: node inequality fails at {report.first_defect_node}")
-    if env.declared_class == MEASURE and not report.is_measure_to_depth:
+    """Walk the one claim a spec makes that its constructors do not check:
+    a declared measure, to the depth ``EnvClass.is_measure`` certifies.
+    The node inequality needs no walk: constructors check rows and ranges,
+    ``_checked_table`` every stored entry, and every other kind holds it by
+    construction."""
+    if env.declared_class == MEASURE and not _naming(
+            path, validate, env, CERTIFICATION_DEPTH).is_measure_to_depth:
         raise SpecError(f"{path}: declared a measure but node sums fall short")
 
 

@@ -411,8 +411,12 @@ class MarkovEnv(Environment):
     """Finite-order Markov chain with exact rational transition rows.
 
     ``transitions`` maps a context tuple (the last ``order`` symbols, shorter
-    near the start of the string) to a probability row.
+    near the start of the string) to a probability row.  Every context that
+    a string of positive mass reaches must have a row: the constructor
+    refuses the first one its search finds without one.
     """
+
+    rows_sum_to_one = True
 
     def __init__(self, order: int, transitions: dict[tuple[int, ...], Sequence[Fraction]],
                  alphabet: Alphabet = BINARY):
@@ -432,33 +436,21 @@ class MarkovEnv(Environment):
         values, cells = _value_cells(self.transitions.values())
         self._values, self._cells = values, dict(zip(self.transitions, cells))
         self.declared_class = MEASURE
-        # contexts reachable at positive mass, cut as _MarkovCursor.step cuts
-        # them; the search stops at the first one without a row
+        # contexts reachable at positive mass, cut as _MarkovCursor.step cuts them
         seen, todo = {()}, [()]
-        while todo and todo[-1] in self.transitions:
+        while todo:
             ctx = todo.pop()
+            if ctx not in self._cells:
+                raise ValueError(f"reachable transition context {''.join(map(str, ctx))} "
+                                 "has no row")
             new = {(ctx + (a,))[-order:] for a, i in enumerate(self._cells[ctx]) if i}
             todo += new - seen
             seen |= new
-        #: a context reachable at positive mass that has no row, or None
-        self.missing_context = todo[-1] if todo else None
-        self.rows_sum_to_one = self.missing_context is None
-
-    def _row(self, past: tuple[int, ...]) -> tuple[Fraction, ...]:
-        ctx = past[-self.order:] if len(past) >= self.order else past
-        try:
-            return self.transitions[ctx]
-        except KeyError:
-            raise SemilabError(f"missing transition row for context {ctx}") from None
-
-    def row_ratio(self, ctx: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        """The pair of the row at a context cut to the order; ``_row`` raises if none."""
-        return self._row_ratios.get(ctx) or self._row(ctx)
 
     def _mass(self, symbols: tuple[int, ...]) -> Fraction:
         m = ONE
         for t, s in enumerate(symbols):
-            m *= self._row(symbols[:t])[s]
+            m *= self.transitions[symbols[:t][-self.order:]][s]
             if m == 0:
                 return ZERO
         return m
@@ -491,22 +483,19 @@ class _MarkovCursor(_CountCursor):
     def row_ratio(self) -> tuple[tuple[int, ...], int]:
         if self._counts[0]:
             raise UndefinedPosteriorError("zero mass at cursor position")
-        return self._env.row_ratio(self._ctx)
+        return self._env._row_ratios[self._ctx]
 
     def step(self, a: int) -> None:
         ctx, counts = self._ctx, self._counts
-        if not counts[0]:  # past a 0 no row is read: _row raises for a missing one
-            i = (self._cells.get(ctx) or self._env._row(ctx))[a]
+        if not counts[0]:  # a dead string's context may have no row
+            i = self._cells[ctx][a]
             self._counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
         ctx = ctx + (a,)
         self._ctx = ctx[1:] if len(ctx) > self._env.order else ctx
 
     def child(self, a: int) -> "_MarkovCursor":
         ctx = self._ctx
-        if self._counts[0]:
-            new = EnvCursor.clone(self)
-        else:
-            new = self._child((self._cells.get(ctx) or self._env._row(ctx))[a])
+        new = EnvCursor.clone(self) if self._counts[0] else self._child(self._cells[ctx][a])
         ctx = ctx + (a,)
         new._ctx = ctx[1:] if len(ctx) > self._env.order else ctx
         return new

@@ -13,7 +13,7 @@ import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Union
+from typing import Union
 
 import mpmath
 from mpmath.libmp import (
@@ -23,7 +23,6 @@ from mpmath.libmp import (
 iv = mpmath.iv
 
 DEFAULT_PRECISION = 128
-MAX_PRECISION = 1024
 
 RationalLike = Union[Fraction, int]
 
@@ -235,22 +234,3 @@ def compare_le(lhs, rhs, precision_bits: int) -> Verdict:
     rlo, rhi = interval_str(rhs)
     return Verdict(outcome, llo, lhi, rlo, rhi, precision_bits)
 
-
-def certify_le(
-    make_sides: Callable[[], tuple[object, object]],
-    start_bits: int = DEFAULT_PRECISION,
-    max_bits: int = MAX_PRECISION,
-) -> Verdict:
-    """Certify lhs <= rhs, doubling precision while inconclusive.
-
-    ``make_sides`` recomputes both intervals under the active precision.
-    An inconclusive verdict at ``max_bits`` is reported, never coerced.
-    """
-    bits = start_bits
-    while True:
-        with precision(bits):
-            lhs, rhs = make_sides()
-            verdict = compare_le(lhs, rhs, bits)
-        if verdict.outcome != INCONCLUSIVE or bits >= max_bits:
-            return verdict
-        bits = min(bits * 2, max_bits)

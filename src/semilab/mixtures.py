@@ -81,7 +81,9 @@ class EnvClass:
     Measure membership is never taken from the declared tag alone, and only
     established for the members asked about: by the exact row check made in
     the constructor (``rows_sum_to_one``), else by exact validation to
-    ``CERTIFICATION_DEPTH``, as for a table declared a measure.
+    ``CERTIFICATION_DEPTH``, as for a table declared a measure.  The spec
+    parser walks a declared measure to the same depth, so a member it
+    accepts as a measure is one this class counts as a measure.
     """
 
     def __init__(self, envs: Sequence[Environment]):

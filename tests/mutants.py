@@ -96,6 +96,15 @@ MUTANTS = (
            "return None if self._counts[0] else (self._counts, self._ctx)",
            "return None if self._counts[0] else self._counts",
            ("tests/test_walker.py",)),
+    Mutant("markov-reachable-context-unchecked", "envcore.py",
+           """raise ValueError(f"reachable transition context {''.join(map(str, ctx))} "
+                                 "has no row")""",
+           "continue",
+           ("tests/test_envcore.py", "tests/test_walker.py", "tests/test_cli.py")),
+    Mutant("cross-check-skips-declared-measure", "cli.py",
+           "if env.declared_class == MEASURE and not _naming(",
+           "if False and not _naming(",
+           ("tests/test_cli.py",)),
     Mutant("check-depth-refuses-the-stored-depth", "envcore.py",
            "n > env.max_depth:", "n >= env.max_depth:",
            ("tests/test_depth_rule.py", "tests/test_envcore.py")),

@@ -340,6 +340,20 @@ def validate_tree(env, depth):
     return True, is_measure, None
 
 
+def first_string_at_a_missing_row(order, transitions):
+    """Brute force over binary strings, shortest first: the first string of
+    positive mass under a Markov transitions dict whose context, its last
+    ``order`` symbols, has no row; None if there is none.  The contexts are
+    the chain's states, so a reachable one is reached by a string shorter
+    than their number, 2^(order + 1) - 1."""
+    for n in range(2 ** (order + 1) - 1):
+        for x in all_strings(2, n):
+            rows = [transitions.get(x[:t][-order:]) for t in range(n + 1)]
+            if rows[n] is None and all(rows[t] and rows[t][x[t]] for t in range(n)):
+                return x
+    return None
+
+
 def dominates_tree(nu, mu, w, depth):
     """nu(x) >= w mu(x) on every string to depth, by recursion."""
     def rec(symbols):

@@ -518,16 +518,16 @@ def test_e2i_functional_eps_not_positive_names_its_field(functional, capsys):
 
 
 _HALF = {"kind": "bernoulli", "p": "1/2"}
-#: declared a measure; its node sums hold to the parser's depth 4 and fall
-#: short at level 5, where only a deeper reader finds them
+#: declared a measure; its node sums hold to depth 4 and fall short at
+#: level 5, within the depth to which the parser walks a declared measure
 _SHORT_AT_5 = {"kind": "table", "depth": 6, "declared_class": "measure",
                "values": {"": "1", "0": "1", "00": "1", "000": "1", "0000": "1",
                           "00000": "1/2", "000000": "1/2"}}
-#: order 1, with no row for the context (1,), which the parser's check reaches
+#: order 1, with no row for the context (1,), which the string 1 reaches
 _NO_ROW_AT_1 = {"kind": "markov", "order": 1,
                 "transitions": {"": ["1/2", "1/2"], "0": ["1/2", "1/2"]}}
 #: order 4, with a row for every context but 1111, which the string 11111
-#: needs: deeper than the parser validates
+#: needs: the constructor's search finds it without a walk
 _NO_ROW_AT_1111 = {"kind": "markov", "order": 4, "transitions": {
     "".join(map(str, ctx)): ["1/2", "1/2"]
     for n in range(5) for ctx in product((0, 1), repeat=n) if ctx != (1, 1, 1, 1)}}
@@ -564,7 +564,9 @@ _NO_ROW_AT_1111 = {"kind": "markov", "order": 4, "transitions": {
                                           {"kind": "table", "depth": 1, "values": {}}}]}, (),
      "$.class[1]: cannot normalize zero total mass"),
     ("deficiency", {"class": [_SHORT_AT_5], "mu_index": 1}, ("--depth", "6", "--seed", "1"),
-     "posterior row does not sum to 1"),
+     "$.class[0]: declared a measure but node sums fall short"),
+    ("quasimeasure", {"class": [_HALF, _SHORT_AT_5]}, (),
+     "$.class[1]: declared a measure but node sums fall short"),
     ("counterexample", {"class": [_HALF], "gamma": "1/5"}, (),
      "$.gamma: gamma must lie strictly in (0, 1/5)"),
     ("verify-hellinger-bounds", {"class": [_HALF], "mu_index": 1, "kappa": "3/4"}, (),
@@ -591,6 +593,7 @@ _NO_ROW_AT_1111 = {"kind": "markov", "order": 4, "transitions": {
 ], ids=["weights-count", "contaminated-base", "measure-falls-short", "chain-seed",
         "deficiency-seed", "e2i-seed", "ternary-counterexample", "empty-j", "one-symbol",
         "markov-row", "empty-period", "target-symbol", "normalize-zero", "sampled-row-short",
+        "measure-short-at-5",
         "gamma-range", "kappa-range", "beta-range", "betas-range", "vectors-count",
         "vectors-empty", "vectors-lengths", "vectors-negative", "member-row-missing",
         "mu-row-missing", "member-deep-row-missing", "base-deep-row-missing"])

@@ -9,7 +9,6 @@ from semilab.envcore import BitStream, _draw_symbol, _draw_table, row_ratio_of
 from semilab.errors import (
     DepthExceededError,
     NotAMeasureError,
-    SemilabError,
     UndefinedPosteriorError,
 )
 
@@ -94,9 +93,9 @@ def test_markov_chain_mass():
 
 
 def test_markov_missing_context_is_an_error():
-    env = sl.MarkovEnv(1, {(): [F(1, 2), F(1, 2)], (0,): [F(1), F(0)]})
-    with pytest.raises(SemilabError):
-        env.eval(sl.FiniteString.parse("11"))
+    # the string 1 has mass 1/2 and reaches the context (1,), which has no row
+    with pytest.raises(ValueError, match="^reachable transition context 1 has no row$"):
+        sl.MarkovEnv(1, {(): [F(1, 2), F(1, 2)], (0,): [F(1), F(0)]})
 
 
 def test_deterministic_point_mass():

@@ -10,7 +10,6 @@ from semilab.intervals import (
     INCONCLUSIVE,
     Verdict,
     abs_bounds,
-    certify_le,
     compare_le,
     endpoints,
     from_fraction,
@@ -132,29 +131,6 @@ def test_verdict_serialization_shape():
     assert set(d) == {"outcome", "lhs", "rhs", "precision"}
     assert d["precision"] == 64
     assert v.holds and not v.fails
-
-
-def test_escalation_resolves_a_tight_comparison():
-    # 1/3 + 1/6 <= 1/2 is an equality; identical rationals stay inconclusive,
-    # but a strictly smaller left side resolves once precision suffices
-    def make_sides():
-        lhs = from_fraction(Fraction(1, 3)) + from_fraction(Fraction(1, 6)) \
-            - from_fraction(Fraction(1, 10 ** 30))
-        return lhs, from_fraction(Fraction(1, 2))
-
-    v = certify_le(make_sides, start_bits=32, max_bits=256)
-    assert v.outcome == CERTIFIED_HOLDS
-    assert v.precision_bits > 32
-
-
-def test_escalation_reports_inconclusive_honestly():
-    def make_sides():
-        x = from_fraction(Fraction(1, 3))
-        return x, x
-
-    v = certify_le(make_sides, start_bits=32, max_bits=64)
-    assert v.outcome == INCONCLUSIVE
-    assert v.precision_bits == 64
 
 
 def test_interval_str_returns_lo_hi_pair():

@@ -105,17 +105,28 @@ def test_quasimeasure_cutoff_walks_the_base_once(monkeypatch):
     assert len(calls) == 1
 
 
+class _RaisesPastLength1(sl.Environment):
+    """Uniform to length 1, with no stored depth; every longer mass raises."""
+
+    alphabet = sl.BINARY
+    declared_class = sl.STRICT_SEMIMEASURE
+
+    def _mass(self, symbols):
+        if len(symbols) > 1:
+            raise SemilabError("no mass past length 1")
+        return F(1, 2 ** len(symbols))
+
+
 def test_quasimeasure_totals_read_no_row_below_the_level_above():
-    # no row for context (1,): level 1 totals from the root's row alone, and
-    # level 2 needs the missing row, every time it is asked for
-    gapped = sl.MarkovEnv(1, {(): [F(1, 2), F(1, 2)], (0,): [F(1, 3), F(2, 3)]})
-    q = sl.QuasimeasureEnv(gapped, 8)
+    # level 1 totals from the root's row alone, and level 2 needs the masses
+    # of length 2, every time it is asked for
+    q = sl.QuasimeasureEnv(_RaisesPastLength1(), 8)
     assert q.total_mass(1) == 1
     for _ in range(2):
         with pytest.raises(SemilabError) as err:
             q.total_mass(2)
         assert type(err.value) is SemilabError
-        assert str(err.value) == "missing transition row for context (1,)"
+        assert str(err.value) == "no mass past length 1"
 
 
 def test_quasimeasure_never_exceeds_base():

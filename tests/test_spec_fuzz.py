@@ -19,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semilab import cli
-from semilab.cli import SUBCOMMANDS, main
+from semilab import MEASURE, cli, validate
+from semilab.cli import SUBCOMMANDS, main, parse_env_spec
+from semilab.errors import SemilabError
 
 from conftest import FIXTURES
 
@@ -59,7 +60,8 @@ def _fields(node, path=()):
 
 
 @st.composite
-def mutated_runs(draw):
+def mutated_specs(draw):
+    """A fixture with one field replaced: (the spec, the replaced field's path)."""
     name = draw(st.sampled_from(sorted(SPECS)))
     spec = json.loads(json.dumps(SPECS[name]))
     path = draw(st.sampled_from(sorted(_fields(spec), key=repr)
@@ -68,6 +70,12 @@ def mutated_runs(draw):
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = draw(JSON_VALUES)
+    return spec, path
+
+
+@st.composite
+def mutated_runs(draw):
+    spec, path = draw(mutated_specs())
     args = [draw(st.sampled_from(SUBCOMMANDS)), "--spec", json.dumps(spec), "--seed", "1"]
     if path != ("depth",):  # else the spec's own depth is read
         args += ["--depth", str(draw(st.integers(0, 4)))]
@@ -83,6 +91,22 @@ def test_mutated_fixture_specs_exit_cleanly(args):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().splitlines()) <= 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_specs())
+def test_every_member_the_parser_accepts_is_a_semimeasure(mutated):
+    # the parser walks only a declared measure: every other member must keep
+    # the node inequality by its constructor, and no member may raise when
+    # a walk reads it
+    try:
+        parsed = parse_env_spec(mutated[0])
+    except (SemilabError, ValueError):
+        return
+    for member in parsed[0].envs if isinstance(parsed, tuple) else [parsed]:
+        report = validate(member, 4)
+        assert report.is_semimeasure
+        assert report.is_measure_to_depth or member.declared_class != MEASURE
 
 
 class _Recorded(dict):

@@ -10,6 +10,7 @@ that, for every environment kind, on every string to a fixed depth.
 
 import json
 import random
+import re
 from collections import defaultdict
 from fractions import Fraction
 from itertools import islice, product
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import semilab as sl
 from semilab import divergence, envcore, mixtures
 from semilab.cli import (
-    parse_class, parse_environment, run_experiment, run_markov_tail, run_quasimeasure,
+    _mu_from, parse_class, parse_environment, run_experiment, run_markov_tail, run_quasimeasure,
     run_verify_hellinger_bounds,
 )
 from semilab.envcore import walk_states, walk_string
@@ -422,23 +423,13 @@ def test_child_is_a_clone_stepped_once(kind):
             _check_child_is_clone_then_step(cursor, a)
 
 
-def _markov_missing_row():
-    # the context (1,) has no row: a step from it raises
-    return sl.MarkovEnv(1, {(): [F(1, 3), F(2, 3)], (0,): [F(2, 5), F(3, 5)]})
-
-
 @pytest.mark.parametrize("make, path, error", [
     (_table, (0, 0, 1, 1, 0), DepthExceededError),
     (lambda: sl.QuasimeasureEnv(_table(), 8), (1, 1, 0, 0, 1), DepthExceededError),
     (lambda: _mixture(_table_class(), sl.RAW), (0, 0, 1, 1, 0), DepthExceededError),
-    (_markov_missing_row, (1,), SemilabError),
-    (lambda: sl.LeakyEnv(_markov_missing_row(), F(1, 2)), (0, 1), SemilabError),
-    (lambda: _mixture(sl.EnvClass([sl.BernoulliEnv(F(1, 2)),
-                                   sl.LeakyEnv(_markov_missing_row(), F(1, 2))]),
-                      sl.RAW), (1,), SemilabError),
 ])
 def test_child_raises_what_step_raises(make, path, error):
-    """Past a table's stored depth, and from a Markov context with no row."""
+    """Past a table's stored depth."""
     cursor = make().cursor()
     for a in path:
         cursor.step(a)
@@ -619,26 +610,29 @@ def test_total_mass_matches_support_sum(kind):
 def _markov_missing_behind_zero():
     """Order 2 without a (1, 1) row: both ways into it, after (1,) or
     (0, 1), take symbol 1 with probability 0."""
-    return sl.MarkovEnv(2, {
+    return 2, {
         (): [F(1, 2), F(1, 2)], (0,): [F(1, 4), F(3, 4)], (1,): [F(1), F(0)],
-        (0, 0): [F(1, 2), F(1, 2)], (0, 1): [F(1), F(0)], (1, 0): [F(1, 3), F(2, 3)]})
+        (0, 0): [F(1, 2), F(1, 2)], (0, 1): [F(1), F(0)], (1, 0): [F(1, 3), F(2, 3)]}
 
 
 def _markov_missing_at_depth_1():
     # the string 1 needs the (1,) row
-    return sl.MarkovEnv(1, {(): [F(1, 2), F(1, 2)], (0,): [F(1, 3), F(2, 3)]})
+    return 1, {(): [F(1, 2), F(1, 2)], (0,): [F(1, 3), F(2, 3)]}
 
 
 def _markov_missing_at_depth_3():
     # 001 is the first string to need the (0, 1) row
-    return sl.MarkovEnv(2, {(): [F(1), F(0)], (0,): [F(1), F(0)],
-                            (0, 0): [F(1, 2), F(1, 2)]})
+    return 2, {(): [F(1), F(0)], (0,): [F(1), F(0)], (0, 0): [F(1, 2), F(1, 2)]}
 
 
-# beside KINDS' order-1 and order-2 chains, whose every context has a row
+#: (order, transitions) of chains with a context that has no row, beside
+#: KINDS' chains, whose every context has one
 MARKOV_GAPS = {"markov-missing-behind-zero": _markov_missing_behind_zero,
                "markov-missing-at-1": _markov_missing_at_depth_1,
                "markov-missing-at-3": _markov_missing_at_depth_3}
+
+#: what the constructor says of a reachable context with no row
+NO_ROW = r"^reachable transition context ([01]*) has no row$"
 
 
 def _outcome(run):
@@ -663,7 +657,14 @@ def _walking(env):
 
 @pytest.mark.parametrize("kind", [*KINDS, *MARKOV_GAPS])
 def test_certificate_matches_the_walk(kind):
-    make = {**KINDS, **MARKOV_GAPS}[kind]
+    if kind in MARKOV_GAPS:
+        order, transitions = MARKOV_GAPS[kind]()
+        if oracles.first_string_at_a_missing_row(order, transitions) is not None:
+            # a chain some walk would need a missing row of is never built
+            with pytest.raises(ValueError, match=NO_ROW):
+                sl.MarkovEnv(order, transitions)
+            return
+    make = KINDS.get(kind) or (lambda: sl.MarkovEnv(order, transitions))
     env = make()
     for depth in range(_depth(env, 8) + 1):
         certified = _outcome(lambda: _report(env, depth))
@@ -674,24 +675,28 @@ def test_certificate_matches_the_walk(kind):
 @pytest.mark.parametrize("make, first_bad_depth", [
     (_markov_missing_at_depth_1, 2), (_markov_missing_at_depth_3, 4)])
 def test_missing_reachable_context_raises_as_before(make, first_bad_depth):
-    env = make()
-    assert not env.rows_sum_to_one
-    assert sl.validate(env, first_bad_depth - 1).is_measure_to_depth
-    with pytest.raises(SemilabError, match="missing transition row for context"):
-        sl.validate(env, first_bad_depth)
+    # a walk to depth first_bad_depth read the missing row first; the
+    # constructor refuses the chain before any walk
+    order, transitions = make()
+    gap = oracles.first_string_at_a_missing_row(order, transitions)
+    assert len(gap) == first_bad_depth - 1
+    with pytest.raises(ValueError, match=NO_ROW):
+        sl.MarkovEnv(order, transitions)
 
 
 def test_missing_context_is_where_the_reachability_search_stopped():
-    assert _markov_missing_at_depth_1().missing_context == (1,)
-    assert _markov_missing_at_depth_3().missing_context == (0, 1)
+    for make, ctx in ((_markov_missing_at_depth_1, "1"), (_markov_missing_at_depth_3, "01")):
+        with pytest.raises(ValueError, match=f"^reachable transition context {ctx} has no row$"):
+            sl.MarkovEnv(*make())
     # its one context without a row is reached only at mass 0
-    assert _markov_missing_behind_zero().missing_context is None
-    assert _markov().missing_context is None
+    assert oracles.first_string_at_a_missing_row(*_markov_missing_behind_zero()) is None
+    assert sl.MarkovEnv(*_markov_missing_behind_zero()).rows_sum_to_one
 
 
 def test_certificate_is_set_exactly_for_row_checked_kinds():
-    certified = {kind for kind, make in {**KINDS, **MARKOV_GAPS}.items()
-                 if make().rows_sum_to_one}
+    kinds = {**KINDS, "markov-missing-behind-zero":
+             lambda: sl.MarkovEnv(*_markov_missing_behind_zero())}
+    certified = {kind for kind, make in kinds.items() if make().rows_sum_to_one}
     assert certified == {"bernoulli", "bernoulli-dead-branch", "categorical", "uniform",
                          "markov", "markov-two-values", "markov-order2-zeros", "decaying",
                          "deterministic", "markov-missing-behind-zero"}
@@ -706,7 +711,8 @@ _ENTRIES = st.sampled_from([F(0), F(1, 4), F(1, 2), F(3, 4), F(1)])
 
 @st.composite
 def _markov_tables(draw):
-    """Binary tables of order 1-2, each context kept with probability 2/3."""
+    """Binary transitions of order 1-2, each context kept with probability
+    2/3: (order, transitions)."""
     order = draw(st.integers(1, 2))
     transitions = {}
     for n in range(order + 1):
@@ -714,28 +720,28 @@ def _markov_tables(draw):
             p = draw(_ENTRIES)
             if draw(st.integers(0, 2)):
                 transitions[ctx] = [1 - p, p]
-    return sl.MarkovEnv(order, transitions)
+    return order, transitions
 
 
 @settings(max_examples=150, deadline=None)
 @given(_markov_tables())
-def test_markov_closure_matches_the_tree(env):
-    assert _outcome(lambda: _report(env, 6)) == \
-        _outcome(lambda: oracles.validate_tree(env, 6))
-    quasi = sl.QuasimeasureEnv(env, 8)
+def test_markov_closure_matches_the_tree(table):
+    # the constructor refuses exactly the chains in which a string of
+    # positive mass needs a missing row, and names a context with no row
+    order, transitions = table
+    if oracles.first_string_at_a_missing_row(order, transitions) is not None:
+        with pytest.raises(ValueError, match=NO_ROW) as err:
+            sl.MarkovEnv(order, transitions)
+        named = re.match(NO_ROW, str(err.value)).group(1)
+        assert tuple(map(int, named)) not in transitions
+        return
+    env = sl.MarkovEnv(order, transitions)
+    assert env.rows_sum_to_one
+    for checked in (env, _walking(sl.MarkovEnv(order, transitions))):
+        assert _report(checked, 6) == oracles.validate_tree(env, 6) == (True, True, None)
+    quasi = sl.QuasimeasureEnv(_walking(sl.MarkovEnv(order, transitions)), 8)
     for n in range(7):
-        support = _outcome(lambda: sum((m for _, m in sl.enumerate_support(env, n)), F(0)))
-        total = _outcome(lambda: quasi.total_mass(n))
-        if env.rows_sum_to_one:
-            assert total == support == 1
-        elif isinstance(total, tuple):
-            # a walk expands level n as it counts it, so it needs the rows
-            # of level n, which the strings of length n + 1 need too
-            assert isinstance(_outcome(lambda: list(sl.enumerate_support(env, n + 1))),
-                              tuple)
-            break
-        else:
-            assert total == support
+        assert quasi.total_mass(n) == sum((m for _, m in sl.enumerate_support(env, n)), F(0)) == 1
 
 
 def _count_all_walks(monkeypatch):
@@ -770,16 +776,32 @@ def test_certifying_a_class_of_product_measures_walks_nothing(monkeypatch):
     assert walks == []
 
 
+CLASS_FIXTURES = [f for f in sorted(FIXTURES.glob("*.json"))
+                  if "class" in json.loads(f.read_text())]
+
+
+@pytest.mark.parametrize("fixture", CLASS_FIXTURES, ids=lambda f: f.name)
+def test_parsing_a_fixture_walks_nothing(fixture, monkeypatch):
+    # no fixture declares a measure its constructor does not certify, and
+    # the parser walks nothing else
+    walks = _count_all_walks(monkeypatch)
+    spec = json.loads(fixture.read_text())
+    env_class, _ = parse_class(spec)
+    if "mu" in spec:
+        _mu_from(spec, env_class)
+    assert walks == []
+
+
 def test_w_vs_d_walks_only_the_leaky_member(monkeypatch):
     walks = _count_all_walks(monkeypatch)
     spec = json.loads((FIXTURES / "quasi_leaky.json").read_text())
     result = run_experiment("w-vs-d", spec, 200, 128, 1)
     assert result.outcomes == ["certified-holds"]
-    # the parser's cross-check of the strict semimeasure (depth 4), then its
-    # quasimeasure's totals, stopped at the cutoff 2: level 2 is totalled
-    # from the children of level 1, so the walk yields nothing deeper
+    # the parser walks no strict semimeasure; its quasimeasure's totals stop
+    # at the cutoff 2: level 2 is totalled from the children of level 1, so
+    # the walk yields nothing deeper
     assert [(module, type(env), reached) for module, env, reached in walks] == [
-        ("semilab.envcore", sl.LeakyEnv, 4), ("semilab.mixtures", sl.LeakyEnv, 1)]
+        ("semilab.mixtures", sl.LeakyEnv, 1)]
 
 
 @pytest.mark.parametrize("make", [_product_class, _table_class,
