@@ -42,7 +42,6 @@ from .envcore import (
     _frac_str,
     sample,
     uniform_measure,
-    validate,
     walk_states,
     walk_string,
 )
@@ -60,7 +59,6 @@ from .intervals import (
     precision,
 )
 from .mixtures import (
-    CERTIFICATION_DEPTH,
     DEFAULT_QUASI_DEPTH_CAP,
     EnvClass,
     MEASURES_ONLY,
@@ -329,14 +327,17 @@ def _naming(path: str, call, *args):
         raise SpecError(f"{path}: {exc}") from None
 
 
-def _cross_check(env: Environment, path: str) -> None:
-    """Walk the one claim a spec makes that its constructors do not check:
-    a declared measure, to the depth ``EnvClass.is_measure`` certifies.
-    The node inequality needs no walk: constructors check rows and ranges,
-    ``_checked_table`` every stored entry, and every other kind holds it by
-    construction."""
+def _cross_check(env: Environment, path: str, env_class: Optional[EnvClass] = None,
+                 i: int = 1) -> None:
+    """Check the one claim a spec makes that its constructors do not check:
+    env, member i of env_class, declared a measure.  ``EnvClass.is_measure``
+    walks such a member to ``CERTIFICATION_DEPTH`` and keeps the answer, so
+    no run walks a class member twice; a lone environment is checked as a
+    class of one.  The node inequality needs no walk: constructors check
+    rows and ranges, ``_checked_table`` every stored entry, and every other
+    kind holds it by construction."""
     if env.declared_class == MEASURE and not _naming(
-            path, validate, env, CERTIFICATION_DEPTH).is_measure_to_depth:
+            path, (env_class or EnvClass([env])).is_measure, i):
         raise SpecError(f"{path}: declared a measure but node sums fall short")
 
 
@@ -347,18 +348,18 @@ def parse_class(d, path: str = "$", members: str = "class") -> tuple[EnvClass, W
     entries = _require(d, members, path)
     if not isinstance(entries, list) or not entries:
         raise SpecError(f"{path}.{members}: must be a nonempty array")
-    envs = []
-    for i, entry in enumerate(entries):
-        env = parse_environment(entry, f"{path}.{members}[{i}]")
-        _cross_check(env, f"{path}.{members}[{i}]")
-        envs.append(env)
+    envs = [parse_environment(entry, f"{path}.{members}[{i}]")
+            for i, entry in enumerate(entries)]
+    env_class = EnvClass(envs)
+    for i, env in enumerate(envs):
+        _cross_check(env, f"{path}.{members}[{i}]", env_class, i + 1)
     if "weights" not in d:
         weights = default_weights(len(envs))
     else:
         weights = WeightScheme(tuple(_rationals(d["weights"], path + ".weights")))
         if len(weights) != len(envs):
             raise SpecError(f"{path}.weights: expected {len(envs)} entries")
-    return EnvClass(envs), weights
+    return env_class, weights
 
 
 def _decode_spec(source: Union[str, Path]):
@@ -688,7 +689,7 @@ def run_e2i(spec, depth, bits, seed) -> RunResult:
         result.add_outcome(f"mubar-{stage}-semimeasure",
                            _exact_outcome(mubar.first_defect() is None),
                            {"stage": stage})
-    extended = EnvClass(list(env_class.envs) + [mubar])
+    extended = env_class.extended(mubar)
     ext_weights = default_weights(len(extended))
     m_ext = MixtureEnv(extended, ext_weights, RAW)
     for j in range(count):

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from mpmath.libmp import (
-    fone, fzero, mpf_ge, mpf_lt, mpf_shift, mpi_add, mpi_exp, mpi_mul, mpi_sub,
-)
+from mpmath.libmp import fzero, mpf_exp, mpi_add, mpi_sub, round_ceiling, round_floor
 
 from . import intervals
 from .intervals import (
@@ -27,12 +25,14 @@ from .intervals import (
     Verdict,
     abs_bounds,
     add_pairs,
+    canonical_pair,
     compare_le,
-    fraction_bounds,
     from_fraction,
     from_mpf,
     interval_str,
     iv,
+    mul_pairs,
+    pair_ge,
     pow_nonneg_bounds,
     precision,
     quotient_bounds,
@@ -42,6 +42,7 @@ from .intervals import (
 )
 from .envcore import HALF, Environment, FiniteString, ZERO, row_ratio_of, walk_states, walk_string
 from .errors import NotAMeasureRowError, NotDominatedError, UndefinedPosteriorError
+from .mixtures import MixtureEnv, dominance_constant
 
 
 def _sqrt_prod_sum(p: tuple, q: tuple, prec: int) -> tuple:
@@ -60,14 +61,14 @@ def _sqrt_prod_sum(p: tuple, q: tuple, prec: int) -> tuple:
 
 
 def _hellinger_bounds(p: tuple, q: tuple, prec: int) -> tuple:
-    """Raw ``(lo, hi)`` enclosure of h(p, q) at prec bits, p and q unchecked
-    rows as ``row_ratio()`` pairs.
+    """``(lo, hi)`` integer pairs enclosing h(p, q) at prec bits, p and q
+    unchecked rows as ``row_ratio()`` pairs.
 
     h = (sum p + sum q) - 2 sum_i sqrt(p_i q_i): the exact rational part is
     the one quotient (sum p_num q_den + sum q_num p_den) / (p_den q_den),
     and every step is rounded on integer pairs exactly as the ``mpf_div``,
     ``mpf_sqrt``, ``mpf_add`` and ``mpf_sub`` chain would round it, so the
-    endpoints are that chain's, boxed into mpf tuples once.
+    endpoints have that chain's values (``_box`` gives its mpf tuples).
     """
     (p_nums, p_den), (q_nums, q_den) = p, q
     r_lo, r_hi = quotient_pairs(sum(p_nums) * q_den + sum(q_nums) * p_den, p_den * q_den, prec)
@@ -76,7 +77,23 @@ def _hellinger_bounds(p: tuple, q: tuple, prec: int) -> tuple:
     hi = add_pairs(r_hi, (-s_lo[0], s_lo[1] + 1), prec, True)
     # h >= 0 holds exactly, so the lower end is clipped at 0; the upper end
     # never passes r_hi, since r_hi lies on the prec-bit grid and s_lo >= 0
-    return fzero if lo[0] < 0 else to_mpf(lo), to_mpf(hi)
+    return (0, 0) if lo[0] < 0 else lo, hi
+
+
+def _box(x: tuple):
+    """The interval object of a ``(lo, hi)`` pair of integer pairs."""
+    return iv.make_mpf((to_mpf(x[0]), to_mpf(x[1])))
+
+
+def _add_bounds(x: tuple, y: tuple, prec: int) -> tuple:
+    """x + y for ``(lo, hi)`` integer pairs, rounded outward (``mpi_add``)."""
+    return add_pairs(x[0], y[0], prec, False), add_pairs(x[1], y[1], prec, True)
+
+
+def _mul_bounds(x: tuple, y: tuple, prec: int) -> tuple:
+    """x * y for nonnegative ``(lo, hi)`` integer pairs, rounded outward:
+    ``mpi_mul``'s pairing of the ends when neither factor is negative."""
+    return mul_pairs(x[0], y[0], prec, False), mul_pairs(x[1], y[1], prec, True)
 
 
 def hellinger_step(p: Sequence[Fraction], q: Sequence[Fraction]):
@@ -89,7 +106,7 @@ def hellinger_step(p: Sequence[Fraction], q: Sequence[Fraction]):
         raise ValueError("length mismatch")
     if any(v < 0 for v in p) or any(v < 0 for v in q):
         raise ValueError("entries must be nonnegative")
-    return iv.make_mpf(_hellinger_bounds(row_ratio_of(p), row_ratio_of(q), iv.prec))
+    return _box(_hellinger_bounds(row_ratio_of(p), row_ratio_of(q), iv.prec))
 
 
 def bhattacharyya_step(p: Sequence[Fraction], q: Sequence[Fraction]):
@@ -100,8 +117,7 @@ def bhattacharyya_step(p: Sequence[Fraction], q: Sequence[Fraction]):
         raise NotAMeasureRowError("first row must sum to exactly 1")
     if sum(q, ZERO) > 1:
         raise ValueError("second row exceeds total mass 1")
-    return iv.make_mpf(tuple(map(to_mpf, _sqrt_prod_sum(row_ratio_of(p), row_ratio_of(q),
-                                                        iv.prec))))
+    return _box(_sqrt_prod_sum(row_ratio_of(p), row_ratio_of(q), iv.prec))
 
 
 def row_inequality_verdicts(p: Sequence[Fraction], q: Sequence[Fraction],
@@ -156,7 +172,7 @@ def hellinger_trace(nu: Environment, mu: Environment, omega: FiniteString, n: in
             if not nu_cur.mass_ratio()[0]:
                 raise UndefinedPosteriorError(f"nu has zero mass at step {t}")
             nu_row, mu_row = nu_cur.row_ratio(), mu_cur.row_ratio()
-            h = iv.make_mpf(_hellinger_bounds(nu_row, mu_row, iv.prec))
+            h = _box(_hellinger_bounds(nu_row, mu_row, iv.prec))
             cum = cum + h
             (nu_nums, nu_den), (mu_nums, mu_den) = nu_row, mu_row
             if not mu_nums[a]:
@@ -178,33 +194,49 @@ def _dominated(nu_cur, mu_cur, w: Fraction) -> bool:
     return nu_num * w.denominator * mu_den >= w.numerator * mu_num * nu_den
 
 
+def _dominance_is_identity(nu: Environment, mu: Environment, w: Fraction) -> bool:
+    """Whether nu >= w mu holds by construction: nu is a mixture that mixes
+    mu itself with a weight of at least w (``dominance_constant``), and its
+    other components are semimeasures, so nonnegative.  A quasi-mode
+    mixture mixes its members' quasimeasures, not the members."""
+    return isinstance(nu, MixtureEnv) and any(
+        nu.component(i) is mu and w <= dominance_constant(nu, i) for i in nu.membership())
+
+
 def _carry(nu: Environment, mu: Environment, n: int, w: Fraction, root, advance, join):
     """Carry one value per state of ``walk_states([nu, mu], n)`` over mu's
-    support, checking nu >= w mu exactly at every state.
+    support, certifying nu >= w mu when w > 0.
 
-    Strings of mu-mass 0 are neither visited nor expanded: every expectation
-    skips them, their extensions have mu-mass 0 too, and nu >= w * 0 holds
-    there.  Raises NotDominatedError at the first state that fails.  The
+    The certificate is exact: ``_dominated`` at every state, raising
+    NotDominatedError at the first state that fails, unless
+    ``_dominance_is_identity`` shows that no state can fail, and then no
+    state is checked.  Strings of mu-mass 0 are neither visited nor
+    expanded: every expectation skips them, their extensions have mu-mass 0
+    too, and nu >= w * 0 holds there.  On mu's support, nu >= w mu makes
+    nu's mass positive; with w = 0 nu's mass is read at each state above
+    depth n, and UndefinedPosteriorError raised where it vanishes.  The
     root holds ``root``.  A state above depth n hands ``advance(nu_row,
     mu_row, mass, value)`` to each of its children: the cursors'
     ``row_ratio()`` pairs, and the mu-mass of all the strings in the state
     as an unreduced integer pair.  A child reached from several states holds
     the ``join`` of what they hand it, in the walker's fixed state order.
     Yields ``(count, mu_mass, value)`` for each state at depth n: its number
-    of strings, the mu-mass of each, and its value.
+    of strings, the mu-mass of each as its ``mass_ratio()`` pair, and its
+    value.
     """
+    check = w and not _dominance_is_identity(nu, mu, w)
     level, carried, nxt = 0, {}, {}
     states = walk_states([nu, mu], n, support=1)
     for symbols, (nu_cur, mu_cur), count, key, children in states:
-        if w and not _dominated(nu_cur, mu_cur, w):
+        if check and not _dominated(nu_cur, mu_cur, w):
             raise NotDominatedError("nu >= w*mu fails on the enumerated support")
         if len(symbols) > level:
             level, carried, nxt = len(symbols), nxt, {}
         value = carried[key] if symbols else root
         if children is None:
-            yield count, mu_cur.mass, value
+            yield count, mu_cur.mass_ratio(), value
             continue
-        if not nu_cur.mass_ratio()[0]:
+        if not w and not nu_cur.mass_ratio()[0]:
             raise UndefinedPosteriorError("nu vanishes on a mu-support prefix")
         num, den = mu_cur.mass_ratio()
         out = advance(nu_cur.row_ratio(), mu_cur.row_ratio(), (count * num, den), value)
@@ -212,9 +244,27 @@ def _carry(nu: Environment, mu: Environment, n: int, w: Fraction, root, advance,
             nxt[child_key] = join(nxt[child_key], out) if child_key in nxt else out
 
 
-def _half(x: tuple) -> tuple:
-    """x / 2 for a raw interval: exact, so no rounding."""
-    return mpf_shift(x[0], -1), mpf_shift(x[1], -1)
+def _add_mass(sums: dict, k: int, mass: tuple) -> None:
+    """Add k times an unreduced mass pair to ``sums``, which holds integer
+    numerators keyed by their denominator: the masses of one walk's depth-n
+    states share few denominators."""
+    num, den = mass
+    sums[den] = sums.get(den, 0) + k * num
+
+
+def _reduced(sums: dict) -> Fraction:
+    """The exact sum ``_add_mass`` formed, one quotient per denominator."""
+    return sum((Fraction(num, den) for den, num in sums.items()), ZERO)
+
+
+def _exp_half(g: tuple, prec: int) -> tuple:
+    """exp(g / 2) for ``(lo, hi)`` integer pairs, rounded outward as
+    ``mpi_exp`` rounds it: halving a pair is exact, and each end is one
+    ``mpf_exp`` of the boxed half."""
+    (lo, lo_exp), (hi, hi_exp) = g
+    half_lo, half_hi = to_mpf((lo, lo_exp - 1)), to_mpf((hi, hi_exp - 1))
+    return (from_mpf(mpf_exp(half_lo, prec, round_floor)),
+            from_mpf(mpf_exp(half_hi, prec, round_ceiling)))
 
 
 def _checked_beta(beta) -> Fraction:
@@ -235,30 +285,30 @@ def _exp_half_sum(nu: Environment, mu: Environment, n: int, w: Fraction, prec: i
                   term) -> dict:
     """``exp_half_sum``, ``support_size`` and ``support_mass`` of one
     ``_carry``: each state carries E_S and hands each child
-    E_S * exp(g / 2), g the raw enclosure ``term(nu_row, mu_row, mass)``
-    (the arguments ``_carry`` hands ``advance``).  ``term`` may fold other
-    sums on the way."""
+    E_S * exp(g / 2), g the ``(lo, hi)`` integer pairs
+    ``term(nu_row, mu_row, mass)`` (the arguments ``_carry`` hands
+    ``advance``).  ``term`` may fold other sums on the way."""
 
     def advance(nu_row, mu_row, mass, e):
-        return mpi_mul(e, mpi_exp(_half(term(nu_row, mu_row, mass)), prec), prec)
+        return _mul_bounds(e, _exp_half(term(nu_row, mu_row, mass), prec), prec)
 
     def join(x, y):
-        return mpi_add(x, y, prec)
+        return _add_bounds(x, y, prec)
 
-    total, size, support_mass = (fzero, fzero), 0, ZERO
-    for count, mass, e in _carry(nu, mu, n, w, (fone, fone), advance, join):
-        total = mpi_add(total, mpi_mul(fraction_bounds(mass, prec), e, prec), prec)
+    total, size, masses = ((0, 0), (0, 0)), 0, {}
+    for count, mass, e in _carry(nu, mu, n, w, ((1, 0), (1, 0)), advance, join):
+        total = _add_bounds(total, _mul_bounds(quotient_pairs(*mass, prec), e, prec), prec)
         size += count
-        support_mass += count * mass
-    return {"exp_half_sum": iv.make_mpf(total), "support_size": size,
-            "support_mass": support_mass}
+        _add_mass(masses, count, mass)
+    return {"exp_half_sum": _box(total), "support_size": size,
+            "support_mass": _reduced(masses)}
 
 
 def hellinger_expectations(nu: Environment, mu: Environment, n: int,
                            kappa: Fraction = HALF, w: Fraction = ZERO,
                            precision_bits: int = DEFAULT_PRECISION) -> dict:
     """Every expectation over the mu-support paths of length n, from one walk
-    that also checks nu >= w mu exactly (NotDominatedError if it fails).
+    that also certifies nu >= w mu exactly (NotDominatedError if it fails).
 
     ``exp_half_sum`` is an interval for E_mu[exp(half * sum_{t<=n} g_t)]:
     kappa = 1/2 gives the Hellinger case; smaller kappa uses the
@@ -279,9 +329,11 @@ def hellinger_expectations(nu: Environment, mu: Environment, n: int,
     ``support_mass`` their exact total mu-mass: when both are 1, mu is a
     point mass on one path and every expectation is a point evaluation.
 
-    The folds run on raw ``(lo, hi)`` endpoint tuples with the ``libmpi``
-    kernels mpmath's interval objects call, so each enclosure is the one
-    those objects would give; the sums are boxed only in the result.
+    The folds carry every endpoint as an integer pair and round each sum
+    and product to prec bits, down for a lower end and up for an upper end,
+    as the ``libmpi`` functions mpmath's interval objects call would round
+    it, so each enclosure is the one those objects would give; the sums are
+    boxed only in the result.
     """
     kappa = _checked_kappa(kappa)
     symbols = mu.alphabet.symbols
@@ -290,28 +342,28 @@ def hellinger_expectations(nu: Environment, mu: Environment, n: int,
     if kappa != HALF:
         return _exp_half_sum(nu, mu, n, w, prec, lambda nu_row, mu_row, _:
                              _kappa_row(nu_row, mu_row, kappa, symbols, prec))
-    zero = (fzero, fzero)
+    zero = ((0, 0), (0, 0))
     sums = [zero, zero, ZERO]  # sqrt-ratio sum, Hellinger sum, excess
 
     def term(nu_row, mu_row, mass):
         h = _hellinger_bounds(nu_row, mu_row, prec)
-        weight = quotient_bounds(*mass, prec)
-        weighted = restricted = mpi_mul(weight, h, prec)
+        weight = quotient_pairs(*mass, prec)
+        weighted = restricted = _mul_bounds(weight, h, prec)
         # restrict to mu-support symbols: E[(sqrt(nu_t/mu_t)-1)^2 | prefix]
         (nu_nums, nu_den), (mu_nums, mu_den) = nu_row, mu_row
         on = [a for a in symbols if mu_nums[a]]
         if len(on) < len(symbols):
-            restricted = mpi_mul(weight, _hellinger_bounds(
+            restricted = _mul_bounds(weight, _hellinger_bounds(
                 (tuple(nu_nums[a] for a in on), nu_den),
                 (tuple(mu_nums[a] for a in on), mu_den), prec), prec)
             off = sum(nu_nums[a] for a in symbols if not mu_nums[a])
             sums[2] += Fraction(mass[0] * off, mass[1] * nu_den)
-        sums[0] = mpi_add(sums[0], restricted, prec)
-        sums[1] = mpi_add(sums[1], weighted, prec)
+        sums[0] = _add_bounds(sums[0], restricted, prec)
+        sums[1] = _add_bounds(sums[1], weighted, prec)
         return h
 
     found = _exp_half_sum(nu, mu, n, w, prec, term)
-    sqrt_sum, hell_sum, excess = iv.make_mpf(sums[0]), iv.make_mpf(sums[1]), sums[2]
+    sqrt_sum, hell_sum, excess = _box(sums[0]), _box(sums[1]), sums[2]
     # excess sums nonnegative terms, so no input tells ">= 0" from ">= -1" here
     outcome = intervals.CERTIFIED_HOLDS if excess >= 0 else intervals.CERTIFIED_FAILS
     found.update({
@@ -331,8 +383,8 @@ def expected_hellinger_sums(nu: Environment, mu: Environment, n: int,
 
 
 def _kappa_row(nu_row, mu_row, kappa: Fraction, symbols, prec: int) -> tuple:
-    """Raw ``(lo, hi)`` enclosure of sum_a |nu_a^kappa - mu_a^kappa|^{1/kappa}
-    at prec bits, the rows as ``row_ratio()`` pairs."""
+    """``(lo, hi)`` integer pairs enclosing sum_a |nu_a^kappa -
+    mu_a^kappa|^{1/kappa} at prec bits, the rows as ``row_ratio()`` pairs."""
     if kappa == HALF:
         return _hellinger_bounds(nu_row, mu_row, prec)
     zero = (fzero, fzero)
@@ -343,7 +395,7 @@ def _kappa_row(nu_row, mu_row, kappa: Fraction, symbols, prec: int) -> tuple:
                   if nums[a] else zero for nums, den in (nu_row, mu_row))
         diff = abs_bounds(mpi_sub(na, ma, prec))
         total = mpi_add(total, pow_nonneg_bounds(diff, inv, prec), prec)
-    return total
+    return from_mpf(total[0]), from_mpf(total[1])
 
 
 def expected_exp_half_sum(nu: Environment, mu: Environment, n: int,
@@ -385,44 +437,48 @@ def markov_tail_check(nu: Environment, mu: Environment, n: int,
 def markov_tail_checks(nu: Environment, mu: Environment, n: int,
                        w: Fraction, cs: Sequence[Fraction],
                        precision_bits: int = DEFAULT_PRECISION) -> list[TailCheckReport]:
-    """``markov_tail_check`` for every c in cs, from one walk that also checks
-    nu >= w mu exactly (NotDominatedError if it fails).
+    """``markov_tail_check`` for every c in cs, from one walk that also
+    certifies nu >= w mu exactly (NotDominatedError if it fails).
 
     For each c, the certified exceed mass plus the mass of paths whose
     enclosure straddles the threshold is compared against the lower bound of
     exp(-c/2).  Each merged state carries the multiplicity of every
     cumulative-sum enclosure among the paths into it, keyed by the
-    enclosure's exact raw endpoints, so each path's sum is formed by the same
-    outward-rounded additions as along the path itself.
+    enclosure's endpoints as canonical integer pairs, so each path's sum is
+    formed by the same outward-rounded additions as along the path itself,
+    and equal enclosures merge.  Each is classified against the thresholds
+    by exact integer compares.
     """
     if not cs:
         return []
     w, cs = Fraction(w), [Fraction(c) for c in cs]
 
     def advance(nu_row, mu_row, mass, cums):
-        h_lo, h_hi = map(from_mpf, _hellinger_bounds(nu_row, mu_row, prec))
+        h_lo, h_hi = _hellinger_bounds(nu_row, mu_row, prec)
         out = Counter()
         for (lo, hi), k in cums.items():
-            out[(to_mpf(add_pairs(from_mpf(lo), h_lo, prec, False)),
-                 to_mpf(add_pairs(from_mpf(hi), h_hi, prec, True)))] += k
+            out[(canonical_pair(add_pairs(lo, h_lo, prec, False)),
+                 canonical_pair(add_pairs(hi, h_hi, prec, True)))] += k
         return out
 
     with precision(precision_bits):
         prec = iv.prec
         log_inv_w = iv.log(1 / from_fraction(w))
         thresholds = [(log_inv_w + from_fraction(c))._mpi_ for c in cs]
-        exceed = [ZERO] * len(cs)
-        unknown = [ZERO] * len(cs)
-        for _, mass, cums in _carry(nu, mu, n, w, Counter({(fzero, fzero): 1}), advance,
-                                    Counter.__add__):
+        bounds = [(from_mpf(t_lo), from_mpf(t_hi)) for t_lo, t_hi in thresholds]
+        exceed = [{} for _ in cs]
+        unknown = [{} for _ in cs]
+        root = Counter({((0, 0), (0, 0)): 1})
+        for _, mass, cums in _carry(nu, mu, n, w, root, advance, Counter.__add__):
             for (lo, hi), k in cums.items():
-                for i, (t_lo, t_hi) in enumerate(thresholds):
-                    if mpf_ge(lo, t_hi):
-                        exceed[i] += k * mass
-                    elif not mpf_lt(hi, t_lo):
-                        unknown[i] += k * mass
+                for i, (t_lo, t_hi) in enumerate(bounds):
+                    if pair_ge(lo, t_hi):
+                        _add_mass(exceed[i], k, mass)
+                    elif pair_ge(hi, t_lo):
+                        _add_mass(unknown[i], k, mass)
         reports = []
-        for c, threshold, ex, un in zip(cs, thresholds, exceed, unknown):
+        for c, threshold, ex, un in zip(cs, thresholds, map(_reduced, exceed),
+                                        map(_reduced, unknown)):
             bound = iv.exp(-from_fraction(c) / 2)
             verdict = compare_le(from_fraction(ex + un), bound, precision_bits)
             reports.append(TailCheckReport(verdict, ex, un,

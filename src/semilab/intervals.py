@@ -17,7 +17,8 @@ from typing import Union
 
 import mpmath
 from mpmath.libmp import (
-    fzero, mpf_ge, mpf_gt, mpf_le, mpf_neg, mpi_exp, mpi_log, mpi_mul, to_rational,
+    fone, fzero, mpf_exp, mpf_ge, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_neg,
+    round_ceiling, round_floor, to_rational,
 )
 
 iv = mpmath.iv
@@ -97,6 +98,27 @@ def add_pairs(x: tuple, y: tuple, prec: int, up: bool) -> tuple[int, int]:
     return round_pair(a + (b << eb - ea), ea, prec, up)
 
 
+def mul_pairs(x: tuple, y: tuple, prec: int, up: bool) -> tuple[int, int]:
+    """x * y rounded (``mpf_mul``)."""
+    return round_pair(x[0] * y[0], x[1] + y[1], prec, up)
+
+
+def canonical_pair(x: tuple) -> tuple[int, int]:
+    """The pair of x's value with an odd mantissa, or (0, 0): equal values
+    give equal pairs, as equal values give equal mpf tuples."""
+    m, e = x
+    if not m:
+        return 0, 0
+    zeros = (m & -m).bit_length() - 1
+    return m >> zeros, e + zeros
+
+
+def pair_ge(x: tuple, y: tuple) -> bool:
+    """x >= y, compared exactly."""
+    (a, ea), (b, eb) = x, y
+    return (a << ea - eb) >= b if ea >= eb else a >= (b << eb - ea)
+
+
 def to_mpf(x: tuple) -> tuple:
     """The raw mpf tuple of a pair: sign, odd mantissa, exponent, bit count."""
     m, e = x
@@ -160,22 +182,28 @@ def abs_bounds(x: tuple) -> tuple:
 def pow_nonneg_bounds(x: tuple, e: Fraction, prec: int) -> tuple:
     """Raw ``(lo, hi)`` enclosure of x**e at prec bits, for a nonnegative
     raw interval x and a positive rational exponent e: exp(e log x) at each
-    endpoint, an endpoint at or below 0 giving 0."""
+    endpoint, an endpoint at or below 0 giving 0.
+
+    Each end is the end of ``mpi_exp(mpi_mul(e, mpi_log((v, v))))`` that it
+    keeps, formed from one logarithm and one exponential: log v has the sign
+    of v - 1, so ``mpi_mul`` pairs the lower end of log v with the lower end
+    of e when v > 1 and with the upper end when v < 1, and the upper end of
+    log v the other way round; at v = 1 the product is 0 either way."""
     e = Fraction(e)
     if e <= 0:
         raise ValueError("exponent must be positive")
     lo, hi = x
     if mpf_le(hi, fzero):
         return fzero, fzero
-    e_bounds = fraction_bounds(e, prec)
-
-    def power(v):
-        return mpi_exp(mpi_mul(e_bounds, mpi_log((v, v), prec), prec), prec)
-
-    top = power(hi)[1]
+    e_lo, e_hi = fraction_bounds(e, prec)
+    top = mpf_exp(mpf_mul(e_lo if mpf_lt(hi, fone) else e_hi,
+                          mpf_log(hi, prec, round_ceiling), prec, round_ceiling),
+                  prec, round_ceiling)
     if mpf_le(lo, fzero):
         return fzero, top
-    return power(lo)[0], top
+    return mpf_exp(mpf_mul(e_hi if mpf_lt(lo, fone) else e_lo,
+                           mpf_log(lo, prec, round_floor), prec, round_floor),
+                   prec, round_floor), top
 
 
 def pow_nonneg(x, e: Fraction):

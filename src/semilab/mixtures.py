@@ -82,8 +82,9 @@ class EnvClass:
     established for the members asked about: by the exact row check made in
     the constructor (``rows_sum_to_one``), else by exact validation to
     ``CERTIFICATION_DEPTH``, as for a table declared a measure.  The spec
-    parser walks a declared measure to the same depth, so a member it
-    accepts as a measure is one this class counts as a measure.
+    parser refuses a declared measure through ``is_measure``, so a member
+    it accepts as a measure is one this class counts as a measure, and is
+    walked once.
     """
 
     def __init__(self, envs: Sequence[Environment]):
@@ -116,6 +117,13 @@ class EnvClass:
                 flag = report.is_semimeasure and report.is_measure_to_depth
             self._measure_flags[i - 1] = flag
         return flag
+
+    def extended(self, env: Environment) -> "EnvClass":
+        """This class with env appended as its last member, keeping what is
+        known of the other members, so none is certified twice."""
+        new = EnvClass(self.envs + [env])
+        new._measure_flags[:-1] = self._measure_flags
+        return new
 
     def measure_indices(self, k: Optional[int] = None) -> tuple[int, ...]:
         k = len(self.envs) if k is None else min(k, len(self.envs))

@@ -40,23 +40,33 @@ class Mutant:
 
 MUTANTS = (
     Mutant("tail-drops-straddling", "divergence.py",
-           "elif not mpf_lt(hi, t_lo):", "elif False:",
+           "elif pair_ge(hi, t_lo):", "elif False:",
            ("tests/test_divergence.py", "tests/test_walker.py")),
     Mutant("tail-exceeds-by-upper-end", "divergence.py",
-           "if mpf_ge(lo, t_hi):", "if mpf_ge(hi, t_hi):",
+           "if pair_ge(lo, t_hi):", "if pair_ge(hi, t_hi):",
            ("tests/test_divergence.py", "tests/test_walker.py")),
     Mutant("carry-exp-quarter", "divergence.py",
-           "mpi_exp(_half(term(nu_row, mu_row, mass)), prec)",
-           "mpi_exp(_half(_half(term(nu_row, mu_row, mass))), prec)",
+           "to_mpf((lo, lo_exp - 1)), to_mpf((hi, hi_exp - 1))",
+           "to_mpf((lo, lo_exp - 2)), to_mpf((hi, hi_exp - 2))",
            ("tests/test_divergence.py", "tests/test_walker.py")),
     Mutant("dominance-halves-w", "divergence.py",
            "return nu_num * w.denominator * mu_den >= w.numerator * mu_num * nu_den",
            "return 2 * nu_num * w.denominator * mu_den >= w.numerator * mu_num * nu_den",
+           ("tests/test_divergence.py", "tests/test_walker.py", "tests/test_cli.py")),
+    Mutant("dominance-identity-ignores-w", "divergence.py",
+           "nu.component(i) is mu and w <= dominance_constant(nu, i) for",
+           "nu.component(i) is mu for",
+           ("tests/test_divergence.py", "tests/test_walker.py", "tests/test_cli.py")),
+    Mutant("fold-product-rounds-upper-end-down", "divergence.py",
+           "mul_pairs(x[1], y[1], prec, True)", "mul_pairs(x[1], y[1], prec, False)",
            ("tests/test_divergence.py", "tests/test_walker.py")),
     Mutant("hellinger-inward-upper-end", "divergence.py",
            "hi = add_pairs(r_hi, (-s_lo[0], s_lo[1] + 1), prec, True)",
            "hi = add_pairs(r_hi, (-s_lo[0], s_lo[1] + 1), prec, False)",
            ("tests/test_kernels.py", "tests/test_divergence.py")),
+    Mutant("power-upper-end-pairs-the-wrong-exponent-end", "intervals.py",
+           "e_lo if mpf_lt(hi, fone) else e_hi", "e_hi if mpf_lt(hi, fone) else e_lo",
+           ("tests/test_intervals.py",)),
     Mutant("quotient-ignores-shifted-bits", "intervals.py",
            "lo + 1 if r or q & ((1 << s) - 1) else lo", "lo + 1 if r else lo",
            ("tests/test_kernels.py",)),

@@ -292,6 +292,58 @@ def test_dominance_check_is_exact(bern3_mixture, bern3_class):
     assert not verify_dominance(bern3_mixture, bern3_class.env(2), F(3, 4), 4)
 
 
+def _count_dominance_checks(monkeypatch):
+    """[checks, states]: the ``_dominated`` calls and the states the walks
+    of ``divergence`` yield."""
+    from semilab import divergence
+    counts = [0, 0]
+    dominated, walk = divergence._dominated, divergence.walk_states
+
+    def counting_dominated(*args):
+        counts[0] += 1
+        return dominated(*args)
+
+    def counting_walk(*args, **kwargs):
+        for state in walk(*args, **kwargs):
+            counts[1] += 1
+            yield state
+
+    monkeypatch.setattr(divergence, "_dominated", counting_dominated)
+    monkeypatch.setattr(divergence, "walk_states", counting_walk)
+    return counts
+
+
+def _walk_every_fold(nu, mu, w):
+    """Every walk that certifies nu >= w mu, with the values it forms."""
+    from semilab.divergence import hellinger_expectations, markov_tail_checks
+    found = [hellinger_expectations(nu, mu, 4, kappa, w, 64) for kappa in (F(1, 2), F(1, 4))]
+    return [{k: endpoints(v) if hasattr(v, "_mpi_") else v for k, v in f.items()}
+            for f in found] + markov_tail_checks(nu, mu, 4, w, [F(1)], 64)
+
+
+@pytest.mark.parametrize("mode", [sl.RAW, sl.NORMALIZED_MEASURES_ONLY])
+def test_dominance_is_checked_only_where_it_can_fail(mode, bern3_class, bern3_uniform_weights,
+                                                    monkeypatch):
+    counts = _count_dominance_checks(monkeypatch)
+    nu = sl.MixtureEnv(bern3_class, bern3_uniform_weights, mode)
+    mu, weight = bern3_class.env(2), bern3_uniform_weights.weight(2)
+    # mu mixed with weight 1/3: nu >= w mu for every w <= 1/3, with no check
+    for w in (weight, weight / 2):
+        skipped = _walk_every_fold(nu, mu, w)
+        assert counts[0] == 0 < counts[1]
+    # each case below is checked at every state: an equal mu that is not
+    # the mixed member, w above mu's weight (nu >= mu / 2 holds to depth 4),
+    # and a quasi-mode mixture, which mixes the member's quasimeasure
+    quasi = sl.MixtureEnv(bern3_class, bern3_uniform_weights, sl.QUASI)
+    for case in ((nu, sl.BernoulliEnv(F(1, 2)), weight), (nu, mu, F(1, 2)),
+                 (quasi, mu, weight)):
+        counts[:] = [0, 0]
+        _walk_every_fold(*case)
+        assert counts[0] == counts[1] > 0
+    # and the check changes no value
+    assert _walk_every_fold(nu, sl.BernoulliEnv(F(1, 2)), weight / 2) == skipped
+
+
 def test_tail_mass_requires_dominance(bern3_mixture):
     with pytest.raises(NotDominatedError):
         markov_tail_check(bern3_mixture, sl.BernoulliEnv(F(1, 2)), 4,

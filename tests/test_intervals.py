@@ -1,14 +1,12 @@
 from fractions import Fraction
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semilab.intervals import (
     CERTIFIED_FAILS,
     CERTIFIED_HOLDS,
     INCONCLUSIVE,
-    Verdict,
     abs_bounds,
     compare_le,
     endpoints,
@@ -16,6 +14,7 @@ from semilab.intervals import (
     interval_str,
     iv,
     pow_nonneg,
+    pow_nonneg_bounds,
     precision,
 )
 
@@ -105,6 +104,30 @@ def test_power_interval_contains_true_value(base, exponent):
             mpmath.mpf(exponent.numerator) / mpmath.mpf(exponent.denominator))
         assert mpmath.mpf(lo.numerator) / mpmath.mpf(lo.denominator) <= truth
         assert mpmath.mpf(hi.numerator) / mpmath.mpf(hi.denominator) >= truth
+
+
+ENDS = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 3)]),
+                 st.fractions(min_value=-1, max_value=5, max_denominator=10 ** 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([53, 64, 128, 256]), ENDS, ENDS,
+       st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(7, 5),
+                        Fraction(3), Fraction(4)]))
+@example(128, Fraction(1, 3), Fraction(2, 3), Fraction(1, 4))  # both ends below 1
+@example(128, Fraction(1), Fraction(1), Fraction(4))  # both ends at 1
+@example(128, Fraction(3, 2), Fraction(5), Fraction(1, 3))  # both ends above 1
+@example(64, Fraction(1, 2), Fraction(3), Fraction(7, 5))  # straddling 1
+@example(64, Fraction(0), Fraction(1, 5), Fraction(3))  # lower end at 0
+@example(64, Fraction(-1, 3), Fraction(0), Fraction(1, 4))  # nothing above 0
+def test_power_bounds_are_the_interval_object_bounds(bits, a, b, exponent):
+    """One log and one exp per end give the very ends of exp(e log x) on
+    interval objects, on either side of 1, at 1 and with a lower end <= 0."""
+    a, b = min(a, b), max(a, b)
+    with precision(bits):
+        x = iv.mpf([from_fraction(a).a, from_fraction(b).b])
+        assert pow_nonneg_bounds(x._mpi_, exponent, bits) == \
+            oracles.pow_nonneg_iv(x, exponent)._mpi_
 
 
 def test_power_of_zero_touching_interval_is_clamped():

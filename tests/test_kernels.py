@@ -16,13 +16,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (
-    fzero, from_man_exp, mpf_add, mpf_sqrt, round_ceiling, round_floor,
+    fzero, from_man_exp, mpf_add, mpf_cmp, mpf_mul, mpf_sqrt, round_ceiling, round_floor,
 )
 
 from semilab import divergence
 from semilab.envcore import row_ratio_of
 from semilab.intervals import (
-    add_pairs, from_mpf, precision, quotient_bounds, quotient_pairs, sqrt_pair, to_mpf,
+    add_pairs, canonical_pair, from_mpf, mul_pairs, pair_ge, precision, quotient_bounds,
+    quotient_pairs, sqrt_pair, to_mpf,
 )
 
 import oracles
@@ -85,9 +86,10 @@ def test_hellinger_kernel_returns_the_mpf_chain_tuples(prec, rows, k_p, k_q):
     if p_pair[1] == q_pair[1]:
         q_pair = _scaled(q, 2 * k_q)
     for pair in ((row_ratio_of(p), row_ratio_of(q)), (p_pair, q_pair)):
-        assert divergence._hellinger_bounds(*pair, prec) == want
+        assert tuple(map(to_mpf, divergence._hellinger_bounds(*pair, prec))) == want
         assert tuple(map(to_mpf, divergence._sqrt_prod_sum(*pair, prec))) == want_sqrt
-        assert divergence._kappa_row(*pair, F(1, 4), range(len(p)), prec) == want_kappa
+        assert tuple(map(to_mpf, divergence._kappa_row(*pair, F(1, 4), range(len(p)),
+                                                       prec))) == want_kappa
 
 
 @settings(max_examples=150, deadline=None)
@@ -145,20 +147,46 @@ def test_sums_round_as_mpf_add(prec, a, ea, b, eb):
         assert to_mpf(add_pairs(from_mpf(x), from_mpf(y), prec, up)) == mpf_add(x, y, prec, rnd)
 
 
+@settings(max_examples=200, deadline=None)
+@given(PRECISIONS, MANTISSAS, EXPONENTS, MANTISSAS, EXPONENTS)
+@example(64, 0, 0, 5, -3)
+@example(64, 3, 0, -1, 0)
+@example(128, 2 ** 128 - 1, 0, 2 ** 128 - 1, -7)
+def test_products_round_as_mpf_mul(prec, a, ea, b, eb):
+    x, y = _mpf(a, ea, prec), _mpf(b, eb, prec)
+    for up, rnd in ((False, round_floor), (True, round_ceiling)):
+        assert to_mpf(mul_pairs(from_mpf(x), from_mpf(y), prec, up)) == mpf_mul(x, y, prec, rnd)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MANTISSAS, EXPONENTS, MANTISSAS, EXPONENTS, st.integers(0, 40))
+@example(0, 0, 0, -9, 3)
+@example(1, 0, 2, -1, 5)
+def test_pairs_compare_and_canonicalize_as_mpf_tuples(a, ea, b, eb, shift):
+    """An unnormalized pair (extra trailing zeros) compares as its value and
+    canonicalizes to the pair of its mpf tuple."""
+    x, y = (a << shift, ea - shift), (b, eb)
+    assert pair_ge(x, y) == (mpf_cmp(to_mpf(x), to_mpf(y)) >= 0)
+    assert canonical_pair(x) == from_mpf(to_mpf(x)) == canonical_pair((a, ea))
+
+
 @settings(max_examples=60, deadline=None)
 @given(PRECISIONS, row_pairs(), st.lists(st.tuples(st.integers(0, 2 ** 200), EXPONENTS),
                                          max_size=4))
 @example(128, (HALVES, HALVES), [(0, 0)])
 def test_tail_sums_add_as_mpf_add(prec, rows, starts):
     """The markov-tail carry adds each cumulative enclosure and one step's
-    enclosure on integer pairs, into canonical tuples, as ``mpf_add`` did."""
+    enclosure on integer pairs, into canonical pairs, as ``mpf_add`` did
+    into canonical tuples."""
     h_lo, h_hi = divergence._hellinger_bounds(*map(row_ratio_of, rows), prec)
     for man, exp in starts:
         lo = _mpf(man, exp, prec)
         hi = mpf_add(lo, _mpf(1, exp, prec), prec, round_ceiling)
-        assert (to_mpf(add_pairs(from_mpf(lo), from_mpf(h_lo), prec, False)),
-                to_mpf(add_pairs(from_mpf(hi), from_mpf(h_hi), prec, True))) == (
-            mpf_add(lo, h_lo, prec, round_floor), mpf_add(hi, h_hi, prec, round_ceiling))
+        got = (canonical_pair(add_pairs(from_mpf(lo), h_lo, prec, False)),
+               canonical_pair(add_pairs(from_mpf(hi), h_hi, prec, True)))
+        want = (mpf_add(lo, to_mpf(h_lo), prec, round_floor),
+                mpf_add(hi, to_mpf(h_hi), prec, round_ceiling))
+        assert got == tuple(map(from_mpf, want))
 
 
 def test_zero_numerators_give_exact_zeros():
@@ -166,4 +194,4 @@ def test_zero_numerators_give_exact_zeros():
     assert to_mpf((0, 17)) == fzero
     assert sqrt_pair(0, 0, 64, True) == (0, 0)
     zero_row = row_ratio_of(ZERO_ROW)
-    assert divergence._hellinger_bounds(zero_row, zero_row, 64) == (fzero, fzero)
+    assert divergence._hellinger_bounds(zero_row, zero_row, 64) == ((0, 0), (0, 0))

@@ -11,7 +11,7 @@ that, for every environment kind, on every string to a fixed depth.
 import json
 import random
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import islice, product
 
@@ -22,12 +22,12 @@ from hypothesis import strategies as st
 import semilab as sl
 from semilab import divergence, envcore, mixtures
 from semilab.cli import (
-    _mu_from, parse_class, parse_environment, run_experiment, run_markov_tail, run_quasimeasure,
-    run_verify_hellinger_bounds,
+    RUNNERS, _mu_from, parse_class, parse_environment, run_experiment, run_markov_tail,
+    run_quasimeasure, run_verify_hellinger_bounds,
 )
 from semilab.envcore import walk_states, walk_string
 from semilab.errors import DepthExceededError, SemilabError, UndefinedPosteriorError
-from semilab.intervals import endpoints, from_fraction, iv, precision
+from semilab.intervals import endpoints, from_fraction, iv, precision, to_mpf
 from semilab.randomness import delta_hat_ratio_check
 
 import oracles
@@ -792,6 +792,25 @@ def test_parsing_a_fixture_walks_nothing(fixture, monkeypatch):
     assert walks == []
 
 
+_UNIFORM_TABLE = {"kind": "table", "depth": 3, "declared_class": "measure",
+                  "values": {"".join(x): f"1/{2 ** n}" for n in range(4)
+                             for x in product("01", repeat=n)}}
+
+
+@pytest.mark.parametrize("subcommand", [s for s in RUNNERS if s != "chain-lemma"])
+def test_a_declared_measure_is_walked_once_per_run(subcommand, monkeypatch):
+    # the parser refuses a declared measure through the class's certificate,
+    # which every later reader of the class reuses; envcore's walks are
+    # validate's (the quasimeasure totals walk in mixtures)
+    walks = _count_all_walks(monkeypatch)
+    spec = {"class": [{"kind": "bernoulli", "p": "1/2"}, _UNIFORM_TABLE],
+            "mu_index": 1, "k0": [2]}
+    result = run_experiment(subcommand, spec, 3, 64, 1)
+    assert result.outcomes
+    assert [type(env) for module, env, _ in walks if module == "semilab.envcore"] == [
+        sl.TableEnv]
+
+
 def test_w_vs_d_walks_only_the_leaky_member(monkeypatch):
     walks = _count_all_walks(monkeypatch)
     spec = json.loads((FIXTURES / "quasi_leaky.json").read_text())
@@ -954,15 +973,24 @@ def _decaying_table():
             env_class.env(2), F(1, 2), 5)
 
 
+def _boxed(value):
+    """A carried value with its integer pairs boxed into mpf tuples: a
+    ``(lo, hi)`` pair of pairs, or a Counter keyed by such pairs."""
+    if isinstance(value, Counter):
+        return Counter({_boxed(key): k for key, k in value.items()})
+    return to_mpf(value[0]), to_mpf(value[1])
+
+
 def _recording_carry(monkeypatch):
-    """Record what ``divergence._carry`` yields: every depth-n state's
-    (count, mu_mass, carried raw value)."""
+    """Record what ``divergence._carry`` yields, boxed: every depth-n
+    state's (count, mu_mass, carried raw value)."""
     leaves = []
     carry = divergence._carry
 
     def recording(*args):
         for leaf in carry(*args):
-            leaves.append(leaf)
+            count, mass, value = leaf
+            leaves.append((count, F(*mass), _boxed(value)))
             yield leaf
 
     monkeypatch.setattr(divergence, "_carry", recording)
