@@ -17,28 +17,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from mpmath.libmp import fzero, mpf_exp, mpi_add, mpi_sub, round_ceiling, round_floor
-
 from . import intervals
 from .intervals import (
     DEFAULT_PRECISION,
     Verdict,
     abs_bounds,
+    add_bounds,
     add_pairs,
+    box,
     canonical_pair,
     compare_le,
+    exp_half_bounds,
     from_fraction,
-    from_mpf,
     interval_str,
     iv,
-    mul_pairs,
+    mul_bounds,
     pair_ge,
     pow_nonneg_bounds,
     precision,
-    quotient_bounds,
     quotient_pairs,
     sqrt_pair,
-    to_mpf,
+    unbox,
 )
 from .envcore import HALF, Environment, FiniteString, ZERO, row_ratio_of, walk_states, walk_string
 from .errors import NotAMeasureRowError, NotDominatedError, UndefinedPosteriorError
@@ -68,7 +67,7 @@ def _hellinger_bounds(p: tuple, q: tuple, prec: int) -> tuple:
     the one quotient (sum p_num q_den + sum q_num p_den) / (p_den q_den),
     and every step is rounded on integer pairs exactly as the ``mpf_div``,
     ``mpf_sqrt``, ``mpf_add`` and ``mpf_sub`` chain would round it, so the
-    endpoints have that chain's values (``_box`` gives its mpf tuples).
+    endpoints have that chain's values.
     """
     (p_nums, p_den), (q_nums, q_den) = p, q
     r_lo, r_hi = quotient_pairs(sum(p_nums) * q_den + sum(q_nums) * p_den, p_den * q_den, prec)
@@ -78,22 +77,6 @@ def _hellinger_bounds(p: tuple, q: tuple, prec: int) -> tuple:
     # h >= 0 holds exactly, so the lower end is clipped at 0; the upper end
     # never passes r_hi, since r_hi lies on the prec-bit grid and s_lo >= 0
     return (0, 0) if lo[0] < 0 else lo, hi
-
-
-def _box(x: tuple):
-    """The interval object of a ``(lo, hi)`` pair of integer pairs."""
-    return iv.make_mpf((to_mpf(x[0]), to_mpf(x[1])))
-
-
-def _add_bounds(x: tuple, y: tuple, prec: int) -> tuple:
-    """x + y for ``(lo, hi)`` integer pairs, rounded outward (``mpi_add``)."""
-    return add_pairs(x[0], y[0], prec, False), add_pairs(x[1], y[1], prec, True)
-
-
-def _mul_bounds(x: tuple, y: tuple, prec: int) -> tuple:
-    """x * y for nonnegative ``(lo, hi)`` integer pairs, rounded outward:
-    ``mpi_mul``'s pairing of the ends when neither factor is negative."""
-    return mul_pairs(x[0], y[0], prec, False), mul_pairs(x[1], y[1], prec, True)
 
 
 def hellinger_step(p: Sequence[Fraction], q: Sequence[Fraction]):
@@ -106,7 +89,7 @@ def hellinger_step(p: Sequence[Fraction], q: Sequence[Fraction]):
         raise ValueError("length mismatch")
     if any(v < 0 for v in p) or any(v < 0 for v in q):
         raise ValueError("entries must be nonnegative")
-    return _box(_hellinger_bounds(row_ratio_of(p), row_ratio_of(q), iv.prec))
+    return box(_hellinger_bounds(row_ratio_of(p), row_ratio_of(q), iv.prec))
 
 
 def bhattacharyya_step(p: Sequence[Fraction], q: Sequence[Fraction]):
@@ -117,7 +100,7 @@ def bhattacharyya_step(p: Sequence[Fraction], q: Sequence[Fraction]):
         raise NotAMeasureRowError("first row must sum to exactly 1")
     if sum(q, ZERO) > 1:
         raise ValueError("second row exceeds total mass 1")
-    return _box(_sqrt_prod_sum(row_ratio_of(p), row_ratio_of(q), iv.prec))
+    return box(_sqrt_prod_sum(row_ratio_of(p), row_ratio_of(q), iv.prec))
 
 
 def row_inequality_verdicts(p: Sequence[Fraction], q: Sequence[Fraction],
@@ -172,7 +155,7 @@ def hellinger_trace(nu: Environment, mu: Environment, omega: FiniteString, n: in
             if not nu_cur.mass_ratio()[0]:
                 raise UndefinedPosteriorError(f"nu has zero mass at step {t}")
             nu_row, mu_row = nu_cur.row_ratio(), mu_cur.row_ratio()
-            h = _box(_hellinger_bounds(nu_row, mu_row, iv.prec))
+            h = box(_hellinger_bounds(nu_row, mu_row, iv.prec))
             cum = cum + h
             (nu_nums, nu_den), (mu_nums, mu_den) = nu_row, mu_row
             if not mu_nums[a]:
@@ -208,7 +191,8 @@ def _carry(nu: Environment, mu: Environment, n: int, w: Fraction, root, advance,
     support, certifying nu >= w mu when w > 0.
 
     The certificate is exact: ``_dominated`` at every state, raising
-    NotDominatedError at the first state that fails, unless
+    NotDominatedError at the first state that fails, naming w and the
+    state's string, unless
     ``_dominance_is_identity`` shows that no state can fail, and then no
     state is checked.  Strings of mu-mass 0 are neither visited nor
     expanded: every expectation skips them, their extensions have mu-mass 0
@@ -229,7 +213,8 @@ def _carry(nu: Environment, mu: Environment, n: int, w: Fraction, root, advance,
     states = walk_states([nu, mu], n, support=1)
     for symbols, (nu_cur, mu_cur), count, key, children in states:
         if check and not _dominated(nu_cur, mu_cur, w):
-            raise NotDominatedError("nu >= w*mu fails on the enumerated support")
+            raise NotDominatedError(f"nu >= w*mu fails for w = {w} at the string "
+                                    f"'{''.join(map(str, symbols))}'")
         if len(symbols) > level:
             level, carried, nxt = len(symbols), nxt, {}
         value = carried[key] if symbols else root
@@ -257,16 +242,6 @@ def _reduced(sums: dict) -> Fraction:
     return sum((Fraction(num, den) for den, num in sums.items()), ZERO)
 
 
-def _exp_half(g: tuple, prec: int) -> tuple:
-    """exp(g / 2) for ``(lo, hi)`` integer pairs, rounded outward as
-    ``mpi_exp`` rounds it: halving a pair is exact, and each end is one
-    ``mpf_exp`` of the boxed half."""
-    (lo, lo_exp), (hi, hi_exp) = g
-    half_lo, half_hi = to_mpf((lo, lo_exp - 1)), to_mpf((hi, hi_exp - 1))
-    return (from_mpf(mpf_exp(half_lo, prec, round_floor)),
-            from_mpf(mpf_exp(half_hi, prec, round_ceiling)))
-
-
 def _checked_beta(beta) -> Fraction:
     beta = Fraction(beta)
     if beta <= 0:
@@ -281,6 +256,31 @@ def _checked_kappa(kappa) -> Fraction:
     return kappa
 
 
+def _kappa_term(kappa: Fraction, symbols, prec: int):
+    """The fold term g of ``_exp_half_sum`` for one walk: ``(lo, hi)``
+    integer pairs enclosing sum_a |nu_a^kappa - mu_a^kappa|^{1/kappa} at
+    prec bits, the rows as ``row_ratio()`` pairs; the Hellinger step when
+    kappa = 1/2.  The enclosures of kappa and 1/kappa are formed once."""
+    if kappa == HALF:
+        return lambda nu_row, mu_row, _: _hellinger_bounds(nu_row, mu_row, prec)
+    k = quotient_pairs(kappa.numerator, kappa.denominator, prec)
+    inv = quotient_pairs(kappa.denominator, kappa.numerator, prec)
+    zero = ((0, 0), (0, 0))
+
+    def term(nu_row, mu_row, _):
+        total = zero
+        for a in symbols:
+            (n_lo, n_hi), (m_lo, m_hi) = (
+                pow_nonneg_bounds(quotient_pairs(nums[a], den, prec), k, prec)
+                if nums[a] else zero for nums, den in (nu_row, mu_row))
+            diff = (add_pairs(n_lo, (-m_hi[0], m_hi[1]), prec, False),
+                    add_pairs(n_hi, (-m_lo[0], m_lo[1]), prec, True))
+            total = add_bounds(total, pow_nonneg_bounds(abs_bounds(diff), inv, prec), prec)
+        return total
+
+    return term
+
+
 def _exp_half_sum(nu: Environment, mu: Environment, n: int, w: Fraction, prec: int,
                   term) -> dict:
     """``exp_half_sum``, ``support_size`` and ``support_mass`` of one
@@ -290,17 +290,17 @@ def _exp_half_sum(nu: Environment, mu: Environment, n: int, w: Fraction, prec: i
     ``advance``).  ``term`` may fold other sums on the way."""
 
     def advance(nu_row, mu_row, mass, e):
-        return _mul_bounds(e, _exp_half(term(nu_row, mu_row, mass), prec), prec)
+        return mul_bounds(e, exp_half_bounds(term(nu_row, mu_row, mass), prec), prec)
 
     def join(x, y):
-        return _add_bounds(x, y, prec)
+        return add_bounds(x, y, prec)
 
     total, size, masses = ((0, 0), (0, 0)), 0, {}
     for count, mass, e in _carry(nu, mu, n, w, ((1, 0), (1, 0)), advance, join):
-        total = _add_bounds(total, _mul_bounds(quotient_pairs(*mass, prec), e, prec), prec)
+        total = add_bounds(total, mul_bounds(quotient_pairs(*mass, prec), e, prec), prec)
         size += count
         _add_mass(masses, count, mass)
-    return {"exp_half_sum": _box(total), "support_size": size,
+    return {"exp_half_sum": box(total), "support_size": size,
             "support_mass": _reduced(masses)}
 
 
@@ -312,7 +312,8 @@ def hellinger_expectations(nu: Environment, mu: Environment, n: int,
 
     ``exp_half_sum`` is an interval for E_mu[exp(half * sum_{t<=n} g_t)]:
     kappa = 1/2 gives the Hellinger case; smaller kappa uses the
-    |nu^kappa - mu^kappa|^{1/kappa} per-step rows.  Each merged state S
+    per-step term sum_a |nu_a^kappa - mu_a^kappa|^{1/kappa}
+    (``_kappa_term``, built once per walk).  Each merged state S
     carries E_S, the sum of exp(half * sum g) over the paths into S; a child
     receives E_S * exp(g_S / 2), and a state at depth n adds mu(S) * E_S.
 
@@ -329,41 +330,41 @@ def hellinger_expectations(nu: Environment, mu: Environment, n: int,
     ``support_mass`` their exact total mu-mass: when both are 1, mu is a
     point mass on one path and every expectation is a point evaluation.
 
-    The folds carry every endpoint as an integer pair and round each sum
-    and product to prec bits, down for a lower end and up for an upper end,
-    as the ``libmpi`` functions mpmath's interval objects call would round
-    it, so each enclosure is the one those objects would give; the sums are
-    boxed only in the result.
+    Every term and fold runs on the enclosure kernels of ``intervals``:
+    each endpoint an integer pair, each sum, product, power and
+    exponential rounded to prec bits, down for a lower end and up for an
+    upper end, as the ``libmpi`` function mpmath's interval objects call
+    would round it, so each enclosure is the one those objects would give;
+    the sums are boxed only in the result.
     """
     kappa = _checked_kappa(kappa)
     symbols = mu.alphabet.symbols
     prec = precision_bits
     w = Fraction(w)
     if kappa != HALF:
-        return _exp_half_sum(nu, mu, n, w, prec, lambda nu_row, mu_row, _:
-                             _kappa_row(nu_row, mu_row, kappa, symbols, prec))
+        return _exp_half_sum(nu, mu, n, w, prec, _kappa_term(kappa, symbols, prec))
     zero = ((0, 0), (0, 0))
     sums = [zero, zero, ZERO]  # sqrt-ratio sum, Hellinger sum, excess
 
     def term(nu_row, mu_row, mass):
         h = _hellinger_bounds(nu_row, mu_row, prec)
         weight = quotient_pairs(*mass, prec)
-        weighted = restricted = _mul_bounds(weight, h, prec)
+        weighted = restricted = mul_bounds(weight, h, prec)
         # restrict to mu-support symbols: E[(sqrt(nu_t/mu_t)-1)^2 | prefix]
         (nu_nums, nu_den), (mu_nums, mu_den) = nu_row, mu_row
         on = [a for a in symbols if mu_nums[a]]
         if len(on) < len(symbols):
-            restricted = _mul_bounds(weight, _hellinger_bounds(
+            restricted = mul_bounds(weight, _hellinger_bounds(
                 (tuple(nu_nums[a] for a in on), nu_den),
                 (tuple(mu_nums[a] for a in on), mu_den), prec), prec)
             off = sum(nu_nums[a] for a in symbols if not mu_nums[a])
             sums[2] += Fraction(mass[0] * off, mass[1] * nu_den)
-        sums[0] = _add_bounds(sums[0], restricted, prec)
-        sums[1] = _add_bounds(sums[1], weighted, prec)
+        sums[0] = add_bounds(sums[0], restricted, prec)
+        sums[1] = add_bounds(sums[1], weighted, prec)
         return h
 
     found = _exp_half_sum(nu, mu, n, w, prec, term)
-    sqrt_sum, hell_sum, excess = _box(sums[0]), _box(sums[1]), sums[2]
+    sqrt_sum, hell_sum, excess = box(sums[0]), box(sums[1]), sums[2]
     # excess sums nonnegative terms, so no input tells ">= 0" from ">= -1" here
     outcome = intervals.CERTIFIED_HOLDS if excess >= 0 else intervals.CERTIFIED_FAILS
     found.update({
@@ -382,31 +383,14 @@ def expected_hellinger_sums(nu: Environment, mu: Environment, n: int,
     return hellinger_expectations(nu, mu, n, precision_bits=precision_bits)
 
 
-def _kappa_row(nu_row, mu_row, kappa: Fraction, symbols, prec: int) -> tuple:
-    """``(lo, hi)`` integer pairs enclosing sum_a |nu_a^kappa -
-    mu_a^kappa|^{1/kappa} at prec bits, the rows as ``row_ratio()`` pairs."""
-    if kappa == HALF:
-        return _hellinger_bounds(nu_row, mu_row, prec)
-    zero = (fzero, fzero)
-    total = zero
-    inv = 1 / kappa
-    for a in symbols:
-        na, ma = (pow_nonneg_bounds(quotient_bounds(nums[a], den, prec), kappa, prec)
-                  if nums[a] else zero for nums, den in (nu_row, mu_row))
-        diff = abs_bounds(mpi_sub(na, ma, prec))
-        total = mpi_add(total, pow_nonneg_bounds(diff, inv, prec), prec)
-    return from_mpf(total[0]), from_mpf(total[1])
-
-
 def expected_exp_half_sum(nu: Environment, mu: Environment, n: int,
                           kappa: Fraction = HALF,
                           precision_bits: int = DEFAULT_PRECISION):
     """Interval for E_mu[exp(half * sum_{t<=n} g_t)] over all mu-support
     paths: ``hellinger_expectations``' ``exp_half_sum``, from a walk that
     forms no other sum."""
-    kappa, symbols = _checked_kappa(kappa), mu.alphabet.symbols
-    found = _exp_half_sum(nu, mu, n, ZERO, precision_bits, lambda nu_row, mu_row, _:
-                          _kappa_row(nu_row, mu_row, kappa, symbols, precision_bits))
+    term = _kappa_term(_checked_kappa(kappa), mu.alphabet.symbols, precision_bits)
+    found = _exp_half_sum(nu, mu, n, ZERO, precision_bits, term)
     return found["exp_half_sum"]
 
 
@@ -464,8 +448,8 @@ def markov_tail_checks(nu: Environment, mu: Environment, n: int,
     with precision(precision_bits):
         prec = iv.prec
         log_inv_w = iv.log(1 / from_fraction(w))
-        thresholds = [(log_inv_w + from_fraction(c))._mpi_ for c in cs]
-        bounds = [(from_mpf(t_lo), from_mpf(t_hi)) for t_lo, t_hi in thresholds]
+        thresholds = [log_inv_w + from_fraction(c) for c in cs]
+        bounds = list(map(unbox, thresholds))
         exceed = [{} for _ in cs]
         unknown = [{} for _ in cs]
         root = Counter({((0, 0), (0, 0)): 1})
@@ -481,8 +465,7 @@ def markov_tail_checks(nu: Environment, mu: Environment, n: int,
                                         map(_reduced, unknown)):
             bound = iv.exp(-from_fraction(c) / 2)
             verdict = compare_le(from_fraction(ex + un), bound, precision_bits)
-            reports.append(TailCheckReport(verdict, ex, un,
-                                           *interval_str(iv.make_mpf(threshold))))
+            reports.append(TailCheckReport(verdict, ex, un, *interval_str(threshold)))
     return reports
 
 

@@ -1058,26 +1058,25 @@ def mass_interval(env: Environment, x: FiniteString, precision_bits: int = 64):
 
     The mass of ``walk_string``'s root cursor, then each run of symbols
     (``cursor.run_ratio``), enters the interval as one outward-rounded
-    quotient of integers, and the quotients are multiplied outward-rounded;
+    quotient of integers (``intervals.quotient_pairs``), and the quotients
+    are multiplied outward-rounded (``intervals.mul_bounds``);
     a cursor with a run kernel (count, decaying, or scaled over those)
     never forms its exact mass, the others form it at each run's end.  Runs
     start at one symbol and are sized by ``_next_run``.
     """
-    from mpmath.libmp import mpi_mul
-
-    from .intervals import iv, quotient_bounds
+    from .intervals import box, iv, mul_bounds, quotient_pairs
 
     (cursor,) = next(walk_string([env], x))
     num, den = cursor.mass_ratio()
     if not num:
         return iv.mpf(0)
-    box = quotient_bounds(num, den, precision_bits)
+    bounds = quotient_pairs(num, den, precision_bits)
     symbols, start, length = x.symbols, 0, 1
     while start < len(symbols):
         num, den = cursor.run_ratio(symbols[start:start + length])
         if not num:
             return iv.mpf(0)
-        box = mpi_mul(box, quotient_bounds(num, den, precision_bits), precision_bits)
+        bounds = mul_bounds(bounds, quotient_pairs(num, den, precision_bits), precision_bits)
         start += length
         length = _next_run(length, den.bit_length())
-    return iv.make_mpf(box)
+    return box(bounds)

@@ -1,10 +1,14 @@
-"""Outward-rounded arbitrary-precision intervals and certified comparisons.
+"""Outward-rounded arbitrary-precision enclosures and certified comparisons.
 
-Thin layer over mpmath's interval context.  An exact rational embeds as the
-tightest interval around it (its exact quotient rounded down and up by
-``libmp``); every arithmetic result is an interval guaranteed to contain the
-true real value, so a comparison between two interval endpoints is a proof,
-not an estimate.
+An enclosure is carried on integer (mantissa, exponent) pairs: a rational
+is its exact quotient rounded down and up, and each sum, product, quotient,
+power, logarithm and exponential rounds its lower end down and its upper
+end up, to the bits mpmath's ``libmp`` gives.  The walks, the Hellinger
+step, ``mass_interval`` and the deficiency's logarithms run on these
+kernels; ``box`` turns a finished enclosure into an mpmath interval object
+for a verdict's last steps.  Every enclosure contains the true real value,
+so a comparison between two endpoints is a proof, not an estimate.  No
+other module calls ``libmp`` or reads an interval object's raw ends.
 """
 
 from __future__ import annotations
@@ -13,19 +17,13 @@ import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Union
 
 import mpmath
-from mpmath.libmp import (
-    fone, fzero, mpf_exp, mpf_ge, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_neg,
-    round_ceiling, round_floor, to_rational,
-)
+from mpmath.libmp import fzero, mpf_exp, mpf_log, round_ceiling, round_floor, to_rational, to_str
 
 iv = mpmath.iv
 
 DEFAULT_PRECISION = 128
-
-RationalLike = Union[Fraction, int]
 
 
 @contextlib.contextmanager
@@ -138,83 +136,137 @@ def from_mpf(x: tuple) -> tuple[int, int]:
     return -m if sign else m, e
 
 
-def quotient_bounds(num: int, den: int, prec: int) -> tuple:
-    """Raw ``(lo, hi)`` mpf endpoints of num / den (den > 0) rounded down and
-    up to prec bits."""
+def fraction_pairs(num: int, den: int, prec: int) -> tuple[tuple, tuple]:
+    """num / den rounded down and up (``mpf_div``), den > 0 and num of
+    either sign."""
     if num < 0:
-        lo, hi = quotient_pairs(-num, den, prec)
-        return to_mpf((-hi[0], hi[1])), to_mpf((-lo[0], lo[1]))
-    lo, hi = quotient_pairs(num, den, prec)
-    return to_mpf(lo), to_mpf(hi)
+        (lo, lo_exp), (hi, hi_exp) = quotient_pairs(-num, den, prec)
+        return (-hi, hi_exp), (-lo, lo_exp)
+    return quotient_pairs(num, den, prec)
 
 
-def fraction_bounds(q: Fraction, prec: int) -> tuple:
-    """Raw ``(lo, hi)`` mpf endpoints of q rounded down and up to prec bits."""
-    return quotient_bounds(q.numerator, q.denominator, prec)
+def _div_pair(x: tuple, y: tuple, prec: int, up: bool) -> tuple[int, int]:
+    """x / y rounded (``mpf_div``), y > 0: the mantissas' quotient, scaled."""
+    m, e = fraction_pairs(x[0], y[0], prec)[up]
+    return m, e + x[1] - y[1]
 
 
-def from_fraction(q: RationalLike):
-    """Embed an exact rational as the tightest enclosing interval."""
-    return iv.make_mpf(fraction_bounds(Fraction(q), iv.prec))
+def _libmpf(f, x: tuple, prec: int, up: bool) -> tuple[int, int]:
+    """f(x) rounded, f ``mpf_log`` or ``mpf_exp``."""
+    return from_mpf(f(to_mpf(x), prec, round_ceiling if up else round_floor))
 
 
-def endpoints(x) -> tuple[Fraction, Fraction]:
-    """Exact rational values of an interval's endpoints."""
-    lo_raw, hi_raw = x._mpi_
-    return _mpf_to_fraction(lo_raw), _mpf_to_fraction(hi_raw)
+# ------------------------------------------------------------ enclosure kernels
+#
+# An enclosure is a ``(lo, hi)`` tuple of integer pairs.  Each function below
+# rounds as the ``libmpi`` function named in its docstring rounds raw ends.
+
+def add_bounds(x: tuple, y: tuple, prec: int) -> tuple:
+    """x + y (``mpi_add``)."""
+    return add_pairs(x[0], y[0], prec, False), add_pairs(x[1], y[1], prec, True)
 
 
-def _mpf_to_fraction(raw) -> Fraction:
-    p, q = to_rational(raw)
-    return Fraction(int(p), int(q))
+def mul_bounds(x: tuple, y: tuple, prec: int) -> tuple:
+    """x * y for nonnegative x and y (``mpi_mul``, which pairs lower end
+    with lower end and upper with upper when neither factor is negative)."""
+    return mul_pairs(x[0], y[0], prec, False), mul_pairs(x[1], y[1], prec, True)
+
+
+def div_bounds(x: tuple, y: tuple, prec: int) -> tuple:
+    """x / y for positive y (``mpi_div``): each end of x over the end of y
+    that ``mpi_div`` pairs it with, y's upper end for a lower end at or
+    above 0 and for an upper end below 0, else y's lower end."""
+    (lo, hi), (y_lo, y_hi) = x, y
+    return (_div_pair(lo, y_hi if lo[0] >= 0 else y_lo, prec, False),
+            _div_pair(hi, y_hi if hi[0] < 0 else y_lo, prec, True))
 
 
 def abs_bounds(x: tuple) -> tuple:
-    """Raw ``(lo, hi)`` enclosure of |x| for a raw interval x."""
+    """|x|, exactly: negating a pair rounds nothing."""
     lo, hi = x
-    if mpf_ge(lo, fzero):
+    if lo[0] >= 0:
         return x
-    if mpf_le(hi, fzero):
-        return mpf_neg(hi), mpf_neg(lo)
-    return fzero, hi if mpf_gt(hi, mpf_neg(lo)) else mpf_neg(lo)
+    neg_lo = (-lo[0], lo[1])
+    if hi[0] <= 0:
+        return (-hi[0], hi[1]), neg_lo
+    return (0, 0), neg_lo if pair_ge(neg_lo, hi) else hi
 
 
-def pow_nonneg_bounds(x: tuple, e: Fraction, prec: int) -> tuple:
-    """Raw ``(lo, hi)`` enclosure of x**e at prec bits, for a nonnegative
-    raw interval x and a positive rational exponent e: exp(e log x) at each
-    endpoint, an endpoint at or below 0 giving 0.
+def log_bounds(x: tuple, prec: int) -> tuple:
+    """log x for positive x (``mpi_log``)."""
+    return _libmpf(mpf_log, x[0], prec, False), _libmpf(mpf_log, x[1], prec, True)
+
+
+def exp_half_bounds(g: tuple, prec: int) -> tuple:
+    """exp(g / 2) (``mpi_exp`` of the halved enclosure): halving a pair is
+    exact, and each end is one ``mpf_exp``."""
+    (lo, lo_exp), (hi, hi_exp) = g
+    return (_libmpf(mpf_exp, (lo, lo_exp - 1), prec, False),
+            _libmpf(mpf_exp, (hi, hi_exp - 1), prec, True))
+
+
+def pow_nonneg_bounds(x: tuple, e: tuple, prec: int) -> tuple:
+    """x**e for nonnegative x and the enclosure e of a positive exponent:
+    exp(e log x) at each end of x, an end at or below 0 giving 0.
 
     Each end is the end of ``mpi_exp(mpi_mul(e, mpi_log((v, v))))`` that it
     keeps, formed from one logarithm and one exponential: log v has the sign
     of v - 1, so ``mpi_mul`` pairs the lower end of log v with the lower end
     of e when v > 1 and with the upper end when v < 1, and the upper end of
     log v the other way round; at v = 1 the product is 0 either way."""
-    e = Fraction(e)
-    if e <= 0:
-        raise ValueError("exponent must be positive")
     lo, hi = x
-    if mpf_le(hi, fzero):
-        return fzero, fzero
-    e_lo, e_hi = fraction_bounds(e, prec)
-    top = mpf_exp(mpf_mul(e_lo if mpf_lt(hi, fone) else e_hi,
-                          mpf_log(hi, prec, round_ceiling), prec, round_ceiling),
-                  prec, round_ceiling)
-    if mpf_le(lo, fzero):
-        return fzero, top
-    return mpf_exp(mpf_mul(e_hi if mpf_lt(lo, fone) else e_lo,
-                           mpf_log(lo, prec, round_floor), prec, round_floor),
-                   prec, round_floor), top
+    if hi[0] <= 0:
+        return (0, 0), (0, 0)
+    e_lo, e_hi = e
+    top = _libmpf(mpf_exp, mul_pairs(e_hi if pair_ge(hi, (1, 0)) else e_lo,
+                                     _libmpf(mpf_log, hi, prec, True), prec, True), prec, True)
+    if lo[0] <= 0:
+        return (0, 0), top
+    return _libmpf(mpf_exp, mul_pairs(e_lo if pair_ge(lo, (1, 0)) else e_hi,
+                                      _libmpf(mpf_log, lo, prec, False), prec, False),
+                   prec, False), top
+
+
+# ------------------------------------------------------------ interval objects
+
+def box(x: tuple):
+    """The interval object of an enclosure."""
+    return iv.make_mpf((to_mpf(x[0]), to_mpf(x[1])))
+
+
+def unbox(x) -> tuple:
+    """The enclosure of an interval object; ValueError if an end is not
+    finite (a raw infinity has mantissa 0 but is not ``fzero``)."""
+    lo, hi = x._mpi_
+    if not (lo[1] or lo == fzero) or not (hi[1] or hi == fzero):
+        raise ValueError("interval end is not finite")
+    return from_mpf(lo), from_mpf(hi)
+
+
+def from_fraction(q: Fraction | int):
+    """Embed an exact rational as the tightest enclosing interval."""
+    q = Fraction(q)
+    return box(fraction_pairs(q.numerator, q.denominator, iv.prec))
+
+
+def endpoints(x) -> tuple[Fraction, Fraction]:
+    """Exact rational values of an interval's endpoints."""
+    return tuple(Fraction(*map(int, to_rational(raw))) for raw in x._mpi_)
 
 
 def pow_nonneg(x, e: Fraction):
     """x**e for a nonnegative interval x and positive rational exponent e."""
-    return iv.make_mpf(pow_nonneg_bounds(x._mpi_, e, iv.prec))
+    e = Fraction(e)
+    if e <= 0:
+        raise ValueError("exponent must be positive")
+    e_bounds = quotient_pairs(e.numerator, e.denominator, iv.prec)
+    return box(pow_nonneg_bounds(unbox(x), e_bounds, iv.prec))
 
 
 def interval_str(x) -> tuple[str, str]:
     """The endpoints of x printed to 30 significant digits."""
     lo, hi = x._mpi_
-    return mpmath.libmp.to_str(lo, 30), mpmath.libmp.to_str(hi, 30)
+    return to_str(lo, 30), to_str(hi, 30)
 
 
 CERTIFIED_HOLDS = "certified-holds"

@@ -12,8 +12,6 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
-from mpmath.libmp import mpi_div, mpi_log, to_str
-
 from . import divergence
 from .envcore import (
     EnvCursor,
@@ -40,11 +38,15 @@ from .intervals import (
     CERTIFIED_HOLDS,
     DEFAULT_PRECISION,
     Verdict,
+    box,
     compare_le,
+    div_bounds,
     from_fraction,
+    interval_str,
     iv,
+    log_bounds,
     precision,
-    quotient_bounds,
+    quotient_pairs,
 )
 from .mixtures import (
     NORMALIZED_MEASURES_ONLY,
@@ -110,16 +112,17 @@ def deficiency_trace(m_ref: Environment, mu: Environment, omega: FiniteString,
     The supremum d is reported as a log2 enclosure of the exact maximal
     ratio; the diverging flag marks ratios beyond ``DEFAULT_CEILING``.
     The ratios come from one walk along omega (``_mass_ratios``) as integer
-    pairs: each is boxed as its quotient, and only the supremum is reduced.
+    pairs: each quotient's log2 is enclosed on integer pairs, over one ln 2
+    enclosure, and only the supremum is reduced.
     """
     pairs = list(_mass_ratios(m_ref, mu, omega, n))
     prec = precision_bits
-    ln2 = mpi_log(quotient_bounds(2, 1, prec), prec)
+    ln2 = log_bounds(((2, 0), (2, 0)), prec)
     logs = []
     for num, den in pairs:
         if num > 0:
-            lo, hi = mpi_div(mpi_log(quotient_bounds(num, den, prec), prec), ln2, prec)
-            logs.append((to_str(lo, 30), to_str(hi, 30)))
+            log = log_bounds(quotient_pairs(num, den, prec), prec)
+            logs.append(interval_str(box(div_bounds(log, ln2, prec))))
         else:
             logs.append(("-inf", "-inf"))
     best = _first_max(pairs)

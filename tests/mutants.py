@@ -45,9 +45,11 @@ MUTANTS = (
     Mutant("tail-exceeds-by-upper-end", "divergence.py",
            "if pair_ge(lo, t_hi):", "if pair_ge(hi, t_hi):",
            ("tests/test_divergence.py", "tests/test_walker.py")),
-    Mutant("carry-exp-quarter", "divergence.py",
-           "to_mpf((lo, lo_exp - 1)), to_mpf((hi, hi_exp - 1))",
-           "to_mpf((lo, lo_exp - 2)), to_mpf((hi, hi_exp - 2))",
+    Mutant("carry-exp-quarter", "intervals.py",
+           "return (_libmpf(mpf_exp, (lo, lo_exp - 1), prec, False),\n"
+           "            _libmpf(mpf_exp, (hi, hi_exp - 1), prec, True))",
+           "return (_libmpf(mpf_exp, (lo, lo_exp - 2), prec, False),\n"
+           "            _libmpf(mpf_exp, (hi, hi_exp - 2), prec, True))",
            ("tests/test_divergence.py", "tests/test_walker.py")),
     Mutant("dominance-halves-w", "divergence.py",
            "return nu_num * w.denominator * mu_den >= w.numerator * mu_num * nu_den",
@@ -57,7 +59,7 @@ MUTANTS = (
            "nu.component(i) is mu and w <= dominance_constant(nu, i) for",
            "nu.component(i) is mu for",
            ("tests/test_divergence.py", "tests/test_walker.py", "tests/test_cli.py")),
-    Mutant("fold-product-rounds-upper-end-down", "divergence.py",
+    Mutant("fold-product-rounds-upper-end-down", "intervals.py",
            "mul_pairs(x[1], y[1], prec, True)", "mul_pairs(x[1], y[1], prec, False)",
            ("tests/test_divergence.py", "tests/test_walker.py")),
     Mutant("hellinger-inward-upper-end", "divergence.py",
@@ -65,8 +67,12 @@ MUTANTS = (
            "hi = add_pairs(r_hi, (-s_lo[0], s_lo[1] + 1), prec, False)",
            ("tests/test_kernels.py", "tests/test_divergence.py")),
     Mutant("power-upper-end-pairs-the-wrong-exponent-end", "intervals.py",
-           "e_lo if mpf_lt(hi, fone) else e_hi", "e_hi if mpf_lt(hi, fone) else e_lo",
+           "e_hi if pair_ge(hi, (1, 0)) else e_lo", "e_lo if pair_ge(hi, (1, 0)) else e_hi",
            ("tests/test_intervals.py",)),
+    Mutant("kappa-difference-pairs-wrong-ends", "divergence.py",
+           "add_pairs(n_lo, (-m_hi[0], m_hi[1]), prec, False)",
+           "add_pairs(n_lo, (-m_lo[0], m_lo[1]), prec, False)",
+           ("tests/test_kernels.py",)),
     Mutant("quotient-ignores-shifted-bits", "intervals.py",
            "lo + 1 if r or q & ((1 << s) - 1) else lo", "lo + 1 if r else lo",
            ("tests/test_kernels.py",)),

@@ -482,14 +482,10 @@ def paths_tree(nu, mu, n, step_term):
 
 def expected_exp_half_sum_tree(nu, mu, n, kappa):
     """sum over mu-support paths of mu(path) * exp(half * sum_t g_t)."""
-    from semilab.divergence import _kappa_row
-    from semilab.envcore import row_ratio_of
-    from semilab.intervals import from_fraction, iv, to_mpf
+    from semilab.intervals import from_fraction, iv
     total = iv.mpf(0)
     for mu_mass, cum in paths_tree(
-            nu, mu, n,
-            lambda p, q: iv.make_mpf(tuple(map(to_mpf, _kappa_row(
-                row_ratio_of(p), row_ratio_of(q), kappa, mu.alphabet.symbols, iv.prec))))):
+            nu, mu, n, lambda p, q: kappa_row_iv(p, q, kappa, mu.alphabet.symbols)):
         total += from_fraction(mu_mass) * iv.exp(cum / 2)
     return total
 

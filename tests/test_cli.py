@@ -708,14 +708,17 @@ def test_dominance_constant_outside_unit_interval_exits_one(subcommand, w, capsy
     assert capsys.readouterr().err == f"error: $.w: {w} outside (0, 1]\n"
 
 
+DOMINANCE_FAILS = "nu >= w*mu fails for w = 1 at the string '01'"
+
+
 @pytest.mark.parametrize("subcommand, extra, message", [
-    ("verify-hellinger-bounds", {}, "mixture does not dominate mu with the given constant"),
-    ("verify-hellinger-bounds", {"kappa": "1/4"},
-     "mixture does not dominate mu with the given constant"),
-    ("markov-tail", {}, "nu >= w*mu fails on the enumerated support"),
+    ("verify-hellinger-bounds", {}, DOMINANCE_FAILS),
+    ("verify-hellinger-bounds", {"kappa": "1/4"}, DOMINANCE_FAILS),
+    ("markov-tail", {}, DOMINANCE_FAILS),
 ])
 def test_dominance_failure_exits_one_with_its_message(subcommand, extra, message, capsys):
-    # the equal-weight mixture gives 01 the mass 5/24 < 1 * mu(01) = 1/4
+    # the equal-weight mixture gives 01 the mass 5/24 < 1 * mu(01) = 1/4,
+    # the first string of mu's support that fails; both subcommands say so
     spec = json.dumps({"class": BERN3, "weights": ["1/3"] * 3, "mu_index": 2, "w": "1",
                        **extra})
     code = run_cli(subcommand, "--spec", spec, "--depth", "4")

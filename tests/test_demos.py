@@ -18,3 +18,13 @@ def test_demo_runs(demo, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(demo), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_library_tour_prints_its_outcome(capsys):
+    """README's one ``python`` block runs against the current API and prints
+    the outcome its comment names."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out == "certified-holds\n"

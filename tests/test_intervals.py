@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,9 @@ from semilab.intervals import (
     pow_nonneg,
     pow_nonneg_bounds,
     precision,
+    quotient_pairs,
+    to_mpf,
+    unbox,
 )
 
 import oracles
@@ -76,18 +80,19 @@ def test_precision_context_restores_previous_setting():
 
 
 def test_abs_interval_covers_sign_cases():
+    """The exact pair ``abs_bounds`` gives the interval objects' ends bit for
+    bit in every sign case."""
     with precision(64):
-        pos = from_fraction(Fraction(1, 3))
-        neg = -pos
-        straddle = from_fraction(Fraction(-1, 4)) + from_fraction(Fraction(1, 8))
-        assert endpoints(iv.make_mpf(abs_bounds(pos._mpi_)))[0] >= 0
-        assert endpoints(iv.make_mpf(abs_bounds(neg._mpi_)))[0] >= 0
-        lo, hi = endpoints(iv.make_mpf(abs_bounds(straddle._mpi_)))
-        assert lo >= 0
-        assert hi >= Fraction(1, 8)
-        for a, b in ((Fraction(-1, 4), Fraction(1, 8)), (Fraction(-1, 8), Fraction(1, 4))):
+        for a, b in ((Fraction(1, 3), Fraction(1, 2)),  # lower end >= 0
+                     (Fraction(0), Fraction(2, 7)),
+                     (Fraction(-1, 2), Fraction(-1, 3)),  # upper end <= 0
+                     (Fraction(-2, 7), Fraction(0)),
+                     (Fraction(-1, 4), Fraction(1, 8)),  # straddling 0, either end larger
+                     (Fraction(-1, 8), Fraction(1, 4)),
+                     (Fraction(-1, 3), Fraction(1, 3))):  # the tie -lo = hi
             x = iv.mpf([from_fraction(a).a, from_fraction(b).b])
-            assert endpoints(iv.make_mpf(abs_bounds(x._mpi_))) == (0, Fraction(1, 4))
+            assert tuple(map(to_mpf, abs_bounds(unbox(x)))) == \
+                oracles.abs_interval_iv(x)._mpi_, (a, b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -126,8 +131,16 @@ def test_power_bounds_are_the_interval_object_bounds(bits, a, b, exponent):
     a, b = min(a, b), max(a, b)
     with precision(bits):
         x = iv.mpf([from_fraction(a).a, from_fraction(b).b])
-        assert pow_nonneg_bounds(x._mpi_, exponent, bits) == \
+        e = quotient_pairs(exponent.numerator, exponent.denominator, bits)
+        assert tuple(map(to_mpf, pow_nonneg_bounds(unbox(x), e, bits))) == \
             oracles.pow_nonneg_iv(x, exponent)._mpi_
+
+
+def test_power_of_an_unbounded_interval_is_refused():
+    import mpmath
+    with precision(64):
+        with pytest.raises(ValueError, match="not finite"):
+            pow_nonneg(iv.mpf([1, mpmath.inf]), Fraction(1, 2))
 
 
 def test_power_of_zero_touching_interval_is_clamped():

@@ -6,8 +6,10 @@ that the chain of ``mpf_div``, ``mpf_sqrt``, ``mpf_add`` and ``mpf_sub``
 (``oracles.hellinger_bounds_mpf``) gives, at every precision, for rows
 with zeros, all-zero rows, substochastic rows and numerators of hundreds of
 bits, whether the rows come reduced or unreduced, over one denominator or
-two.  So do the primitives one by one, and the adder the markov-tail
-``Counter`` sums its enclosures with.
+two.  So do the kappa < 1/2 terms, against the same sums on interval
+objects; the primitives one by one; the adder the markov-tail ``Counter``
+sums its enclosures with; and the quotient and logarithm of the
+deficiency trace's log2.
 """
 
 from fractions import Fraction
@@ -16,14 +18,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (
-    fzero, from_man_exp, mpf_add, mpf_cmp, mpf_mul, mpf_sqrt, round_ceiling, round_floor,
+    fzero, from_man_exp, mpf_add, mpf_cmp, mpf_mul, mpf_sqrt, mpi_div, mpi_log, round_ceiling,
+    round_floor,
 )
 
 from semilab import divergence
 from semilab.envcore import row_ratio_of
 from semilab.intervals import (
-    add_pairs, canonical_pair, from_mpf, mul_pairs, pair_ge, precision, quotient_bounds,
-    quotient_pairs, sqrt_pair, to_mpf,
+    add_pairs, canonical_pair, div_bounds, fraction_pairs, from_mpf, log_bounds, mul_pairs,
+    pair_ge, precision, quotient_pairs, sqrt_pair, to_mpf,
 )
 
 import oracles
@@ -57,6 +60,7 @@ def row_pairs(draw):
 
 
 ZERO_ROW, HALVES = [F(0), F(0)], [F(1, 2), F(1, 2)]
+KAPPAS = (F(1, 4), F(1, 3), F(2, 5))
 SCALES = st.one_of(st.integers(1, 8), st.integers(1, 2 ** 300))
 
 
@@ -76,20 +80,23 @@ def _scaled(row, k):
 @example(128, ([F(1, 2 ** 600), F(0)], [F(1), F(0)]), 1, 2 ** 300)
 def test_hellinger_kernel_returns_the_mpf_chain_tuples(prec, rows, k_p, k_q):
     """Each drawn row enters reduced (``row_ratio_of``) and unreduced, times
-    a drawn k, with the two rows over different denominators."""
+    a drawn k, with the two rows over different denominators.  The kappa < 1/2
+    terms match the same sum on interval objects."""
     p, q = rows
     want = oracles.hellinger_bounds_mpf(p, q, prec)
     want_sqrt = oracles.sqrt_prod_sum_mpf(p, q, prec)
+    symbols = range(len(p))
     with precision(prec):
-        want_kappa = oracles.kappa_row_iv(p, q, F(1, 4), range(len(p)))._mpi_
+        want_kappa = [oracles.kappa_row_iv(p, q, kappa, symbols)._mpi_ for kappa in KAPPAS]
+    terms = [divergence._kappa_term(kappa, symbols, prec) for kappa in KAPPAS]
     p_pair, q_pair = _scaled(p, k_p), _scaled(q, k_q)
     if p_pair[1] == q_pair[1]:
         q_pair = _scaled(q, 2 * k_q)
     for pair in ((row_ratio_of(p), row_ratio_of(q)), (p_pair, q_pair)):
         assert tuple(map(to_mpf, divergence._hellinger_bounds(*pair, prec))) == want
         assert tuple(map(to_mpf, divergence._sqrt_prod_sum(*pair, prec))) == want_sqrt
-        assert tuple(map(to_mpf, divergence._kappa_row(*pair, F(1, 4), range(len(p)),
-                                                       prec))) == want_kappa
+        for term, want_term in zip(terms, want_kappa):
+            assert tuple(map(to_mpf, term(*pair, None))) == want_term
 
 
 @settings(max_examples=150, deadline=None)
@@ -98,9 +105,10 @@ def test_hellinger_kernel_returns_the_mpf_chain_tuples(prec, rows, k_p, k_q):
 @example(64, 3, 8)
 @example(128, -1, 3)
 def test_quotients_round_as_mpf_div(prec, num, den):
-    assert quotient_bounds(num, den, prec) == oracles.quotient_bounds_mpf(num, den, prec)
+    got = tuple(map(to_mpf, fraction_pairs(num, den, prec)))
+    assert got == oracles.quotient_bounds_mpf(num, den, prec)
     # and an unreduced quotient rounds to the reduced one's bits
-    assert quotient_bounds(num * 12, den * 12, prec) == quotient_bounds(num, den, prec)
+    assert tuple(map(to_mpf, fraction_pairs(num * 12, den * 12, prec))) == got
 
 
 @pytest.mark.parametrize("prec", [64, 128, 256])
@@ -156,6 +164,33 @@ def test_products_round_as_mpf_mul(prec, a, ea, b, eb):
     x, y = _mpf(a, ea, prec), _mpf(b, eb, prec)
     for up, rnd in ((False, round_floor), (True, round_ceiling)):
         assert to_mpf(mul_pairs(from_mpf(x), from_mpf(y), prec, up)) == mpf_mul(x, y, prec, rnd)
+
+
+def _ends(x, y):
+    """The raw interval of two raw mpf values, the smaller first."""
+    return (x, y) if mpf_cmp(x, y) <= 0 else (y, x)
+
+
+POSITIVE = st.integers(1, 2 ** 300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PRECISIONS, MANTISSAS, EXPONENTS, MANTISSAS, EXPONENTS, POSITIVE, EXPONENTS, POSITIVE,
+       EXPONENTS)
+@example(64, 0, 0, 0, 0, 3, 0, 5, 0)  # a zero numerator
+@example(64, -3, 0, 5, -1, 3, 0, 5, 0)  # straddling 0
+@example(64, -3, 0, 0, 0, 3, 0, 5, 0)  # upper end at 0
+@example(128, -7, 0, -1, -3, 3, -1, 3, -1)  # below 0, a point divisor
+def test_interval_quotients_and_logs_round_as_mpi_div_and_mpi_log(prec, a, ea, b, eb, c, ec,
+                                                                   d, ed):
+    """``div_bounds`` by a positive enclosure pairs the ends as ``mpi_div``
+    does for either sign of each end, and ``log_bounds`` rounds as
+    ``mpi_log``: the deficiency trace's log2 of a quotient over ln 2."""
+    x = _ends(_mpf(a, ea, prec), _mpf(b, eb, prec))
+    y = _ends(_mpf(c, ec, prec), _mpf(d, ed, prec))
+    pairs_x, pairs_y = tuple(map(from_mpf, x)), tuple(map(from_mpf, y))
+    assert tuple(map(to_mpf, div_bounds(pairs_x, pairs_y, prec))) == mpi_div(x, y, prec)
+    assert tuple(map(to_mpf, log_bounds(pairs_y, prec))) == mpi_log(y, prec)
 
 
 @settings(max_examples=200, deadline=None)
